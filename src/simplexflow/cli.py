@@ -158,69 +158,79 @@ def _parse_scores_arg(value: str) -> tuple:
         return _load_values_file(value)
 
 
+def _parse_bool(text: str) -> bool:
+    return text.strip().lower() in ("1", "true", "yes")
+
+
+#: INI schema: config attribute -> the (section, key, parser) triples that set
+#: it, highest priority first (the first key present wins).  Besides these,
+#: [sweep] takes one ``grid.<name>`` key per swept parameter.
+_INI_SCHEMA = {
+    "task": (("sweep", "task", str.strip), ("run", "task", str.strip)),
+    "dynamics": (("run", "dynamics", str.strip),),
+    "step_kind": (("run", "step", str.strip),),
+    "seed": (("run", "seed", int),),
+    "start": (("run", "start", str.strip),),
+    "scores": (("scores", "values", _parse_float_list), ("scores", "file", _load_values_file)),
+    "temperature": (("temperature", "value", float),),
+    "schedule": (("temperature", "schedule", str.strip),),
+    "face": (("face", "spec", str.strip),),
+    "field_kind": (("field", "kind", str.strip),),
+    "coupling": (("field", "coupling", _parse_float_list), ("field", "file", _load_values_file)),
+    "eta": (("mirror", "eta", float),),
+    "max_steps": (("mirror", "steps", int),),
+    "kl_tol": (("mirror", "kl_tol", float),),
+    "dt0": (("integrator", "dt0", float),),
+    "rel_tol": (("integrator", "rel_tol", float),),
+    "abs_tol": (("integrator", "abs_tol", float),),
+    "convergence_kl": (("integrator", "convergence_kl", float),),
+    "horizon": (("integrator", "horizon", float),),
+    "n_samples": (("integrator", "samples", int),),
+    "uniform_samples": (("integrator", "uniform_samples", _parse_bool),),
+    "output": (("output", "path", str.strip),),
+    "format": (("output", "format", str.strip),),
+    "jobs": (("sweep", "jobs", int),),
+}
+_GRID_PREFIX = "grid."
+_INI_KEYS = {(section, key) for keys in _INI_SCHEMA.values() for section, key, _ in keys}
+
+
+def _check_ini_names(parser: configparser.ConfigParser) -> None:
+    """Reject any section or key the schema does not name."""
+    defaults = [parser.default_section] if parser.defaults() else []
+    for section in defaults + parser.sections():
+        known = sorted(key for sec, key in _INI_KEYS if sec == section)
+        if not known:
+            raise ConfigError(f"unknown section [{section}]")
+        for key in parser.options(section):
+            if key not in known and not (section == "sweep" and key.startswith(_GRID_PREFIX)):
+                raise ConfigError(f"[{section}] unknown key {key!r} (known: {', '.join(known)})")
+
+
 def load_config_file(path: str) -> ExperimentConfig:
     """Parse the INI experiment file; see the README for the schema."""
     parser = configparser.ConfigParser()
     read = parser.read(path)
     if not read:
         raise ConfigError(f"config file not found: {path}")
+    _check_ini_names(parser)
     cfg = ExperimentConfig()
-
-    def get(section, key, cast, current):
-        if parser.has_option(section, key):
+    for attr, keys in _INI_SCHEMA.items():
+        for section, key, cast in keys:
+            if not parser.has_option(section, key):
+                continue
             raw = parser.get(section, key)
             try:
-                return cast(raw)
-            except (ValueError, InvalidInputError) as exc:
+                setattr(cfg, attr, cast(raw))
+            except ConfigError:
+                raise
+            except ValueError as exc:
                 raise ConfigError(f"[{section}] {key}: cannot parse {raw!r} ({exc})") from exc
-        return current
-
-    cfg.task = get("run", "task", str.strip, cfg.task)
-    cfg.dynamics = get("run", "dynamics", str.strip, cfg.dynamics)
-    cfg.step_kind = get("run", "step", str.strip, cfg.step_kind)
-    cfg.seed = get("run", "seed", int, cfg.seed)
-    cfg.start = get("run", "start", str.strip, cfg.start)
-
-    if parser.has_option("scores", "values"):
-        cfg.scores = get("scores", "values", _parse_float_list, cfg.scores)
-    elif parser.has_option("scores", "file"):
-        cfg.scores = _load_values_file(parser.get("scores", "file"))
-
-    cfg.temperature = get("temperature", "value", float, cfg.temperature)
-    cfg.schedule = get("temperature", "schedule", str.strip, cfg.schedule)
-
-    cfg.face = get("face", "spec", str.strip, cfg.face)
-
-    cfg.field_kind = get("field", "kind", str.strip, cfg.field_kind)
-    if parser.has_option("field", "coupling"):
-        cfg.coupling = get("field", "coupling", _parse_float_list, cfg.coupling)
-    elif parser.has_option("field", "file"):
-        cfg.coupling = _load_values_file(parser.get("field", "file"))
-
-    cfg.eta = get("mirror", "eta", float, cfg.eta)
-    cfg.max_steps = get("mirror", "steps", int, cfg.max_steps)
-    cfg.kl_tol = get("mirror", "kl_tol", float, cfg.kl_tol)
-
-    cfg.dt0 = get("integrator", "dt0", float, cfg.dt0)
-    cfg.rel_tol = get("integrator", "rel_tol", float, cfg.rel_tol)
-    cfg.abs_tol = get("integrator", "abs_tol", float, cfg.abs_tol)
-    cfg.convergence_kl = get("integrator", "convergence_kl", float, cfg.convergence_kl)
-    cfg.horizon = get("integrator", "horizon", float, cfg.horizon)
-    cfg.n_samples = get("integrator", "samples", int, cfg.n_samples)
-    cfg.uniform_samples = get(
-        "integrator", "uniform_samples", lambda v: v.strip().lower() in ("1", "true", "yes"),
-        cfg.uniform_samples,
-    )
-
-    cfg.output = get("output", "path", str.strip, cfg.output)
-    cfg.format = get("output", "format", str.strip, cfg.format)
-
+            break
     if parser.has_section("sweep"):
-        cfg.task = get("sweep", "task", str.strip, cfg.task)
-        cfg.jobs = get("sweep", "jobs", int, cfg.jobs)
         for key in parser.options("sweep"):
-            if key.startswith("grid."):
-                name = key[len("grid."):]
+            if key.startswith(_GRID_PREFIX):
+                name = key[len(_GRID_PREFIX):]
                 try:
                     cfg.grid[name] = list(_parse_float_list(parser.get("sweep", key)))
                 except ValueError as exc:
@@ -277,15 +287,46 @@ class RunManifest:
     metrics: dict
 
     def to_json(self) -> str:
-        return json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True)
+        return _strict_json(dataclasses.asdict(self), indent=2, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "RunManifest":
         return cls(**json.loads(text))
 
 
+def _null_nonfinite(value):
+    """``value`` with every NaN or infinite float, at any depth, replaced by None."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _null_nonfinite(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_null_nonfinite(item) for item in value]
+    return value
+
+
+def _strict_json(payload, **kwargs) -> str:
+    """JSON that strict parsers accept: non-finite floats are written as null."""
+    return json.dumps(_null_nonfinite(payload), allow_nan=False, **kwargs)
+
+
 def _write_manifest(path: Path, manifest: RunManifest) -> None:
     path.write_text(manifest.to_json() + "\n")
+
+
+def _finish_run(
+    cfg: ExperimentConfig, out: Path, started: float, status: str, metrics: dict
+) -> None:
+    """Write the run manifest ``<out>.manifest.json``; wall clock ends here."""
+    manifest = RunManifest(
+        config_hash=cfg.hash(),
+        seed=cfg.seed,
+        tool_version=__version__,
+        wall_clock_s=time.perf_counter() - started,
+        terminal_status=status,
+        metrics=metrics,
+    )
+    _write_manifest(out.parent / (out.name + ".manifest.json"), manifest)
 
 
 # ---------------------------------------------------------------------------
@@ -503,53 +544,36 @@ def _iterate_metrics(record: TrajectoryRecord) -> dict:
     }
 
 
+def _run_task(task: str) -> tuple:
+    """(record, table, metrics, row noun) of a single-run task; built per call,
+    so a rebound module function (a test double, a timing wrapper) takes effect."""
+    return {
+        "simulate": (_simulate_record, _trajectory_table, _flow_metrics, "samples"),
+        "prox-iterate": (_iterate_record, _iterate_table, _iterate_metrics, "steps"),
+    }[task]
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
 
-def cmd_simulate(cfg: ExperimentConfig) -> int:
+def cmd_run(task: str, cfg: ExperimentConfig) -> int:
+    """``simulate`` or ``prox-iterate``: one run, its table and its manifest."""
     cfg.validate()
     started = time.perf_counter()
-    run, record = _simulate_record(cfg)
-    columns, rows = _trajectory_table(record, run.mask)
+    record_fn, table_fn, metrics_fn, noun = _run_task(task)
+    run, record = record_fn(cfg)
+    columns, rows = table_fn(record, run.mask)
     out = Path(cfg.output)
     data_path = out.with_suffix(".json" if cfg.format == "json" else ".csv")
     _write_table(data_path, columns, rows, cfg.format)
-    manifest = RunManifest(
-        config_hash=cfg.hash(),
-        seed=cfg.seed,
-        tool_version=__version__,
-        wall_clock_s=time.perf_counter() - started,
-        terminal_status=record.terminal_status.value,
-        metrics=_flow_metrics(record),
-    )
-    _write_manifest(out.parent / (out.name + ".manifest.json"), manifest)
-    print(f"wrote {data_path} ({len(rows)} samples, status {record.terminal_status.value})")
+    status = record.terminal_status.value
+    _finish_run(cfg, out, started, status, metrics_fn(record))
+    print(f"wrote {data_path} ({len(rows)} {noun}, status {status})")
     if record.terminal_status is TerminalStatus.DIVERGED:
         print(f"diverged: {record.diagnostics}", file=sys.stderr)
         return EXIT_DIVERGED
-    return EXIT_OK
-
-
-def cmd_prox_iterate(cfg: ExperimentConfig) -> int:
-    cfg.validate()
-    started = time.perf_counter()
-    run, record = _iterate_record(cfg)
-    columns, rows = _iterate_table(record, run.mask)
-    out = Path(cfg.output)
-    data_path = out.with_suffix(".json" if cfg.format == "json" else ".csv")
-    _write_table(data_path, columns, rows, cfg.format)
-    manifest = RunManifest(
-        config_hash=cfg.hash(),
-        seed=cfg.seed,
-        tool_version=__version__,
-        wall_clock_s=time.perf_counter() - started,
-        terminal_status=record.terminal_status.value,
-        metrics=_iterate_metrics(record),
-    )
-    _write_manifest(out.parent / (out.name + ".manifest.json"), manifest)
-    print(f"wrote {data_path} ({len(rows)} steps, status {record.terminal_status.value})")
     return EXIT_OK
 
 
@@ -584,73 +608,49 @@ def _apply_cell(cfg: ExperimentConfig, cell: dict) -> ExperimentConfig:
     return out
 
 
-def _run_cell(payload: tuple) -> dict:
-    index, cfg_dict, cell = payload
-    cfg = ExperimentConfig(**cfg_dict)
-    try:
-        cfg = _apply_cell(cfg, cell).validate()
-        if cfg.task == "simulate":
-            _, record = _simulate_record(cfg)
-            return {
-                "index": index,
-                "cell": cell,
-                "status": record.terminal_status.value,
-                "metrics": _flow_metrics(record),
-            }
-        if cfg.task == "prox-iterate":
-            _, record = _iterate_record(cfg)
-            return {
-                "index": index,
-                "cell": cell,
-                "status": record.terminal_status.value,
-                "metrics": _iterate_metrics(record),
-            }
-        if cfg.task == "reparameterization":
-            run = _resolve(cfg)
-            if cfg.dynamics != "literal":
-                raise ConfigError("[sweep] reparameterization task needs literal dynamics")
-            deviation = _reparameterization_deviation(
-                FieldKind.LITERAL,
-                run.scores,
-                run.p0,
-                as_schedule(run.schedule),
-                cfg.horizon,
-                IntegratorControls(rel_tol=1e-10, abs_tol=1e-12, n_samples=cfg.n_samples),
-            )
-            return {
-                "index": index,
-                "cell": cell,
-                "status": "ok",
-                "metrics": {"deviation": deviation},
-            }
-        # recurrence
+def _cell_outcome(cfg: ExperimentConfig) -> tuple:
+    """(status, metrics) of one validated sweep cell."""
+    if cfg.task == "reparameterization":
         run = _resolve(cfg)
-        if run.coupling is None:
-            raise ConfigError("[sweep] recurrence task needs a linear field")
-        record = integrate_path(
-            linear_field(run.scores.values, run.coupling),
-            FieldKind(cfg.dynamics),
+        if cfg.dynamics != "literal":
+            raise ConfigError("[sweep] reparameterization task needs literal dynamics")
+        deviation = _reparameterization_deviation(
+            FieldKind.LITERAL,
+            run.scores,
             run.p0,
-            run.schedule,
+            as_schedule(run.schedule),
             cfg.horizon,
-            dataclasses.replace(run.controls, uniform_samples=True, convergence_kl=0.0),
+            IntegratorControls(rel_tol=1e-10, abs_tol=1e-12, n_samples=cfg.n_samples),
+        )
+        return "ok", {"deviation": deviation}
+    if cfg.task == "recurrence":
+        if cfg.field_kind != "linear":
+            raise ConfigError("[sweep] recurrence task needs a linear field")
+        _, record = _simulate_record(
+            dataclasses.replace(cfg, uniform_samples=True, convergence_kl=0.0)
         )
         report = detect_recurrence(record)
-        return {
-            "index": index,
-            "cell": cell,
-            "status": record.terminal_status.value,
-            "metrics": {
-                "recurrent": report.recurrent,
-                "first_return_time": report.first_return_time,
-                "return_distance": report.return_distance
-                if math.isfinite(report.return_distance)
-                else None,
-                "drift_per_cycle": report.drift_per_cycle,
-            },
+        return record.terminal_status.value, {
+            "recurrent": report.recurrent,
+            "first_return_time": report.first_return_time,
+            "return_distance": report.return_distance,
+            "drift_per_cycle": report.drift_per_cycle,
         }
+    record_fn, _, metrics_fn, _ = _run_task(cfg.task)
+    _, record = record_fn(cfg)
+    return record.terminal_status.value, metrics_fn(record)
+
+
+def _run_cell(payload: tuple) -> dict:
+    index, cfg_dict, cell = payload
+    result = {"index": index, "cell": cell}
+    try:
+        status, metrics = _cell_outcome(_apply_cell(ExperimentConfig(**cfg_dict), cell).validate())
     except SimplexFlowError as exc:
-        return {"index": index, "cell": cell, "status": "error", "error": str(exc)}
+        result.update(status="error", error=str(exc))
+    else:
+        result.update(status=status, metrics=metrics)
+    return result
 
 
 def cmd_sweep(cfg: ExperimentConfig) -> int:
@@ -670,18 +670,11 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
     out = Path(cfg.output)
     data_path = out.with_suffix(".json")
     data_path.write_text(
-        json.dumps({"config_hash": cfg.hash(), "cells": results}, indent=2) + "\n"
+        _strict_json({"config_hash": cfg.hash(), "cells": results}, indent=2) + "\n"
     )
     failed = [r for r in results if r["status"] in ("error", "diverged")]
-    manifest = RunManifest(
-        config_hash=cfg.hash(),
-        seed=cfg.seed,
-        tool_version=__version__,
-        wall_clock_s=time.perf_counter() - started,
-        terminal_status="ok" if not failed else "failed-cells",
-        metrics={"cells": len(results), "failed": len(failed)},
-    )
-    _write_manifest(out.parent / (out.name + ".manifest.json"), manifest)
+    status = "ok" if not failed else "failed-cells"
+    _finish_run(cfg, out, started, status, {"cells": len(results), "failed": len(failed)})
     print(f"wrote {data_path} ({len(results)} cells, {len(failed)} failed)")
     return EXIT_OK if not failed else EXIT_DIVERGED
 
@@ -695,9 +688,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
     except InvalidInputError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except OracleFailureError as exc:
-        print(f"oracle failure: {exc}", file=sys.stderr)
-        return EXIT_ORACLE
 
     expected = oracles.expected_claim_matrix()
     problems = oracles.compare_to_expected(verdicts, expected)
@@ -781,11 +771,9 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return cmd_verify(args)
         cfg = _config_from_args(args)
-        if args.command == "simulate":
-            return cmd_simulate(cfg)
-        if args.command == "prox-iterate":
-            return cmd_prox_iterate(cfg)
-        return cmd_sweep(cfg)
+        if args.command == "sweep":
+            return cmd_sweep(cfg)
+        return cmd_run(args.command, cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -39,6 +39,7 @@ from .exceptions import InteriorityError, InvalidInputError
 from .simplex import (
     ScoreVector,
     SimplexPoint,
+    _normalize_logs,
     check_step_size,
     check_temperature,
     log_softmax,
@@ -73,11 +74,6 @@ def _require_interior(p: SimplexPoint) -> None:
         raise InteriorityError("step requires a strictly interior point")
 
 
-def _normalize_logs(ell: np.ndarray) -> np.ndarray:
-    m = float(ell.max())
-    return ell - (m + math.log(float(np.exp(ell - m).sum())))
-
-
 def _log_step(ell: np.ndarray, s: np.ndarray, t: float, eta: float, kind: MirrorStepKind) -> np.ndarray:
     if kind is MirrorStepKind.PRINTED_MW:
         return _normalize_logs(ell + (eta / t) * s)
@@ -92,6 +88,30 @@ def _free_energy_logs(ell: np.ndarray, s: np.ndarray, t: float) -> float:
 def _kl_logs(ell_q: np.ndarray, ell_p: np.ndarray) -> float:
     q = np.exp(ell_q)
     return max(float(q @ (ell_q - ell_p)), 0.0)
+
+
+def _certified_step(
+    ell_p: np.ndarray, f_before: float, s: np.ndarray, t: float, eta: float, kind: MirrorStepKind
+) -> tuple[np.ndarray, AscentCertificate]:
+    """One step from log-state ``ell_p`` (free energy ``f_before``) and its certificate."""
+    ell_q = _log_step(ell_p, s, t, eta, kind)
+    f_after = _free_energy_logs(ell_q, s, t)
+    kl_move = _kl_logs(ell_q, ell_p)
+    return ell_q, AscentCertificate(
+        f_before=f_before,
+        f_after=f_after,
+        kl_move=kl_move,
+        slack=f_after - f_before - kl_move / eta,
+    )
+
+
+def _log_slope(etas, values: np.ndarray, floor: float) -> float:
+    """Fitted slope of log value against log eta over the values above ``floor``
+    (infinite when fewer than two clear it)."""
+    usable = values > floor
+    if usable.sum() < 2:
+        return math.inf
+    return float(np.polyfit(np.log(np.asarray(etas)[usable]), np.log(values[usable]), 1)[0])
 
 
 def exact_prox_step(
@@ -130,16 +150,10 @@ def ascent_certificate(
     eta = check_step_size(eta)
     _require_interior(p)
     ell_p = _normalize_logs(np.log(p.probs))
-    ell_q = _log_step(ell_p, s.values, t, eta, kind)
-    f_before = _free_energy_logs(ell_p, s.values, t)
-    f_after = _free_energy_logs(ell_q, s.values, t)
-    kl_move = _kl_logs(ell_q, ell_p)
-    return AscentCertificate(
-        f_before=f_before,
-        f_after=f_after,
-        kl_move=kl_move,
-        slack=f_after - f_before - kl_move / eta,
+    _, certificate = _certified_step(
+        ell_p, _free_energy_logs(ell_p, s.values, t), s.values, t, eta, kind
     )
+    return certificate
 
 
 def iterate(
@@ -183,20 +197,11 @@ def iterate(
     certificates: list[AscentCertificate] = []
     status = TerminalStatus.MAX_TIME
     for k in range(1, max_steps + 1):
-        ell_next = _log_step(ell, s_values, t, eta, kind)
-        kl_move = _kl_logs(ell_next, ell)
-        f_next = _free_energy_logs(ell_next, s_values, t)
-        certificates.append(
-            AscentCertificate(
-                f_before=f_now,
-                f_after=f_next,
-                kl_move=kl_move,
-                slack=f_next - f_now - kl_move / eta,
-            )
-        )
-        ell, f_now = ell_next, f_next
-        samples.append(make_sample(k, ell, f_now, kl_move))
-        if kl_move < kl_tol:
+        ell, certificate = _certified_step(ell, f_now, s_values, t, eta, kind)
+        certificates.append(certificate)
+        f_now = certificate.f_after
+        samples.append(make_sample(k, ell, f_now, certificate.kl_move))
+        if certificate.kl_move < kl_tol:
             status = TerminalStatus.CONVERGED
             break
     if max_steps == 0:
@@ -237,10 +242,4 @@ def step_agreement_exponent(
             for e in etas
         ]
     )
-    usable = gaps > 1e-15
-    if usable.sum() < 2:
-        return math.inf, gaps
-    slope = float(
-        np.polyfit(np.log(np.asarray(etas)[usable]), np.log(gaps[usable]), 1)[0]
-    )
-    return slope, gaps
+    return _log_slope(etas, gaps, 1e-15), gaps

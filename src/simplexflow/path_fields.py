@@ -9,7 +9,9 @@ flow ascends the generalized free energy
     G(p) = <p, s0> + 0.5 <p, B p> + T H(p),
 
 which is recorded as the free-energy annotation of every path-field
-trajectory (for B = 0 it coincides with the fixed-score free energy).
+trajectory (for B = 0 it coincides with the fixed-score free energy).  The
+field, the flow and that annotation are the fixed-score code of ``replicator``
+fed with ``ScoreField.scores_at`` and ``ScoreField.potential``.
 Antisymmetric B produces rotation: with the literal kind the uniform point
 becomes a center surrounded by closed orbits, giving detector-checkable
 loops; mixed B yields multiple basins ("lock-in") that the probe below
@@ -26,14 +28,14 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .exceptions import InteriorityError, InvalidInputError
+from .exceptions import InvalidInputError
 from .replicator import (
     DEFAULT_HORIZON,
     FieldKind,
     IntegratorControls,
-    _run_flow,
-    _tangent_field,
+    _integrate_scores,
     as_schedule,
+    eval_field,
     integrate,
 )
 from .simplex import ScoreVector, SimplexPoint, check_temperature, entropy
@@ -89,6 +91,13 @@ class ScoreField:
             return self.base
         return self.base + self.coupling @ p
 
+    def potential(self, p: np.ndarray) -> float:
+        """<p, s0> + 0.5 <p, B p>; its gradient is s(p) when B is symmetric."""
+        value = float(p @ self.base)
+        if self.coupling is not None:
+            value += 0.5 * float(p @ (self.coupling @ p))
+        return value
+
     def to_json(self) -> str:
         payload = {"kind": self.kind, "s0": self.base.tolist()}
         if self.coupling is not None:
@@ -123,17 +132,9 @@ def eval_path_field(
     field: ScoreField, fieldkind: FieldKind, p: SimplexPoint, temperature: float
 ) -> np.ndarray:
     """Replicator field with state-dependent scores; tangent to the simplex."""
-    t = check_temperature(temperature)
     if p.size != field.size:
         raise InvalidInputError(f"size mismatch: p has {p.size} entries, field has {field.size}")
-    s_p = field.scores_at(p.probs)
-    if fieldkind is FieldKind.ENTROPIC:
-        if not p.interior:
-            raise InteriorityError("entropic field needs log p, so p must be interior")
-        g = s_p / t - np.log(p.probs)
-    else:
-        g = s_p / t
-    return _tangent_field(np.array(p.probs), g)
+    return eval_field(fieldkind, p, ScoreVector(field.scores_at(p.probs)), temperature)
 
 
 def is_conservative(field: ScoreField, tol: float = 1e-12) -> bool:
@@ -182,39 +183,15 @@ def integrate_path(
     sched = as_schedule(schedule)
     if p0.size != field.size:
         raise InvalidInputError(f"size mismatch: p0 has {p0.size} entries, field has {field.size}")
-    if fieldkind is FieldKind.ENTROPIC and not p0.interior:
-        raise InteriorityError("entropic field requires an interior start")
-
-    base = field.base
-    coupling = field.coupling
-
-    if fieldkind is FieldKind.ENTROPIC:
-
-        def fitness(p, ell, t_val):
-            return (base + coupling @ p) / t_val - ell
-
-    else:
-
-        def fitness(p, ell, t_val):
-            return (base + coupling @ p) / t_val
-
-    def free_energy_fn(p, ell, t_val):
-        h = -float(p @ np.where(p > 0.0, ell, 0.0))
-        return float(p @ base) + 0.5 * float(p @ (coupling @ p)) + t_val * h
-
-    def kl_fn(p, ell, t_val):
-        return math.nan
-
-    controls = replace(controls, convergence_kl=0.0)
-    return _run_flow(
-        fitness,
-        free_energy_fn,
-        kl_fn,
+    return _integrate_scores(
+        fieldkind,
         p0,
+        field.scores_at,
+        field.potential,
+        lambda p, ell, t_val: math.nan,
         sched,
         horizon,
-        controls,
-        entropic_guard=(fieldkind is FieldKind.ENTROPIC),
+        replace(controls, convergence_kl=0.0),
     )
 
 

@@ -6,6 +6,11 @@ Two vector fields are provided, both of the replicator form
 * LITERAL     g = s / T            (score-only fitness)
 * ENTROPIC    g = s / T - log p    (score plus entropic fitness)
 
+One builder turns a score map p -> s(p) and its potential into this fitness
+and into the free-energy annotation potential(p) + T H(p).  Fixed scores
+are the constant map with potential <p, s>; the state-dependent fields of
+``path_fields`` pass s(p) = s0 + B p and <p, s0> + 0.5 <p, B p>.
+
 The ENTROPIC field is the natural gradient of the free energy under the
 inner product <u, v>_p = sum u_i v_i / p_i and vanishes exactly at
 softmax(s, T).  The LITERAL field vanishes in the interior only when all
@@ -42,6 +47,7 @@ from .simplex import (
     NORM_EPS,
     ScoreVector,
     SimplexPoint,
+    _normalize_logs,
     check_temperature,
     free_energy,
     log_softmax,
@@ -50,6 +56,10 @@ from .trajectory import TerminalStatus, TrajectoryRecord, TrajectorySample
 
 #: log-probability clamp for the entropic field near the boundary
 LOG_CLAMP = math.log(1e-300)
+#: an adaptive step below this is reported as DIVERGED (step size underflow)
+MIN_STEP = 1e-13
+#: largest factor by which the step size may grow after one attempt
+MAX_GROWTH = 2.0
 
 
 class FieldKind(Enum):
@@ -235,6 +245,10 @@ def eval_field(
 
 @dataclass(frozen=True)
 class IntegratorControls:
+    """Adaptive integrator settings.  A step is accepted when the sup-norm gap
+    between one full step and two half steps is at most ``abs_tol + rel_tol``;
+    neither is scaled by the state, so together they act as one absolute bound."""
+
     dt0: float = 1e-2
     rel_tol: float = 1e-8
     abs_tol: float = 1e-10
@@ -245,16 +259,9 @@ class IntegratorControls:
     n_samples: int = 200
     uniform_samples: bool = False
     sample_times: Optional[tuple] = None
-    min_step: float = 1e-13
-    max_growth: float = 2.0
 
 
 DEFAULT_HORIZON = 1e3
-
-
-def _normalize_logs(ell: np.ndarray) -> np.ndarray:
-    m = float(ell.max())
-    return ell - (m + math.log(float(np.exp(ell - m).sum())))
 
 
 def _sample_grid(horizon: float, controls: IntegratorControls) -> np.ndarray:
@@ -299,16 +306,18 @@ def _run_flow(
         g2 = fitness(p_mid, ell_mid, t_mid)
         return _normalize_logs(ell_in + h * (g2 - float(p_mid @ g2)))
 
+    def field_norm(p_at: np.ndarray, ell_at: np.ndarray, t_val: float) -> float:
+        return float(np.max(np.abs(_tangent_field(p_at, fitness(p_at, ell_at, t_val)))))
+
     def observe(t_at: float, ell_at: np.ndarray) -> TrajectorySample:
         p_at = np.exp(ell_at)
         t_sched = schedule.at(t_at)
-        field = _tangent_field(p_at, fitness(p_at, ell_at, t_sched))
         return TrajectorySample(
             t=t_at,
             p=SimplexPoint(p_at),
             free_energy=free_energy_fn(p_at, ell_at, t_sched),
             kl_to_target=kl_fn(p_at, ell_at, t_sched),
-            field_norm=float(np.max(np.abs(field))),
+            field_norm=field_norm(p_at, ell_at, t_sched),
         )
 
     sample_grid = _sample_grid(horizon, controls)
@@ -372,14 +381,15 @@ def _run_flow(
                     status = TerminalStatus.CONVERGED
                     done = True
                     break
-                if controls.convergence_field_norm > 0:
-                    field = _tangent_field(p_now, fitness(p_now, ell, schedule.at(t_now)))
-                    if float(np.max(np.abs(field))) < controls.convergence_field_norm:
-                        status = TerminalStatus.CONVERGED
-                        done = True
-                        break
-            h = h_try * min(controls.max_growth, max(0.2, factor))
-            if h < controls.min_step:
+                if (
+                    controls.convergence_field_norm > 0
+                    and field_norm(p_now, ell, schedule.at(t_now)) < controls.convergence_field_norm
+                ):
+                    status = TerminalStatus.CONVERGED
+                    done = True
+                    break
+            h = h_try * min(MAX_GROWTH, max(0.2, factor))
+            if h < MIN_STEP:
                 status = TerminalStatus.DIVERGED
                 diagnostics = f"step size underflow at t={t_now:.6g} (h={h:.3g})"
                 done = True
@@ -399,9 +409,44 @@ def _run_flow(
     )
 
 
-def _masked_weighted_log(p: np.ndarray, ell: np.ndarray) -> float:
-    # sum p_i * log p_i with exact-zero coordinates contributing 0
-    return float(p @ np.where(p > 0.0, ell, 0.0))
+def _integrate_scores(
+    kind: FieldKind,
+    p0: SimplexPoint,
+    scores_at: Callable[[np.ndarray], np.ndarray],
+    potential: Callable[[np.ndarray], float],
+    kl_fn: Callable[[np.ndarray, np.ndarray, float], float],
+    schedule: TemperatureSchedule,
+    horizon: float,
+    controls: IntegratorControls,
+) -> TrajectoryRecord:
+    """Flow of the score map ``p -> s(p)`` from p0, annotated with
+    ``potential(p) + T H(p)``; see the module docstring."""
+    if kind is FieldKind.ENTROPIC:
+        if not p0.interior:
+            raise InteriorityError("entropic field requires an interior start")
+
+        def fitness(p, ell, t_val):
+            return scores_at(p) / t_val - ell
+
+    else:
+
+        def fitness(p, ell, t_val):
+            return scores_at(p) / t_val
+
+    def free_energy_fn(p, ell, t_val):
+        # sum p_i * log p_i with exact-zero coordinates contributing 0
+        return potential(p) - t_val * float(p @ np.where(p > 0.0, ell, 0.0))
+
+    return _run_flow(
+        fitness,
+        free_energy_fn,
+        kl_fn,
+        p0,
+        schedule,
+        horizon,
+        controls,
+        entropic_guard=(kind is FieldKind.ENTROPIC),
+    )
 
 
 def literal_target_logs(p0: SimplexPoint, s: ScoreVector) -> np.ndarray:
@@ -445,9 +490,6 @@ def integrate(
     s_values = s.values
 
     if kind is FieldKind.ENTROPIC:
-        if not p0.interior:
-            raise InteriorityError("entropic field requires an interior start")
-
         target_cache: dict[float, np.ndarray] = {}
 
         def target_logs(t_val: float) -> np.ndarray:
@@ -459,17 +501,10 @@ def integrate(
                 target_cache[t_val] = got
             return got
 
-        def fitness(p, ell, t_val):
-            return s_values / t_val - ell
-
         def kl_fn(p, ell, t_val):
             return max(float(p @ (ell - target_logs(t_val))), 0.0)
 
     else:
-
-        def fitness(p, ell, t_val):
-            return s_values / t_val
-
         target_ell = literal_target_logs(p0, s)
         target_p = np.exp(target_ell)
         target_sel = target_p > 0.0
@@ -478,18 +513,15 @@ def integrate(
         def kl_fn(p, ell, t_val):
             return max(target_plogp - float(target_p[target_sel] @ ell[target_sel]), 0.0)
 
-    def free_energy_fn(p, ell, t_val):
-        return float(p @ s_values) - t_val * _masked_weighted_log(p, ell)
-
-    return _run_flow(
-        fitness,
-        free_energy_fn,
-        kl_fn,
+    return _integrate_scores(
+        kind,
         p0,
+        lambda p: s_values,
+        lambda p: float(p @ s_values),
+        kl_fn,
         sched,
         horizon,
         controls,
-        entropic_guard=(kind is FieldKind.ENTROPIC),
     )
 
 
@@ -543,7 +575,7 @@ def euler_consistency(
     the natural-gradient field measured in effective-time units (eta counts T
     units of flow time).  The contract for both is a fitted slope >= 0.9.
     """
-    from .mirror import exact_prox_step, printed_mw_step
+    from .mirror import _log_slope, exact_prox_step, printed_mw_step
 
     t = check_temperature(temperature)
     if kind is FieldKind.LITERAL:
@@ -556,14 +588,7 @@ def euler_consistency(
     for eta in etas:
         q = step_map(p, s, t, float(eta))
         residuals.append(float(np.max(np.abs((q.probs - p.probs) / float(eta) - reference))))
-    residuals_arr = np.asarray(residuals)
-    usable = residuals_arr > 1e-13
-    if usable.sum() < 2:
-        order = math.inf
-    else:
-        order = float(
-            np.polyfit(np.log(np.asarray(etas)[usable]), np.log(residuals_arr[usable]), 1)[0]
-        )
+    order = _log_slope(etas, np.asarray(residuals), 1e-13)
     return EulerConsistencyReport(etas=tuple(etas), residuals=tuple(residuals), order=order)
 
 

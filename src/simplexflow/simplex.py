@@ -243,6 +243,12 @@ def log_softmax(s: ScoreVector, temperature: float) -> np.ndarray:
     return (z - m) - math.log(float(np.exp(z - m).sum()))
 
 
+def _normalize_logs(ell: np.ndarray) -> np.ndarray:
+    """Shift log-weights so they exponentiate to a probability vector (max-shifted)."""
+    m = float(ell.max())
+    return ell - (m + math.log(float(np.exp(ell - m).sum())))
+
+
 def entropy(p: SimplexPoint) -> float:
     """Shannon entropy H(p) = -sum p_i log p_i in nats, with 0 log 0 := 0.
 

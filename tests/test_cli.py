@@ -29,6 +29,15 @@ def read_manifest(stem):
     return RunManifest.from_json(Path(f"{stem}.manifest.json").read_text())
 
 
+def read_strict_json(path):
+    """Parse JSON, rejecting the NaN / Infinity constants that strict parsers refuse."""
+
+    def refuse(constant):
+        raise ValueError(f"non-standard JSON constant {constant} in {path}")
+
+    return json.loads(Path(path).read_text(), parse_constant=refuse)
+
+
 class TestConfigFile:
     def test_file_then_flag_precedence(self, tmp_path):
         cfg_file = tmp_path / "exp.ini"
@@ -66,6 +75,26 @@ class TestConfigFile:
         c = ExperimentConfig(scores=(1.0, 0.5), temperature=1.0)
         assert a.hash() == b.hash()
         assert a.hash() != c.hash()
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[scores]\nvalues = 1, 0\n[integrator]\nhorizn = 0.5\n",
+            "[scores]\nvalues = 1, 0\n[temprature]\nvalue = 9\n",
+            "[scores]\nvalues = 1, 0\n[sweep]\ntask = simulate\ngird.temperature = 1, 2\n",
+        ],
+        ids=["mistyped-key", "mistyped-section", "mistyped-grid-key"],
+    )
+    def test_unknown_names_are_rejected(self, tmp_path, monkeypatch, text):
+        from simplexflow.exceptions import ConfigError
+
+        monkeypatch.chdir(tmp_path)
+        cfg_file = tmp_path / "exp.ini"
+        cfg_file.write_text(text)
+        with pytest.raises(ConfigError):
+            load_config_file(str(cfg_file))
+        assert main(["simulate", "--config", str(cfg_file)]) == EXIT_CONFIG
+        assert not Path("run.csv").exists()
 
     def test_both_temperature_and_schedule_rejected(self):
         cfg = ExperimentConfig(scores=(1.0, 0.0), temperature=1.0, schedule="constant:2")
@@ -142,6 +171,24 @@ class TestSimulate:
         code = main(["simulate", "--scores", "1,0", "--temperature", "1",
                      "--face", "indices:1,5", "--output", "x"])
         assert code == EXIT_CONFIG
+
+    def test_linear_field_outputs_are_strict_json(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "lin.ini"
+        cfg.write_text(
+            "[run]\nstart = 0.5, 0.3, 0.2\n"
+            "[scores]\nvalues = 1.0, 0.0, -0.5\n"
+            "[field]\nkind = linear\ncoupling = 0,1,-1,-1,0,1,1,-1,0\n"
+            "[integrator]\nhorizon = 5\n"
+            "[sweep]\ntask = simulate\ngrid.beta = 0.5, 1\n"
+        )
+        assert main(["simulate", "--config", str(cfg), "--output", "lin"]) == EXIT_OK
+        # a linear field has no closed-form target, so its KL is null, not NaN
+        assert read_strict_json("lin.manifest.json")["metrics"]["terminal_kl"] is None
+        assert main(["sweep", "--config", str(cfg), "--output", "grid"]) == EXIT_OK
+        cells = read_strict_json("grid.json")["cells"]
+        assert [c["metrics"]["terminal_kl"] for c in cells] == [None, None]
+        read_strict_json("grid.manifest.json")
 
     def test_diverged_run_is_exit_3_with_manifest(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -230,6 +277,33 @@ class TestSweep:
         direct = read_manifest("direct")
         assert cell["metrics"]["terminal_kl"] == direct.metrics["terminal_kl"]
         assert cell["metrics"]["accepted_steps"] == direct.metrics["accepted_steps"]
+
+    def test_eta_grid_matches_prox_iterate(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "sweep.ini"
+        cfg.write_text(
+            "[scores]\nvalues = 1.0, 0.0, -0.5\n"
+            "[temperature]\nvalue = 0.8\n"
+            "[sweep]\ntask = prox-iterate\ngrid.eta = 0.1, 2\n"
+            "[output]\npath = etas\n"
+        )
+        assert main(["sweep", "--config", str(cfg)]) == EXIT_OK
+        cells = json.loads(Path("etas.json").read_text())["cells"]
+        assert [c["cell"]["eta"] for c in cells] == [0.1, 2.0]
+        for cell in cells:
+            stem = f"direct_{cell['index']}"
+            # eta has no command-line flag, so each single run reads it from a file
+            single = tmp_path / f"{stem}.ini"
+            single.write_text(
+                f"[scores]\nvalues = 1.0, 0.0, -0.5\n[mirror]\neta = {cell['cell']['eta']!r}\n"
+            )
+            assert main(
+                ["prox-iterate", "--config", str(single), "--temperature", "0.8",
+                 "--output", stem]
+            ) == EXIT_OK
+            direct = read_manifest(stem)
+            assert cell["status"] == direct.terminal_status
+            assert cell["metrics"] == direct.metrics
 
     def test_rotational_beta_grid_reports_a_recurrent_cell(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
