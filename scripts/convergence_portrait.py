@@ -3,7 +3,7 @@
 
 Writes one trajectory CSV per (kind, start) into --outdir, plus a summary
 table on stdout: terminal KL to the field's own equilibrium, free-energy
-gain, and accepted step counts.  Plot the CSVs with anything that reads
+gain, and sample counts.  Plot the CSVs with anything that reads
 columns t, p_1..p_V, free_energy, kl_to_target, field_norm.
 """
 
@@ -31,7 +31,7 @@ def main() -> None:
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
 
-    print(f"{'kind':<10}{'start':<7}{'status':<12}{'terminal KL':<14}{'F gain':<12}steps")
+    print(f"{'kind':<10}{'start':<7}{'status':<12}{'terminal KL':<14}{'F gain':<12}samples")
     for kind in FieldKind:
         for i in range(args.starts):
             p0 = SimplexPoint(rng.dirichlet(np.ones(s.size)))
@@ -42,7 +42,7 @@ def main() -> None:
             gain = traj.terminal.free_energy - traj.samples[0].free_energy
             print(
                 f"{kind.value:<10}{i:<7}{traj.terminal_status.value:<12}"
-                f"{traj.terminal.kl_to_target:<14.3e}{gain:<12.5f}{traj.accepted_steps}"
+                f"{traj.terminal.kl_to_target:<14.3e}{gain:<12.5f}{len(traj.samples)}"
             )
     print(f"\ntrajectories in {outdir}/")
 

@@ -70,6 +70,7 @@ from .path_fields import (
 )
 from .oracles import (
     ClaimVerdict,
+    closed_form_entropic,
     closed_form_literal,
     fd_gradient,
     fd_jacobian,

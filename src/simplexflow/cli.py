@@ -196,7 +196,8 @@ _INI_KEYS = {(section, key) for keys in _INI_SCHEMA.values() for section, key, _
 
 
 def _check_ini_names(parser: configparser.ConfigParser) -> None:
-    """Reject any section or key the schema does not name."""
+    """Reject any section or key the schema does not name, and two keys of one
+    section that set the same attribute."""
     defaults = [parser.default_section] if parser.defaults() else []
     for section in defaults + parser.sections():
         known = sorted(key for sec, key in _INI_KEYS if sec == section)
@@ -205,6 +206,12 @@ def _check_ini_names(parser: configparser.ConfigParser) -> None:
         for key in parser.options(section):
             if key not in known and not (section == "sweep" and key.startswith(_GRID_PREFIX)):
                 raise ConfigError(f"[{section}] unknown key {key!r} (known: {', '.join(known)})")
+    for keys in _INI_SCHEMA.values():
+        given = [(section, key) for section, key, _ in keys if parser.has_option(section, key)]
+        for section in {sec for sec, _ in given}:
+            clashing = [key for sec, key in given if sec == section]
+            if len(clashing) > 1:
+                raise ConfigError(f"[{section}] give only one of {' or '.join(clashing)}")
 
 
 def load_config_file(path: str) -> ExperimentConfig:
@@ -377,8 +384,7 @@ def _iterate_table(record: TrajectoryRecord, mask: Optional[FaceMask]) -> tuple:
 
 def _write_table(path: Path, columns: list, rows: list, fmt: str) -> None:
     if fmt == "json":
-        payload = {"columns": columns, "rows": rows}
-        path.write_text(json.dumps(payload) + "\n")
+        path.write_text(_strict_json({"columns": columns, "rows": rows}) + "\n")
         return
     lines = [",".join(columns)]
     for row in rows:
@@ -646,8 +652,8 @@ def _run_cell(payload: tuple) -> dict:
     result = {"index": index, "cell": cell}
     try:
         status, metrics = _cell_outcome(_apply_cell(ExperimentConfig(**cfg_dict), cell).validate())
-    except SimplexFlowError as exc:
-        result.update(status="error", error=str(exc))
+    except Exception as exc:  # one failed cell must not abort the sweep
+        result.update(status="error", error=f"{type(exc).__name__}: {exc}")
     else:
         result.update(status=status, metrics=metrics)
     return result

@@ -40,6 +40,7 @@ from .simplex import (
     ScoreVector,
     SimplexPoint,
     _normalize_logs,
+    check_score_spread,
     check_step_size,
     check_temperature,
     log_softmax,
@@ -178,6 +179,7 @@ def iterate(
     if max_steps < 0:
         raise InvalidInputError(f"max_steps must be nonnegative, got {max_steps}")
     _require_interior(p0)
+    check_score_spread(s, t)
 
     s_values = s.values
     ell_target = log_softmax(s, t)

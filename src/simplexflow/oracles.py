@@ -3,9 +3,10 @@
 Every oracle here is deliberately implementation-independent of the code it
 checks: derivatives come from central finite differences, the prox step is
 certified against a numerical constrained maximizer (cyclic coordinate
-ascent in the softmax parameterization), and the literal flow is certified
-against its closed-form solution.  Only primitive arithmetic and
-log-sum-exp are shared with the checked modules.
+ascent in the softmax parameterization), the literal flow is certified
+against its closed-form solution, and the entropic flow against its solution
+with the schedule integral taken by Gauss-Legendre quadrature.  Only
+primitive arithmetic and log-sum-exp are shared with the checked modules.
 
 ``run_adjudication`` assembles the claim matrix: for each claimed property
 and each dynamics variant it reports whether the property holds at the
@@ -125,6 +126,59 @@ def closed_form_literal(
     m = float(ell.max())
     w = np.exp(ell - m)
     return SimplexPoint(w / w.sum())
+
+
+def _gauss_legendre(n: int) -> tuple:
+    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1], from the
+    eigenpairs of the Jacobi matrix (Golub and Welsch, Math. Comp. 1969)."""
+    k = np.arange(1, n)
+    beta = k / np.sqrt(4.0 * k * k - 1.0)
+    nodes, vectors = np.linalg.eigh(np.diag(beta, 1) + np.diag(beta, -1))
+    return nodes, 2.0 * vectors[0] ** 2
+
+
+def _quadrature_entropic_weight(schedule, t: float) -> float:
+    """w(t) = integral over [0, t] of e^{-(t-u)} / T(u) du by Gauss-Legendre
+    quadrature on pieces split at the breakpoints and at whole times, so each
+    piece has unit length at most and a smooth integrand.  Reads the schedule
+    only through ``at`` and ``breakpoints``.  Twenty nodes integrate
+    polynomials of degree < 40 exactly."""
+    nodes, weights = _gauss_legendre(20)
+    edges = sorted(
+        {0.0, t}
+        | {float(b) for b in schedule.breakpoints() if 0.0 < b < t}
+        | {float(k) for k in range(1, math.ceil(t))}
+    )
+    total = 0.0
+    for lo, hi in zip(edges, edges[1:]):
+        half = 0.5 * (hi - lo)
+        u = 0.5 * (hi + lo) + half * nodes
+        temps = np.array([schedule.at(float(x)) for x in u])
+        total += half * float(weights @ (np.exp(u - t) / temps))
+    return total
+
+
+def closed_form_entropic(p0: SimplexPoint, s: ScoreVector, schedule, t: float) -> SimplexPoint:
+    """Exact solution of the entropic flow under a temperature schedule.
+
+    d log p / dt = s / T(t) - log p + const integrates to
+    log p(t) = e^{-t} log p0 + w(t) s + const with w(t) the integral of
+    e^{-(t-u)} / T(u) over [0, t], here by quadrature, never by the
+    schedule's own closed form.  For constant T, w = (1 - e^{-t}) / T and
+    p(t) tends to softmax(s, T).
+    """
+    sched = rep.as_schedule(schedule)
+    t = float(t)
+    if t < 0 or not math.isfinite(t):
+        raise InvalidInputError(f"time must be nonnegative and finite, got {t}")
+    if not p0.interior:
+        raise InteriorityError("the entropic flow needs an interior start")
+    if t == 0.0:
+        return p0
+    w = _quadrature_entropic_weight(sched, t)
+    ell = math.exp(-t) * np.log(p0.probs) + w * (s.values - s.values.max())
+    q = np.exp(ell - ell.max())
+    return SimplexPoint(q / q.sum())
 
 
 def prox_objective_maximizer(
@@ -269,6 +323,16 @@ def oracle_self_test() -> list:
         abs(vertex.probs[0] - 1.0) < 1e-12,
         f"mass on argmax {vertex.probs[0]!r}",
     )
+
+    same = closed_form_entropic(p0, s3, ExponentialSchedule(1.0, 0.5), 0.0)
+    check(
+        "closed-form-entropic-at-zero",
+        bool(np.max(np.abs(same.probs - p0.probs)) == 0.0),
+        "t=0 returns the start",
+    )
+    settled = closed_form_entropic(p0, s3, ConstantSchedule(2.0), 50.0)
+    err = float(np.max(np.abs(settled.probs - softmax(s3, 2.0).probs)))
+    check("closed-form-entropic-softmax-limit", err < 1e-12, f"max err {err:.3g}")
 
     near_start = prox_objective_maximizer(p0, s3, 1.0, 1e-9)
     err = float(np.max(np.abs(near_start.probs - p0.probs)))

@@ -10,8 +10,8 @@ flow ascends the generalized free energy
 
 which is recorded as the free-energy annotation of every path-field
 trajectory (for B = 0 it coincides with the fixed-score free energy).  The
-field, the flow and that annotation are the fixed-score code of ``replicator``
-fed with ``ScoreField.scores_at`` and ``ScoreField.potential``.
+flow is the adaptive integrator of ``replicator`` fed with
+``ScoreField.scores_at`` and ``ScoreField.potential``.
 Antisymmetric B produces rotation: with the literal kind the uniform point
 becomes a center surrounded by closed orbits, giving detector-checkable
 loops; mixed B yields multiple basins ("lock-in") that the probe below
@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -33,7 +33,7 @@ from .replicator import (
     DEFAULT_HORIZON,
     FieldKind,
     IntegratorControls,
-    _integrate_scores,
+    _run_flow,
     as_schedule,
     eval_field,
     integrate,
@@ -171,27 +171,19 @@ def integrate_path(
     """Integrate the replicator flow of a state-dependent score field.
 
     Fields with no actual state dependence are delegated to the fixed-score
-    integrator, so their runs are identical to the corresponding replicator
-    runs.  For genuinely linear fields the free-energy annotation is the
-    generalized G above and no closed-form target exists, so
-    ``kl_to_target`` is NaN and early stopping, if any, goes through
-    ``controls.convergence_field_norm``.
+    solver, so their runs are identical to the corresponding replicator
+    runs.  Genuinely linear fields go through the adaptive integrator; their
+    free-energy annotation is the generalized G above and no closed-form
+    target exists, so ``kl_to_target`` is NaN, ``convergence_kl`` is unused
+    and early stopping, if any, goes through ``convergence_field_norm``.
     """
     if field.constant_equivalent:
         return integrate(fieldkind, p0, ScoreVector(field.base), schedule, horizon, controls)
 
-    sched = as_schedule(schedule)
     if p0.size != field.size:
         raise InvalidInputError(f"size mismatch: p0 has {p0.size} entries, field has {field.size}")
-    return _integrate_scores(
-        fieldkind,
-        p0,
-        field.scores_at,
-        field.potential,
-        lambda p, ell, t_val: math.nan,
-        sched,
-        horizon,
-        replace(controls, convergence_kl=0.0),
+    return _run_flow(
+        fieldkind, p0, field.scores_at, field.potential, as_schedule(schedule), horizon, controls
     )
 
 

@@ -6,10 +6,10 @@ Two vector fields are provided, both of the replicator form
 * LITERAL     g = s / T            (score-only fitness)
 * ENTROPIC    g = s / T - log p    (score plus entropic fitness)
 
-One builder turns a score map p -> s(p) and its potential into this fitness
-and into the free-energy annotation potential(p) + T H(p).  Fixed scores
-are the constant map with potential <p, s>; the state-dependent fields of
-``path_fields`` pass s(p) = s0 + B p and <p, s0> + 0.5 <p, B p>.
+With fixed scores both flows have exact solutions,
+``log p(t) = a(t) log p0 + b(t) s`` up to normalization with (a, b) equal to
+(1, integral of 1/T) for LITERAL and (e^{-t}, integral of e^{-(t-u)}/T(u)) for
+ENTROPIC, which ``integrate`` evaluates at its stop times without stepping.
 
 The ENTROPIC field is the natural gradient of the free energy under the
 inner product <u, v>_p = sum u_i v_i / p_i and vanishes exactly at
@@ -18,14 +18,11 @@ scores coincide; for generic scores it drives mass onto the argmax set, and
 softmax is not one of its stationary points.  Both fields are tangent to the
 simplex and keep every face invariant.
 
-Integration uses a multiplicative exponential-midpoint scheme in
-log-coordinates: a step of size h maps p to normalize(p * exp(h * g)) with g
-evaluated at a half-step predictor and, for time-varying temperature, at the
-midpoint time.  Positivity and normalization hold by construction, exact
-zeros stay exactly zero, and the step size adapts by comparing one full step
-against two half steps.  For the LITERAL field at constant temperature the
-scheme reproduces the closed-form solution to rounding accuracy at any step
-size, since the fitness does not depend on the state.
+State-dependent scores s(p) of ``path_fields`` have no closed form; the
+adaptive driver ``_run_flow`` steps them in log-coordinates, mapping p to
+normalize(p * exp(h * g)) with g at a half-step predictor and the midpoint
+time.  Positivity and normalization hold by construction, exact zeros stay
+zero, and the step size adapts by comparing one full step with two halves.
 """
 
 from __future__ import annotations
@@ -48,9 +45,9 @@ from .simplex import (
     ScoreVector,
     SimplexPoint,
     _normalize_logs,
+    check_score_spread,
     check_temperature,
     free_energy,
-    log_softmax,
 )
 from .trajectory import TerminalStatus, TrajectoryRecord, TrajectorySample
 
@@ -60,6 +57,14 @@ LOG_CLAMP = math.log(1e-300)
 MIN_STEP = 1e-13
 #: largest factor by which the step size may grow after one attempt
 MAX_GROWTH = 2.0
+
+
+def _inf_on_overflow(fn: Callable[[float], float], x: float) -> float:
+    """``fn(x)`` for math.exp or math.expm1, with overflow giving inf, not raising."""
+    try:
+        return fn(x)
+    except OverflowError:
+        return math.inf
 
 
 class FieldKind(Enum):
@@ -84,6 +89,9 @@ class ConstantSchedule:
 
     def effective_time(self, t: float) -> float:
         return t / self.temperature
+
+    def entropic_weight(self, t: float) -> float:
+        return -math.expm1(-t) / self.temperature
 
     def breakpoints(self) -> tuple:
         return ()
@@ -114,17 +122,28 @@ class PiecewiseConstantSchedule:
     def at(self, t: float) -> float:
         return self.values[bisect_right(self.times, t)]
 
-    def effective_time(self, t: float) -> float:
-        tau = 0.0
+    def _pieces(self, t: float):
+        """(start, end, T) of each constant piece of [0, t], in order."""
         prev = 0.0
         for edge, value in zip(self.times, self.values):
             if t <= prev:
-                break
-            tau += (min(t, edge) - prev) / value
+                return
+            yield prev, min(t, edge), value
             prev = edge
         if t > prev:
-            tau += (t - prev) / self.values[-1]
+            yield prev, t, self.values[-1]
+
+    def effective_time(self, t: float) -> float:
+        tau = 0.0
+        for start, end, value in self._pieces(t):
+            tau += (end - start) / value
         return tau
+
+    def entropic_weight(self, t: float) -> float:
+        w = 0.0
+        for start, end, value in self._pieces(t):
+            w += math.exp(end - t) * -math.expm1(start - end) / value
+        return w
 
     def breakpoints(self) -> tuple:
         return self.times
@@ -143,12 +162,24 @@ class ExponentialSchedule:
             raise InvalidInputError("schedule rate must be finite")
 
     def at(self, t: float) -> float:
-        return self.initial * math.exp(self.rate * t)
+        temperature = self.initial * _inf_on_overflow(math.exp, self.rate * t)
+        if math.isinf(temperature):
+            raise InvalidInputError(f"temperature schedule overflows at t={t:.6g}")
+        return temperature
 
     def effective_time(self, t: float) -> float:
         if self.rate == 0.0:
             return t / self.initial
-        return -math.expm1(-self.rate * t) / (self.initial * self.rate)
+        return -_inf_on_overflow(math.expm1, -self.rate * t) / (self.initial * self.rate)
+
+    def entropic_weight(self, t: float) -> float:
+        # (e^{-rt} - e^{-t}) / (T0 (1 - r)) with the larger exponential
+        # factored out, so neither factor overflows while the other underflows
+        d = abs(1.0 - self.rate)
+        if d == 0.0:
+            return t * math.exp(-t) / self.initial
+        larger = _inf_on_overflow(math.exp, -min(self.rate, 1.0) * t)
+        return larger * -math.expm1(-d * t) / (self.initial * d)
 
     def breakpoints(self) -> tuple:
         return ()
@@ -245,13 +276,16 @@ def eval_field(
 
 @dataclass(frozen=True)
 class IntegratorControls:
-    """Adaptive integrator settings.  A step is accepted when the sup-norm gap
-    between one full step and two half steps is at most ``abs_tol + rel_tol``;
-    neither is scaled by the state, so together they act as one absolute bound."""
+    """Flow settings.  Fixed-score flows are solved exactly at their stop
+    times, so step control applies to linear fields only: a step is accepted
+    when the sup-norm gap between one full and two half steps is at most
+    ``abs_tol + rel_tol``, one absolute bound as neither is scaled by the
+    state.  ``dt0`` is also the first geometric sample time of every flow."""
 
     dt0: float = 1e-2
     rel_tol: float = 1e-8
     abs_tol: float = 1e-10
+    #: KL stop of fixed-score flows, checked at the stop times (0 disables)
     convergence_kl: float = 1e-10
     #: stop when the field sup-norm drops below this (0 disables); used for
     #: state-dependent score fields where no closed-form target exists
@@ -264,35 +298,68 @@ class IntegratorControls:
 DEFAULT_HORIZON = 1e3
 
 
-def _sample_grid(horizon: float, controls: IntegratorControls) -> np.ndarray:
+def _stops(horizon: float, schedule: TemperatureSchedule, controls: IntegratorControls) -> tuple:
+    """(stops, sample times): every sample time in (0, horizon], breakpoint and the horizon."""
+    if horizon <= 0 or not math.isfinite(horizon):
+        raise InvalidInputError(f"horizon must be positive and finite, got {horizon}")
+    n = max(int(controls.n_samples), 2)
     if controls.sample_times is not None:
         grid = np.asarray(controls.sample_times, dtype=np.float64)
         if grid.ndim != 1 or np.any(grid < 0) or np.any(np.diff(grid) <= 0):
             raise InvalidInputError("sample times must be strictly increasing and nonnegative")
-        return grid
-    n = max(int(controls.n_samples), 2)
-    if controls.uniform_samples or horizon <= controls.dt0 or n < 3:
-        return np.linspace(0.0, horizon, n)
-    # geometric cadence: dense early where free energy and KL move fastest
-    interior = controls.dt0 * (horizon / controls.dt0) ** (
-        np.arange(n - 1) / (n - 2)
+    elif controls.uniform_samples or horizon <= controls.dt0 or n < 3:
+        grid = np.linspace(0.0, horizon, n)
+    else:
+        # geometric cadence: dense early where free energy and KL move fastest
+        interior = controls.dt0 * (horizon / controls.dt0) ** (np.arange(n - 1) / (n - 2))
+        grid = np.unique(np.concatenate(([0.0], interior)))
+    stops = sorted(
+        set(float(t) for t in grid if 0.0 < t <= horizon)
+        | set(b for b in schedule.breakpoints() if 0.0 < b < horizon)
+        | {horizon}
     )
-    return np.unique(np.concatenate(([0.0], interior)))
+    return stops, set(float(t) for t in grid)
+
+
+def _fitness(kind: FieldKind, scores_at: Callable[[np.ndarray], np.ndarray]) -> Callable:
+    """Fitness g(p, log p, T) = s(p) / T, minus log p for the entropic kind."""
+    if kind is FieldKind.ENTROPIC:
+        return lambda p, ell, temperature: scores_at(p) / temperature - ell
+    return lambda p, ell, temperature: scores_at(p) / temperature
+
+
+def _field_norm(p: np.ndarray, ell: np.ndarray, temperature: float, fitness: Callable) -> float:
+    return float(np.max(np.abs(_tangent_field(p, fitness(p, ell, temperature)))))
+
+
+def _observe(t, ell, temperature, potential, fitness, kl_fn) -> TrajectorySample:
+    """Sample at log-state ``ell``; free energy ``potential(p) + T H(p)``."""
+    p = np.exp(ell)
+    return TrajectorySample(
+        t=t,
+        p=SimplexPoint(p),
+        # sum p_i * log p_i with exact-zero coordinates contributing 0
+        free_energy=potential(p) - temperature * float(p @ np.where(p > 0.0, ell, 0.0)),
+        kl_to_target=kl_fn(p, ell, temperature),
+        field_norm=_field_norm(p, ell, temperature, fitness),
+    )
 
 
 def _run_flow(
-    fitness: Callable[[np.ndarray, np.ndarray, float], np.ndarray],
-    free_energy_fn: Callable[[np.ndarray, np.ndarray, float], float],
-    kl_fn: Callable[[np.ndarray, np.ndarray, float], float],
+    kind: FieldKind,
     p0: SimplexPoint,
+    scores_at: Callable[[np.ndarray], np.ndarray],
+    potential: Callable[[np.ndarray], float],
     schedule: TemperatureSchedule,
     horizon: float,
     controls: IntegratorControls,
-    entropic_guard: bool,
 ) -> TrajectoryRecord:
-    """Shared adaptive driver; see module docstring for the scheme."""
-    if horizon <= 0 or not math.isfinite(horizon):
-        raise InvalidInputError(f"horizon must be positive and finite, got {horizon}")
+    """Adaptive flow of the score map ``p -> s(p)`` from p0, annotated with
+    ``potential(p) + T H(p)`` and a NaN KL; see the module docstring."""
+    stops, sample_set = _stops(horizon, schedule, controls)
+    if kind is FieldKind.ENTROPIC and not p0.interior:
+        raise InteriorityError("entropic field requires an interior start")
+    fitness = _fitness(kind, scores_at)
 
     with np.errstate(divide="ignore"):
         ell = _normalize_logs(np.log(p0.probs))
@@ -306,27 +373,8 @@ def _run_flow(
         g2 = fitness(p_mid, ell_mid, t_mid)
         return _normalize_logs(ell_in + h * (g2 - float(p_mid @ g2)))
 
-    def field_norm(p_at: np.ndarray, ell_at: np.ndarray, t_val: float) -> float:
-        return float(np.max(np.abs(_tangent_field(p_at, fitness(p_at, ell_at, t_val)))))
-
     def observe(t_at: float, ell_at: np.ndarray) -> TrajectorySample:
-        p_at = np.exp(ell_at)
-        t_sched = schedule.at(t_at)
-        return TrajectorySample(
-            t=t_at,
-            p=SimplexPoint(p_at),
-            free_energy=free_energy_fn(p_at, ell_at, t_sched),
-            kl_to_target=kl_fn(p_at, ell_at, t_sched),
-            field_norm=field_norm(p_at, ell_at, t_sched),
-        )
-
-    sample_grid = _sample_grid(horizon, controls)
-    stops = sorted(
-        set(float(t) for t in sample_grid if 0.0 < t <= horizon)
-        | set(b for b in schedule.breakpoints() if 0.0 < b < horizon)
-        | {horizon}
-    )
-    sample_set = set(float(t) for t in sample_grid)
+        return _observe(t_at, ell_at, schedule.at(t_at), potential, fitness, lambda *_: math.nan)
 
     samples = [observe(0.0, ell)]
     renorms = 0
@@ -335,10 +383,6 @@ def _run_flow(
     h = controls.dt0
     status = TerminalStatus.MAX_TIME
     diagnostics = ""
-
-    kl0 = kl_fn(np.exp(ell), ell, schedule.at(0.0))
-    if controls.convergence_kl > 0 and math.isfinite(kl0) and kl0 < controls.convergence_kl:
-        return TrajectoryRecord(samples=samples, terminal_status=TerminalStatus.CONVERGED)
 
     done = False
     for t_stop in stops:
@@ -366,24 +410,16 @@ def _run_flow(
                 if abs(total - 1.0) > NORM_EPS:
                     ell = ell - math.log(total)
                     renorms += 1
-                if entropic_guard and float(ell.min()) < LOG_CLAMP:
+                if kind is FieldKind.ENTROPIC and float(ell.min()) < LOG_CLAMP:
                     ell = _normalize_logs(np.maximum(ell, LOG_CLAMP))
                     status = TerminalStatus.DIVERGED
                     diagnostics = "log-probability clamp hit near the boundary"
                     done = True
                     break
-                kl_now = kl_fn(p_now, ell, schedule.at(t_now))
-                if (
-                    controls.convergence_kl > 0
-                    and math.isfinite(kl_now)
-                    and kl_now < controls.convergence_kl
-                ):
-                    status = TerminalStatus.CONVERGED
-                    done = True
-                    break
                 if (
                     controls.convergence_field_norm > 0
-                    and field_norm(p_now, ell, schedule.at(t_now)) < controls.convergence_field_norm
+                    and _field_norm(p_now, ell, schedule.at(t_now), fitness)
+                    < controls.convergence_field_norm
                 ):
                     status = TerminalStatus.CONVERGED
                     done = True
@@ -406,46 +442,6 @@ def _run_flow(
         renormalizations=renorms,
         accepted_steps=accepted,
         diagnostics=diagnostics,
-    )
-
-
-def _integrate_scores(
-    kind: FieldKind,
-    p0: SimplexPoint,
-    scores_at: Callable[[np.ndarray], np.ndarray],
-    potential: Callable[[np.ndarray], float],
-    kl_fn: Callable[[np.ndarray, np.ndarray, float], float],
-    schedule: TemperatureSchedule,
-    horizon: float,
-    controls: IntegratorControls,
-) -> TrajectoryRecord:
-    """Flow of the score map ``p -> s(p)`` from p0, annotated with
-    ``potential(p) + T H(p)``; see the module docstring."""
-    if kind is FieldKind.ENTROPIC:
-        if not p0.interior:
-            raise InteriorityError("entropic field requires an interior start")
-
-        def fitness(p, ell, t_val):
-            return scores_at(p) / t_val - ell
-
-    else:
-
-        def fitness(p, ell, t_val):
-            return scores_at(p) / t_val
-
-    def free_energy_fn(p, ell, t_val):
-        # sum p_i * log p_i with exact-zero coordinates contributing 0
-        return potential(p) - t_val * float(p @ np.where(p > 0.0, ell, 0.0))
-
-    return _run_flow(
-        fitness,
-        free_energy_fn,
-        kl_fn,
-        p0,
-        schedule,
-        horizon,
-        controls,
-        entropic_guard=(kind is FieldKind.ENTROPIC),
     )
 
 
@@ -474,35 +470,34 @@ def integrate(
     horizon: float = DEFAULT_HORIZON,
     controls: IntegratorControls = IntegratorControls(),
 ) -> TrajectoryRecord:
-    """Integrate the selected field from p0 under a temperature schedule.
+    """Solve the selected fixed-score flow from p0 under a temperature schedule.
 
-    The trajectory is annotated with the free energy at the instantaneous
-    temperature and with the KL distance to the field's known equilibrium:
-    softmax(s, T(t)) for the ENTROPIC field, and for the LITERAL field the
-    forward KL D(limit || p) from its closed-form limit point (the reverse
-    direction is infinite off the limit face).  Terminates at
-    ``controls.convergence_kl`` or at the horizon; step-size underflow and
-    boundary clamping are reported as DIVERGED, not raised.
+    Nothing is stepped: at each stop (sample time, breakpoint, horizon)
+    ``log p = a log p0 + b (s - max s)`` up to normalization, with (a, b) =
+    (1, effective_time) for LITERAL and (e^{-t}, entropic_weight) for ENTROPIC,
+    so ``accepted_steps`` and ``renormalizations`` stay 0.  Samples carry the
+    free energy at T(t) and the KL to softmax(s, T(t)) (ENTROPIC) or, from the
+    closed-form limit point, D(limit || p) (LITERAL).  The run ends at the
+    first stop below ``controls.convergence_kl`` or ``convergence_field_norm``,
+    else at the horizon; a log-probability below ``LOG_CLAMP`` or an
+    overflowing weight ends it DIVERGED.
     """
     sched = as_schedule(schedule)
     if p0.size != s.size:
         raise InvalidInputError(f"size mismatch: p0 has {p0.size} entries, s has {s.size}")
-    s_values = s.values
+    stops, sample_set = _stops(horizon, sched, controls)
+    entropic = kind is FieldKind.ENTROPIC
+    if entropic and not p0.interior:
+        raise InteriorityError("entropic field requires an interior start")
+    check_score_spread(s, sched.at(0.0))
+    shifted = s.values - s.values.max()
+    spread = -float(shifted.min())
+    fitness = _fitness(kind, lambda p: shifted)
+    weight = sched.entropic_weight if entropic else sched.effective_time
+    if entropic:
 
-    if kind is FieldKind.ENTROPIC:
-        target_cache: dict[float, np.ndarray] = {}
-
-        def target_logs(t_val: float) -> np.ndarray:
-            got = target_cache.get(t_val)
-            if got is None:
-                if len(target_cache) > 256:
-                    target_cache.clear()
-                got = log_softmax(s, t_val)
-                target_cache[t_val] = got
-            return got
-
-        def kl_fn(p, ell, t_val):
-            return max(float(p @ (ell - target_logs(t_val))), 0.0)
+        def kl_fn(p, ell, temperature):
+            return max(float(p @ (ell - _normalize_logs(shifted / temperature))), 0.0)
 
     else:
         target_ell = literal_target_logs(p0, s)
@@ -510,19 +505,37 @@ def integrate(
         target_sel = target_p > 0.0
         target_plogp = float(target_p[target_sel] @ target_ell[target_sel])
 
-        def kl_fn(p, ell, t_val):
+        def kl_fn(p, ell, temperature):
             return max(target_plogp - float(target_p[target_sel] @ ell[target_sel]), 0.0)
 
-    return _integrate_scores(
-        kind,
-        p0,
-        lambda p: s_values,
-        lambda p: float(p @ s_values),
-        kl_fn,
-        sched,
-        horizon,
-        controls,
-    )
+    with np.errstate(divide="ignore"):
+        ell0 = np.log(p0.probs)
+    samples = []
+    status = TerminalStatus.MAX_TIME
+    diagnostics = ""
+    for t in [0.0] + stops:
+        temperature = sched.at(t)
+        a, b = (math.exp(-t) if entropic else 1.0), weight(t)
+        if not (temperature > 0.0 and math.isfinite(b * spread + spread / temperature)):
+            status = TerminalStatus.DIVERGED
+            diagnostics = f"flow weights overflow at t={t:.6g}"
+            break
+        ell = _normalize_logs(a * ell0 + b * shifted)
+        if entropic and float(ell.min()) < LOG_CLAMP:
+            ell = _normalize_logs(np.maximum(ell, LOG_CLAMP))
+            status = TerminalStatus.DIVERGED
+            diagnostics = "log-probability clamp hit near the boundary"
+        sample = _observe(t, ell, temperature, lambda p: float(p @ s.values), fitness, kl_fn)
+        if status is TerminalStatus.MAX_TIME and (
+            sample.kl_to_target < controls.convergence_kl
+            or sample.field_norm < controls.convergence_field_norm
+        ):
+            status = TerminalStatus.CONVERGED
+        if t == 0.0 or t in sample_set or status is not TerminalStatus.MAX_TIME:
+            samples.append(sample)
+        if status is not TerminalStatus.MAX_TIME:
+            break
+    return TrajectoryRecord(samples=samples, terminal_status=status, diagnostics=diagnostics)
 
 
 # ---------------------------------------------------------------------------
@@ -607,20 +620,19 @@ def _reparameterization_deviation(
     n_checkpoints: int = 60,
 ) -> float:
     """Max deviation between the scheduled run and the unit-temperature run
-    replayed at the closed-form effective time."""
+    replayed at the closed-form effective time.  Both runs are integrated
+    numerically, so the identity is measured rather than assumed."""
+    if p0.size != s.size:
+        raise InvalidInputError(f"size mismatch: p0 has {p0.size} entries, s has {s.size}")
     sched = as_schedule(schedule)
     grid = np.linspace(0.0, horizon, n_checkpoints + 1)
-    base = replace(
-        controls,
-        convergence_kl=0.0,
-        convergence_field_norm=0.0,
-        sample_times=tuple(grid),
-    )
-    run_sched = integrate(kind, p0, s, sched, horizon, base)
+    base = replace(controls, convergence_field_norm=0.0, sample_times=tuple(grid))
+    constant, inner = (lambda p: s.values), (lambda p: float(p @ s.values))
+    run_sched = _run_flow(kind, p0, constant, inner, sched, horizon, base)
 
     taus = np.array([sched.effective_time(t) for t in grid])
     unit = replace(base, sample_times=tuple(taus))
-    run_unit = integrate(kind, p0, s, ConstantSchedule(1.0), float(taus[-1]), unit)
+    run_unit = _run_flow(kind, p0, constant, inner, ConstantSchedule(1.0), float(taus[-1]), unit)
 
     if len(run_sched.samples) != len(run_unit.samples):
         raise InvalidInputError("reparameterization runs recorded mismatched checkpoints")

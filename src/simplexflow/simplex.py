@@ -51,6 +51,16 @@ def check_temperature(value: float) -> float:
     return value
 
 
+def check_score_spread(s: ScoreVector, temperature: float) -> None:
+    """Validate that the score spread (max s - min s) / T is finite."""
+    low, high = float(s.values.min()), float(s.values.max())
+    if not math.isfinite((high - low) / check_temperature(temperature)):
+        raise InvalidInputError(
+            f"score spread over temperature overflows: scores span [{low!r}, {high!r}] "
+            f"at T={temperature!r}"
+        )
+
+
 def check_step_size(eta: float) -> float:
     """Validate a step size: positive, finite. Returns it as a float."""
     eta = float(eta)

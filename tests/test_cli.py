@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 from pathlib import Path
 
 import pytest
@@ -82,8 +83,9 @@ class TestConfigFile:
             "[scores]\nvalues = 1, 0\n[integrator]\nhorizn = 0.5\n",
             "[scores]\nvalues = 1, 0\n[temprature]\nvalue = 9\n",
             "[scores]\nvalues = 1, 0\n[sweep]\ntask = simulate\ngird.temperature = 1, 2\n",
+            "[scores]\nvalues = 1, 0\nfile = missing.json\n",
         ],
-        ids=["mistyped-key", "mistyped-section", "mistyped-grid-key"],
+        ids=["mistyped-key", "mistyped-section", "mistyped-grid-key", "conflicting-keys"],
     )
     def test_unknown_names_are_rejected(self, tmp_path, monkeypatch, text):
         from simplexflow.exceptions import ConfigError
@@ -185,10 +187,41 @@ class TestSimulate:
         assert main(["simulate", "--config", str(cfg), "--output", "lin"]) == EXIT_OK
         # a linear field has no closed-form target, so its KL is null, not NaN
         assert read_strict_json("lin.manifest.json")["metrics"]["terminal_kl"] is None
+        assert main(
+            ["simulate", "--config", str(cfg), "--output", "linj", "--format", "json"]
+        ) == EXIT_OK
+        table = read_strict_json("linj.json")
+        kl = table["columns"].index("kl_to_target")
+        assert [row[kl] for row in table["rows"]] == [None] * len(table["rows"])
         assert main(["sweep", "--config", str(cfg), "--output", "grid"]) == EXIT_OK
         cells = read_strict_json("grid.json")["cells"]
         assert [c["metrics"]["terminal_kl"] for c in cells] == [None, None]
         read_strict_json("grid.manifest.json")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["prox-iterate", "--scores", "1e308,-1e308", "--temperature", "1"],
+            ["simulate", "--scores", "1,0", "--temperature", "1e-320"],
+        ],
+        ids=["prox-iterate-huge-scores", "simulate-tiny-temperature"],
+    )
+    def test_score_spread_overflow_is_exit_2(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv + ["--output", "wide"]) == EXIT_CONFIG
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert "score spread" in capsys.readouterr().err
+        assert not Path("wide.manifest.json").exists()
+
+    def test_temperature_overflow_is_exit_2(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        code = main(
+            ["simulate", "--scores", "1,0", "--schedule", "exponential:1:1000", "--output", "hot"]
+        )
+        assert code == EXIT_CONFIG
+        assert "temperature schedule overflows" in capsys.readouterr().err
 
     def test_diverged_run_is_exit_3_with_manifest(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -336,6 +369,35 @@ class TestSweep:
         assert "error" in statuses
         assert len(cells) == 2
         assert any(c["status"] != "error" for c in cells)
+
+    def test_temperature_overflow_is_an_error_cell(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "sweep.ini"
+        cfg.write_text(
+            "[scores]\nvalues = 1.0, 0.0\n"
+            "[temperature]\nschedule = exponential:1:1000\n"
+            "[sweep]\ntask = simulate\ngrid.horizon = 0.5, 5\n"
+            "[output]\npath = hot\n"
+        )
+        assert main(["sweep", "--config", str(cfg)]) == EXIT_DIVERGED
+        cells = json.loads(Path("hot.json").read_text())["cells"]
+        assert cells[0]["status"] != "error"
+        assert cells[1]["status"] == "error"
+        assert cells[1]["error"].startswith("InvalidInputError: temperature schedule overflows")
+
+    def test_unexpected_exception_is_an_error_cell(self, tmp_path, monkeypatch):
+        from simplexflow import cli
+
+        def boom(cfg):
+            raise ZeroDivisionError("cell went wrong")
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, "_cell_outcome", boom)
+        code = main(["sweep", "--scores", "1,0", "--temperature", "1", "--output", "boom"])
+        assert code == EXIT_DIVERGED
+        cells = json.loads(Path("boom.json").read_text())["cells"]
+        assert [c["error"] for c in cells] == ["ZeroDivisionError: cell went wrong"]
+        assert read_manifest("boom").terminal_status == "failed-cells"
 
     def test_parallel_jobs_give_the_same_cells(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

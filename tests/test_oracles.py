@@ -6,10 +6,13 @@ import numpy as np
 import pytest
 
 from simplexflow import (
+    ConstantSchedule,
+    InteriorityError,
     InvalidInputError,
     OracleFailureError,
     ScoreVector,
     SimplexPoint,
+    closed_form_entropic,
     closed_form_literal,
     exact_prox_step,
     fd_gradient,
@@ -128,10 +131,43 @@ class TestProxObjectiveMaximizer:
             assert objective(q) <= target + 1e-9
 
 
+class TestClosedFormEntropic:
+    def test_time_zero_is_the_start_bit_for_bit(self):
+        p0 = SimplexPoint([0.5, 0.3, 0.2])
+        out = closed_form_entropic(p0, ScoreVector([1.0, 0.0, -1.0]), ConstantSchedule(2.0), 0.0)
+        assert out is p0
+
+    def test_constant_temperature_matches_the_textbook_weight(self):
+        p0 = SimplexPoint([0.5, 0.3, 0.2])
+        s = ScoreVector([1.0, 0.0, -1.0])
+        t, temp = 2.7, 0.8
+        w = (1.0 - math.exp(-t)) / temp
+        ell = math.exp(-t) * np.log(p0.probs) + w * s.values
+        want = np.exp(ell - ell.max()) / np.exp(ell - ell.max()).sum()
+        got = closed_form_entropic(p0, s, temp, t).probs
+        assert np.max(np.abs(got / want - 1.0)) < 1e-13
+
+    def test_long_time_limit_is_softmax(self):
+        s = ScoreVector([1.0, 0.0, -1.0])
+        out = closed_form_entropic(SimplexPoint([0.1, 0.1, 0.8]), s, ConstantSchedule(0.5), 60.0)
+        assert np.max(np.abs(out.probs - softmax(s, 0.5).probs)) < 1e-12
+
+    def test_boundary_start_and_negative_time_raise(self):
+        s = ScoreVector([1.0, 0.0])
+        with pytest.raises(InteriorityError):
+            closed_form_entropic(SimplexPoint([1.0, 0.0]), s, 1.0, 1.0)
+        with pytest.raises(InvalidInputError):
+            closed_form_entropic(SimplexPoint([0.5, 0.5]), s, 1.0, -1.0)
+
+
 class TestSelfTest:
     def test_all_entries_pass(self):
         results = oracle_self_test()
         assert len(results) >= 8
+
+    def test_entropic_oracle_is_self_tested(self):
+        names = {name for name, _ in oracle_self_test()}
+        assert {"closed-form-entropic-at-zero", "closed-form-entropic-softmax-limit"} <= names
 
 
 @pytest.fixture(scope="module")

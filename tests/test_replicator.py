@@ -31,7 +31,8 @@ from simplexflow import (
     restrict_to_face,
     softmax,
 )
-from simplexflow.oracles import closed_form_literal
+from simplexflow.oracles import closed_form_entropic, closed_form_literal
+from simplexflow.replicator import _run_flow
 
 from conftest import score_lists, weight_lists
 
@@ -187,6 +188,22 @@ class TestIntegrateEntropic:
         with pytest.raises(InteriorityError):
             integrate(FieldKind.ENTROPIC, SimplexPoint([1.0, 0.0]), ScoreVector([1.0, 0.0]), 1.0)
 
+    @pytest.mark.parametrize("kind", list(FieldKind))
+    def test_annealing_weight_overflow_reports_diverged_without_nan(self, kind):
+        # T(t) = e^{-t} drives the flow weight past the float range near t = 710
+        traj = integrate(
+            kind,
+            SimplexPoint.uniform(2),
+            ScoreVector([1.0, 0.0]),
+            ExponentialSchedule(1.0, -1.0),
+            1e3,
+            IntegratorControls(convergence_kl=0.0),
+        )
+        assert traj.terminal_status is TerminalStatus.DIVERGED
+        for sample in traj.samples:
+            values = [sample.free_energy, sample.kl_to_target, sample.field_norm]
+            assert np.all(np.isfinite(values)) and np.all(np.isfinite(sample.p.probs))
+
 
 class TestIntegrateLiteral:
     def test_matches_closed_form(self, rng):
@@ -334,3 +351,72 @@ class TestTimeReparameterization:
         p0 = SimplexPoint(rng.dirichlet(np.ones(3)))
         with pytest.raises(UnsupportedIdentityError):
             check_time_reparameterization(s, p0, ConstantSchedule(2.0), 5.0, kind=FieldKind.ENTROPIC)
+
+
+#: schedule of each kind, including the r = 1 branch of the exponential weight
+GATE_SCHEDULES = (
+    ConstantSchedule(0.5),
+    PiecewiseConstantSchedule((1.0, 2.5), (1.0, 0.5, 2.0)),
+    ExponentialSchedule(1.0, 0.4),
+    ExponentialSchedule(2.0, -0.1),
+    ExponentialSchedule(1.0, 1.0),
+)
+
+
+def constant_scores(s):
+    return lambda p: s.values, lambda p: float(p @ s.values)
+
+
+class TestClosedFormGates:
+    """Exact fixed-score solutions against the quadrature oracle, and the
+    adaptive driver against both closed forms; tolerances pinned here."""
+
+    def test_entropic_solution_matches_the_quadrature_oracle(self):
+        rng = np.random.default_rng(301)
+        grid = tuple(np.linspace(0.0, 20.0, 21))
+        controls = IntegratorControls(sample_times=grid, convergence_kl=0.0)
+        for schedule in GATE_SCHEDULES:
+            for size in (2, 64, 1000):
+                s = ScoreVector(rng.uniform(-3, 3, size))
+                p0 = SimplexPoint(rng.dirichlet(np.ones(size)))
+                traj = integrate(FieldKind.ENTROPIC, p0, s, schedule, 20.0, controls)
+                assert len(traj.samples) == len(grid)
+                for sample in traj.samples:
+                    exact = closed_form_entropic(p0, s, schedule, sample.t).probs
+                    mask = exact > 1e-300
+                    assert np.max(np.abs(sample.p.probs[mask] / exact[mask] - 1.0)) <= 1e-9
+
+    def test_adaptive_driver_matches_both_closed_forms(self):
+        rng = np.random.default_rng(302)
+        grid = tuple(np.linspace(0.0, 8.0, 9))
+        controls = IntegratorControls(rel_tol=1e-10, abs_tol=1e-12, sample_times=grid)
+        for schedule in GATE_SCHEDULES:
+            for size in (2, 8, 64):
+                s = ScoreVector(rng.uniform(-3, 3, size))
+                p0 = SimplexPoint(rng.dirichlet(np.ones(size)))
+                for kind in FieldKind:
+                    traj = _run_flow(kind, p0, *constant_scores(s), schedule, 8.0, controls)
+                    assert len(traj.samples) == len(grid)
+                    for sample in traj.samples:
+                        if kind is FieldKind.ENTROPIC:
+                            exact = closed_form_entropic(p0, s, schedule, sample.t)
+                        else:
+                            tau = effective_time(schedule, sample.t)
+                            exact = closed_form_literal(p0, s, 1.0, tau)
+                        assert np.max(np.abs(sample.p.probs - exact.probs)) <= 5e-7
+
+    def test_adaptive_driver_on_criterion_4_instances(self):
+        rng = np.random.default_rng(104)
+        grid = tuple(np.linspace(0.0, 20.0, 21))
+        controls = IntegratorControls(sample_times=grid)
+        for size in (2, 64, 1000):
+            s = ScoreVector(rng.uniform(-3, 3, size))
+            p0 = SimplexPoint(rng.dirichlet(np.ones(size)))
+            traj = _run_flow(
+                FieldKind.LITERAL, p0, *constant_scores(s), ConstantSchedule(1.0), 20.0, controls
+            )
+            assert len(traj.samples) == len(grid)
+            for sample in traj.samples:
+                exact = closed_form_literal(p0, s, 1.0, sample.t)
+                mask = exact.probs > 0
+                assert np.max(np.abs(sample.p.probs[mask] / exact.probs[mask] - 1.0)) < 1e-6
