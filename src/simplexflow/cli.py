@@ -159,7 +159,11 @@ def _parse_scores_arg(value: str) -> tuple:
 
 
 def _parse_bool(text: str) -> bool:
-    return text.strip().lower() in ("1", "true", "yes")
+    """configparser's boolean words; any other text is an error, not False."""
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[text.strip().lower()]
+    except KeyError:
+        raise ValueError("not a boolean (1/yes/true/on or 0/no/false/off)") from None
 
 
 #: INI schema: config attribute -> the (section, key, parser) triples that set
@@ -374,7 +378,7 @@ def _iterate_table(record: TrajectoryRecord, mask: Optional[FaceMask]) -> tuple:
                 int(sample.t),
                 *p.tolist(),
                 sample.free_energy,
-                sample.field_norm,
+                cert.kl_move,
                 sample.kl_to_target,
                 cert.slack,
             ]
@@ -544,7 +548,7 @@ def _iterate_metrics(record: TrajectoryRecord) -> dict:
     return {
         "steps": record.accepted_steps,
         "terminal_kl_to_softmax": last.kl_to_target,
-        "last_kl_step": last.field_norm,
+        "last_kl_step": record.certificates[-1].kl_move if record.certificates else 0.0,
         "free_energy_gain": last.free_energy - first.free_energy,
         "min_ascent_slack": min(slacks) if slacks else 0.0,
     }
@@ -730,23 +734,31 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="INI experiment file (flags override it)")
-    sub.add_argument("--scores", help="inline comma-separated scores or a file path")
-    sub.add_argument("--temperature", type=float, help="constant temperature")
-    sub.add_argument(
-        "--schedule", help="schedule spec: constant:T | piecewise:0:T0,t1:T1,... | exponential:T0:rate"
-    )
-    sub.add_argument("--dynamics", choices=("literal", "entropic"))
-    sub.add_argument("--step", choices=("exact-prox", "printed-mw"))
-    sub.add_argument("--face", help="none | topk:K | nucleus:MASS | indices:i,j,... (1-based)")
-    sub.add_argument("--steps", type=int, help="max discrete steps")
-    sub.add_argument("--horizon", type=float, help="integration horizon")
-    sub.add_argument("--tol", type=float, help="stop tolerance (per-step KL / convergence KL)")
-    sub.add_argument("--seed", type=int, help="random seed")
-    sub.add_argument("--jobs", type=int, help="parallel sweep workers")
-    sub.add_argument("--output", help="output path stem")
-    sub.add_argument("--format", choices=("csv", "json"), help="table format")
+_RUNS = ("simulate", "prox-iterate", "sweep")
+#: (flag, subcommands that read it, add_argument keywords).  A subcommand
+#: registers only the flags it reads, so any other is a usage error; a sweep
+#: reads every flag but --format, as its cells may run any task and its
+#: results are always JSON.
+_FLAGS = (
+    ("--config", _RUNS, {"help": "INI experiment file (flags override it)"}),
+    ("--scores", _RUNS, {"help": "inline comma-separated scores or a file path"}),
+    ("--temperature", _RUNS, {"type": float, "help": "constant temperature"}),
+    (
+        "--schedule",
+        _RUNS,
+        {"help": "schedule spec: constant:T | piecewise:0:T0,t1:T1,... | exponential:T0:rate"},
+    ),
+    ("--dynamics", ("simulate", "sweep"), {"choices": ("literal", "entropic")}),
+    ("--step", ("prox-iterate", "sweep"), {"choices": ("exact-prox", "printed-mw")}),
+    ("--face", _RUNS, {"help": "none | topk:K | nucleus:MASS | indices:i,j,... (1-based)"}),
+    ("--steps", ("prox-iterate", "sweep"), {"type": int, "help": "max discrete steps"}),
+    ("--horizon", ("simulate", "sweep"), {"type": float, "help": "integration horizon"}),
+    ("--tol", _RUNS, {"type": float, "help": "stop tolerance (per-step KL / convergence KL)"}),
+    ("--seed", _RUNS, {"type": int, "help": "random seed"}),
+    ("--jobs", ("sweep",), {"type": int, "help": "parallel sweep workers"}),
+    ("--output", _RUNS, {"help": "output path stem"}),
+    ("--format", ("simulate", "prox-iterate"), {"choices": ("csv", "json"), "help": "table format"}),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -756,9 +768,11 @@ def build_parser() -> argparse.ArgumentParser:
         "parameter sweeps, and claim verification.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-    for name in ("simulate", "prox-iterate", "sweep"):
+    for name in _RUNS:
         sub = subs.add_parser(name)
-        _add_common_flags(sub)
+        for flag, commands, keywords in _FLAGS:
+            if name in commands:
+                sub.add_argument(flag, **keywords)
     verify = subs.add_parser("verify", help="re-derive and check the claim matrix")
     verify.add_argument("--claims", help="comma-separated claim ids to run (default: all)")
     verify.add_argument("--seed", type=int, default=oracles.DEFAULT_SEED)

@@ -22,9 +22,15 @@ Two one-step maps are provided and kept deliberately distinct:
   top-scoring tokens; its fixed points are faces of the argmax set, not
   softmax, and it carries no one-step ascent guarantee.
 
-Both maps preserve normalization and strict interiority.  Iteration state is
-kept as normalized log-probabilities so long concentrating runs survive far
-past the underflow point of the probabilities themselves.
+Both maps preserve normalization and strict interiority.  With fixed scores
+and a constant T each map is the time-h map of a flow: printed MW is the
+literal flow with h = eta, and the exact prox step is the entropic flow with
+h = log(1 + eta T), since e^{-h} = 1/(1 + eta T).  ``iterate`` and
+``ascent_certificate`` therefore take their states from the flows' closed
+form in ``replicator``, iterate k being the flow at time k h, in
+log-probabilities, so long concentrating runs survive far past the
+underflow point of the probabilities themselves.  The two printed maps stay
+as written, as the reference the iterates are checked against.
 """
 
 from __future__ import annotations
@@ -36,10 +42,10 @@ from enum import Enum
 import numpy as np
 
 from .exceptions import InteriorityError, InvalidInputError
+from .replicator import ConstantSchedule, FieldKind, _fixed_score_flow
 from .simplex import (
     ScoreVector,
     SimplexPoint,
-    _normalize_logs,
     check_score_spread,
     check_step_size,
     check_temperature,
@@ -75,30 +81,35 @@ def _require_interior(p: SimplexPoint) -> None:
         raise InteriorityError("step requires a strictly interior point")
 
 
-def _log_step(ell: np.ndarray, s: np.ndarray, t: float, eta: float, kind: MirrorStepKind) -> np.ndarray:
+def _flow_states(kind: MirrorStepKind, p: SimplexPoint, s: ScoreVector, t: float, eta: float):
+    """(state function, time per step): the flow that ``kind`` samples, from p."""
+    _require_interior(p)
+    check_score_spread(s, t)
     if kind is MirrorStepKind.PRINTED_MW:
-        return _normalize_logs(ell + (eta / t) * s)
-    return _normalize_logs((ell + eta * s) / (1.0 + eta * t))
+        flow, h = FieldKind.LITERAL, eta
+    else:
+        flow, h = FieldKind.ENTROPIC, math.log1p(eta * t)
+    shifted = s.values - s.values.max()
+    return _fixed_score_flow(flow, np.log(p.probs), shifted, ConstantSchedule(t)), h
 
 
-def _free_energy_logs(ell: np.ndarray, s: np.ndarray, t: float) -> float:
-    p = np.exp(ell)
-    return float(p @ s) - t * float(p @ ell)
+def _free_energy_logs(q: np.ndarray, ell_q: np.ndarray, s: np.ndarray, t: float) -> float:
+    return float(q @ s) - t * float(q @ ell_q)
 
 
-def _kl_logs(ell_q: np.ndarray, ell_p: np.ndarray) -> float:
-    q = np.exp(ell_q)
+def _kl_logs(q: np.ndarray, ell_q: np.ndarray, ell_p: np.ndarray) -> float:
     return max(float(q @ (ell_q - ell_p)), 0.0)
 
 
-def _certified_step(
-    ell_p: np.ndarray, f_before: float, s: np.ndarray, t: float, eta: float, kind: MirrorStepKind
+def _certify(
+    ell_p: np.ndarray, f_before: float, ell_q: np.ndarray, s: np.ndarray, t: float, eta: float
 ) -> tuple[np.ndarray, AscentCertificate]:
-    """One step from log-state ``ell_p`` (free energy ``f_before``) and its certificate."""
-    ell_q = _log_step(ell_p, s, t, eta, kind)
-    f_after = _free_energy_logs(ell_q, s, t)
-    kl_move = _kl_logs(ell_q, ell_p)
-    return ell_q, AscentCertificate(
+    """(q, certificate) of the move from log-state ``ell_p`` (free energy
+    ``f_before``) to ``ell_q``, exponentiating ``ell_q`` once."""
+    q = np.exp(ell_q)
+    f_after = _free_energy_logs(q, ell_q, s, t)
+    kl_move = _kl_logs(q, ell_q, ell_p)
+    return q, AscentCertificate(
         f_before=f_before,
         f_after=f_after,
         kl_move=kl_move,
@@ -149,12 +160,12 @@ def ascent_certificate(
     """Free energy before/after one step plus the prox inequality slack."""
     t = check_temperature(temperature)
     eta = check_step_size(eta)
-    _require_interior(p)
-    ell_p = _normalize_logs(np.log(p.probs))
-    _, certificate = _certified_step(
-        ell_p, _free_energy_logs(ell_p, s.values, t), s.values, t, eta, kind
-    )
-    return certificate
+    state, h = _flow_states(kind, p, s, t, eta)
+    ell_p, ell_q = state(0.0), state(h)
+    if ell_q is None:
+        raise InvalidInputError(f"step weights overflow: eta={eta!r} at T={t!r}")
+    f_before = _free_energy_logs(np.exp(ell_p), ell_p, s.values, t)
+    return _certify(ell_p, f_before, ell_q, s.values, t, eta)[1]
 
 
 def iterate(
@@ -169,50 +180,58 @@ def iterate(
 ) -> TrajectoryRecord:
     """Iterate a step map until the per-step KL move drops below ``kl_tol``.
 
-    Samples use the step index as time; ``field_norm`` carries the per-step
-    KL move and ``kl_to_target`` the KL to softmax(s, T).  One certificate is
-    attached per executed step.  Hitting ``max_steps`` is reported as status
-    MAX_TIME, not raised.
+    Iterate k is the fixed-score flow at time k h (see the module docstring),
+    evaluated in closed form rather than by composing k steps.  Samples use
+    the step index as time and carry the KL to softmax(s, T); no field is
+    evaluated, so ``field_norm`` is NaN.  One certificate is attached per
+    executed step, between consecutive iterates, and holds the per-step KL
+    move.  Hitting ``max_steps`` (0 included) is reported as status MAX_TIME,
+    not raised; weights that overflow end the run DIVERGED before that step.
     """
     t = check_temperature(temperature)
     eta = check_step_size(eta)
     if max_steps < 0:
         raise InvalidInputError(f"max_steps must be nonnegative, got {max_steps}")
-    _require_interior(p0)
-    check_score_spread(s, t)
+    state, h = _flow_states(kind, p0, s, t, eta)
 
     s_values = s.values
     ell_target = log_softmax(s, t)
-    ell = _normalize_logs(np.log(p0.probs))
 
-    def make_sample(step_index: int, ell_now: np.ndarray, f_now: float, kl_move: float) -> TrajectorySample:
+    def make_sample(step_index: int, q: np.ndarray, ell_q: np.ndarray, f_q: float) -> TrajectorySample:
         return TrajectorySample(
             t=float(step_index),
-            p=SimplexPoint(np.exp(ell_now)),
-            free_energy=f_now,
-            kl_to_target=_kl_logs(ell_now, ell_target),
-            field_norm=kl_move,
+            p=SimplexPoint(q),
+            free_energy=f_q,
+            kl_to_target=_kl_logs(q, ell_q, ell_target),
+            field_norm=math.nan,
         )
 
-    f_now = _free_energy_logs(ell, s_values, t)
-    samples = [make_sample(0, ell, f_now, 0.0)]
+    ell = state(0.0)
+    p_now = np.exp(ell)
+    f_now = _free_energy_logs(p_now, ell, s_values, t)
+    samples = [make_sample(0, p_now, ell, f_now)]
     certificates: list[AscentCertificate] = []
     status = TerminalStatus.MAX_TIME
+    diagnostics = ""
     for k in range(1, max_steps + 1):
-        ell, certificate = _certified_step(ell, f_now, s_values, t, eta, kind)
+        ell_next = state(k * h)
+        if ell_next is None:
+            status = TerminalStatus.DIVERGED
+            diagnostics = f"step weights overflow at step {k}"
+            break
+        p_now, certificate = _certify(ell, f_now, ell_next, s_values, t, eta)
         certificates.append(certificate)
-        f_now = certificate.f_after
-        samples.append(make_sample(k, ell, f_now, certificate.kl_move))
+        ell, f_now = ell_next, certificate.f_after
+        samples.append(make_sample(k, p_now, ell, f_now))
         if certificate.kl_move < kl_tol:
             status = TerminalStatus.CONVERGED
             break
-    if max_steps == 0:
-        status = TerminalStatus.CONVERGED
 
     return TrajectoryRecord(
         samples=samples,
         terminal_status=status,
         accepted_steps=len(certificates),
+        diagnostics=diagnostics,
         certificates=certificates,
     )
 

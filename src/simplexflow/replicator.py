@@ -260,12 +260,12 @@ def eval_field(
     t = check_temperature(temperature)
     if p.size != s.size:
         raise InvalidInputError(f"size mismatch: p has {p.size} entries, s has {s.size}")
+    ell = None
     if kind is FieldKind.ENTROPIC:
         if not p.interior:
             raise InteriorityError("entropic field needs log p, so p must be interior")
-        g = s.values / t - np.log(p.probs)
-    else:
-        g = s.values / t
+        ell = np.log(p.probs)
+    g = _fitness(kind, lambda _: s.values)(p.probs, ell, t)
     return _tangent_field(np.array(p.probs), g)
 
 
@@ -280,7 +280,8 @@ class IntegratorControls:
     times, so step control applies to linear fields only: a step is accepted
     when the sup-norm gap between one full and two half steps is at most
     ``abs_tol + rel_tol``, one absolute bound as neither is scaled by the
-    state.  ``dt0`` is also the first geometric sample time of every flow."""
+    state.  ``dt0``, positive and finite, is also the first geometric sample
+    time of every flow."""
 
     dt0: float = 1e-2
     rel_tol: float = 1e-8
@@ -293,6 +294,10 @@ class IntegratorControls:
     n_samples: int = 200
     uniform_samples: bool = False
     sample_times: Optional[tuple] = None
+
+    def __post_init__(self):
+        if not 0.0 < self.dt0 < math.inf:
+            raise InvalidInputError(f"dt0 must be positive and finite, got {self.dt0!r}")
 
 
 DEFAULT_HORIZON = 1e3
@@ -445,6 +450,27 @@ def _run_flow(
     )
 
 
+def _fixed_score_flow(
+    kind: FieldKind, ell0: np.ndarray, shifted: np.ndarray, schedule: TemperatureSchedule
+) -> Callable[[float], Optional[np.ndarray]]:
+    """The fixed-score flow from log-weights ``ell0`` with max-shifted scores
+    ``shifted``, as a function of time: ``normalize(a ell0 + b shifted)`` with
+    (a, b) = (1, effective_time) for LITERAL and (e^{-t}, entropic_weight) for
+    ENTROPIC, or None where the temperature or the weights overflow."""
+    entropic = kind is FieldKind.ENTROPIC
+    weight = schedule.entropic_weight if entropic else schedule.effective_time
+    spread = -float(shifted.min())
+
+    def state(t: float) -> Optional[np.ndarray]:
+        temperature = schedule.at(t)
+        a, b = (math.exp(-t) if entropic else 1.0), weight(t)
+        if not (temperature > 0.0 and math.isfinite(b * spread + spread / temperature)):
+            return None
+        return _normalize_logs(a * ell0 + b * shifted)
+
+    return state
+
+
 def literal_target_logs(p0: SimplexPoint, s: ScoreVector) -> np.ndarray:
     """Log-probabilities of the literal field's limit point from p0.
 
@@ -491,9 +517,7 @@ def integrate(
         raise InteriorityError("entropic field requires an interior start")
     check_score_spread(s, sched.at(0.0))
     shifted = s.values - s.values.max()
-    spread = -float(shifted.min())
     fitness = _fitness(kind, lambda p: shifted)
-    weight = sched.entropic_weight if entropic else sched.effective_time
     if entropic:
 
         def kl_fn(p, ell, temperature):
@@ -509,18 +533,17 @@ def integrate(
             return max(target_plogp - float(target_p[target_sel] @ ell[target_sel]), 0.0)
 
     with np.errstate(divide="ignore"):
-        ell0 = np.log(p0.probs)
+        state = _fixed_score_flow(kind, np.log(p0.probs), shifted, sched)
     samples = []
     status = TerminalStatus.MAX_TIME
     diagnostics = ""
     for t in [0.0] + stops:
-        temperature = sched.at(t)
-        a, b = (math.exp(-t) if entropic else 1.0), weight(t)
-        if not (temperature > 0.0 and math.isfinite(b * spread + spread / temperature)):
+        ell = state(t)
+        if ell is None:
             status = TerminalStatus.DIVERGED
             diagnostics = f"flow weights overflow at t={t:.6g}"
             break
-        ell = _normalize_logs(a * ell0 + b * shifted)
+        temperature = sched.at(t)
         if entropic and float(ell.min()) < LOG_CLAMP:
             ell = _normalize_logs(np.maximum(ell, LOG_CLAMP))
             status = TerminalStatus.DIVERGED

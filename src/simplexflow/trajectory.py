@@ -22,8 +22,10 @@ class TrajectorySample:
 
     ``t`` is continuous time for flows and the step index for discrete
     iterations.  ``field_norm`` is the sup norm of the instantaneous vector
-    field for flows and the per-step KL move D(p_t || p_{t-1}) for discrete
-    iterations.  ``kl_to_target`` is NaN when no closed-form target exists.
+    field; discrete iterations evaluate no field and carry NaN, and their
+    per-step KL move D(p_k || p_{k-1}) is ``kl_move`` of the record's
+    ``certificates[k - 1]``.  ``kl_to_target`` is NaN when no closed-form
+    target exists.
     """
 
     t: float

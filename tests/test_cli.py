@@ -84,8 +84,15 @@ class TestConfigFile:
             "[scores]\nvalues = 1, 0\n[temprature]\nvalue = 9\n",
             "[scores]\nvalues = 1, 0\n[sweep]\ntask = simulate\ngird.temperature = 1, 2\n",
             "[scores]\nvalues = 1, 0\nfile = missing.json\n",
+            "[scores]\nvalues = 1, 0\n[integrator]\nuniform_samples = ture\n",
         ],
-        ids=["mistyped-key", "mistyped-section", "mistyped-grid-key", "conflicting-keys"],
+        ids=[
+            "mistyped-key",
+            "mistyped-section",
+            "mistyped-grid-key",
+            "conflicting-keys",
+            "mistyped-boolean",
+        ],
     )
     def test_unknown_names_are_rejected(self, tmp_path, monkeypatch, text):
         from simplexflow.exceptions import ConfigError
@@ -97,6 +104,41 @@ class TestConfigFile:
             load_config_file(str(cfg_file))
         assert main(["simulate", "--config", str(cfg_file)]) == EXIT_CONFIG
         assert not Path("run.csv").exists()
+
+    @pytest.mark.parametrize("value", ["0", "-0.01", "nan"])
+    def test_invalid_dt0_is_exit_2(self, tmp_path, monkeypatch, capsys, value):
+        monkeypatch.chdir(tmp_path)
+        cfg_file = tmp_path / "exp.ini"
+        cfg_file.write_text(f"[scores]\nvalues = 1, 0\n[integrator]\ndt0 = {value}\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["simulate", "--config", str(cfg_file)]) == EXIT_CONFIG
+        assert not caught
+        assert "dt0 must be positive and finite" in capsys.readouterr().err
+        assert not Path("run.csv").exists()
+        assert main(["sweep", "--config", str(cfg_file), "--output", "grid"]) == EXIT_DIVERGED
+        (cell,) = json.loads(Path("grid.json").read_text())["cells"]
+        assert cell["status"] == "error" and "dt0" in cell["error"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--step", "printed-mw"],
+            ["simulate", "--steps", "3"],
+            ["simulate", "--jobs", "2"],
+            ["prox-iterate", "--dynamics", "literal"],
+            ["prox-iterate", "--horizon", "5"],
+            ["prox-iterate", "--jobs", "2"],
+            ["sweep", "--format", "csv"],
+        ],
+        ids=lambda argv: f"{argv[0]}{argv[1]}",
+    )
+    def test_flags_a_subcommand_ignores_are_usage_errors(self, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--scores", "1,0", "--temperature", "1"])
+        assert exc.value.code == 2
+        assert not list(tmp_path.iterdir())
 
     def test_both_temperature_and_schedule_rejected(self):
         cfg = ExperimentConfig(scores=(1.0, 0.0), temperature=1.0, schedule="constant:2")
@@ -273,6 +315,23 @@ class TestProxIterate:
         text = Path("empty.csv").read_text().strip().splitlines()
         assert len(text) == 1
         assert text[0].startswith("step,")
+        assert read_manifest("empty").terminal_status == "max-time"
+
+    def test_weight_overflow_is_exit_3_without_nan_rows(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(
+                ["prox-iterate", "--scores", "1,0", "--temperature", "1e-306",
+                 "--step", "printed-mw", "--tol", "0", "--steps", "400", "--output", "tiny"]
+            )
+        assert code == EXIT_DIVERGED
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert read_manifest("tiny").terminal_status == "diverged"
+        _, rows = read_csv("tiny.csv")
+        assert 0 < len(rows) < 400
+        assert f"at step {len(rows) + 1}" in capsys.readouterr().err
+        assert all(math.isfinite(value) for row in rows for value in row)
 
 
 class TestSweep:

@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from simplexflow import (
     InteriorityError,
+    InvalidInputError,
     MirrorStepKind,
     ScoreVector,
     SimplexPoint,
@@ -20,7 +21,12 @@ from simplexflow import (
     softmax,
 )
 from simplexflow.mirror import step_agreement_exponent
-from simplexflow.oracles import prox_objective_maximizer
+from simplexflow.oracles import (
+    closed_form_entropic,
+    closed_form_literal,
+    prox_objective_maximizer,
+)
+from simplexflow.replicator import ConstantSchedule
 
 from conftest import score_lists, weight_lists
 
@@ -140,6 +146,16 @@ class TestIterate:
         record = iterate(MirrorStepKind.EXACT_PROX, SimplexPoint.uniform(2), s, 1.0, 1.0, max_steps=0)
         assert len(record.samples) == 1
         assert record.certificates == []
+        assert record.terminal_status is TerminalStatus.MAX_TIME
+
+    def test_samples_carry_no_field_norm_and_certificates_the_kl_move(self):
+        s = ScoreVector([1.0, 0.0, -0.5])
+        p0 = SimplexPoint([0.2, 0.3, 0.5])
+        for kind in MirrorStepKind:
+            record = iterate(kind, p0, s, 1.0, 0.5, max_steps=5, kl_tol=0.0)
+            assert all(math.isnan(sample.field_norm) for sample in record.samples)
+            for before, after, cert in zip(record.samples, record.samples[1:], record.certificates):
+                assert cert.kl_move == pytest.approx(kl_divergence(after.p, before.p), rel=1e-9)
 
     def test_max_steps_reported_not_raised(self):
         s = ScoreVector([1.0, 0.0])
@@ -165,6 +181,48 @@ class TestIterate:
         assert np.isfinite(record.terminal.free_energy)
 
 
+class TestIteratesAreFlowSamples:
+    """Iterate k against the independent closed forms of the flow it samples:
+    exact prox at entropic time k log(1 + eta T), printed MW at literal time
+    k eta.  Bounds pinned here."""
+
+    INSTANCES = [
+        (size, temp, eta)
+        for size in (2, 8, 64, 1000)
+        for temp in (0.25, 1.0, 4.0)
+        for eta in (0.1, 1.0)
+    ]
+
+    def test_every_iterate_matches_the_flow_oracles(self):
+        rng = np.random.default_rng(401)
+        for size, temp, eta in self.INSTANCES:
+            s = ScoreVector(rng.uniform(-3, 3, size))
+            p0 = SimplexPoint(rng.dirichlet(np.ones(size)))
+            for kind in MirrorStepKind:
+                record = iterate(kind, p0, s, temp, eta, max_steps=2000, kl_tol=1e-15)
+                for k, sample in enumerate(record.samples):
+                    if kind is MirrorStepKind.EXACT_PROX:
+                        t_k = k * math.log1p(eta * temp)
+                        exact = closed_form_entropic(p0, s, ConstantSchedule(temp), t_k).probs
+                    else:
+                        exact = closed_form_literal(p0, s, temp, k * eta).probs
+                    mask = exact > 1e-300
+                    assert np.max(np.abs(sample.p.probs[mask] / exact[mask] - 1.0)) <= 1e-12
+                    assert np.max(np.abs(sample.p.probs - exact)) <= 5e-15
+
+    def test_first_iterate_matches_the_printed_maps(self):
+        rng = np.random.default_rng(402)
+        for size, temp, eta in self.INSTANCES:
+            s = ScoreVector(rng.uniform(-3, 3, size))
+            p0 = SimplexPoint(rng.dirichlet(np.ones(size)))
+            for kind, step in (
+                (MirrorStepKind.EXACT_PROX, exact_prox_step),
+                (MirrorStepKind.PRINTED_MW, printed_mw_step),
+            ):
+                first = iterate(kind, p0, s, temp, eta, max_steps=1, kl_tol=0.0).terminal.p
+                assert np.max(np.abs(first.probs - step(p0, s, temp, eta).probs)) <= 1e-15
+
+
 class TestAscentCertificate:
     def test_exact_prox_slack_nonnegative_monte_carlo(self, rng):
         worst = math.inf
@@ -185,6 +243,11 @@ class TestAscentCertificate:
         cert = ascent_certificate(MirrorStepKind.EXACT_PROX, pi, s, 1.0, 1.0)
         assert cert.kl_move < 1e-14
         assert abs(cert.f_after - cert.f_before) < 1e-12
+
+    def test_overflowing_step_weights_raise(self):
+        s = ScoreVector([1.0, 0.0])
+        with pytest.raises(InvalidInputError, match="overflow"):
+            ascent_certificate(MirrorStepKind.PRINTED_MW, SimplexPoint.uniform(2), s, 1e-300, 1e10)
 
     def test_printed_mw_from_softmax_loses_free_energy(self):
         s = ScoreVector([1.0, 0.0])
