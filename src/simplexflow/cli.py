@@ -1,12 +1,13 @@
 """Experiment runner: simulate / prox-iterate / sweep / verify.
 
-Configuration comes from an INI file (flat sections, documented in the
-README) with command-line flags taking precedence.  Every run writes a
-manifest JSON next to its output carrying the config hash, seed, tool
-version, wall clock, terminal status, and headline metrics.  Trajectory and
-iterate tables render floats with 17 significant digits, so files
-round-trip to the exact float64 values and identical config + seed gives
-byte-identical data files.
+Configuration comes from an INI file (flat sections, documented in the README)
+with command-line flags taking precedence, both defined by one table,
+``_OPTIONS``; a run rejects any setting its task does not read unless it holds
+its default.  Every run writes a manifest JSON next to its output carrying the
+config hash (task included), seed, tool version, wall clock, terminal status,
+and headline metrics.  Trajectory and iterate tables render floats with 17
+significant digits, so files round-trip to the exact float64 values and
+identical config + seed gives byte-identical data files.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical divergence
 (or failed sweep cells), 4 oracle/verification failure.
@@ -18,14 +19,16 @@ import argparse
 import configparser
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -94,33 +97,20 @@ class ExperimentConfig:
     jobs: int = 1
     grid: dict = field(default_factory=dict)
 
-    #: fields excluded from the config hash (execution plumbing, not the experiment)
-    UNHASHED = ("output", "format", "jobs")
-
     def hash(self) -> str:
         payload = dataclasses.asdict(self)
-        for key in self.UNHASHED:
-            payload.pop(key, None)
+        for opt in _OPTIONS:
+            if opt.plumbing:
+                payload.pop(opt.attr)
         canonical = json.dumps(payload, sort_keys=True, default=repr)
         return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
     def validate(self) -> "ExperimentConfig":
-        if self.task not in TASKS:
-            raise ConfigError(f"[run] task must be one of {TASKS}, got {self.task!r}")
-        if self.dynamics not in ("literal", "entropic"):
-            raise ConfigError(f"[run] dynamics must be literal or entropic, got {self.dynamics!r}")
-        if self.step_kind not in ("exact-prox", "printed-mw"):
-            raise ConfigError(
-                f"[run] step must be exact-prox or printed-mw, got {self.step_kind!r}"
-            )
-        if self.format not in ("csv", "json"):
-            raise ConfigError(f"[output] format must be csv or json, got {self.format!r}")
+        """Checks across settings; each value's choices are checked where it is read."""
         if len(self.scores) < 2:
             raise ConfigError("[scores] needs at least 2 score values")
         if self.temperature is not None and self.schedule is not None:
             raise ConfigError("[temperature] give exactly one of value or schedule")
-        if self.field_kind not in ("constant", "linear"):
-            raise ConfigError(f"[field] kind must be constant or linear, got {self.field_kind!r}")
         if self.field_kind == "linear":
             v = len(self.scores)
             if self.coupling is None or len(self.coupling) != v * v:
@@ -166,121 +156,164 @@ def _parse_bool(text: str) -> bool:
         raise ValueError("not a boolean (1/yes/true/on or 0/no/false/off)") from None
 
 
-#: INI schema: config attribute -> the (section, key, parser) triples that set
-#: it, highest priority first (the first key present wins).  Besides these,
-#: [sweep] takes one ``grid.<name>`` key per swept parameter.
-_INI_SCHEMA = {
-    "task": (("sweep", "task", str.strip), ("run", "task", str.strip)),
-    "dynamics": (("run", "dynamics", str.strip),),
-    "step_kind": (("run", "step", str.strip),),
-    "seed": (("run", "seed", int),),
-    "start": (("run", "start", str.strip),),
-    "scores": (("scores", "values", _parse_float_list), ("scores", "file", _load_values_file)),
-    "temperature": (("temperature", "value", float),),
-    "schedule": (("temperature", "schedule", str.strip),),
-    "face": (("face", "spec", str.strip),),
-    "field_kind": (("field", "kind", str.strip),),
-    "coupling": (("field", "coupling", _parse_float_list), ("field", "file", _load_values_file)),
-    "eta": (("mirror", "eta", float),),
-    "max_steps": (("mirror", "steps", int),),
-    "kl_tol": (("mirror", "kl_tol", float),),
-    "dt0": (("integrator", "dt0", float),),
-    "rel_tol": (("integrator", "rel_tol", float),),
-    "abs_tol": (("integrator", "abs_tol", float),),
-    "convergence_kl": (("integrator", "convergence_kl", float),),
-    "horizon": (("integrator", "horizon", float),),
-    "n_samples": (("integrator", "samples", int),),
-    "uniform_samples": (("integrator", "uniform_samples", _parse_bool),),
-    "output": (("output", "path", str.strip),),
-    "format": (("output", "format", str.strip),),
-    "jobs": (("sweep", "jobs", int),),
-}
-_GRID_PREFIX = "grid."
-_INI_KEYS = {(section, key) for keys in _INI_SCHEMA.values() for section, key, _ in keys}
+@dataclass(frozen=True)
+class _Option:
+    """One setting: ``ExperimentConfig`` attribute, INI ``section.key`` names
+    (the first present wins; a ``file`` key names a file of numbers), flag,
+    readers (the tasks that read it), INI parser (int and float also type the
+    flag), choices and ``[sweep] grid.<name>`` name.  Plumbing is read by
+    subcommands, not tasks, and is left out of the config hash."""
+
+    attr: str
+    keys: tuple
+    flag: Optional[str]
+    readers: tuple
+    parse: Callable = str.strip
+    choices: tuple = ()
+    grid: Optional[str] = None
+    plumbing: bool = False
+    help: Optional[str] = None
+
+    def read_by(self, command: str, task: str) -> bool:
+        return (command if self.plumbing else task) in self.readers
 
 
-def _check_ini_names(parser: configparser.ConfigParser) -> None:
-    """Reject any section or key the schema does not name, and two keys of one
-    section that set the same attribute."""
+_RUNS = ("simulate", "prox-iterate", "sweep")
+_PROX = ("prox-iterate",)
+#: tasks that run a flow (the reparameterization task fixes its own step controls)
+_FLOWS = ("simulate", "reparameterization", "recurrence")
+#: tasks that integrate the configured field (recurrence forces its sampling and stop)
+_FIELDS = ("simulate", "recurrence")
+
+#: argparse flags, the INI reader and its name check, flag overrides, grid cells,
+#: choice checks and the check that a run reads what it is given derive from this.
+_OPTIONS = (
+    _Option("task", ("sweep.task", "run.task"), None, TASKS, choices=TASKS),
+    _Option("dynamics", ("run.dynamics",), "--dynamics", _FLOWS, choices=("literal", "entropic")),
+    _Option("step_kind", ("run.step",), "--step", _PROX, choices=("exact-prox", "printed-mw")),
+    _Option("seed", ("run.seed",), "--seed", TASKS, int, grid="seed", help="random seed"),
+    _Option("start", ("run.start",), None, TASKS),
+    _Option("scores", ("scores.values", "scores.file"), "--scores", TASKS, _parse_float_list,
+            help="inline comma-separated scores or a file path"),
+    _Option("temperature", ("temperature.value",), "--temperature", TASKS, float,
+            grid="temperature", help="constant temperature"),
+    _Option("schedule", ("temperature.schedule",), "--schedule", TASKS,
+            help="schedule spec: constant:T | piecewise:0:T0,t1:T1,... | exponential:T0:rate"),
+    _Option("face", ("face.spec",), "--face", TASKS,
+            help="none | topk:K | nucleus:MASS | indices:i,j,... (1-based)"),
+    _Option("field_kind", ("field.kind",), None, _FIELDS, choices=("constant", "linear")),
+    _Option("coupling", ("field.coupling", "field.file"), None, _FIELDS, _parse_float_list,
+            grid="beta"),
+    _Option("eta", ("mirror.eta",), None, _PROX, float, grid="eta"),
+    _Option("max_steps", ("mirror.steps",), "--steps", _PROX, int, help="max discrete steps"),
+    _Option("kl_tol", ("mirror.kl_tol",), "--tol", _PROX, float,
+            help="stop tolerance (per-step KL / convergence KL)"),
+    _Option("dt0", ("integrator.dt0",), None, _FIELDS, float),
+    _Option("rel_tol", ("integrator.rel_tol",), None, _FIELDS, float),
+    _Option("abs_tol", ("integrator.abs_tol",), None, _FIELDS, float),
+    _Option("convergence_kl", ("integrator.convergence_kl",), "--tol", ("simulate",), float),
+    _Option("horizon", ("integrator.horizon",), "--horizon", _FLOWS, float, grid="horizon",
+            help="integration horizon"),
+    _Option("n_samples", ("integrator.samples",), None, _FLOWS, int),
+    _Option("uniform_samples", ("integrator.uniform_samples",), None, ("simulate",), _parse_bool),
+    _Option("output", ("output.path",), "--output", _RUNS, plumbing=True, help="output path stem"),
+    _Option("format", ("output.format",), "--format", ("simulate", "prox-iterate"),
+            choices=("csv", "json"), plumbing=True, help="table format"),
+    _Option("jobs", ("sweep.jobs",), "--jobs", ("sweep",), int, plumbing=True,
+            help="parallel sweep workers"),
+)
+_GRID = {opt.grid: opt for opt in _OPTIONS if opt.grid}
+#: flag -> the rows it sets, in table order
+_FLAGS = {o.flag: tuple(row for row in _OPTIONS if row.flag == o.flag) for o in _OPTIONS if o.flag}
+_INI_KEYS = {key for opt in _OPTIONS for key in opt.keys} | {f"sweep.grid.{g}" for g in _GRID}
+
+
+def _ini_value(parser: configparser.ConfigParser, section: str, key: str, cast, choices=()):
+    raw = parser.get(section, key)
+    try:
+        value = cast(raw)
+    except ValueError as exc:  # ConfigError is one too: say which key it came from
+        raise ConfigError(f"[{section}] {key} = {raw!r}: {exc}") from exc
+    if choices and value not in choices:
+        raise ConfigError(f"[{section}] {key} must be one of {' | '.join(choices)}, got {value!r}")
+    return value
+
+
+def _read_ini(path: str, single_run: bool = False) -> tuple:
+    """(values, names): attribute -> value and -> key name of each setting the
+    file gives.  Unknown sections and keys, and two keys of one section for one
+    attribute, are errors.  A single run checks [sweep] but does not read it."""
+    parser = configparser.ConfigParser()
+    if not parser.read(path):
+        raise ConfigError(f"config file not found: {path}")
     defaults = [parser.default_section] if parser.defaults() else []
     for section in defaults + parser.sections():
-        known = sorted(key for sec, key in _INI_KEYS if sec == section)
+        known = sorted(key.partition(".")[2] for key in _INI_KEYS if key.startswith(section + "."))
         if not known:
             raise ConfigError(f"unknown section [{section}]")
         for key in parser.options(section):
-            if key not in known and not (section == "sweep" and key.startswith(_GRID_PREFIX)):
+            if key not in known:
                 raise ConfigError(f"[{section}] unknown key {key!r} (known: {', '.join(known)})")
-    for keys in _INI_SCHEMA.values():
-        given = [(section, key) for section, key, _ in keys if parser.has_option(section, key)]
-        for section in {sec for sec, _ in given}:
-            clashing = [key for sec, key in given if sec == section]
-            if len(clashing) > 1:
-                raise ConfigError(f"[{section}] give only one of {' or '.join(clashing)}")
+    if single_run:
+        parser.remove_section("sweep")
+    values, names = {}, {}
+    for opt in _OPTIONS:
+        given = [key.split(".", 1) for key in opt.keys if parser.has_option(*key.split(".", 1))]
+        if len({section for section, _ in given}) < len(given):
+            clashing = " or ".join(key for _, key in given)
+            raise ConfigError(f"[{given[0][0]}] give only one of {clashing}")
+        if given:
+            section, key = given[0]
+            cast = _load_values_file if key == "file" else opt.parse
+            values[opt.attr] = _ini_value(parser, section, key, cast, opt.choices)
+            names[opt.attr] = f"[{section}] {key}"
+        if opt.grid and parser.has_option("sweep", f"grid.{opt.grid}"):
+            cells = _ini_value(parser, "sweep", f"grid.{opt.grid}", _parse_float_list)
+            values.setdefault("grid", {})[opt.grid] = list(cells)
+    return values, names
 
 
 def load_config_file(path: str) -> ExperimentConfig:
     """Parse the INI experiment file; see the README for the schema."""
-    parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
-        raise ConfigError(f"config file not found: {path}")
-    _check_ini_names(parser)
-    cfg = ExperimentConfig()
-    for attr, keys in _INI_SCHEMA.items():
-        for section, key, cast in keys:
-            if not parser.has_option(section, key):
-                continue
-            raw = parser.get(section, key)
-            try:
-                setattr(cfg, attr, cast(raw))
-            except ConfigError:
-                raise
-            except ValueError as exc:
-                raise ConfigError(f"[{section}] {key}: cannot parse {raw!r} ({exc})") from exc
-            break
-    if parser.has_section("sweep"):
-        for key in parser.options("sweep"):
-            if key.startswith(_GRID_PREFIX):
-                name = key[len(_GRID_PREFIX):]
-                try:
-                    cfg.grid[name] = list(_parse_float_list(parser.get("sweep", key)))
-                except ValueError as exc:
-                    raise ConfigError(f"[sweep] {key}: {exc}") from exc
-    return cfg
+    return ExperimentConfig(**_read_ini(path)[0])
 
 
-def apply_flags(cfg: ExperimentConfig, args: argparse.Namespace) -> ExperimentConfig:
-    """Command-line flags override file values."""
-    if getattr(args, "scores", None):
-        cfg.scores = _parse_scores_arg(args.scores)
-    if getattr(args, "temperature", None) is not None:
-        cfg.temperature = args.temperature
-        cfg.schedule = None
-    if getattr(args, "schedule", None):
-        cfg.schedule = args.schedule
-        cfg.temperature = None
-    for name, attr in (
-        ("dynamics", "dynamics"),
-        ("step", "step_kind"),
-        ("face", "face"),
-        ("output", "output"),
-        ("format", "format"),
-    ):
-        value = getattr(args, name, None)
-        if value:
-            setattr(cfg, attr, value)
-    if getattr(args, "steps", None) is not None:
-        cfg.max_steps = args.steps
-    if getattr(args, "horizon", None) is not None:
-        cfg.horizon = args.horizon
-    if getattr(args, "tol", None) is not None:
-        cfg.kl_tol = args.tol
-        cfg.convergence_kl = args.tol
-    if getattr(args, "seed", None) is not None:
-        cfg.seed = args.seed
-    if getattr(args, "jobs", None) is not None:
-        cfg.jobs = args.jobs
-    return cfg
+def _override(values: dict, attr: str, value) -> None:
+    """Set ``values[attr]``; a temperature and a schedule clear each other."""
+    values[attr] = value
+    cleared = {"temperature": "schedule", "schedule": "temperature"}.get(attr)
+    if cleared:
+        values[cleared] = None
+
+
+def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
+    """The file, then the flags; a single run takes the [sweep] section as
+    unread and its subcommand as its task.  Every setting the run does not read
+    must hold its default, and every grid name must set one it reads."""
+    command = args.command
+    values, names = _read_ini(args.config, command != "sweep") if args.config else ({}, {})
+    if command != "sweep" and values.setdefault("task", command) != command:
+        raise ConfigError(f"{names['task']} = {values['task']}, but {command} runs task {command}")
+    task = values.get("task", ExperimentConfig.task)
+    where = f"task {task}" if command == task else f"a sweep of task {task}"
+    for flag, opts in _FLAGS.items():
+        value = getattr(args, flag[2:], None)
+        if value in (None, ""):  # an empty flag is not given
+            continue
+        read = [opt for opt in opts if opt.read_by(command, task)]
+        if not read:
+            raise ConfigError(f"{flag} sets nothing that {where} reads")
+        for opt in read:
+            _override(values, opt.attr, _parse_scores_arg(value) if flag == "--scores" else value)
+    for opt in _OPTIONS:
+        if opt.read_by(command, task):
+            continue
+        default = getattr(ExperimentConfig, opt.attr)  # a dataclass field's default
+        if values.get(opt.attr, default) != default:
+            raise ConfigError(f"{names[opt.attr]} is not read by {where}; leave it at its default")
+        if opt.grid in values.get("grid", {}):
+            raise ConfigError(f"[sweep] grid.{opt.grid} sets nothing that {where} reads")
+    return ExperimentConfig(**values).validate()
 
 
 # ---------------------------------------------------------------------------
@@ -568,11 +601,10 @@ def _run_task(task: str) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def cmd_run(task: str, cfg: ExperimentConfig) -> int:
+def cmd_run(cfg: ExperimentConfig) -> int:
     """``simulate`` or ``prox-iterate``: one run, its table and its manifest."""
-    cfg.validate()
     started = time.perf_counter()
-    record_fn, table_fn, metrics_fn, noun = _run_task(task)
+    record_fn, table_fn, metrics_fn, noun = _run_task(cfg.task)
     run, record = record_fn(cfg)
     columns, rows = table_fn(record, run.mask)
     out = Path(cfg.output)
@@ -588,34 +620,21 @@ def cmd_run(task: str, cfg: ExperimentConfig) -> int:
 
 
 def _sweep_cells(cfg: ExperimentConfig) -> list:
-    if not cfg.grid:
-        return [{}]
     names = sorted(cfg.grid)
-    cells = [{}]
-    for name in names:
-        cells = [dict(cell, **{name: value}) for cell in cells for value in cfg.grid[name]]
-    return cells
+    grids = [cfg.grid[name] for name in names]
+    return [dict(zip(names, values)) for values in itertools.product(*grids)]
 
 
 def _apply_cell(cfg: ExperimentConfig, cell: dict) -> ExperimentConfig:
-    out = dataclasses.replace(cfg, grid={})
+    values = {"grid": {}}
     for name, value in cell.items():
-        if name == "temperature":
-            out.temperature, out.schedule = float(value), None
-        elif name == "eta":
-            out.eta = float(value)
-        elif name == "seed":
-            out.seed = int(value)
-        elif name == "horizon":
-            out.horizon = float(value)
-        elif name == "beta":
-            if out.field_kind != "linear" or out.coupling is None:
+        if name == "beta":
+            if cfg.field_kind != "linear" or cfg.coupling is None:
                 raise ConfigError("[sweep] grid.beta needs a linear field with a coupling")
-            base = np.asarray(out.coupling)
-            out.coupling = tuple((float(value) * base).tolist())
+            values["coupling"] = tuple((float(value) * np.asarray(cfg.coupling)).tolist())
         else:
-            raise ConfigError(f"[sweep] unknown grid parameter {name!r}")
-    return out
+            _override(values, _GRID[name].attr, _GRID[name].parse(value))
+    return dataclasses.replace(cfg, **values)
 
 
 def _cell_outcome(cfg: ExperimentConfig) -> tuple:
@@ -651,28 +670,34 @@ def _cell_outcome(cfg: ExperimentConfig) -> tuple:
     return record.terminal_status.value, metrics_fn(record)
 
 
+def _failed_cell(index: int, cell: dict, exc: BaseException) -> dict:
+    error = f"{type(exc).__name__}: {exc}"
+    return {"index": index, "cell": cell, "status": "error", "error": error}
+
+
 def _run_cell(payload: tuple) -> dict:
     index, cfg_dict, cell = payload
-    result = {"index": index, "cell": cell}
     try:
         status, metrics = _cell_outcome(_apply_cell(ExperimentConfig(**cfg_dict), cell).validate())
     except Exception as exc:  # one failed cell must not abort the sweep
-        result.update(status="error", error=f"{type(exc).__name__}: {exc}")
-    else:
-        result.update(status=status, metrics=metrics)
-    return result
+        return _failed_cell(index, cell, exc)
+    return {"index": index, "cell": cell, "status": status, "metrics": metrics}
 
 
 def cmd_sweep(cfg: ExperimentConfig) -> int:
-    cfg.validate()
     started = time.perf_counter()
     cells = _sweep_cells(cfg)
     base = dataclasses.asdict(cfg)
     base["grid"] = {}
     payloads = [(i, base, cell) for i, cell in enumerate(cells)]
     if cfg.jobs > 1:
+        results = []
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            results = list(pool.map(_run_cell, payloads))
+            try:
+                results.extend(pool.map(_run_cell, payloads))
+            except BrokenProcessPool as exc:
+                # a dead worker fails the cells still without a result, not the sweep
+                results += [_failed_cell(i, cell, exc) for i, _, cell in payloads[len(results):]]
     else:
         results = [_run_cell(p) for p in payloads]
     results.sort(key=lambda r: r["index"])
@@ -734,33 +759,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-_RUNS = ("simulate", "prox-iterate", "sweep")
-#: (flag, subcommands that read it, add_argument keywords).  A subcommand
-#: registers only the flags it reads, so any other is a usage error; a sweep
-#: reads every flag but --format, as its cells may run any task and its
-#: results are always JSON.
-_FLAGS = (
-    ("--config", _RUNS, {"help": "INI experiment file (flags override it)"}),
-    ("--scores", _RUNS, {"help": "inline comma-separated scores or a file path"}),
-    ("--temperature", _RUNS, {"type": float, "help": "constant temperature"}),
-    (
-        "--schedule",
-        _RUNS,
-        {"help": "schedule spec: constant:T | piecewise:0:T0,t1:T1,... | exponential:T0:rate"},
-    ),
-    ("--dynamics", ("simulate", "sweep"), {"choices": ("literal", "entropic")}),
-    ("--step", ("prox-iterate", "sweep"), {"choices": ("exact-prox", "printed-mw")}),
-    ("--face", _RUNS, {"help": "none | topk:K | nucleus:MASS | indices:i,j,... (1-based)"}),
-    ("--steps", ("prox-iterate", "sweep"), {"type": int, "help": "max discrete steps"}),
-    ("--horizon", ("simulate", "sweep"), {"type": float, "help": "integration horizon"}),
-    ("--tol", _RUNS, {"type": float, "help": "stop tolerance (per-step KL / convergence KL)"}),
-    ("--seed", _RUNS, {"type": int, "help": "random seed"}),
-    ("--jobs", ("sweep",), {"type": int, "help": "parallel sweep workers"}),
-    ("--output", _RUNS, {"help": "output path stem"}),
-    ("--format", ("simulate", "prox-iterate"), {"choices": ("csv", "json"), "help": "table format"}),
-)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="simplexflow",
@@ -769,20 +767,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="command", required=True)
     for name in _RUNS:
+        # a subcommand registers only the flags it reads, so any other is a
+        # usage error; a sweep's cells may run any task
+        tasks = TASKS if name == "sweep" else (name,)
         sub = subs.add_parser(name)
-        for flag, commands, keywords in _FLAGS:
-            if name in commands:
-                sub.add_argument(flag, **keywords)
+        sub.add_argument("--config", help="INI experiment file (flags override it)")
+        for flag, opts in _FLAGS.items():
+            if any(opt.read_by(name, task) for opt in opts for task in tasks):
+                first = opts[0]
+                typed = first.parse if first.parse in (int, float) else None
+                sub.add_argument(flag, type=typed, choices=first.choices or None, help=first.help)
     verify = subs.add_parser("verify", help="re-derive and check the claim matrix")
     verify.add_argument("--claims", help="comma-separated claim ids to run (default: all)")
     verify.add_argument("--seed", type=int, default=oracles.DEFAULT_SEED)
     verify.add_argument("--output", default="claims.json")
     return parser
-
-
-def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    cfg = load_config_file(args.config) if args.config else ExperimentConfig()
-    return apply_flags(cfg, args)
 
 
 def main(argv=None) -> int:
@@ -793,7 +792,7 @@ def main(argv=None) -> int:
         cfg = _config_from_args(args)
         if args.command == "sweep":
             return cmd_sweep(cfg)
-        return cmd_run(args.command, cfg)
+        return cmd_run(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

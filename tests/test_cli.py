@@ -2,11 +2,14 @@
 
 import json
 import math
+import os
+import re
 import warnings
 from pathlib import Path
 
 import pytest
 
+from simplexflow import cli
 from simplexflow.cli import (
     EXIT_CONFIG,
     EXIT_DIVERGED,
@@ -14,9 +17,21 @@ from simplexflow.cli import (
     EXIT_ORACLE,
     ExperimentConfig,
     RunManifest,
+    build_parser,
     load_config_file,
     main,
 )
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+_RUN_CELL = cli._run_cell
+
+
+def _worker_dies_on_cell_one(payload):
+    """A sweep cell runner whose worker process exits on cell 1; module level,
+    so the process pool can pickle it."""
+    if payload[0] == 1:
+        os._exit(1)
+    return _RUN_CELL(payload)
 
 
 def read_csv(path):
@@ -146,6 +161,106 @@ class TestConfigFile:
 
         with pytest.raises(ConfigError):
             cfg.validate()
+
+    LINEAR = "[scores]\nvalues = 0, 0, 0\n[field]\nkind = linear\ncoupling = 0,1,-1,-1,0,1,1,-1,0\n"
+
+    @pytest.mark.parametrize(
+        "argv, text, named",
+        [
+            (["simulate"], "[run]\ntask = prox-iterate\n[scores]\nvalues = 1, 0\n",
+             ["[run] task", "simulate"]),
+            (["simulate"], "[scores]\nvalues = 1, 0\n[mirror]\nsteps = 3\n",
+             ["[mirror] steps", "task simulate"]),
+            (["prox-iterate"], "[scores]\nvalues = 1, 0\n[integrator]\nhorizon = 5\n",
+             ["[integrator] horizon", "task prox-iterate"]),
+            (["prox-iterate"], LINEAR, ["[field] kind", "task prox-iterate"]),
+            (["sweep"],
+             "[scores]\nvalues = 1, 0\n[sweep]\ntask = prox-iterate\ngrid.horizon = 1, 5, 50\n",
+             ["grid.horizon", "task prox-iterate"]),
+            (["sweep", "--scores", "1,0", "--temperature", "1", "--step", "printed-mw"], None,
+             ["--step", "task simulate"]),
+            (["sweep"], LINEAR + "[run]\ndynamics = literal\n[sweep]\ntask = reparameterization\n",
+             ["[field] kind", "task reparameterization"]),
+            (["sweep"],
+             "[scores]\nvalues = 1, 0\n[integrator]\ndt0 = 0.02\n"
+             "[sweep]\ntask = reparameterization\n",
+             ["[integrator] dt0", "task reparameterization"]),
+            (["sweep", "--tol", "1e-9"],
+             "[scores]\nvalues = 1, 0\n[sweep]\ntask = reparameterization\n",
+             ["--tol", "task reparameterization"]),
+            (["sweep"], LINEAR + "[integrator]\nconvergence_kl = 1e-3\n[sweep]\ntask = recurrence\n",
+             ["[integrator] convergence_kl", "task recurrence"]),
+            (["sweep"], LINEAR + "[sweep]\ntask = recurrence\ngrid.eta = 0.1, 1\n",
+             ["grid.eta", "task recurrence"]),
+            (["sweep"], "[scores]\nvalues = 1, 0\n[output]\nformat = json\n",
+             ["[output] format", "task simulate"]),
+        ],
+        ids=[
+            "simulate-other-task",
+            "simulate-mirror-steps",
+            "prox-iterate-horizon",
+            "prox-iterate-linear-field",
+            "prox-iterate-sweep-horizon-grid",
+            "simulate-sweep-step-flag",
+            "reparameterization-linear-field",
+            "reparameterization-dt0",
+            "reparameterization-tol-flag",
+            "recurrence-convergence-kl",
+            "recurrence-eta-grid",
+            "sweep-format",
+        ],
+    )
+    def test_settings_the_task_does_not_read_are_rejected(
+        self, tmp_path, monkeypatch, capsys, argv, text, named
+    ):
+        monkeypatch.chdir(tmp_path)
+        if text is not None:
+            Path("exp.ini").write_text(text)
+            argv = argv + ["--config", "exp.ini"]
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert all(name in err for name in named), err
+        assert [path.name for path in tmp_path.iterdir()] == (["exp.ini"] if text else [])
+
+    def test_restated_defaults_and_the_sweep_section_are_accepted(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        Path("exp.ini").write_text(
+            "[run]\ntask = prox-iterate\n[scores]\nvalues = 1, 0\n"
+            "[integrator]\nhorizon = 1000\n[output]\nformat = csv\n"
+            "[sweep]\ntask = recurrence\njobs = 2\ngrid.beta = 1, 2\n"
+        )
+        assert main(["prox-iterate", "--config", "exp.ini", "--output", "prox"]) == EXIT_OK
+        assert Path("prox.csv").exists()
+
+    def test_hash_names_the_task_and_the_tolerance_it_reads(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        argv = ["--scores", "1,0", "--tol", "1e-9"]
+        assert main(["simulate", *argv, "--output", "flow"]) == EXIT_OK
+        assert main(["prox-iterate", *argv, "--output", "prox"]) == EXIT_OK
+        flow = ExperimentConfig(scores=(1.0, 0.0), convergence_kl=1e-9)
+        prox = ExperimentConfig(task="prox-iterate", scores=(1.0, 0.0), kl_tol=1e-9)
+        assert read_manifest("flow").config_hash == flow.hash()
+        assert read_manifest("prox").config_hash == prox.hash()
+        assert flow.hash() != prox.hash()
+
+    def test_readme_config_block_runs_its_sweep(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (block,) = re.findall(r"```ini\n(.*?)```", README.read_text(), re.S)
+        Path("experiment.ini").write_text(block)
+        assert main(["sweep", "--config", "experiment.ini"]) == EXIT_OK
+        assert len(read_strict_json("run.json")["cells"]) == 3
+        assert main(["simulate", "--config", "experiment.ini"]) == EXIT_OK
+
+    def test_readme_flag_table_matches_the_parser(self):
+        rows = re.findall(r"^\| `([a-z-]+)` \| `([^`]*)`", README.read_text(), re.M)
+        documented = {command: set(flags.split()) for command, flags in rows}
+        subparsers = next(a for a in build_parser()._actions if a.dest == "command").choices
+        registered = {
+            command: {flag for action in sub._actions for flag in action.option_strings}
+            - {"-h", "--help"}
+            for command, sub in subparsers.items()
+        }
+        assert documented == registered
 
 
 class TestSimulate:
@@ -472,6 +587,24 @@ class TestSweep:
         serial = json.loads(Path("serial.json").read_text())["cells"]
         parallel = json.loads(Path("par.json").read_text())["cells"]
         assert serial == parallel
+
+    def test_dead_worker_fails_its_cells_not_the_sweep(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, "_run_cell", _worker_dies_on_cell_one)
+        cfg = tmp_path / "sweep.ini"
+        cfg.write_text(
+            "[scores]\nvalues = 1.0, 0.0\n"
+            "[sweep]\ntask = simulate\ngrid.temperature = 0.5, 1, 2\n"
+            "[output]\npath = dead\n"
+        )
+        assert main(["sweep", "--config", str(cfg), "--jobs", "2"]) == EXIT_DIVERGED
+        cells = read_strict_json("dead.json")["cells"]
+        assert [c["index"] for c in cells] == [0, 1, 2]
+        assert cells[1]["status"] == "error"
+        assert cells[1]["error"].startswith("BrokenProcessPool: ")
+        for cell in cells:
+            assert cell["status"] == "converged" or cell["error"].startswith("BrokenProcessPool")
+        assert read_manifest("dead").terminal_status == "failed-cells"
 
 
 class TestVerify:
