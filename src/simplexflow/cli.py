@@ -49,9 +49,9 @@ from .simplex import (
     FaceMask,
     ScoreVector,
     SimplexPoint,
+    _simplex_rows,
     build_face_nucleus,
     build_face_topk,
-    embed_in_face,
     restrict_to_face,
 )
 from .trajectory import TerminalStatus, TrajectoryRecord
@@ -121,6 +121,10 @@ class ExperimentConfig:
             raise ConfigError("[mirror] steps must be nonnegative")
         if self.jobs < 1:
             raise ConfigError("[sweep] jobs must be at least 1")
+        try:
+            Path(self.output).with_suffix(".json")
+        except ValueError:
+            raise ConfigError(f"[output] path {self.output!r} names no file") from None
         return self
 
 
@@ -228,6 +232,18 @@ _FLAGS = {o.flag: tuple(row for row in _OPTIONS if row.flag == o.flag) for o in 
 _INI_KEYS = {key for opt in _OPTIONS for key in opt.keys} | {f"sweep.grid.{g}" for g in _GRID}
 
 
+def _grid_parser(parse: Callable) -> Callable:
+    """Parser of a ``[sweep] grid.<name>`` list for a setting parsed by ``parse``."""
+
+    def cells(text: str) -> tuple:
+        values = _parse_float_list(text)
+        if parse is int and not all(value.is_integer() for value in values):
+            raise ValueError("every value must be an integer")
+        return values
+
+    return cells
+
+
 def _ini_value(parser: configparser.ConfigParser, section: str, key: str, cast, choices=()):
     raw = parser.get(section, key)
     try:
@@ -268,7 +284,7 @@ def _read_ini(path: str, single_run: bool = False) -> tuple:
             values[opt.attr] = _ini_value(parser, section, key, cast, opt.choices)
             names[opt.attr] = f"[{section}] {key}"
         if opt.grid and parser.has_option("sweep", f"grid.{opt.grid}"):
-            cells = _ini_value(parser, "sweep", f"grid.{opt.grid}", _parse_float_list)
+            cells = _ini_value(parser, "sweep", f"grid.{opt.grid}", _grid_parser(opt.parse))
             values.setdefault("grid", {})[opt.grid] = list(cells)
     return values, names
 
@@ -329,6 +345,9 @@ class RunManifest:
     wall_clock_s: float
     terminal_status: str
     metrics: dict
+    #: how the run spent its work (closed-form rows and blocks); a sweep
+    #: cell's metrics equal its run's, so these stay out of ``metrics``
+    telemetry: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
         return _strict_json(dataclasses.asdict(self), indent=2, sort_keys=True)
@@ -359,7 +378,12 @@ def _write_manifest(path: Path, manifest: RunManifest) -> None:
 
 
 def _finish_run(
-    cfg: ExperimentConfig, out: Path, started: float, status: str, metrics: dict
+    cfg: ExperimentConfig,
+    out: Path,
+    started: float,
+    status: str,
+    metrics: dict,
+    telemetry: Optional[dict] = None,
 ) -> None:
     """Write the run manifest ``<out>.manifest.json``; wall clock ends here."""
     manifest = RunManifest(
@@ -369,6 +393,7 @@ def _finish_run(
         wall_clock_s=time.perf_counter() - started,
         terminal_status=status,
         metrics=metrics,
+        telemetry=telemetry or {},
     )
     _write_manifest(out.parent / (out.name + ".manifest.json"), manifest)
 
@@ -382,41 +407,38 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
+def _probabilities(record: TrajectoryRecord, mask: Optional[FaceMask]) -> np.ndarray:
+    """The record's (n, V) probabilities, re-embedded with exact zeros off the face."""
+    if mask is None:
+        return record.P
+    full = np.zeros((len(record.P), mask.size))
+    full[:, mask.support] = record.P
+    return _simplex_rows(full)
+
+
 def _trajectory_table(record: TrajectoryRecord, mask: Optional[FaceMask]) -> tuple:
-    size = mask.size if mask is not None else record.samples[0].p.size
+    P = _probabilities(record, mask)
     columns = (
-        ["t"] + [f"p_{i + 1}" for i in range(size)] + ["free_energy", "kl_to_target", "field_norm"]
+        ["t"] + [f"p_{i + 1}" for i in range(P.shape[1])]
+        + ["free_energy", "kl_to_target", "field_norm"]
     )
-    rows = []
-    for sample in record.samples:
-        p = embed_in_face(mask, sample.p).probs if mask is not None else sample.p.probs
-        rows.append(
-            [sample.t, *p.tolist(), sample.free_energy, sample.kl_to_target, sample.field_norm]
-        )
+    rows = np.column_stack(
+        [record.t, P, record.free_energy, record.kl_to_target, record.field_norm]
+    ).tolist()
     return columns, rows
 
 
 def _iterate_table(record: TrajectoryRecord, mask: Optional[FaceMask]) -> tuple:
-    size = mask.size if mask is not None else record.samples[0].p.size
+    P = _probabilities(record, mask)
     columns = (
         ["step"]
-        + [f"p_{i + 1}" for i in range(size)]
+        + [f"p_{i + 1}" for i in range(P.shape[1])]
         + ["free_energy", "kl_step", "kl_to_softmax", "ascent_slack"]
     )
-    rows = []
-    for sample, cert in zip(record.samples[1:], record.certificates):
-        p = embed_in_face(mask, sample.p).probs if mask is not None else sample.p.probs
-        rows.append(
-            [
-                int(sample.t),
-                *p.tolist(),
-                sample.free_energy,
-                cert.kl_move,
-                sample.kl_to_target,
-                cert.slack,
-            ]
-        )
-    return columns, rows
+    body = np.column_stack(
+        [P[1:], record.free_energy[1:], record.kl_move, record.kl_to_target[1:], record.slack]
+    ).tolist()
+    return columns, [[step, *row] for step, row in enumerate(body, start=1)]
 
 
 def _write_table(path: Path, columns: list, rows: list, fmt: str) -> None:
@@ -577,13 +599,13 @@ def _flow_metrics(record: TrajectoryRecord) -> dict:
 
 def _iterate_metrics(record: TrajectoryRecord) -> dict:
     first, last = record.samples[0], record.samples[-1]
-    slacks = [c.slack for c in record.certificates]
+    steps = record.accepted_steps
     return {
-        "steps": record.accepted_steps,
+        "steps": steps,
         "terminal_kl_to_softmax": last.kl_to_target,
-        "last_kl_step": record.certificates[-1].kl_move if record.certificates else 0.0,
+        "last_kl_step": float(record.kl_move[-1]) if steps else 0.0,
         "free_energy_gain": last.free_energy - first.free_energy,
-        "min_ascent_slack": min(slacks) if slacks else 0.0,
+        "min_ascent_slack": float(record.slack.min()) if steps else 0.0,
     }
 
 
@@ -611,7 +633,9 @@ def cmd_run(cfg: ExperimentConfig) -> int:
     data_path = out.with_suffix(".json" if cfg.format == "json" else ".csv")
     _write_table(data_path, columns, rows, cfg.format)
     status = record.terminal_status.value
-    _finish_run(cfg, out, started, status, metrics_fn(record))
+    counts = record.block_counts
+    telemetry = dataclasses.asdict(counts) if counts is not None else None
+    _finish_run(cfg, out, started, status, metrics_fn(record), telemetry)
     print(f"wrote {data_path} ({len(rows)} {noun}, status {status})")
     if record.terminal_status is TerminalStatus.DIVERGED:
         print(f"diverged: {record.diagnostics}", file=sys.stderr)
@@ -649,7 +673,8 @@ def _cell_outcome(cfg: ExperimentConfig) -> tuple:
             run.p0,
             as_schedule(run.schedule),
             cfg.horizon,
-            IntegratorControls(rel_tol=1e-10, abs_tol=1e-12, n_samples=cfg.n_samples),
+            IntegratorControls(rel_tol=1e-10, abs_tol=1e-12),
+            n_checkpoints=cfg.n_samples,
         )
         return "ok", {"deviation": deviation}
     if cfg.task == "recurrence":

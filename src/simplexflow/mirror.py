@@ -29,20 +29,23 @@ h = log(1 + eta T), since e^{-h} = 1/(1 + eta T).  ``iterate`` and
 ``ascent_certificate`` therefore take their states from the flows' closed
 form in ``replicator``, iterate k being the flow at time k h, in
 log-probabilities, so long concentrating runs survive far past the
-underflow point of the probabilities themselves.  The two printed maps stay
-as written, as the reference the iterates are checked against.
+underflow point of the probabilities themselves.  Iterates come in (K, V)
+blocks from ``replicator._solve_blocks``; free energy, per-step KL move,
+KL to softmax and ascent slack are row-wise operations on a block, and the
+run stops at the first row whose KL move is below the tolerance.  The two
+printed maps stay as written, as the reference the iterates are checked
+against.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .exceptions import InteriorityError, InvalidInputError
-from .replicator import ConstantSchedule, FieldKind, _fixed_score_flow
+from .replicator import ConstantSchedule, FieldKind, _row_dot, _solve_blocks
 from .simplex import (
     ScoreVector,
     SimplexPoint,
@@ -51,7 +54,12 @@ from .simplex import (
     check_temperature,
     log_softmax,
 )
-from .trajectory import TerminalStatus, TrajectoryRecord, TrajectorySample
+from .trajectory import (
+    CERTIFICATE_COLUMNS,
+    AscentCertificate,
+    TerminalStatus,
+    TrajectoryRecord,
+)
 
 DEFAULT_KL_TOL = 1e-12
 DEFAULT_STEP_SIZE = 0.5
@@ -62,59 +70,18 @@ class MirrorStepKind(Enum):
     PRINTED_MW = "printed-mw"
 
 
-@dataclass(frozen=True)
-class AscentCertificate:
-    """One-step record of the free-energy inequality F(q) >= F(p) + D(q||p)/eta.
-
-    ``slack`` is F(q) - F(p) - D(q||p)/eta; it is guaranteed nonnegative (to
-    rounding) for the exact prox step only.
-    """
-
-    f_before: float
-    f_after: float
-    kl_move: float
-    slack: float
-
-
 def _require_interior(p: SimplexPoint) -> None:
     if not p.interior:
         raise InteriorityError("step requires a strictly interior point")
 
 
-def _flow_states(kind: MirrorStepKind, p: SimplexPoint, s: ScoreVector, t: float, eta: float):
-    """(state function, time per step): the flow that ``kind`` samples, from p."""
+def _sampled_flow(kind: MirrorStepKind, p: SimplexPoint, s: ScoreVector, t: float, eta: float):
+    """(flow kind, time per step): the flow that ``kind`` samples, from p."""
     _require_interior(p)
     check_score_spread(s, t)
     if kind is MirrorStepKind.PRINTED_MW:
-        flow, h = FieldKind.LITERAL, eta
-    else:
-        flow, h = FieldKind.ENTROPIC, math.log1p(eta * t)
-    shifted = s.values - s.values.max()
-    return _fixed_score_flow(flow, np.log(p.probs), shifted, ConstantSchedule(t)), h
-
-
-def _free_energy_logs(q: np.ndarray, ell_q: np.ndarray, s: np.ndarray, t: float) -> float:
-    return float(q @ s) - t * float(q @ ell_q)
-
-
-def _kl_logs(q: np.ndarray, ell_q: np.ndarray, ell_p: np.ndarray) -> float:
-    return max(float(q @ (ell_q - ell_p)), 0.0)
-
-
-def _certify(
-    ell_p: np.ndarray, f_before: float, ell_q: np.ndarray, s: np.ndarray, t: float, eta: float
-) -> tuple[np.ndarray, AscentCertificate]:
-    """(q, certificate) of the move from log-state ``ell_p`` (free energy
-    ``f_before``) to ``ell_q``, exponentiating ``ell_q`` once."""
-    q = np.exp(ell_q)
-    f_after = _free_energy_logs(q, ell_q, s, t)
-    kl_move = _kl_logs(q, ell_q, ell_p)
-    return q, AscentCertificate(
-        f_before=f_before,
-        f_after=f_after,
-        kl_move=kl_move,
-        slack=f_after - f_before - kl_move / eta,
-    )
+        return FieldKind.LITERAL, eta
+    return FieldKind.ENTROPIC, math.log1p(eta * t)
 
 
 def _log_slope(etas, values: np.ndarray, floor: float) -> float:
@@ -158,14 +125,10 @@ def ascent_certificate(
     kind: MirrorStepKind, p: SimplexPoint, s: ScoreVector, temperature: float, eta: float
 ) -> AscentCertificate:
     """Free energy before/after one step plus the prox inequality slack."""
-    t = check_temperature(temperature)
-    eta = check_step_size(eta)
-    state, h = _flow_states(kind, p, s, t, eta)
-    ell_p, ell_q = state(0.0), state(h)
-    if ell_q is None:
-        raise InvalidInputError(f"step weights overflow: eta={eta!r} at T={t!r}")
-    f_before = _free_energy_logs(np.exp(ell_p), ell_p, s.values, t)
-    return _certify(ell_p, f_before, ell_q, s.values, t, eta)[1]
+    record = iterate(kind, p, s, temperature, eta, max_steps=1, kl_tol=0.0)
+    if record.terminal_status is TerminalStatus.DIVERGED:
+        raise InvalidInputError(f"step weights overflow: eta={eta!r} at T={temperature!r}")
+    return record.certificates[0]
 
 
 def iterate(
@@ -181,58 +144,63 @@ def iterate(
     """Iterate a step map until the per-step KL move drops below ``kl_tol``.
 
     Iterate k is the fixed-score flow at time k h (see the module docstring),
-    evaluated in closed form rather than by composing k steps.  Samples use
-    the step index as time and carry the KL to softmax(s, T); no field is
-    evaluated, so ``field_norm`` is NaN.  One certificate is attached per
-    executed step, between consecutive iterates, and holds the per-step KL
-    move.  Hitting ``max_steps`` (0 included) is reported as status MAX_TIME,
-    not raised; weights that overflow end the run DIVERGED before that step.
+    evaluated in closed form, a block of iterates at a time, rather than by
+    composing k steps.  Samples use the step index as time and carry the KL
+    to softmax(s, T); no field is evaluated, so ``field_norm`` is NaN.  One
+    certificate is attached per executed step, between consecutive iterates,
+    and holds the per-step KL move.  Hitting ``max_steps`` (0 included) is
+    reported as status MAX_TIME, not raised; weights that overflow end the
+    run DIVERGED before that step.
     """
     t = check_temperature(temperature)
     eta = check_step_size(eta)
     if max_steps < 0:
         raise InvalidInputError(f"max_steps must be nonnegative, got {max_steps}")
-    state, h = _flow_states(kind, p0, s, t, eta)
-
-    s_values = s.values
+    flow, h = _sampled_flow(kind, p0, s, t, eta)
     ell_target = log_softmax(s, t)
+    previous = []  # (log-state, free energy) of the last iterate measured so far
 
-    def make_sample(step_index: int, q: np.ndarray, ell_q: np.ndarray, f_q: float) -> TrajectorySample:
-        return TrajectorySample(
-            t=float(step_index),
-            p=SimplexPoint(q),
-            free_energy=f_q,
-            kl_to_target=_kl_logs(q, ell_q, ell_target),
-            field_norm=math.nan,
-        )
+    def measure(temperatures, logs):
+        q = np.exp(logs)
+        f = q @ s.values - t * _row_dot(q, logs)
+        first = not previous
+        ell_before, f_before = (logs[0], math.nan) if first else previous.pop()
+        kl_move = np.maximum(_row_dot(q, logs - np.vstack([ell_before, logs[:-1]])), 0.0)
+        f_before = np.concatenate([[f_before], f[:-1]])
+        if first:
+            kl_move[0] = math.nan  # the start has no step before it
+        previous.append((logs[-1], f[-1]))
+        met = np.flatnonzero(kl_move < kl_tol)
+        stop = int(met[0]) if met.size else None
+        status = TerminalStatus.MAX_TIME if stop is None else TerminalStatus.CONVERGED
+        return stop, status, "", {
+            "P": q,
+            "free_energy": f,
+            "kl_to_target": np.maximum(_row_dot(q, logs - ell_target), 0.0),
+            "f_before": f_before,
+            "f_after": f,
+            "kl_move": kl_move,
+            "slack": f - f_before - kl_move / eta,
+        }
 
-    ell = state(0.0)
-    p_now = np.exp(ell)
-    f_now = _free_energy_logs(p_now, ell, s_values, t)
-    samples = [make_sample(0, p_now, ell, f_now)]
-    certificates: list[AscentCertificate] = []
-    status = TerminalStatus.MAX_TIME
-    diagnostics = ""
-    for k in range(1, max_steps + 1):
-        ell_next = state(k * h)
-        if ell_next is None:
-            status = TerminalStatus.DIVERGED
-            diagnostics = f"step weights overflow at step {k}"
-            break
-        p_now, certificate = _certify(ell, f_now, ell_next, s_values, t, eta)
-        certificates.append(certificate)
-        ell, f_now = ell_next, certificate.f_after
-        samples.append(make_sample(k, p_now, ell, f_now))
-        if certificate.kl_move < kl_tol:
-            status = TerminalStatus.CONVERGED
-            break
-
-    return TrajectoryRecord(
-        samples=samples,
-        terminal_status=status,
-        accepted_steps=len(certificates),
-        diagnostics=diagnostics,
-        certificates=certificates,
+    shifted = s.values - s.values.max()
+    P, columns, status, diagnostics, counts = _solve_blocks(
+        flow,
+        np.log(p0.probs),
+        shifted,
+        ConstantSchedule(t),
+        max_steps + 1,
+        lambda k: k * h,
+        measure,
+        lambda k, _: f"step weights overflow at step {k}",
+    )
+    steps = len(P) - 1
+    columns["t"] = np.arange(len(P), dtype=np.float64)
+    columns["field_norm"] = np.full(len(P), math.nan)
+    for name in CERTIFICATE_COLUMNS:
+        columns[name] = columns[name][1:]
+    return TrajectoryRecord.from_columns(
+        P, columns, status, accepted_steps=steps, diagnostics=diagnostics, block_counts=counts
     )
 
 

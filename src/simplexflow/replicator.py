@@ -9,7 +9,12 @@ Two vector fields are provided, both of the replicator form
 With fixed scores both flows have exact solutions,
 ``log p(t) = a(t) log p0 + b(t) s`` up to normalization with (a, b) equal to
 (1, integral of 1/T) for LITERAL and (e^{-t}, integral of e^{-(t-u)}/T(u)) for
-ENTROPIC, which ``integrate`` evaluates at its stop times without stepping.
+ENTROPIC.  ``integrate`` evaluates them at its stop times without stepping, a
+(K, V) block of stops per array operation (``_solve_blocks``, which the
+discrete iterations of ``mirror`` share): blocks double in rows from
+FIRST_BLOCK, are capped at BLOCK_BYTES, and the run ends at the first row of a
+block that meets a stop rule.  Free energy, KL, field norm and the simplex
+checks are row-wise operations on the block.
 
 The ENTROPIC field is the natural gradient of the free energy under the
 inner product <u, v>_p = sum u_i v_i / p_i and vanishes exactly at
@@ -45,11 +50,13 @@ from .simplex import (
     ScoreVector,
     SimplexPoint,
     _normalize_logs,
+    _normalize_rows,
+    _simplex_rows,
     check_score_spread,
     check_temperature,
     free_energy,
 )
-from .trajectory import TerminalStatus, TrajectoryRecord, TrajectorySample
+from .trajectory import BlockCounts, TerminalStatus, TrajectoryRecord, TrajectorySample
 
 #: log-probability clamp for the entropic field near the boundary
 LOG_CLAMP = math.log(1e-300)
@@ -238,18 +245,22 @@ def effective_time(schedule: TemperatureSchedule, t: float) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Inner product of each row of two (K, V) arrays."""
+    return np.einsum("kv,kv->k", a, b)
+
+
 def _tangent_field(p: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """p * (g - <p, g>) with the rounding residual folded into the largest entry.
+    """p * (g - <p, g>) for a point or each row of a (K, V) block, with the
+    rounding residual folded into the largest-magnitude entry.
 
     Coordinates with p_i = 0 stay exactly zero; the fold keeps the float sum
     within one ulp of zero without touching them.
     """
-    x = p * (g - float(p @ g))
-    r = float(np.sum(x))
-    if r != 0.0:
-        nz = np.flatnonzero(x)
-        if nz.size:
-            x[nz[int(np.argmax(np.abs(x[nz])))]] -= r
+    inner = p @ g if p.ndim == 1 else _row_dot(p, g)[:, np.newaxis]
+    x = p * (g - inner)
+    rows = x.reshape(-1, x.shape[-1])
+    rows[np.arange(len(rows)), np.argmax(np.abs(rows), axis=1)] -= rows.sum(axis=1)
     return x
 
 
@@ -317,13 +328,16 @@ def _stops(horizon: float, schedule: TemperatureSchedule, controls: IntegratorCo
     else:
         # geometric cadence: dense early where free energy and KL move fastest
         interior = controls.dt0 * (horizon / controls.dt0) ** (np.arange(n - 1) / (n - 2))
-        grid = np.unique(np.concatenate(([0.0], interior)))
+        grid = np.concatenate(([0.0], interior))
+    # a set, not np.unique: the first np.unique in a freshly forked sweep
+    # worker took ~1600 copy-on-write page faults (25-50 ms per worker)
+    times = set(grid.tolist())
     stops = sorted(
-        set(float(t) for t in grid if 0.0 < t <= horizon)
-        | set(b for b in schedule.breakpoints() if 0.0 < b < horizon)
+        {t for t in times if 0.0 < t <= horizon}
+        | {b for b in schedule.breakpoints() if 0.0 < b < horizon}
         | {horizon}
     )
-    return stops, set(float(t) for t in grid)
+    return stops, times
 
 
 def _fitness(kind: FieldKind, scores_at: Callable[[np.ndarray], np.ndarray]) -> Callable:
@@ -450,25 +464,83 @@ def _run_flow(
     )
 
 
-def _fixed_score_flow(
-    kind: FieldKind, ell0: np.ndarray, shifted: np.ndarray, schedule: TemperatureSchedule
-) -> Callable[[float], Optional[np.ndarray]]:
+#: rows in the first closed-form block; each later block has twice as many
+FIRST_BLOCK = 16
+#: bytes one (rows, V) float64 block may take, so a wide vocabulary keeps blocks small
+BLOCK_BYTES = 1 << 20
+
+
+def _solve_blocks(
+    kind: FieldKind,
+    ell0: np.ndarray,
+    shifted: np.ndarray,
+    schedule: TemperatureSchedule,
+    n_rows: int,
+    time_at: Callable[[int], float],
+    measure: Callable,
+    overflow_note: Callable[[int, float], str],
+) -> tuple:
     """The fixed-score flow from log-weights ``ell0`` with max-shifted scores
-    ``shifted``, as a function of time: ``normalize(a ell0 + b shifted)`` with
-    (a, b) = (1, effective_time) for LITERAL and (e^{-t}, entropic_weight) for
-    ENTROPIC, or None where the temperature or the weights overflow."""
+    ``shifted`` at times ``time_at(0), ..., time_at(n_rows - 1)``, up to the
+    first row that ``measure`` stops at.
+
+    Row k is ``normalize(a ell0 + b shifted)`` at t_k, with (a, b) =
+    (1, effective_time) for LITERAL and (e^{-t}, entropic_weight) for
+    ENTROPIC.  Rows are evaluated as (K, V) blocks: K starts at FIRST_BLOCK,
+    doubles from block to block and is capped at BLOCK_BYTES.  For each block
+    ``measure(temperatures, logs)`` returns (stop row or None, status,
+    diagnostics, columns): "P", the rows of exp(logs) its values were measured
+    on, and one value per row for each other column.  A temperature that
+    overflows raises, and weights that overflow end the run DIVERGED before
+    that row with diagnostics ``overflow_note(row, t)``, unless an earlier row
+    stops the run.
+
+    Returns (P, columns, status, diagnostics, BlockCounts) over the rows up to
+    the stop, with P checked and renormalized like ``SimplexPoint``.
+    """
     entropic = kind is FieldKind.ENTROPIC
     weight = schedule.entropic_weight if entropic else schedule.effective_time
     spread = -float(shifted.min())
-
-    def state(t: float) -> Optional[np.ndarray]:
-        temperature = schedule.at(t)
-        a, b = (math.exp(-t) if entropic else 1.0), weight(t)
-        if not (temperature > 0.0 and math.isfinite(b * spread + spread / temperature)):
-            return None
-        return _normalize_logs(a * ell0 + b * shifted)
-
-    return state
+    cap = max(1, BLOCK_BYTES // (8 * ell0.size))
+    blocks = []
+    status, diagnostics = TerminalStatus.MAX_TIME, ""
+    start, size, evaluated = 0, FIRST_BLOCK, 0
+    while start < n_rows:
+        times, coefficients, failure = [], [], None
+        for row in range(start, min(n_rows, start + min(size, cap))):
+            t = time_at(row)
+            try:
+                temperature = schedule.at(t)
+            except InvalidInputError as exc:  # raised once every earlier row is measured
+                failure = exc
+                break
+            b = weight(t)
+            if not (temperature > 0.0 and math.isfinite(b * spread + spread / temperature)):
+                failure = overflow_note(row, t)
+                break
+            times.append(t)
+            coefficients.append((math.exp(-t) if entropic else 1.0, b, temperature))
+        if times:
+            a, b, temperatures = np.array(coefficients).T
+            logs = _normalize_rows(a[:, np.newaxis] * ell0 + b[:, np.newaxis] * shifted)
+            stop, status, diagnostics, columns = measure(temperatures, logs)
+            evaluated += len(times)
+            end = len(times) if stop is None else stop + 1
+            columns = {name: column[:end] for name, column in columns.items()}
+            columns["P"] = _simplex_rows(columns["P"])
+            blocks.append(columns)
+            if stop is not None:
+                break
+        if isinstance(failure, InvalidInputError):
+            raise failure
+        if failure is not None:
+            status, diagnostics = TerminalStatus.DIVERGED, failure
+            break
+        start += len(times)
+        size *= 2
+    columns = {name: np.concatenate([block[name] for block in blocks]) for name in blocks[0]}
+    P = columns.pop("P")
+    return P, columns, status, diagnostics, BlockCounts(evaluated, len(P), len(blocks))
 
 
 def literal_target_logs(p0: SimplexPoint, s: ScoreVector) -> np.ndarray:
@@ -517,11 +589,10 @@ def integrate(
         raise InteriorityError("entropic field requires an interior start")
     check_score_spread(s, sched.at(0.0))
     shifted = s.values - s.values.max()
-    fitness = _fitness(kind, lambda p: shifted)
     if entropic:
 
-        def kl_fn(p, ell, temperature):
-            return max(float(p @ (ell - _normalize_logs(shifted / temperature))), 0.0)
+        def kl_rows(P, logs, temperatures):
+            return _row_dot(P, logs - _normalize_rows(shifted / temperatures))
 
     else:
         target_ell = literal_target_logs(p0, s)
@@ -529,36 +600,64 @@ def integrate(
         target_sel = target_p > 0.0
         target_plogp = float(target_p[target_sel] @ target_ell[target_sel])
 
-        def kl_fn(p, ell, temperature):
-            return max(target_plogp - float(target_p[target_sel] @ ell[target_sel]), 0.0)
+        def kl_rows(P, logs, temperatures):
+            return target_plogp - logs[:, target_sel] @ target_p[target_sel]
+
+    times = [0.0] + stops
+    stopped = []  # set when a row stops the run: that row is kept as a sample
+
+    def measure(temperatures, logs):
+        stop, status, diagnostics = None, TerminalStatus.MAX_TIME, ""
+        if entropic:
+            low = np.flatnonzero(logs.min(axis=1) < LOG_CLAMP)
+            if low.size:
+                stop = int(low[0])
+                logs[stop] = _normalize_logs(np.maximum(logs[stop], LOG_CLAMP))
+                status = TerminalStatus.DIVERGED
+                diagnostics = "log-probability clamp hit near the boundary"
+        P = np.exp(logs)
+        temperatures = temperatures[:, np.newaxis]
+        g = shifted / temperatures - logs if entropic else shifted / temperatures
+        columns = {
+            "P": P,
+            # sum p_i * log p_i with exact-zero coordinates contributing 0
+            "free_energy": P @ s.values
+            - temperatures[:, 0] * _row_dot(P, np.where(P > 0.0, logs, 0.0)),
+            "kl_to_target": np.maximum(kl_rows(P, logs, temperatures), 0.0),
+            "field_norm": np.abs(_tangent_field(P, g)).max(axis=1),
+        }
+        met = np.flatnonzero(
+            (columns["kl_to_target"] < controls.convergence_kl)
+            | (columns["field_norm"] < controls.convergence_field_norm)
+        )
+        if met.size and (stop is None or met[0] < stop):
+            stop, status, diagnostics = int(met[0]), TerminalStatus.CONVERGED, ""
+        if stop is not None:
+            stopped.append(stop)
+        return stop, status, diagnostics, columns
 
     with np.errstate(divide="ignore"):
-        state = _fixed_score_flow(kind, np.log(p0.probs), shifted, sched)
-    samples = []
-    status = TerminalStatus.MAX_TIME
-    diagnostics = ""
-    for t in [0.0] + stops:
-        ell = state(t)
-        if ell is None:
-            status = TerminalStatus.DIVERGED
-            diagnostics = f"flow weights overflow at t={t:.6g}"
-            break
-        temperature = sched.at(t)
-        if entropic and float(ell.min()) < LOG_CLAMP:
-            ell = _normalize_logs(np.maximum(ell, LOG_CLAMP))
-            status = TerminalStatus.DIVERGED
-            diagnostics = "log-probability clamp hit near the boundary"
-        sample = _observe(t, ell, temperature, lambda p: float(p @ s.values), fitness, kl_fn)
-        if status is TerminalStatus.MAX_TIME and (
-            sample.kl_to_target < controls.convergence_kl
-            or sample.field_norm < controls.convergence_field_norm
-        ):
-            status = TerminalStatus.CONVERGED
-        if t == 0.0 or t in sample_set or status is not TerminalStatus.MAX_TIME:
-            samples.append(sample)
-        if status is not TerminalStatus.MAX_TIME:
-            break
-    return TrajectoryRecord(samples=samples, terminal_status=status, diagnostics=diagnostics)
+        ell0 = np.log(p0.probs)
+    P, columns, status, diagnostics, counts = _solve_blocks(
+        kind,
+        ell0,
+        shifted,
+        sched,
+        len(times),
+        times.__getitem__,
+        measure,
+        lambda row, t: f"flow weights overflow at t={t:.6g}",
+    )
+    columns["t"] = np.array(times[: len(P)])
+    keep = np.array([t == 0.0 or t in sample_set for t in times[: len(P)]])
+    keep[-1] |= bool(stopped)
+    return TrajectoryRecord.from_columns(
+        P[keep],
+        {name: column[keep] for name, column in columns.items()},
+        status,
+        diagnostics=diagnostics,
+        block_counts=counts,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -647,6 +746,8 @@ def _reparameterization_deviation(
     numerically, so the identity is measured rather than assumed."""
     if p0.size != s.size:
         raise InvalidInputError(f"size mismatch: p0 has {p0.size} entries, s has {s.size}")
+    if n_checkpoints < 1:
+        raise InvalidInputError(f"need at least 1 checkpoint, got {n_checkpoints}")
     sched = as_schedule(schedule)
     grid = np.linspace(0.0, horizon, n_checkpoints + 1)
     base = replace(controls, convergence_field_norm=0.0, sample_times=tuple(grid))

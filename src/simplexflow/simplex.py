@@ -136,6 +136,14 @@ class SimplexPoint:
                 arr = arr / float(arr.sum())
         object.__setattr__(self, "probs", _freeze(arr))
 
+    @classmethod
+    def _from_checked(cls, probs: np.ndarray) -> "SimplexPoint":
+        """A point on a read-only row that already passed the construction
+        checks, as a point's ``probs`` or a row ``_simplex_rows`` returned."""
+        point = object.__new__(cls)
+        object.__setattr__(point, "probs", probs)
+        return point
+
     @property
     def size(self) -> int:
         return int(self.probs.size)
@@ -167,6 +175,33 @@ class SimplexPoint:
     @classmethod
     def from_json(cls, text: str) -> "SimplexPoint":
         return cls(json.loads(text))
+
+
+def _simplex_rows(rows: np.ndarray) -> np.ndarray:
+    """The rows of an (n, V) array checked and renormalized as ``SimplexPoint``
+    construction checks and renormalizes one vector, with the same
+    arithmetic per row: every entry finite and nonnegative, each row's sum off
+    1 by at most ``MAX_CONSTRUCTION_DRIFT`` (else InvalidInputError), rows
+    divided by their sum, and again if that leaves them off 1 by more than
+    ``NORM_EPS``.  The input is not modified."""
+    if not np.isfinite(rows).all():
+        raise InvalidInputError("probabilities must be finite")
+    if (rows < 0.0).any():
+        raise InvalidInputError(f"negative probability: min entry {rows.min()!r}")
+    totals = rows.sum(axis=1)
+    drift = np.abs(totals - 1.0) > MAX_CONSTRUCTION_DRIFT
+    if drift.any():
+        raise InvalidInputError(
+            f"probabilities sum to {float(totals[drift][0])!r}; "
+            f"drift exceeds {MAX_CONSTRUCTION_DRIFT}"
+        )
+    if (totals != 1.0).any():
+        rows = rows / totals[:, np.newaxis]  # x / 1.0 == x: exact rows stay as they are
+        totals = rows.sum(axis=1)
+        again = np.abs(totals - 1.0) > NORM_EPS
+        if again.any():
+            rows = rows / np.where(again, totals, 1.0)[:, np.newaxis]
+    return rows
 
 
 @dataclass(frozen=True)
@@ -257,6 +292,14 @@ def _normalize_logs(ell: np.ndarray) -> np.ndarray:
     """Shift log-weights so they exponentiate to a probability vector (max-shifted)."""
     m = float(ell.max())
     return ell - (m + math.log(float(np.exp(ell - m).sum())))
+
+
+def _normalize_rows(ell: np.ndarray) -> np.ndarray:
+    """``_normalize_logs`` of each row of an (n, V) array, with the same
+    arithmetic per row (the log of each sum is ``math.log``)."""
+    m = ell.max(axis=1, keepdims=True)
+    sums = np.exp(ell - m).sum(axis=1)
+    return ell - (m + np.array([math.log(x) for x in sums.tolist()])[:, np.newaxis])
 
 
 def entropy(p: SimplexPoint) -> float:

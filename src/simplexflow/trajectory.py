@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import operator
+from collections.abc import Sequence
+from dataclasses import dataclass
 from enum import Enum
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -35,29 +38,167 @@ class TrajectorySample:
     field_norm: float
 
 
-@dataclass
+@dataclass(frozen=True)
+class AscentCertificate:
+    """One-step record of the free-energy inequality F(q) >= F(p) + D(q||p)/eta.
+
+    ``slack`` is F(q) - F(p) - D(q||p)/eta; it is guaranteed nonnegative (to
+    rounding) for the exact prox step only.
+    """
+
+    f_before: float
+    f_after: float
+    kl_move: float
+    slack: float
+
+
+@dataclass(frozen=True)
+class BlockCounts:
+    """Closed-form work of one run: rows evaluated (those past the stop in the
+    last block included), rows up to and including the stop, and blocks."""
+
+    stops_evaluated: int
+    stops_kept: int
+    blocks: int
+
+
+SAMPLE_COLUMNS = ("t", "free_energy", "kl_to_target", "field_norm")
+CERTIFICATE_COLUMNS = ("f_before", "f_after", "kl_move", "slack")
+
+
+class _Rows(Sequence):
+    """Read-only sequence of ``n`` rows, row i built by ``make(i)`` on access."""
+
+    def __init__(self, n: int, make: Callable[[int], object]):
+        self._n, self._make = n, make
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self._make(i) for i in range(*index.indices(self._n))]
+        i = operator.index(index)
+        if i < 0:
+            i += self._n
+        if not 0 <= i < self._n:
+            raise IndexError("row index out of range")
+        return self._make(i)
+
+    def __iter__(self):
+        return map(self._make, range(self._n))
+
+    def __eq__(self, other):
+        if isinstance(other, Sequence) and not isinstance(other, str):
+            return list(self) == list(other)
+        return NotImplemented
+
+
+def _frozen(values) -> np.ndarray:
+    arr = np.asarray(values, dtype=np.float64)
+    arr.flags.writeable = False
+    return arr
+
+
 class TrajectoryRecord:
-    samples: list[TrajectorySample]
-    terminal_status: TerminalStatus
-    renormalizations: int = 0
-    accepted_steps: int = 0
-    diagnostics: str = ""
-    #: per-step ascent certificates, populated by the discrete mirror driver
-    certificates: list = field(default_factory=list)
+    """A run stored as columns: times ``t``, the (n, V) probabilities ``P``
+    (each row meets ``SimplexPoint``'s invariants), ``free_energy``,
+    ``kl_to_target`` and ``field_norm``, plus one ``f_before``, ``f_after``,
+    ``kl_move`` and ``slack`` per certified step.
+
+    ``samples`` and ``certificates`` are read-only sequences that build a
+    ``TrajectorySample`` or an ``AscentCertificate`` only when a row is read;
+    ``len`` builds nothing.  The constructor takes lists of those objects;
+    ``from_columns`` takes the arrays.  ``block_counts`` is set by the
+    closed-form solver only.
+    """
+
+    def __init__(
+        self,
+        samples: Sequence,
+        terminal_status: TerminalStatus,
+        renormalizations: int = 0,
+        accepted_steps: int = 0,
+        diagnostics: str = "",
+        certificates: Sequence = (),
+    ):
+        samples, certificates = list(samples), list(certificates)
+        columns = {
+            name: [getattr(sample, name) for sample in samples] for name in SAMPLE_COLUMNS
+        }
+        columns.update(
+            {name: [getattr(cert, name) for cert in certificates] for name in CERTIFICATE_COLUMNS}
+        )
+        probs = [sample.p.probs for sample in samples]
+        self._set(
+            np.vstack(probs) if probs else np.empty((0, 0)),
+            columns,
+            terminal_status,
+            renormalizations,
+            accepted_steps,
+            diagnostics,
+            None,
+        )
+
+    @classmethod
+    def from_columns(
+        cls,
+        P: np.ndarray,
+        columns: dict,
+        terminal_status: TerminalStatus,
+        accepted_steps: int = 0,
+        diagnostics: str = "",
+        block_counts: Optional[BlockCounts] = None,
+    ) -> "TrajectoryRecord":
+        """A record from checked probability rows and a dict holding every
+        sample column and, when steps were certified, every certificate column."""
+        record = cls.__new__(cls)
+        record._set(P, columns, terminal_status, 0, accepted_steps, diagnostics, block_counts)
+        return record
+
+    def _set(self, P, columns, status, renormalizations, accepted_steps, diagnostics, counts):
+        self.P = _frozen(P)
+        for name in SAMPLE_COLUMNS + CERTIFICATE_COLUMNS:
+            setattr(self, name, _frozen(columns.get(name, ())))
+        self.terminal_status = status
+        self.renormalizations = renormalizations
+        self.accepted_steps = accepted_steps
+        self.diagnostics = diagnostics
+        self.block_counts = counts
+
+    def _sample(self, i: int) -> TrajectorySample:
+        return TrajectorySample(
+            t=float(self.t[i]),
+            p=SimplexPoint._from_checked(self.P[i]),
+            free_energy=float(self.free_energy[i]),
+            kl_to_target=float(self.kl_to_target[i]),
+            field_norm=float(self.field_norm[i]),
+        )
+
+    def _certificate(self, i: int) -> AscentCertificate:
+        return AscentCertificate(*(float(getattr(self, name)[i]) for name in CERTIFICATE_COLUMNS))
+
+    @property
+    def samples(self) -> Sequence:
+        return _Rows(len(self.t), self._sample)
+
+    @property
+    def certificates(self) -> Sequence:
+        return _Rows(len(self.slack), self._certificate)
 
     @property
     def terminal(self) -> TrajectorySample:
-        return self.samples[-1]
+        return self._sample(len(self.t) - 1)
 
     @property
     def times(self) -> np.ndarray:
-        return np.array([s.t for s in self.samples])
+        return self.t
 
     @property
     def free_energies(self) -> np.ndarray:
-        return np.array([s.free_energy for s in self.samples])
+        return self.free_energy
 
     @property
     def probabilities(self) -> np.ndarray:
         """Samples stacked into an (n_samples, V) array."""
-        return np.vstack([s.p.probs for s in self.samples])
+        return self.P

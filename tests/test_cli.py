@@ -24,6 +24,7 @@ from simplexflow.cli import (
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 _RUN_CELL = cli._run_cell
+_DEVIATION = cli._reparameterization_deviation
 
 
 def _worker_dies_on_cell_one(payload):
@@ -119,6 +120,31 @@ class TestConfigFile:
             load_config_file(str(cfg_file))
         assert main(["simulate", "--config", str(cfg_file)]) == EXIT_CONFIG
         assert not Path("run.csv").exists()
+
+    @pytest.mark.parametrize(
+        "command, text, named",
+        [
+            ("sweep", "[scores]\nvalues = 1, 0\n[sweep]\ngrid.seed = 1.5, 1.7\n",
+             "[sweep] grid.seed"),
+            ("simulate", "[scores]\nvalues = 1, 0\n[output]\npath =\n", "[output] path"),
+            ("sweep", "[scores]\nvalues = 1, 0\n[output]\npath = .\n", "[output] path"),
+        ],
+        ids=["fractional-grid-seed", "empty-output-path", "sweep-output-dir"],
+    )
+    def test_bad_values_are_exit_2_naming_the_key(
+        self, tmp_path, monkeypatch, capsys, command, text, named
+    ):
+        monkeypatch.chdir(tmp_path)
+        Path("exp.ini").write_text(text)
+        assert main([command, "--config", "exp.ini"]) == EXIT_CONFIG
+        assert named in capsys.readouterr().err
+        assert [path.name for path in tmp_path.iterdir()] == ["exp.ini"]
+
+    def test_an_empty_output_flag_is_not_given(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        Path("exp.ini").write_text("[scores]\nvalues = 1, 0\n[output]\npath = from_file\n")
+        assert main(["simulate", "--config", "exp.ini", "--output", ""]) == EXIT_OK
+        assert Path("from_file.csv").exists()
 
     @pytest.mark.parametrize("value", ["0", "-0.01", "nan"])
     def test_invalid_dt0_is_exit_2(self, tmp_path, monkeypatch, capsys, value):
@@ -467,6 +493,23 @@ class TestSweep:
         for cell in payload["cells"]:
             assert cell["metrics"]["deviation"] < 1e-7
 
+    def test_reparameterization_samples_set_the_checkpoints(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        seen = []
+
+        def deviation(*args, **kwargs):
+            seen.append(kwargs["n_checkpoints"])
+            return _DEVIATION(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "_reparameterization_deviation", deviation)
+        Path("sweep.ini").write_text(
+            "[run]\ndynamics = literal\n[scores]\nvalues = 1.0, 0.0, -0.5\n"
+            "[temperature]\nschedule = piecewise:0:1,0.5:2\n[integrator]\nhorizon = 2\n"
+            "samples = 7\n[sweep]\ntask = reparameterization\ngrid.seed = 1, 2\n"
+        )
+        assert main(["sweep", "--config", "sweep.ini", "--output", "rep"]) == EXIT_OK
+        assert seen == [7, 7]
+
     def test_singleton_grid_matches_simulate(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         cfg = tmp_path / "sweep.ini"
@@ -663,3 +706,22 @@ class TestManifest:
         )
         back = RunManifest.from_json(manifest.to_json())
         assert back == manifest
+
+    def test_closed_form_runs_report_their_blocks(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["simulate", "--scores", "1,0,-0.5", "--output", "flow"]) == EXIT_OK
+        assert main(["prox-iterate", "--scores", "1,0,-0.5", "--output", "prox"]) == EXIT_OK
+        Path("linear.ini").write_text(
+            "[scores]\nvalues = 0, 0, 0\n[field]\nkind = linear\n"
+            "coupling = 0,1,-1,-1,0,1,1,-1,0\n[integrator]\nhorizon = 1\n"
+        )
+        assert main(["simulate", "--config", "linear.ini", "--output", "linear"]) == EXIT_OK
+        flow, prox = read_manifest("flow"), read_manifest("prox")
+        for manifest in (flow, prox):
+            counts = manifest.telemetry
+            assert set(counts) == {"stops_evaluated", "stops_kept", "blocks"}
+            assert counts["stops_evaluated"] >= counts["stops_kept"] and counts["blocks"] >= 1
+            assert not set(counts) & set(manifest.metrics)
+        assert flow.telemetry["stops_kept"] >= flow.metrics["samples"]
+        assert prox.telemetry["stops_kept"] == prox.metrics["steps"] + 1
+        assert read_manifest("linear").telemetry == {}

@@ -13,6 +13,7 @@ from simplexflow import (
     IntegratorControls,
     InteriorityError,
     InvalidInputError,
+    MirrorStepKind,
     PiecewiseConstantSchedule,
     ScoreVector,
     SimplexPoint,
@@ -25,14 +26,17 @@ from simplexflow import (
     euler_consistency,
     eval_field,
     integrate,
+    iterate,
     kl_divergence,
+    log_softmax,
     lyapunov_report,
     parse_schedule,
     restrict_to_face,
     softmax,
 )
 from simplexflow.oracles import closed_form_entropic, closed_form_literal
-from simplexflow.replicator import _run_flow
+from simplexflow.replicator import BLOCK_BYTES, FIRST_BLOCK, LOG_CLAMP, _run_flow
+from simplexflow.trajectory import BlockCounts, TrajectoryRecord
 
 from conftest import score_lists, weight_lists
 
@@ -420,3 +424,166 @@ class TestClosedFormGates:
                 exact = closed_form_literal(p0, s, 1.0, sample.t)
                 mask = exact.probs > 0
                 assert np.max(np.abs(sample.p.probs[mask] / exact.probs[mask] - 1.0)) < 1e-6
+
+
+def scalar_logs(kind, p0, s, schedule, times):
+    """Each stop alone: normalize(a log p0 + b (s - max s)) with (a, b) =
+    (1, effective_time) for LITERAL and (e^{-t}, entropic_weight) for ENTROPIC."""
+    entropic = kind is FieldKind.ENTROPIC
+    ell0, shifted = np.log(p0.probs), s.values - s.values.max()
+    rows = []
+    for t in times:
+        a = math.exp(-t) if entropic else 1.0
+        b = schedule.entropic_weight(t) if entropic else schedule.effective_time(t)
+        rows.append(normalized(a * ell0 + b * shifted))
+    return rows
+
+
+def normalized(ell):
+    m = float(ell.max())
+    return ell - (m + math.log(float(np.exp(ell - m).sum())))
+
+
+def scalar_probs(rows):
+    return np.array([SimplexPoint(np.exp(ell)).probs for ell in rows])
+
+
+def scalar_moves(rows):
+    """Per-step KL move D(p_k || p_{k-1}), k = 1, 2, ..."""
+    return [max(float(np.exp(b) @ (b - a)), 0.0) for a, b in zip(rows, rows[1:])]
+
+
+class TestBlockedClosedForm:
+    """The (K, V) blocks of ``_solve_blocks`` against each stop evaluated alone
+    (``scalar_logs``): probabilities equal to the bit, stop rows equal, KL
+    values within 1e-15.  Blocks hold FIRST_BLOCK = 16, 32, 64, ... rows."""
+
+    P0 = SimplexPoint([0.1, 0.2, 0.3, 0.4])
+    S = ScoreVector([1.0, 0.0, -0.5, 2.0])
+
+    @pytest.mark.parametrize("row", [1, 15, 16, 17, 48])
+    def test_iterates_stop_at_the_first_row_below_the_tolerance(self, row):
+        temp, eta = 1.0, 0.05
+        h = math.log1p(eta * temp)
+        rows = scalar_logs(FieldKind.ENTROPIC, self.P0, self.S, ConstantSchedule(temp),
+                           [k * h for k in range(200)])
+        moves = scalar_moves(rows)
+        assert moves[row - 1] < min(moves[: row - 1], default=math.inf) / 1.01
+        tol = moves[row - 1] * (1.005 if row == 1 else math.sqrt(moves[row - 2] / moves[row - 1]))
+        record = iterate(MirrorStepKind.EXACT_PROX, self.P0, self.S, temp, eta,
+                         max_steps=199, kl_tol=tol)
+        assert record.terminal_status is TerminalStatus.CONVERGED
+        assert record.accepted_steps == row and len(record.samples) == row + 1
+        assert np.array_equal(record.P, scalar_probs(rows[: row + 1]))
+        assert np.max(np.abs(record.kl_move - moves[:row])) <= 1e-15
+        assert record.block_counts.stops_kept == row + 1
+
+    @pytest.mark.parametrize("row", [1, 15, 16, 17, 48])
+    def test_flows_stop_at_the_first_row_below_the_tolerance(self, row):
+        grid = np.linspace(0.0, 6.0, 121)
+        rows = scalar_logs(FieldKind.ENTROPIC, self.P0, self.S, ConstantSchedule(1.0), grid)
+        target = log_softmax(self.S, 1.0)
+        kls = [max(float(np.exp(ell) @ (ell - target)), 0.0) for ell in rows]
+        assert all(np.diff(kls) < 0)
+        tol = math.sqrt(kls[row] * kls[row - 1])
+        controls = IntegratorControls(sample_times=tuple(grid), convergence_kl=tol)
+        traj = integrate(FieldKind.ENTROPIC, self.P0, self.S, 1.0, 6.0, controls)
+        assert traj.terminal_status is TerminalStatus.CONVERGED
+        assert len(traj.samples) == row + 1 and traj.terminal.t == grid[row]
+        assert np.array_equal(traj.P, scalar_probs(rows[: row + 1]))
+        assert np.max(np.abs(traj.kl_to_target - kls[: row + 1])) <= 1e-15
+
+    def test_blocks_are_capped_in_bytes_at_a_wide_vocabulary(self):
+        rng = np.random.default_rng(501)
+        size = 10_000
+        s = ScoreVector(rng.uniform(-3, 3, size))
+        p0 = SimplexPoint(rng.dirichlet(np.ones(size)))
+        cap = BLOCK_BYTES // (8 * size)
+        assert cap < FIRST_BLOCK
+        record = iterate(MirrorStepKind.PRINTED_MW, p0, s, 1.0, 0.5, max_steps=40, kl_tol=0.0)
+        assert record.block_counts == BlockCounts(41, 41, math.ceil(41 / cap))
+        rows = scalar_logs(FieldKind.LITERAL, p0, s, ConstantSchedule(1.0),
+                           [k * 0.5 for k in range(41)])
+        assert np.array_equal(record.P, scalar_probs(rows))
+
+    def test_max_steps_off_a_block_edge(self):
+        record = iterate(MirrorStepKind.PRINTED_MW, self.P0, self.S, 1.0, 0.5,
+                         max_steps=20, kl_tol=0.0)
+        assert record.terminal_status is TerminalStatus.MAX_TIME
+        assert record.accepted_steps == 20 and len(record.certificates) == 20
+        assert record.block_counts == BlockCounts(21, 21, 2)
+        rows = scalar_logs(FieldKind.LITERAL, self.P0, self.S, ConstantSchedule(1.0),
+                           [k * 0.5 for k in range(21)])
+        assert np.array_equal(record.P, scalar_probs(rows))
+
+    def test_overflow_diverges_keeping_the_earlier_rows(self):
+        temp, eta = 1e-306, 0.5
+        first = next(k for k in range(401) if not math.isfinite(k * eta / temp + 1.0 / temp))
+        record = iterate(MirrorStepKind.PRINTED_MW, SimplexPoint.uniform(2),
+                         ScoreVector([1.0, 0.0]), temp, eta, max_steps=400, kl_tol=0.0)
+        assert record.terminal_status is TerminalStatus.DIVERGED
+        assert record.diagnostics.endswith(f"at step {first}")
+        assert len(record.samples) == first
+        assert record.block_counts == BlockCounts(first, first, 5)
+        rows = scalar_logs(FieldKind.LITERAL, SimplexPoint.uniform(2), ScoreVector([1.0, 0.0]),
+                           ConstantSchedule(temp), [k * eta for k in range(first)])
+        assert np.array_equal(record.P, scalar_probs(rows))
+
+    def test_clamp_row_ends_the_run(self):
+        grid = np.linspace(0.0, 2.0, 101)
+        s, p0 = ScoreVector([0.0, 1600.0]), SimplexPoint.uniform(2)
+        rows = scalar_logs(FieldKind.ENTROPIC, p0, s, ConstantSchedule(1.0), grid)
+        clamp = next(k for k, ell in enumerate(rows) if ell.min() < LOG_CLAMP)
+        assert clamp > FIRST_BLOCK
+        controls = IntegratorControls(sample_times=tuple(grid), convergence_kl=0.0)
+        traj = integrate(FieldKind.ENTROPIC, p0, s, 1.0, 2.0, controls)
+        assert traj.terminal_status is TerminalStatus.DIVERGED
+        assert "clamp" in traj.diagnostics and len(traj.samples) == clamp + 1
+        assert np.array_equal(traj.P[:clamp], scalar_probs(rows[:clamp]))
+        clamped = scalar_probs([normalized(np.maximum(rows[clamp], LOG_CLAMP))])
+        assert np.array_equal(traj.P[clamp:], clamped)
+        # a row that converges ends the run before a clamp row later in its block
+        coarse = IntegratorControls(sample_times=tuple(grid[::10]))
+        early = integrate(FieldKind.ENTROPIC, p0, s, 1.0, 2.0, coarse)
+        assert early.terminal_status is TerminalStatus.CONVERGED and len(early.samples) == 2
+
+    def test_stop_indices_match_at_kl_tol_1e_12(self):
+        rng = np.random.default_rng(502)
+        for size in (2, 8, 64):
+            for temp in (0.25, 1.0, 4.0):
+                for eta in (0.1, 1.0):
+                    s = ScoreVector(rng.uniform(-3, 3, size))
+                    p0 = SimplexPoint(rng.dirichlet(np.ones(size)))
+                    for kind, flow, h in (
+                        (MirrorStepKind.EXACT_PROX, FieldKind.ENTROPIC, math.log1p(eta * temp)),
+                        (MirrorStepKind.PRINTED_MW, FieldKind.LITERAL, eta),
+                    ):
+                        record = iterate(kind, p0, s, temp, eta, max_steps=3000, kl_tol=1e-12)
+                        rows = scalar_logs(flow, p0, s, ConstantSchedule(temp),
+                                           [k * h for k in range(record.accepted_steps + 1)])
+                        moves = scalar_moves(rows)
+                        stop = next((k for k, m in enumerate(moves, 1) if m < 1e-12), None)
+                        if record.terminal_status is TerminalStatus.CONVERGED:
+                            assert stop == record.accepted_steps
+                        else:  # near-tied top scores: printed MW moves slowly
+                            assert stop is None and record.accepted_steps == 3000
+
+    def test_samples_and_certificates_are_views_of_the_columns(self, monkeypatch):
+        record = iterate(MirrorStepKind.EXACT_PROX, self.P0, self.S, 1.0, 0.5, kl_tol=1e-12)
+        n = len(record.P)
+
+        def refuse(self, i):
+            raise AssertionError("row built")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(TrajectoryRecord, "_sample", refuse)
+            patch.setattr(TrajectoryRecord, "_certificate", refuse)
+            assert len(record.samples) == n and len(record.certificates) == n - 1
+        assert np.array_equal(record.samples[-1].p.probs, record.P[-1])
+        tail = record.samples[1:]
+        assert [x.t for x in tail] == list(range(1, n))
+        assert np.array_equal(np.array([x.p.probs for x in tail]), record.P[1:])
+        assert np.array_equal(record.probabilities, np.array([x.p.probs for x in record.samples]))
+        assert record.certificates[-1].kl_move == record.kl_move[-1]
+        with pytest.raises(ValueError):
+            record.P[0, 0] = 0.5
