@@ -9,8 +9,8 @@ and headline metrics.  Trajectory and iterate tables render floats with 17
 significant digits, so files round-trip to the exact float64 values and
 identical config + seed gives byte-identical data files.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical divergence
-(or failed sweep cells), 4 oracle/verification failure.
+Exit codes: 0 success, 2 configuration error, 3 numerical divergence, a
+stalled exact-prox run or failed sweep cells, 4 oracle/verification failure.
 """
 
 from __future__ import annotations
@@ -62,6 +62,8 @@ EXIT_DIVERGED = 3
 EXIT_ORACLE = 4
 
 TASKS = ("simulate", "prox-iterate", "reparameterization", "recurrence")
+#: statuses that exit EXIT_DIVERGED and count as failed sweep cells
+_FAILED = (TerminalStatus.DIVERGED, TerminalStatus.STALLED)
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +127,14 @@ class ExperimentConfig:
             Path(self.output).with_suffix(".json")
         except ValueError:
             raise ConfigError(f"[output] path {self.output!r} names no file") from None
+        _check_output_directory("[output] path (--output)", self.output)
         return self
+
+
+def _check_output_directory(name: str, path: str) -> None:
+    """Fail before any work when ``path`` lies in a directory that does not exist."""
+    if not Path(path).parent.is_dir():
+        raise ConfigError(f"{name} {path!r}: directory {str(Path(path).parent)!r} does not exist")
 
 
 def _parse_float_list(text: str) -> tuple:
@@ -345,8 +354,9 @@ class RunManifest:
     wall_clock_s: float
     terminal_status: str
     metrics: dict
-    #: how the run spent its work (closed-form rows and blocks); a sweep
-    #: cell's metrics equal its run's, so these stay out of ``metrics``
+    #: how the run spent its work (closed-form rows and blocks, or adaptive
+    #: steps); a sweep cell's metrics equal its run's, so these stay out of
+    #: ``metrics``
     telemetry: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
@@ -633,12 +643,12 @@ def cmd_run(cfg: ExperimentConfig) -> int:
     data_path = out.with_suffix(".json" if cfg.format == "json" else ".csv")
     _write_table(data_path, columns, rows, cfg.format)
     status = record.terminal_status.value
-    counts = record.block_counts
+    counts = record.block_counts or record.step_counts
     telemetry = dataclasses.asdict(counts) if counts is not None else None
     _finish_run(cfg, out, started, status, metrics_fn(record), telemetry)
     print(f"wrote {data_path} ({len(rows)} {noun}, status {status})")
-    if record.terminal_status is TerminalStatus.DIVERGED:
-        print(f"diverged: {record.diagnostics}", file=sys.stderr)
+    if record.terminal_status in _FAILED:
+        print(f"{status}: {record.diagnostics}", file=sys.stderr)
         return EXIT_DIVERGED
     return EXIT_OK
 
@@ -732,7 +742,7 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
     data_path.write_text(
         _strict_json({"config_hash": cfg.hash(), "cells": results}, indent=2) + "\n"
     )
-    failed = [r for r in results if r["status"] in ("error", "diverged")]
+    failed = [r for r in results if r["status"] in ("error", *(s.value for s in _FAILED))]
     status = "ok" if not failed else "failed-cells"
     _finish_run(cfg, out, started, status, {"cells": len(results), "failed": len(failed)})
     print(f"wrote {data_path} ({len(results)} cells, {len(failed)} failed)")
@@ -740,6 +750,7 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    _check_output_directory("--output", args.output)
     include = None
     if args.claims:
         include = [tok.strip() for tok in args.claims.split(",") if tok.strip()]

@@ -63,6 +63,11 @@ from .trajectory import (
 
 DEFAULT_KL_TOL = 1e-12
 DEFAULT_STEP_SIZE = 0.5
+#: an exact-prox run whose per-step move fell below ``kl_tol`` ends STALLED,
+#: not CONVERGED, when its KL to softmax exceeds STALL_RATIO * kl_tol (1e-6 at
+#: the default tolerance); a fixed KL bound would call every run with a loose
+#: tolerance stalled
+STALL_RATIO = 1e6
 
 
 class MirrorStepKind(Enum):
@@ -150,7 +155,10 @@ def iterate(
     certificate is attached per executed step, between consecutive iterates,
     and holds the per-step KL move.  Hitting ``max_steps`` (0 included) is
     reported as status MAX_TIME, not raised; weights that overflow end the
-    run DIVERGED before that step.
+    run DIVERGED before that step.  An exact-prox run whose move fell below
+    ``kl_tol`` while its KL to softmax is above ``STALL_RATIO * kl_tol`` ends
+    STALLED: each step contracts log p toward softmax by 1/(1 + eta T), so
+    when eta T is tiny the move says nothing of the distance left.
     """
     t = check_temperature(temperature)
     eta = check_step_size(eta)
@@ -195,6 +203,11 @@ def iterate(
         lambda k, _: f"step weights overflow at step {k}",
     )
     steps = len(P) - 1
+    kl_end = float(columns["kl_to_target"][-1])
+    stalled = kind is MirrorStepKind.EXACT_PROX and kl_end > STALL_RATIO * kl_tol
+    if status is TerminalStatus.CONVERGED and stalled:
+        status = TerminalStatus.STALLED
+        diagnostics = f"per-step KL move below {kl_tol:.3g} at KL {kl_end:.3g} to softmax"
     columns["t"] = np.arange(len(P), dtype=np.float64)
     columns["field_norm"] = np.full(len(P), math.nan)
     for name in CERTIFICATE_COLUMNS:

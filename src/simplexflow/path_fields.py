@@ -20,6 +20,7 @@ clusters by terminal point.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -363,34 +364,48 @@ def lockin_probe(
 # ---------------------------------------------------------------------------
 
 
-def _barycentric_grid(resolution: int) -> np.ndarray:
-    pts = []
-    for i in range(1, resolution - 1):
-        for j in range(1, resolution - i):
-            k = resolution - i - j
-            if k >= 1:
-                pts.append((i / resolution, j / resolution, k / resolution))
-    return np.array(pts)
+#: lattice steps (di, dj, dk) to the six neighbours of a barycentric lattice point
+_LATTICE_STEPS = ((1, -1, 0), (-1, 1, 0), (1, 0, -1), (-1, 0, 1), (0, 1, -1), (0, -1, 1))
+
+
+@functools.lru_cache(maxsize=8)
+def _barycentric_lattice(resolution: int) -> tuple:
+    """(points, neighbours): the interior points (i, j, k) / resolution with
+    i + j + k = resolution, in the order i, then j, and per point the row of
+    each of its six lattice neighbours, -1 where the neighbour is not interior."""
+    keys = [
+        (i, j, resolution - i - j)
+        for i in range(1, resolution - 1)
+        for j in range(1, resolution - i)
+        if resolution - i - j >= 1
+    ]
+    row = {key: n for n, key in enumerate(keys)}
+    neighbours = np.array(
+        [[row.get((i + di, j + dj, k + dk), -1) for di, dj, dk in _LATTICE_STEPS]
+         for i, j, k in keys],
+        dtype=np.intp,
+    ).reshape(len(keys), len(_LATTICE_STEPS))
+    points = np.array(keys, dtype=np.float64).reshape(-1, 3) / resolution
+    points.flags.writeable = False
+    neighbours.flags.writeable = False
+    return points, neighbours
 
 
 def _grid_local_maxima(field: ScoreField, temperature: float, resolution: int = 24):
-    """Strict local maxima of G on the interior barycentric lattice."""
-    grid = _barycentric_grid(resolution)
-    values = np.array(
-        [generalized_free_energy(field, SimplexPoint(p), temperature) for p in grid]
+    """Strict local maxima of G on the interior barycentric lattice, as
+    (point, value) pairs: G is evaluated on the whole lattice at once, so a
+    value may differ from ``generalized_free_energy`` in its last bits."""
+    points, neighbours = _barycentric_lattice(resolution)
+    entropies = -np.einsum("kv,kv->k", points, np.log(points))
+    values = points @ field.base + check_temperature(temperature) * np.clip(
+        entropies, 0.0, math.log(points.shape[1])
     )
-    index = {tuple(np.round(p * resolution).astype(int)): v for p, v in zip(grid, values)}
-    maxima = []
-    for p, v in zip(grid, values):
-        key = tuple(np.round(p * resolution).astype(int))
-        neighborhood = []
-        for di, dj, dk in ((1, -1, 0), (-1, 1, 0), (1, 0, -1), (-1, 0, 1), (0, 1, -1), (0, -1, 1)):
-            nb = (key[0] + di, key[1] + dj, key[2] + dk)
-            if nb in index:
-                neighborhood.append(index[nb])
-        if neighborhood and v > max(neighborhood):
-            maxima.append((p, v))
-    return maxima
+    if field.coupling is not None:
+        values += 0.5 * np.einsum("kv,kv->k", points, points @ field.coupling.T)
+    padded = np.append(values, -np.inf)  # row -1: no neighbour
+    around = padded[neighbours].max(axis=1)
+    strict = (neighbours >= 0).any(axis=1) & (values > around)
+    return [(points[n], values[n]) for n in np.flatnonzero(strict)]
 
 
 def find_multibasin_coupling(

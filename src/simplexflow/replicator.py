@@ -24,10 +24,15 @@ softmax is not one of its stationary points.  Both fields are tangent to the
 simplex and keep every face invariant.
 
 State-dependent scores s(p) of ``path_fields`` have no closed form; the
-adaptive driver ``_run_flow`` steps them in log-coordinates, mapping p to
-normalize(p * exp(h * g)) with g at a half-step predictor and the midpoint
-time.  Positivity and normalization hold by construction, exact zeros stay
-zero, and the step size adapts by comparing one full step with two halves.
+adaptive driver ``_run_flow`` steps them in log-coordinates with the
+Dormand-Prince 5(4) pair (Dormand & Prince 1980; step control as in Hairer,
+Norsett & Wanner, Solving ODEs I, II.4).  Each stage is
+normalize(log p + h sum_j a_ij k_j) with slope k = g - <p, g>, so positivity
+and normalization hold by construction and exact zeros stay zero.  The local
+error is the sup-norm gap in p between the 5th- and the embedded 4th-order
+solutions; the 5th-order one is kept, and its stage is the first stage of
+the next step unless a renormalization or a schedule breakpoint moves the
+state or T.  Samples are kept as (t, log p) and measured row-wise at the end.
 """
 
 from __future__ import annotations
@@ -56,7 +61,7 @@ from .simplex import (
     check_temperature,
     free_energy,
 )
-from .trajectory import BlockCounts, TerminalStatus, TrajectoryRecord, TrajectorySample
+from .trajectory import BlockCounts, StepCounts, TerminalStatus, TrajectoryRecord
 
 #: log-probability clamp for the entropic field near the boundary
 LOG_CLAMP = math.log(1e-300)
@@ -289,10 +294,11 @@ def eval_field(
 class IntegratorControls:
     """Flow settings.  Fixed-score flows are solved exactly at their stop
     times, so step control applies to linear fields only: a step is accepted
-    when the sup-norm gap between one full and two half steps is at most
-    ``abs_tol + rel_tol``, one absolute bound as neither is scaled by the
-    state.  ``dt0``, positive and finite, is also the first geometric sample
-    time of every flow."""
+    when the sup-norm gap in p between the 5th- and 4th-order solutions of
+    the Dormand-Prince pair is at most ``abs_tol + rel_tol``, one absolute
+    bound as neither is scaled by the state.  ``dt0``, positive and finite, is
+    the first trial step and also the first geometric sample time of every
+    flow."""
 
     dt0: float = 1e-2
     rel_tol: float = 1e-8
@@ -347,21 +353,25 @@ def _fitness(kind: FieldKind, scores_at: Callable[[np.ndarray], np.ndarray]) -> 
     return lambda p, ell, temperature: scores_at(p) / temperature
 
 
-def _field_norm(p: np.ndarray, ell: np.ndarray, temperature: float, fitness: Callable) -> float:
-    return float(np.max(np.abs(_tangent_field(p, fitness(p, ell, temperature)))))
-
-
-def _observe(t, ell, temperature, potential, fitness, kl_fn) -> TrajectorySample:
-    """Sample at log-state ``ell``; free energy ``potential(p) + T H(p)``."""
-    p = np.exp(ell)
-    return TrajectorySample(
-        t=t,
-        p=SimplexPoint(p),
-        # sum p_i * log p_i with exact-zero coordinates contributing 0
-        free_energy=potential(p) - temperature * float(p @ np.where(p > 0.0, ell, 0.0)),
-        kl_to_target=kl_fn(p, ell, temperature),
-        field_norm=_field_norm(p, ell, temperature, fitness),
-    )
+#: Dormand-Prince 5(4) pair (Dormand & Prince, J. Comput. Appl. Math. 6, 1980):
+#: stage nodes, stage coefficients (the last row holds the 5th-order weights,
+#: so the last stage of a step is the first stage of the next) and the
+#: embedded 4th-order weights
+_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
+_DP_A = np.array(
+    [
+        [0.0] * 6,
+        [1 / 5, 0.0, 0.0, 0.0, 0.0, 0.0],
+        [3 / 40, 9 / 40, 0.0, 0.0, 0.0, 0.0],
+        [44 / 45, -56 / 15, 32 / 9, 0.0, 0.0, 0.0],
+        [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0.0, 0.0],
+        [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0.0],
+        [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
+    ]
+)
+_DP_B4 = np.array(
+    [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
+)
 
 
 def _run_flow(
@@ -374,30 +384,25 @@ def _run_flow(
     controls: IntegratorControls,
 ) -> TrajectoryRecord:
     """Adaptive flow of the score map ``p -> s(p)`` from p0, annotated with
-    ``potential(p) + T H(p)`` and a NaN KL; see the module docstring."""
+    ``potential(p) + T H(p)`` and a NaN KL; see the module docstring.
+
+    ``scores_at`` and ``potential`` take one point.  Samples are kept as
+    (t, log p) while stepping and measured row by row at the end."""
     stops, sample_set = _stops(horizon, schedule, controls)
     if kind is FieldKind.ENTROPIC and not p0.interior:
         raise InteriorityError("entropic field requires an interior start")
     fitness = _fitness(kind, scores_at)
+    breaks = set(schedule.breakpoints())
+    tol = controls.abs_tol + controls.rel_tol
 
     with np.errstate(divide="ignore"):
         ell = _normalize_logs(np.log(p0.probs))
-
-    def one_step(ell_in: np.ndarray, t_in: float, h: float) -> np.ndarray:
-        t_mid = schedule.at(t_in + 0.5 * h)
-        p_in = np.exp(ell_in)
-        g1 = fitness(p_in, ell_in, t_mid)
-        ell_mid = _normalize_logs(ell_in + (0.5 * h) * (g1 - float(p_in @ g1)))
-        p_mid = np.exp(ell_mid)
-        g2 = fitness(p_mid, ell_mid, t_mid)
-        return _normalize_logs(ell_in + h * (g2 - float(p_mid @ g2)))
-
-    def observe(t_at: float, ell_at: np.ndarray) -> TrajectorySample:
-        return _observe(t_at, ell_at, schedule.at(t_at), potential, fitness, lambda *_: math.nan)
-
-    samples = [observe(0.0, ell)]
-    renorms = 0
-    accepted = 0
+    p = np.exp(ell)
+    g = fitness(p, ell, schedule.at(0.0))  # the next step's first stage
+    slopes = np.empty((7, ell.size))
+    times, logs = [0.0], [ell]
+    renorms = rejected = 0
+    sizes = []  # of the accepted steps
     t_now = 0.0
     h = controls.dt0
     status = TerminalStatus.MAX_TIME
@@ -412,37 +417,55 @@ def _run_flow(
                 t_now = t_stop
                 break
             h_try = min(h, t_stop - t_now)
-            ell_full = one_step(ell, t_now, h_try)
-            ell_half = one_step(ell, t_now, 0.5 * h_try)
-            ell_two = one_step(ell_half, t_now + 0.5 * h_try, 0.5 * h_try)
-            err = float(np.max(np.abs(np.exp(ell_full) - np.exp(ell_two))))
-            tol = controls.abs_tol + controls.rel_tol
-            factor = 0.9 * (tol / max(err, 1e-300)) ** (1.0 / 3.0)
+            on_break = h_try == t_stop - t_now and t_stop in breaks
+            # stages at c = 1 take T from this step's piece; at a breakpoint
+            # schedule.at gives the next piece, and as only piecewise-constant
+            # schedules have breakpoints, T at the step's start is the left limit
+            end_temperature = schedule.at(t_now) if on_break else schedule.at(t_now + h_try)
+            slopes[0] = g - p @ g
+            for i in range(1, 7):
+                c = _DP_C[i]
+                ell_i = _normalize_logs(ell + h_try * (_DP_A[i, :i] @ slopes[:i]))
+                p_i = np.exp(ell_i)
+                temperature = end_temperature if c == 1.0 else schedule.at(t_now + c * h_try)
+                g_i = fitness(p_i, ell_i, temperature)
+                slopes[i] = g_i - p_i @ g_i
+            # the last stage is the 5th-order solution
+            ell4 = _normalize_logs(ell + h_try * (_DP_B4 @ slopes))
+            err = float(np.abs(p_i - np.exp(ell4)).max())
+            factor = 0.9 * (tol / max(err, 1e-300)) ** 0.2
             if err <= tol:
-                ell = ell_two
-                accepted += 1
+                ell, p, g = ell_i, p_i, g_i
+                sizes.append(h_try)
                 t_now = t_now + h_try
                 if t_stop - t_now <= 1e-14 * max(1.0, t_stop):
                     t_now = t_stop
-                p_now = np.exp(ell)
-                total = float(p_now.sum())
+                # the last stage is the next step's first unless T or the state moves
+                fresh = not on_break
+                total = float(p.sum())
                 if abs(total - 1.0) > NORM_EPS:
                     ell = ell - math.log(total)
                     renorms += 1
+                    fresh = False
                 if kind is FieldKind.ENTROPIC and float(ell.min()) < LOG_CLAMP:
                     ell = _normalize_logs(np.maximum(ell, LOG_CLAMP))
                     status = TerminalStatus.DIVERGED
                     diagnostics = "log-probability clamp hit near the boundary"
                     done = True
                     break
+                if not fresh:
+                    p = np.exp(ell)
+                    g = fitness(p, ell, schedule.at(t_now))
                 if (
                     controls.convergence_field_norm > 0
-                    and _field_norm(p_now, ell, schedule.at(t_now), fitness)
+                    and float(np.max(np.abs(_tangent_field(p, g))))
                     < controls.convergence_field_norm
                 ):
                     status = TerminalStatus.CONVERGED
                     done = True
                     break
+            else:
+                rejected += 1
             h = h_try * min(MAX_GROWTH, max(0.2, factor))
             if h < MIN_STEP:
                 status = TerminalStatus.DIVERGED
@@ -450,17 +473,39 @@ def _run_flow(
                 done = True
                 break
         if not done and t_now == t_stop and t_stop in sample_set:
-            samples.append(observe(t_stop, ell))
+            times.append(t_stop)
+            logs.append(ell)
 
-    if done and (not samples or samples[-1].t < t_now):
-        samples.append(observe(t_now, ell))
+    if done and times[-1] < t_now:
+        times.append(t_now)
+        logs.append(ell)
 
-    return TrajectoryRecord(
-        samples=samples,
-        terminal_status=status,
-        renormalizations=renorms,
-        accepted_steps=accepted,
+    L = np.array(logs)
+    raw = np.exp(L)
+    temperatures = np.array([schedule.at(t) for t in times])
+    fitnesses = np.array([fitness(*row) for row in zip(raw, L, temperatures)])
+    columns = {
+        "t": np.array(times),
+        # sum p_i * log p_i with exact-zero coordinates contributing 0
+        "free_energy": np.array([potential(row) for row in raw])
+        - temperatures * _row_dot(raw, np.where(raw > 0.0, L, 0.0)),
+        "kl_to_target": np.full(len(times), math.nan),
+        "field_norm": np.abs(_tangent_field(raw, fitnesses)).max(axis=1),
+    }
+    return TrajectoryRecord.from_columns(
+        _simplex_rows(raw),
+        columns,
+        status,
+        accepted_steps=len(sizes),
         diagnostics=diagnostics,
+        renormalizations=renorms,
+        step_counts=StepCounts(
+            len(sizes),
+            rejected,
+            min(sizes, default=math.nan),
+            max(sizes, default=math.nan),
+            sizes[-1] if sizes else math.nan,
+        ),
     )
 
 

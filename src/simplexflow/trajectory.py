@@ -17,6 +17,8 @@ class TerminalStatus(Enum):
     CONVERGED = "converged"
     MAX_TIME = "max-time"
     DIVERGED = "diverged"
+    #: a discrete run whose per-step move vanished far from its target
+    STALLED = "stalled"
 
 
 @dataclass(frozen=True)
@@ -60,6 +62,18 @@ class BlockCounts:
     stops_evaluated: int
     stops_kept: int
     blocks: int
+
+
+@dataclass(frozen=True)
+class StepCounts:
+    """Adaptive-driver work of one run: accepted and rejected trial steps, and
+    the smallest, largest and last accepted step size (NaN with no step)."""
+
+    accepted_steps: int
+    rejected_steps: int
+    min_step: float
+    max_step: float
+    last_step: float
 
 
 SAMPLE_COLUMNS = ("t", "free_energy", "kl_to_target", "field_norm")
@@ -110,7 +124,7 @@ class TrajectoryRecord:
     ``TrajectorySample`` or an ``AscentCertificate`` only when a row is read;
     ``len`` builds nothing.  The constructor takes lists of those objects;
     ``from_columns`` takes the arrays.  ``block_counts`` is set by the
-    closed-form solver only.
+    closed-form solver only, ``step_counts`` by the adaptive driver only.
     """
 
     def __init__(
@@ -138,6 +152,7 @@ class TrajectoryRecord:
             accepted_steps,
             diagnostics,
             None,
+            None,
         )
 
     @classmethod
@@ -149,14 +164,27 @@ class TrajectoryRecord:
         accepted_steps: int = 0,
         diagnostics: str = "",
         block_counts: Optional[BlockCounts] = None,
+        renormalizations: int = 0,
+        step_counts: Optional[StepCounts] = None,
     ) -> "TrajectoryRecord":
         """A record from checked probability rows and a dict holding every
         sample column and, when steps were certified, every certificate column."""
         record = cls.__new__(cls)
-        record._set(P, columns, terminal_status, 0, accepted_steps, diagnostics, block_counts)
+        record._set(
+            P,
+            columns,
+            terminal_status,
+            renormalizations,
+            accepted_steps,
+            diagnostics,
+            block_counts,
+            step_counts,
+        )
         return record
 
-    def _set(self, P, columns, status, renormalizations, accepted_steps, diagnostics, counts):
+    def _set(
+        self, P, columns, status, renormalizations, accepted_steps, diagnostics, counts, steps
+    ):
         self.P = _frozen(P)
         for name in SAMPLE_COLUMNS + CERTIFICATE_COLUMNS:
             setattr(self, name, _frozen(columns.get(name, ())))
@@ -165,6 +193,7 @@ class TrajectoryRecord:
         self.accepted_steps = accepted_steps
         self.diagnostics = diagnostics
         self.block_counts = counts
+        self.step_counts = steps
 
     def _sample(self, i: int) -> TrajectorySample:
         return TrajectorySample(

@@ -474,6 +474,45 @@ class TestProxIterate:
         assert f"at step {len(rows) + 1}" in capsys.readouterr().err
         assert all(math.isfinite(value) for row in rows for value in row)
 
+    def test_stalled_exact_prox_is_exit_3(self, tmp_path, monkeypatch, capsys):
+        # at eta T = 5e-301 each step moves log p by 5e-301 of the distance
+        # left: the per-step move vanishes while KL to softmax is 5e288
+        monkeypatch.chdir(tmp_path)
+        code = main(["prox-iterate", "--scores", "1,0", "--temperature", "1e-300",
+                     "--output", "stall"])
+        assert code == EXIT_DIVERGED
+        manifest = read_manifest("stall")
+        assert manifest.terminal_status == "stalled"
+        assert manifest.metrics["terminal_kl_to_softmax"] > 1e288
+        assert "stalled: per-step KL move below 1e-12" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--scores", "1,0"],
+        ["prox-iterate", "--scores", "1,0"],
+        ["sweep", "--scores", "1,0"],
+        ["verify"],
+    ],
+)
+def test_output_in_a_missing_directory_is_exit_2_before_any_work(
+    tmp_path, monkeypatch, capsys, argv
+):
+    monkeypatch.chdir(tmp_path)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started")
+
+    for name in ("_simulate_record", "_iterate_record", "_run_cell"):
+        monkeypatch.setattr(cli, name, refuse)
+    monkeypatch.setattr(cli.oracles, "run_adjudication", refuse)
+    code = main(argv + ["--output", str(tmp_path / "missing" / "run")])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "--output" in err and "does not exist" in err
+    assert list(tmp_path.iterdir()) == []
+
 
 class TestSweep:
     def test_reparameterization_grid(self, tmp_path, monkeypatch):
@@ -724,4 +763,10 @@ class TestManifest:
             assert not set(counts) & set(manifest.metrics)
         assert flow.telemetry["stops_kept"] >= flow.metrics["samples"]
         assert prox.telemetry["stops_kept"] == prox.metrics["steps"] + 1
-        assert read_manifest("linear").telemetry == {}
+        linear = read_manifest("linear")
+        steps = linear.telemetry
+        assert set(steps) == {
+            "accepted_steps", "rejected_steps", "min_step", "max_step", "last_step"
+        }
+        assert steps["accepted_steps"] == linear.metrics["accepted_steps"] >= 1
+        assert 0.0 < steps["min_step"] <= steps["last_step"] <= steps["max_step"]

@@ -20,7 +20,7 @@ from simplexflow import (
     printed_mw_step,
     softmax,
 )
-from simplexflow.mirror import step_agreement_exponent
+from simplexflow.mirror import DEFAULT_KL_TOL, STALL_RATIO, step_agreement_exponent
 from simplexflow.oracles import (
     closed_form_entropic,
     closed_form_literal,
@@ -134,6 +134,24 @@ class TestIterate:
         terminal = record.terminal.p
         assert abs(terminal.probs[0] - 1.0) < 1e-6
         assert record.terminal.kl_to_target > 0.1  # far from softmax
+
+    def test_exact_prox_whose_move_vanishes_far_from_softmax_is_stalled(self):
+        s, p0 = ScoreVector([1.0, 0.0]), SimplexPoint.uniform(2)
+        record = iterate(MirrorStepKind.EXACT_PROX, p0, s, 1e-300, 0.5)
+        assert record.terminal_status is TerminalStatus.STALLED
+        assert record.terminal.kl_to_target > STALL_RATIO * DEFAULT_KL_TOL
+        assert record.kl_move[-1] < DEFAULT_KL_TOL
+        assert "per-step KL move below" in record.diagnostics
+        # the ratio scales with the tolerance: a loose one still converges
+        loose = iterate(MirrorStepKind.EXACT_PROX, p0, s, 1.0, 0.05, kl_tol=1e-4)
+        assert loose.terminal_status is TerminalStatus.CONVERGED
+        assert loose.terminal.kl_to_target > 1e-4
+
+    def test_printed_mw_far_from_softmax_still_converges(self):
+        record = iterate(MirrorStepKind.PRINTED_MW, SimplexPoint.uniform(2),
+                         ScoreVector([1.0, 0.0]), 1.0, 0.5, max_steps=2000, kl_tol=1e-12)
+        assert record.terminal_status is TerminalStatus.CONVERGED
+        assert record.terminal.kl_to_target > 0.1
 
     def test_fixed_point_start_does_not_move(self):
         s = ScoreVector([1.0, 0.0])

@@ -1,5 +1,8 @@
 """State-dependent score fields: rotation, conservativity, recurrence, lock-in."""
 
+import inspect
+import itertools
+
 import numpy as np
 import pytest
 
@@ -25,6 +28,8 @@ from simplexflow import (
     rotation_coupling,
     softmax,
 )
+from simplexflow.path_fields import _barycentric_lattice, _grid_local_maxima
+from simplexflow.simplex import entropy
 
 
 class TestScoreField:
@@ -234,3 +239,82 @@ class TestLockinProbe:
         probe = lockin_probe(field, FieldKind.ENTROPIC, starts, 0.5, horizon=300.0)
         assert len(probe.clusters) >= 2
         assert not probe.diverged
+
+
+def separated_maxima(maxima, separation=0.2):
+    """find_multibasin_coupling's screen: >= 2 maxima, two of them apart."""
+    points = [point for point, _ in maxima]
+    return any(
+        np.max(np.abs(a - b)) >= separation
+        for n, a in enumerate(points)
+        for b in points[n + 1 :]
+    )
+
+
+class TestLatticeScreen:
+    """``_grid_local_maxima`` evaluates G on the whole lattice at once, so a
+    value may differ from ``generalized_free_energy`` in its last bits and a
+    strict maximum at an exact tie may flip (32 of the 1458 pairs below list
+    different maxima).  Pinned: the lattice and its neighbour table, the screen
+    decision on every candidate of the default search, and its result."""
+
+    def test_lattice_and_neighbour_table(self):
+        for resolution in range(2, 25):
+            points, neighbours = _barycentric_lattice(resolution)
+            keys = np.rint(points * resolution).astype(int)
+            assert np.array_equal(points, keys / resolution)
+            assert len(keys) == (resolution - 1) * (resolution - 2) // 2
+            assert np.all(keys >= 1) and np.all(keys.sum(axis=1) == resolution)
+            assert [tuple(k) for k in keys] == sorted(tuple(k) for k in keys)
+            # neighbours: one unit moved between two coordinates
+            apart = np.abs(keys[:, np.newaxis, :] - keys[np.newaxis, :, :]).sum(axis=2)
+            for n in range(len(keys)):
+                assert set(neighbours[n]) - {-1} == set(np.flatnonzero(apart[n] == 2))
+
+    def test_screen_decision_matches_the_scalar_free_energy_on_every_candidate(self):
+        points, neighbours = _barycentric_lattice(24)
+        lattice = [SimplexPoint(p) for p in points]
+        base = np.zeros(3)
+        # generalized_free_energy term by term, each term taken once per point
+        linear = [float(p.probs @ base) for p in lattice]
+        entropies = [entropy(p) for p in lattice]
+
+        def screened(values):
+            padded = np.append(values, -np.inf)  # row -1: no neighbour
+            maxima = np.flatnonzero(values > padded[neighbours].max(axis=1))
+            return len(maxima) >= 2 and separated_maxima([(points[n], None) for n in maxima])
+
+        decisions = 0
+        for b11, b22, b33, b12, b13, b23 in itertools.product((0, 1, 2), repeat=6):
+            coupling = np.array([[b11, b12, b13], [b12, b22, b23], [b13, b23, b33]], float)
+            field = linear_field(base, coupling)
+            quadratic = [0.5 * float(p.probs @ (coupling @ p.probs)) for p in lattice]
+            for temperature in (0.5, 1.0):
+                values = np.array(
+                    [a + temperature * h + q for a, h, q in zip(linear, entropies, quadratic)]
+                )
+                if b12 == b23:  # spot check of the replica
+                    for n in (0, 100, len(points) - 1):
+                        assert values[n] == generalized_free_energy(field, lattice[n], temperature)
+                maxima = _grid_local_maxima(field, temperature)
+                decision = len(maxima) >= 2 and separated_maxima(maxima)
+                assert decision == screened(values)
+                decisions += decision
+        assert decisions > 0
+
+    @pytest.mark.parametrize("kwargs", [{}, {"seed": 11}, {"seed": 12345}])
+    def test_search_result_is_pinned(self, kwargs):
+        # values from the per-point scan this one replaced; the default seed is 7
+        assert inspect.signature(find_multibasin_coupling).parameters["seed"].default == 7
+        field, maxima = find_multibasin_coupling(**kwargs)
+        assert np.array_equal(field.coupling, [[0, 2, 0], [2, 0, 0], [0, 0, 2]])
+        expected = [
+            ((1, 1, 22), 1.0160491240514113),
+            ((8, 8, 8), 0.882639477667388),
+            ((10, 10, 4), 0.889091929666463),
+        ]
+        assert len(maxima) == len(expected)
+        for (point, value), (key, pinned) in zip(maxima, expected):
+            assert type(point) is np.ndarray and type(value) is np.float64
+            assert point.tolist() == [k / 24 for k in key]
+            assert abs(value - pinned) <= 1e-12

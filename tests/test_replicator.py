@@ -34,7 +34,9 @@ from simplexflow import (
     restrict_to_face,
     softmax,
 )
+from simplexflow import replicator
 from simplexflow.oracles import closed_form_entropic, closed_form_literal
+from simplexflow.path_fields import linear_field, rotation_coupling
 from simplexflow.replicator import BLOCK_BYTES, FIRST_BLOCK, LOG_CLAMP, _run_flow
 from simplexflow.trajectory import BlockCounts, TrajectoryRecord
 
@@ -587,3 +589,114 @@ class TestBlockedClosedForm:
         assert record.certificates[-1].kl_move == record.kl_move[-1]
         with pytest.raises(ValueError):
             record.P[0, 0] = 0.5
+
+
+def closed_form(kind, p0, s, schedule, t):
+    if kind is FieldKind.ENTROPIC:
+        return closed_form_entropic(p0, s, schedule, t)
+    return closed_form_literal(p0, s, 1.0, effective_time(schedule, t))
+
+
+class Counted:
+    """``scores_at`` that counts its calls and fails past ``budget`` of them,
+    so a driver whose steps shrink away fails at once instead of running on."""
+
+    def __init__(self, scores_at, budget):
+        self.scores_at, self.budget, self.calls = scores_at, budget, 0
+
+    def __call__(self, p):
+        self.calls += 1
+        assert self.calls <= self.budget, "fitness budget exhausted"
+        return self.scores_at(p)
+
+
+class TestEmbeddedPair:
+    """The Dormand-Prince 5(4) driver of ``_run_flow``: a first integral of the
+    rotation flow, gate B's instances at a bound and a step count pinned here,
+    steps that end on schedule breakpoints, and the reuse of a step's last
+    stage as the next step's first (FSAL).  Each bound is about the measured
+    value; the step-doubling midpoint driver this one replaced drifted 4.2e-8
+    on the first integral with 5000 samples and took 52,158 steps on gate B.
+    Fitness budgets of about twice the calls measured make a driver whose
+    steps collapse fail fast."""
+
+    P0 = SimplexPoint([0.5, 0.3, 0.2])
+
+    @pytest.mark.parametrize("beta", [0.5, 8.0])
+    def test_rotation_flow_conserves_the_sum_of_log_p(self, beta):
+        # s = B p with the columns of B summing to 0 and <p, B p> = 0, so
+        # d/dt sum_i log p_i = (sum_i s_i - 3 <p, s>) / T = 0
+        horizon = 50.0 / beta  # find_recurrent_beta's horizon at T = 1
+        for controls, bound, budget in (
+            (IntegratorControls(n_samples=50, convergence_kl=0.0), 2e-7, 3000),
+            (IntegratorControls(n_samples=5000, uniform_samples=True, convergence_kl=0.0),
+             3e-14, 40000),
+        ):
+            field = linear_field(np.zeros(3), rotation_coupling(beta))
+            traj = _run_flow(FieldKind.LITERAL, self.P0, Counted(field.scores_at, budget),
+                             field.potential, ConstantSchedule(1.0), horizon, controls)
+            assert len(traj.samples) == controls.n_samples
+            invariant = np.log(traj.P).sum(axis=1)
+            assert np.max(np.abs(invariant - invariant[0])) <= bound
+
+    def test_gate_b_instances_at_a_pinned_bound(self):
+        rng = np.random.default_rng(302)
+        grid = tuple(np.linspace(0.0, 8.0, 9))
+        controls = IntegratorControls(rel_tol=1e-10, abs_tol=1e-12, sample_times=grid)
+        worst, accepted, rejected = 0.0, 0, 0
+        for schedule in GATE_SCHEDULES:
+            for size in (2, 8, 64):
+                s = ScoreVector(rng.uniform(-3, 3, size))
+                p0 = SimplexPoint(rng.dirichlet(np.ones(size)))
+                for kind in FieldKind:
+                    scores_at, potential = constant_scores(s)
+                    traj = _run_flow(kind, p0, Counted(scores_at, 2000), potential, schedule,
+                                     8.0, controls)
+                    accepted += traj.step_counts.accepted_steps
+                    rejected += traj.step_counts.rejected_steps
+                    for sample in traj.samples:
+                        exact = closed_form(kind, p0, s, schedule, sample.t).probs
+                        worst = max(worst, float(np.max(np.abs(sample.p.probs - exact))))
+        assert worst <= 1e-10
+        assert accepted <= 2100 and rejected <= 10
+
+    def test_steps_that_end_on_breakpoints(self):
+        rng = np.random.default_rng(303)
+        schedule = PiecewiseConstantSchedule((0.5, 1.25, 2.0, 3.0), (1.0, 0.25, 2.0, 0.5, 1.0))
+        grid = tuple(np.linspace(0.0, 4.0, 17))  # every breakpoint is a sample time
+        for size in (3, 16):
+            s = ScoreVector(rng.uniform(-3, 3, size))
+            p0 = SimplexPoint(rng.dirichlet(np.ones(size)))
+            for kind in FieldKind:
+                scores_at, potential = constant_scores(s)
+                traj = _run_flow(kind, p0, Counted(scores_at, 600), potential, schedule, 4.0,
+                                 IntegratorControls(sample_times=grid))
+                assert list(traj.t) == list(grid)
+                for sample in traj.samples:
+                    exact = closed_form(kind, p0, s, schedule, sample.t).probs
+                    assert np.max(np.abs(sample.p.probs - exact)) <= 3e-9
+                assert traj.step_counts.rejected_steps <= 3
+
+    def test_the_last_stage_is_the_next_first_until_the_state_or_t_moves(self, monkeypatch):
+        s = ScoreVector([1.0, 0.0, -0.5])
+        schedule = PiecewiseConstantSchedule((1.0,), (1.0, 0.5))
+        controls = IntegratorControls(n_samples=20)
+
+        def run():
+            scores_at, potential = constant_scores(s)
+            counted = Counted(scores_at, 2000)
+            traj = _run_flow(FieldKind.ENTROPIC, self.P0, counted, potential, schedule, 3.0,
+                             controls)
+            trials = traj.step_counts.accepted_steps + traj.step_counts.rejected_steps
+            # one call for the start, six per trial step and one per sample row
+            return traj, counted.calls - 1 - 6 * trials - len(traj.samples)
+
+        traj, extra = run()
+        assert traj.renormalizations == 0
+        assert extra == 1  # the first stage after the breakpoint
+        with monkeypatch.context() as patch:
+            patch.setattr(replicator, "NORM_EPS", -1.0)  # renormalize after every step
+            traj, extra = run()
+        assert traj.renormalizations == traj.step_counts.accepted_steps
+        # a fresh first stage after each step; at the breakpoint it is due anyway
+        assert extra == traj.step_counts.accepted_steps
