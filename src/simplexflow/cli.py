@@ -479,7 +479,7 @@ def _parse_face(cfg: ExperimentConfig, s: ScoreVector, temperature: float) -> Op
         if head == "indices":
             indices = [int(tok) for tok in rest.replace(",", " ").split()]
             if any(i < 1 or i > s.size for i in indices):
-                raise ConfigError(f"[face] indices must lie in [1, {s.size}]")
+                raise InvalidInputError(f"indices must lie in [1, {s.size}]")
             return FaceMask.from_indices(s.size, [i - 1 for i in indices])
     except (ValueError, InvalidInputError) as exc:
         raise ConfigError(f"[face] cannot parse spec {cfg.face!r}: {exc}") from exc

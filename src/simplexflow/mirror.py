@@ -45,7 +45,7 @@ from enum import Enum
 import numpy as np
 
 from .exceptions import InteriorityError, InvalidInputError
-from .replicator import ConstantSchedule, FieldKind, _row_dot, _solve_blocks
+from .replicator import ConstantSchedule, FieldKind, _free_energy_rows, _row_dot, _solve_blocks
 from .simplex import (
     ScoreVector,
     SimplexPoint,
@@ -170,7 +170,7 @@ def iterate(
 
     def measure(temperatures, logs):
         q = np.exp(logs)
-        f = q @ s.values - t * _row_dot(q, logs)
+        f = _free_energy_rows(q @ s.values, t, q, logs)
         first = not previous
         ell_before, f_before = (logs[0], math.nan) if first else previous.pop()
         kl_move = np.maximum(_row_dot(q, logs - np.vstack([ell_before, logs[:-1]])), 0.0)
@@ -197,8 +197,7 @@ def iterate(
         np.log(p0.probs),
         shifted,
         ConstantSchedule(t),
-        max_steps + 1,
-        lambda k: k * h,
+        np.arange(max_steps + 1) * h,
         measure,
         lambda k, _: f"step weights overflow at step {k}",
     )

@@ -34,6 +34,7 @@ from .replicator import (
     DEFAULT_HORIZON,
     FieldKind,
     IntegratorControls,
+    _row_dot,
     _run_flow,
     as_schedule,
     eval_field,
@@ -92,11 +93,14 @@ class ScoreField:
             return self.base
         return self.base + self.coupling @ p
 
-    def potential(self, p: np.ndarray) -> float:
-        """<p, s0> + 0.5 <p, B p>; its gradient is s(p) when B is symmetric."""
-        value = float(p @ self.base)
+    def potential(self, p: np.ndarray):
+        """<p, s0> + 0.5 <p, B p> at a point, or at each row of a (K, V) array;
+        its gradient is s(p) when B is symmetric."""
+        value = p @ self.base
         if self.coupling is not None:
-            value += 0.5 * float(p @ (self.coupling @ p))
+            value = value + 0.5 * (
+                p @ (self.coupling @ p) if p.ndim == 1 else _row_dot(p, p @ self.coupling.T)
+            )
         return value
 
     def to_json(self) -> str:
@@ -154,11 +158,7 @@ def curl_magnitude(field: ScoreField) -> float:
 
 def generalized_free_energy(field: ScoreField, p: SimplexPoint, temperature: float) -> float:
     """G(p) = <p, s0> + 0.5 <p, B p> + T H(p); the ascent functional for symmetric B."""
-    t = check_temperature(temperature)
-    value = float(p.probs @ field.base) + t * entropy(p)
-    if field.coupling is not None:
-        value += 0.5 * float(p.probs @ (field.coupling @ p.probs))
-    return value
+    return float(field.potential(p.probs) + check_temperature(temperature) * entropy(p))
 
 
 def integrate_path(
@@ -396,12 +396,8 @@ def _grid_local_maxima(field: ScoreField, temperature: float, resolution: int = 
     (point, value) pairs: G is evaluated on the whole lattice at once, so a
     value may differ from ``generalized_free_energy`` in its last bits."""
     points, neighbours = _barycentric_lattice(resolution)
-    entropies = -np.einsum("kv,kv->k", points, np.log(points))
-    values = points @ field.base + check_temperature(temperature) * np.clip(
-        entropies, 0.0, math.log(points.shape[1])
-    )
-    if field.coupling is not None:
-        values += 0.5 * np.einsum("kv,kv->k", points, points @ field.coupling.T)
+    entropies = np.clip(-_row_dot(points, np.log(points)), 0.0, math.log(points.shape[1]))
+    values = field.potential(points) + check_temperature(temperature) * entropies
     padded = np.append(values, -np.inf)  # row -1: no neighbour
     around = padded[neighbours].max(axis=1)
     strict = (neighbours >= 0).any(axis=1) & (values > around)

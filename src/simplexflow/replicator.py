@@ -182,7 +182,9 @@ class ExponentialSchedule:
     def effective_time(self, t: float) -> float:
         if self.rate == 0.0:
             return t / self.initial
-        return -_inf_on_overflow(math.expm1, -self.rate * t) / (self.initial * self.rate)
+        scale = self.initial * self.rate  # when it underflows to 0, divide in two steps
+        growth = -_inf_on_overflow(math.expm1, -self.rate * t)
+        return growth / scale if scale else growth / self.rate / self.initial
 
     def entropic_weight(self, t: float) -> float:
         # (e^{-rt} - e^{-t}) / (T0 (1 - r)) with the larger exponential
@@ -321,7 +323,8 @@ DEFAULT_HORIZON = 1e3
 
 
 def _stops(horizon: float, schedule: TemperatureSchedule, controls: IntegratorControls) -> tuple:
-    """(stops, sample times): every sample time in (0, horizon], breakpoint and the horizon."""
+    """(stops, samples): the set of sample times in (0, horizon], and those
+    with every breakpoint in (0, horizon) and the horizon added, sorted."""
     if horizon <= 0 or not math.isfinite(horizon):
         raise InvalidInputError(f"horizon must be positive and finite, got {horizon}")
     n = max(int(controls.n_samples), 2)
@@ -337,13 +340,11 @@ def _stops(horizon: float, schedule: TemperatureSchedule, controls: IntegratorCo
         grid = np.concatenate(([0.0], interior))
     # a set, not np.unique: the first np.unique in a freshly forked sweep
     # worker took ~1600 copy-on-write page faults (25-50 ms per worker)
-    times = set(grid.tolist())
+    samples = {t for t in grid.tolist() if 0.0 < t <= horizon}
     stops = sorted(
-        {t for t in times if 0.0 < t <= horizon}
-        | {b for b in schedule.breakpoints() if 0.0 < b < horizon}
-        | {horizon}
+        samples | {b for b in schedule.breakpoints() if 0.0 < b < horizon} | {horizon}
     )
-    return stops, times
+    return stops, samples
 
 
 def _fitness(kind: FieldKind, scores_at: Callable[[np.ndarray], np.ndarray]) -> Callable:
@@ -351,6 +352,16 @@ def _fitness(kind: FieldKind, scores_at: Callable[[np.ndarray], np.ndarray]) -> 
     if kind is FieldKind.ENTROPIC:
         return lambda p, ell, temperature: scores_at(p) / temperature - ell
     return lambda p, ell, temperature: scores_at(p) / temperature
+
+
+def _free_energy_rows(inner, temperatures, P: np.ndarray, logs: np.ndarray) -> np.ndarray:
+    """inner + T H(p) per row of P = exp(logs), with 0 log 0 := 0."""
+    return inner - temperatures * _row_dot(P, np.where(P > 0.0, logs, 0.0))
+
+
+def _field_norm(p: np.ndarray, g: np.ndarray):
+    """Sup norm of the tangent field of fitness g at a point or at each row."""
+    return np.abs(_tangent_field(p, g)).max(axis=-1)
 
 
 #: Dormand-Prince 5(4) pair (Dormand & Prince, J. Comput. Appl. Math. 6, 1980):
@@ -410,12 +421,9 @@ def _run_flow(
 
     done = False
     for t_stop in stops:
-        if done:
-            break
-        while t_now < t_stop:
-            if t_stop - t_now <= 1e-14 * max(1.0, t_stop):
-                t_now = t_stop
-                break
+        # a stop closer than the shortest step counts as reached: its sample
+        # takes the state up to MIN_STEP early, and stepping goes on from t_now
+        while t_stop - t_now >= max(MIN_STEP, 1e-14 * t_stop):
             h_try = min(h, t_stop - t_now)
             on_break = h_try == t_stop - t_now and t_stop in breaks
             # stages at c = 1 take T from this step's piece; at a breakpoint
@@ -458,8 +466,7 @@ def _run_flow(
                     g = fitness(p, ell, schedule.at(t_now))
                 if (
                     controls.convergence_field_norm > 0
-                    and float(np.max(np.abs(_tangent_field(p, g))))
-                    < controls.convergence_field_norm
+                    and _field_norm(p, g) < controls.convergence_field_norm
                 ):
                     status = TerminalStatus.CONVERGED
                     done = True
@@ -472,7 +479,11 @@ def _run_flow(
                 diagnostics = f"step size underflow at t={t_now:.6g} (h={h:.3g})"
                 done = True
                 break
-        if not done and t_now == t_stop and t_stop in sample_set:
+        if done:
+            break
+        if t_now < t_stop and t_stop in breaks:  # T moves for the next first stage
+            g = fitness(p, ell, schedule.at(t_stop))
+        if t_stop in sample_set:
             times.append(t_stop)
             logs.append(ell)
 
@@ -486,11 +497,11 @@ def _run_flow(
     fitnesses = np.array([fitness(*row) for row in zip(raw, L, temperatures)])
     columns = {
         "t": np.array(times),
-        # sum p_i * log p_i with exact-zero coordinates contributing 0
-        "free_energy": np.array([potential(row) for row in raw])
-        - temperatures * _row_dot(raw, np.where(raw > 0.0, L, 0.0)),
+        "free_energy": _free_energy_rows(
+            np.array([potential(row) for row in raw]), temperatures, raw, L
+        ),
         "kl_to_target": np.full(len(times), math.nan),
-        "field_norm": np.abs(_tangent_field(raw, fitnesses)).max(axis=1),
+        "field_norm": _field_norm(raw, fitnesses),
     }
     return TrajectoryRecord.from_columns(
         _simplex_rows(raw),
@@ -520,28 +531,28 @@ def _solve_blocks(
     ell0: np.ndarray,
     shifted: np.ndarray,
     schedule: TemperatureSchedule,
-    n_rows: int,
-    time_at: Callable[[int], float],
+    times: np.ndarray,
     measure: Callable,
     overflow_note: Callable[[int, float], str],
 ) -> tuple:
     """The fixed-score flow from log-weights ``ell0`` with max-shifted scores
-    ``shifted`` at times ``time_at(0), ..., time_at(n_rows - 1)``, up to the
-    first row that ``measure`` stops at.
+    ``shifted`` at the increasing ``times``, up to the first row that
+    ``measure`` stops at.
 
-    Row k is ``normalize(a ell0 + b shifted)`` at t_k, with (a, b) =
+    Row k is ``normalize(a ell0 + b shifted)`` at t = times[k], with (a, b) =
     (1, effective_time) for LITERAL and (e^{-t}, entropic_weight) for
-    ENTROPIC.  Rows are evaluated as (K, V) blocks: K starts at FIRST_BLOCK,
-    doubles from block to block and is capped at BLOCK_BYTES.  For each block
-    ``measure(temperatures, logs)`` returns (stop row or None, status,
-    diagnostics, columns): "P", the rows of exp(logs) its values were measured
-    on, and one value per row for each other column.  A temperature that
-    overflows raises, and weights that overflow end the run DIVERGED before
-    that row with diagnostics ``overflow_note(row, t)``, unless an earlier row
-    stops the run.
+    ENTROPIC; the coefficients of each row are scalar ``math`` calls, which
+    ``np.exp`` does not match to the bit.  Rows are evaluated as (K, V)
+    blocks: K starts at FIRST_BLOCK, doubles from block to block and is capped
+    at BLOCK_BYTES.  For each block ``measure(temperatures, logs)`` returns
+    (stop row or None, status, diagnostics, columns): "P", the rows of
+    exp(logs) its values were measured on, and one value per row for each
+    other column.  A temperature that overflows raises, and weights that
+    overflow end the run DIVERGED before that row with diagnostics
+    ``overflow_note(row, t)``, unless an earlier row stops the run.
 
     Returns (P, columns, status, diagnostics, BlockCounts) over the rows up to
-    the stop, with P checked and renormalized like ``SimplexPoint``.
+    the stop, with P checked and renormalized by ``_simplex_rows``.
     """
     entropic = kind is FieldKind.ENTROPIC
     weight = schedule.entropic_weight if entropic else schedule.effective_time
@@ -550,10 +561,9 @@ def _solve_blocks(
     blocks = []
     status, diagnostics = TerminalStatus.MAX_TIME, ""
     start, size, evaluated = 0, FIRST_BLOCK, 0
-    while start < n_rows:
-        times, coefficients, failure = [], [], None
-        for row in range(start, min(n_rows, start + min(size, cap))):
-            t = time_at(row)
+    while start < len(times):
+        coefficients, failure = [], None
+        for row, t in enumerate(times[start : start + min(size, cap)].tolist(), start):
             try:
                 temperature = schedule.at(t)
             except InvalidInputError as exc:  # raised once every earlier row is measured
@@ -563,14 +573,13 @@ def _solve_blocks(
             if not (temperature > 0.0 and math.isfinite(b * spread + spread / temperature)):
                 failure = overflow_note(row, t)
                 break
-            times.append(t)
             coefficients.append((math.exp(-t) if entropic else 1.0, b, temperature))
-        if times:
+        if coefficients:
             a, b, temperatures = np.array(coefficients).T
             logs = _normalize_rows(a[:, np.newaxis] * ell0 + b[:, np.newaxis] * shifted)
             stop, status, diagnostics, columns = measure(temperatures, logs)
-            evaluated += len(times)
-            end = len(times) if stop is None else stop + 1
+            evaluated += len(coefficients)
+            end = len(coefficients) if stop is None else stop + 1
             columns = {name: column[:end] for name, column in columns.items()}
             columns["P"] = _simplex_rows(columns["P"])
             blocks.append(columns)
@@ -581,7 +590,7 @@ def _solve_blocks(
         if failure is not None:
             status, diagnostics = TerminalStatus.DIVERGED, failure
             break
-        start += len(times)
+        start += len(coefficients)
         size *= 2
     columns = {name: np.concatenate([block[name] for block in blocks]) for name in blocks[0]}
     P = columns.pop("P")
@@ -615,25 +624,28 @@ def integrate(
 ) -> TrajectoryRecord:
     """Solve the selected fixed-score flow from p0 under a temperature schedule.
 
-    Nothing is stepped: at each stop (sample time, breakpoint, horizon)
-    ``log p = a log p0 + b (s - max s)`` up to normalization, with (a, b) =
-    (1, effective_time) for LITERAL and (e^{-t}, entropic_weight) for ENTROPIC,
-    so ``accepted_steps`` and ``renormalizations`` stay 0.  Samples carry the
-    free energy at T(t) and the KL to softmax(s, T(t)) (ENTROPIC) or, from the
-    closed-form limit point, D(limit || p) (LITERAL).  The run ends at the
-    first stop below ``controls.convergence_kl`` or ``convergence_field_norm``,
-    else at the horizon; a log-probability below ``LOG_CLAMP`` or an
-    overflowing weight ends it DIVERGED.
+    Nothing is stepped: the rows it records, at t = 0 and at each sample time
+    in (0, horizon], are ``log p = a log p0 + b (s - max s)`` up to
+    normalization, with (a, b) = (1, effective_time) for LITERAL and
+    (e^{-t}, entropic_weight) for ENTROPIC, so ``accepted_steps`` and
+    ``renormalizations`` stay 0; a breakpoint or a horizon that is no sample
+    time is not evaluated.  Samples carry the free energy at T(t) and the KL
+    to softmax(s, T(t)) (ENTROPIC) or, from the closed-form limit point,
+    D(limit || p) (LITERAL).  The run ends at the first sample below
+    ``controls.convergence_kl`` or ``convergence_field_norm``, else at the
+    last sample; a log-probability below ``LOG_CLAMP`` or an overflowing
+    weight ends it DIVERGED.
     """
     sched = as_schedule(schedule)
     if p0.size != s.size:
         raise InvalidInputError(f"size mismatch: p0 has {p0.size} entries, s has {s.size}")
-    stops, sample_set = _stops(horizon, sched, controls)
+    _, samples = _stops(horizon, sched, controls)
     entropic = kind is FieldKind.ENTROPIC
     if entropic and not p0.interior:
         raise InteriorityError("entropic field requires an interior start")
     check_score_spread(s, sched.at(0.0))
     shifted = s.values - s.values.max()
+    fitness = _fitness(kind, lambda _: shifted)
     if entropic:
 
         def kl_rows(P, logs, temperatures):
@@ -648,9 +660,6 @@ def integrate(
         def kl_rows(P, logs, temperatures):
             return target_plogp - logs[:, target_sel] @ target_p[target_sel]
 
-    times = [0.0] + stops
-    stopped = []  # set when a row stops the run: that row is kept as a sample
-
     def measure(temperatures, logs):
         stop, status, diagnostics = None, TerminalStatus.MAX_TIME, ""
         if entropic:
@@ -662,14 +671,11 @@ def integrate(
                 diagnostics = "log-probability clamp hit near the boundary"
         P = np.exp(logs)
         temperatures = temperatures[:, np.newaxis]
-        g = shifted / temperatures - logs if entropic else shifted / temperatures
         columns = {
             "P": P,
-            # sum p_i * log p_i with exact-zero coordinates contributing 0
-            "free_energy": P @ s.values
-            - temperatures[:, 0] * _row_dot(P, np.where(P > 0.0, logs, 0.0)),
+            "free_energy": _free_energy_rows(P @ s.values, temperatures[:, 0], P, logs),
             "kl_to_target": np.maximum(kl_rows(P, logs, temperatures), 0.0),
-            "field_norm": np.abs(_tangent_field(P, g)).max(axis=1),
+            "field_norm": _field_norm(P, fitness(P, logs, temperatures)),
         }
         met = np.flatnonzero(
             (columns["kl_to_target"] < controls.convergence_kl)
@@ -677,31 +683,23 @@ def integrate(
         )
         if met.size and (stop is None or met[0] < stop):
             stop, status, diagnostics = int(met[0]), TerminalStatus.CONVERGED, ""
-        if stop is not None:
-            stopped.append(stop)
         return stop, status, diagnostics, columns
 
     with np.errstate(divide="ignore"):
         ell0 = np.log(p0.probs)
+    times = np.array([0.0] + sorted(samples))
     P, columns, status, diagnostics, counts = _solve_blocks(
         kind,
         ell0,
         shifted,
         sched,
-        len(times),
-        times.__getitem__,
+        times,
         measure,
         lambda row, t: f"flow weights overflow at t={t:.6g}",
     )
-    columns["t"] = np.array(times[: len(P)])
-    keep = np.array([t == 0.0 or t in sample_set for t in times[: len(P)]])
-    keep[-1] |= bool(stopped)
+    columns["t"] = times[: len(P)]
     return TrajectoryRecord.from_columns(
-        P[keep],
-        {name: column[keep] for name, column in columns.items()},
-        status,
-        diagnostics=diagnostics,
-        block_counts=counts,
+        P, columns, status, diagnostics=diagnostics, block_counts=counts
     )
 
 

@@ -110,9 +110,10 @@ class ScoreVector:
 class SimplexPoint:
     """Probability vector on the simplex.
 
-    Construction accepts vectors whose sum drifts from 1 by at most
-    ``MAX_CONSTRUCTION_DRIFT`` and renormalizes them; larger drift raises,
-    so integrator bugs cannot hide behind silent renormalization.
+    Construction checks and renormalizes the vector as ``_simplex_rows`` does
+    one row: entries finite and nonnegative, a sum off 1 by at most
+    ``MAX_CONSTRUCTION_DRIFT`` renormalized, larger drift raised, so
+    integrator bugs cannot hide behind silent renormalization.
     """
 
     probs: np.ndarray
@@ -121,20 +122,7 @@ class SimplexPoint:
         arr = _as_vector(self.probs, "probabilities")
         if arr.size < 1:
             raise InvalidInputError("empty probability vector")
-        if not np.all(np.isfinite(arr)):
-            raise InvalidInputError("probabilities must be finite")
-        if np.any(arr < 0.0):
-            raise InvalidInputError(f"negative probability: min entry {arr.min()!r}")
-        total = float(arr.sum())
-        if abs(total - 1.0) > MAX_CONSTRUCTION_DRIFT:
-            raise InvalidInputError(
-                f"probabilities sum to {total!r}; drift exceeds {MAX_CONSTRUCTION_DRIFT}"
-            )
-        if total != 1.0:
-            arr = arr / total
-            if abs(float(arr.sum()) - 1.0) > NORM_EPS:
-                arr = arr / float(arr.sum())
-        object.__setattr__(self, "probs", _freeze(arr))
+        object.__setattr__(self, "probs", _freeze(_simplex_rows(arr[np.newaxis])[0]))
 
     @classmethod
     def _from_checked(cls, probs: np.ndarray) -> "SimplexPoint":
@@ -178,12 +166,11 @@ class SimplexPoint:
 
 
 def _simplex_rows(rows: np.ndarray) -> np.ndarray:
-    """The rows of an (n, V) array checked and renormalized as ``SimplexPoint``
-    construction checks and renormalizes one vector, with the same
-    arithmetic per row: every entry finite and nonnegative, each row's sum off
-    1 by at most ``MAX_CONSTRUCTION_DRIFT`` (else InvalidInputError), rows
-    divided by their sum, and again if that leaves them off 1 by more than
-    ``NORM_EPS``.  The input is not modified."""
+    """The rows of an (n, V) array checked and renormalized, the checks of
+    every ``SimplexPoint`` and of every solver's output: every entry finite and
+    nonnegative, each row's sum off 1 by at most ``MAX_CONSTRUCTION_DRIFT``
+    (else InvalidInputError), rows divided by their sum, and again if that
+    leaves them off 1 by more than ``NORM_EPS``.  The input is not modified."""
     if not np.isfinite(rows).all():
         raise InvalidInputError("probabilities must be finite")
     if (rows < 0.0).any():
@@ -253,16 +240,27 @@ class FreeEnergyReport:
     value: float      # inner + T * entropy
 
 
+def _over_temperature(s: ScoreVector, t: float) -> tuple:
+    """(z, c) with z = (s - c) / T: c = 0 unless some s_i / T overflows, then
+    c = max s, so a finite spread over T gives finite z (and an infinite one
+    z = -inf where exp(z) underflows anyway)."""
+    if math.isfinite(float(np.abs(s.values).max()) / t):
+        return s.values / t, 0.0
+    c = float(s.values.max())
+    with np.errstate(over="ignore"):
+        return (s.values - c) / t, c
+
+
 def log_partition(s: ScoreVector, temperature: float) -> float:
     """Temperature-scaled log-sum-exp A(s) = T log sum_i exp(s_i / T).
 
-    Computed with the max-shift trick, so no overflow for |s_i|/T <= 700.
+    Computed with the max-shift trick, on s - max s when s / T overflows.
     Satisfies A(s + c*1) = A(s) + c.
     """
     t = check_temperature(temperature)
-    z = s.values / t
+    z, c = _over_temperature(s, t)
     m = float(z.max())
-    return t * (m + math.log(float(np.exp(z - m).sum())))
+    return c + t * (m + math.log(float(np.exp(z - m).sum())))
 
 
 def softmax(s: ScoreVector, temperature: float) -> SimplexPoint:
@@ -272,8 +270,7 @@ def softmax(s: ScoreVector, temperature: float) -> SimplexPoint:
     zero are floored at the smallest positive double, which leaves the
     normalization untouched at double precision.
     """
-    t = check_temperature(temperature)
-    z = s.values / t
+    z, _ = _over_temperature(s, check_temperature(temperature))
     w = np.exp(z - z.max())
     p = w / w.sum()
     p = np.maximum(p, PROB_FLOOR)
@@ -282,8 +279,7 @@ def softmax(s: ScoreVector, temperature: float) -> SimplexPoint:
 
 def log_softmax(s: ScoreVector, temperature: float) -> np.ndarray:
     """Normalized log-probabilities of softmax(s, T); never underflows."""
-    t = check_temperature(temperature)
-    z = s.values / t
+    z, _ = _over_temperature(s, check_temperature(temperature))
     m = float(z.max())
     return (z - m) - math.log(float(np.exp(z - m).sum()))
 

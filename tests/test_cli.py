@@ -1,13 +1,17 @@
 """End-to-end CLI behavior: configs, file formats, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import math
 import os
 import re
+import tempfile
 import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from simplexflow import cli
 from simplexflow.cli import (
@@ -357,6 +361,24 @@ class TestSimulate:
                      "--face", "indices:1,5", "--output", "x"])
         assert code == EXIT_CONFIG
 
+    def test_face_specs_by_index_and_by_nucleus_mass(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        argv = ["simulate", "--scores", "3,2,1,0", "--temperature", "1"]
+        assert main(argv + ["--face", "indices:1,3", "--output", "idx"]) == EXIT_OK
+        header, rows = read_csv("idx.csv")
+        on, off = ([header.index(f"p_{i}") for i in pair] for pair in ((1, 3), (2, 4)))
+        assert all(row[i] > 0.0 for row in rows for i in on)
+        assert all(row[i] == 0.0 for row in rows for i in off)
+        # softmax at T = 1 is about (0.64, 0.24, 0.09, 0.03): 0.9 of the mass takes three
+        assert main(argv + ["--face", "nucleus:0.9", "--output", "nucleus"]) == EXIT_OK
+        header, rows = read_csv("nucleus.csv")
+        assert all(row[header.index("p_4")] == 0.0 and row[header.index("p_3")] > 0.0
+                   for row in rows)
+        capsys.readouterr()
+        assert main(argv + ["--face", "indices:0,2", "--output", "bad"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("[face]") == 1 and "indices must lie in [1, 4]" in err
+
     def test_linear_field_outputs_are_strict_json(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         cfg = tmp_path / "lin.ini"
@@ -405,6 +427,26 @@ class TestSimulate:
         )
         assert code == EXIT_CONFIG
         assert "temperature schedule overflows" in capsys.readouterr().err
+
+    def test_linear_field_clamp_is_exit_3_with_finite_rows(self, tmp_path, monkeypatch, capsys):
+        # a self-reinforcing coupling at T = 1e-3 drives two coordinates below
+        # the adaptive driver's log-probability clamp
+        monkeypatch.chdir(tmp_path)
+        Path("clamp.ini").write_text(
+            "[scores]\nvalues = 1, 0, 0.5\n"
+            "[field]\nkind = linear\ncoupling = 1,0,0,0,1,0,0,0,1\n"
+            "[temperature]\nvalue = 1e-3\n[integrator]\nhorizon = 10\n"
+        )
+        assert main(["simulate", "--config", "clamp.ini", "--output", "clamp"]) == EXIT_DIVERGED
+        assert "diverged: log-probability clamp hit near the boundary" in capsys.readouterr().err
+        manifest = read_manifest("clamp")
+        assert manifest.terminal_status == "diverged"
+        assert 0.4 < manifest.metrics["terminal_t"] < 0.5
+        assert manifest.telemetry["accepted_steps"] == manifest.metrics["samples"] - 1
+        header, rows = read_csv("clamp.csv")
+        probs = [header.index(f"p_{i}") for i in (1, 2, 3)]
+        assert all(math.isfinite(row[i]) and row[i] >= 0.0 for row in rows for i in probs)
+        assert rows[-1][probs[0]] == 1.0 and 0.0 < rows[-1][probs[1]] <= 1e-299
 
     def test_diverged_run_is_exit_3_with_manifest(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -473,6 +515,20 @@ class TestProxIterate:
         assert 0 < len(rows) < 400
         assert f"at step {len(rows) + 1}" in capsys.readouterr().err
         assert all(math.isfinite(value) for row in rows for value in row)
+
+    def test_scores_that_overflow_over_the_temperature_keep_a_finite_kl(
+        self, tmp_path, monkeypatch
+    ):
+        # s / T overflows though the spread is 0, so softmax needs the shift
+        monkeypatch.chdir(tmp_path)
+        code = main(["prox-iterate", "--scores=1e259,1e259,1e259", "--temperature", "1e-281",
+                     "--output", "huge"])
+        assert code == EXIT_OK
+        header, rows = read_csv("huge.csv")
+        assert [row[header.index("kl_to_softmax")] for row in rows] == [0.0]
+        manifest = read_strict_json("huge.manifest.json")
+        assert manifest["terminal_status"] == "converged"
+        assert manifest["metrics"]["terminal_kl_to_softmax"] == 0.0
 
     def test_stalled_exact_prox_is_exit_3(self, tmp_path, monkeypatch, capsys):
         # at eta T = 5e-301 each step moves log p by 5e-301 of the distance
@@ -761,7 +817,12 @@ class TestManifest:
             assert set(counts) == {"stops_evaluated", "stops_kept", "blocks"}
             assert counts["stops_evaluated"] >= counts["stops_kept"] and counts["blocks"] >= 1
             assert not set(counts) & set(manifest.metrics)
-        assert flow.telemetry["stops_kept"] >= flow.metrics["samples"]
+        # the closed form evaluates only the rows it records, no breakpoint row
+        assert flow.telemetry["stops_kept"] == flow.metrics["samples"]
+        assert main(["simulate", "--scores", "1,0,-0.5", "--schedule", "piecewise:0:2,0.7:0.5",
+                     "--output", "piecewise"]) == EXIT_OK
+        piecewise = read_manifest("piecewise")
+        assert piecewise.telemetry["stops_kept"] == piecewise.metrics["samples"]
         assert prox.telemetry["stops_kept"] == prox.metrics["steps"] + 1
         linear = read_manifest("linear")
         steps = linear.telemetry
@@ -770,3 +831,67 @@ class TestManifest:
         }
         assert steps["accepted_steps"] == linear.metrics["accepted_steps"] >= 1
         assert 0.0 < steps["min_step"] <= steps["last_step"] <= steps["max_step"]
+
+
+def _scaled(mantissas, exponents):
+    """Floats m * 10^e: every decade of the range is as likely as any other."""
+    return st.builds(lambda m, e: m * 10.0**e, mantissas, st.integers(*exponents))
+
+
+_SIGNED = _scaled(st.floats(-9.99, 9.99), (-300, 299))
+_POSITIVE = _scaled(st.floats(1.0, 9.99), (-300, 299))
+
+
+def _schedule_flags(draw):
+    kind = draw(st.sampled_from(["constant", "piecewise", "exponential"]))
+    if kind == "constant":
+        return ["--temperature", repr(draw(_POSITIVE))]
+    if kind == "piecewise":
+        spec = f"piecewise:0:{draw(_POSITIVE)!r},{draw(_POSITIVE)!r}:{draw(_POSITIVE)!r}"
+    else:
+        spec = f"exponential:{draw(_POSITIVE)!r}:{draw(_SIGNED)!r}"
+    return ["--schedule", spec]
+
+
+@st.composite
+def _extreme_runs(draw):
+    """argv of a fixed-score simulate or prox-iterate run with scores up to
+    1e300 in size, T and the horizon from 1e-300 to 1e300 and V from 2 to 16.
+    Scores go as --scores=..., since argparse reads "--scores -1,0" as a flag."""
+    size = draw(st.integers(2, 16))
+    # half the runs draw their scores from at most three values, so equal
+    # scores far larger than T (a spread of 0 over an overflowing s / T) occur
+    values = st.sampled_from(draw(st.lists(_SIGNED, min_size=1, max_size=3)))
+    scores = draw(st.lists(values if draw(st.booleans()) else _SIGNED, min_size=size,
+                           max_size=size))
+    argv = [f"--scores={','.join(repr(x) for x in scores)}"]
+    face = draw(st.none() | st.integers(1, len(scores)))
+    if face is not None:
+        argv += ["--face", f"topk:{face}"]
+    if draw(st.booleans()):
+        argv = ["simulate", *argv, *_schedule_flags(draw),
+                "--dynamics", draw(st.sampled_from(["literal", "entropic"])),
+                "--horizon", repr(draw(_POSITIVE))]
+    else:
+        argv = ["prox-iterate", *argv, "--temperature", repr(draw(_POSITIVE)),
+                "--step", draw(st.sampled_from(["exact-prox", "printed-mw"])),
+                "--steps", str(draw(st.integers(0, 50)))]
+    return argv
+
+
+@settings(max_examples=300, derandomize=True)
+@given(_extreme_runs())
+def test_extreme_inputs_end_in_an_exit_code_and_finite_files(argv):
+    """Every run exits 0, 2 or 3; one that writes its files writes a manifest
+    that strict JSON parses and a table with no NaN or infinity.  A numpy
+    RuntimeWarning fails the run, as the test configuration turns it into an
+    error."""
+    with tempfile.TemporaryDirectory() as tmp:
+        stem = Path(tmp) / "run"
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main([*argv, "--output", str(stem)])
+        assert code in (EXIT_OK, EXIT_CONFIG, EXIT_DIVERGED)
+        if code != EXIT_CONFIG:
+            read_strict_json(f"{stem}.manifest.json")
+            table = stem.with_suffix(".csv").read_text().lower()
+            assert "nan" not in table and "inf" not in table

@@ -57,6 +57,11 @@ class TestSchedules:
         sched = ExponentialSchedule(1.0, 1.0)
         assert effective_time(sched, 1.0) == pytest.approx(1.0 - math.exp(-1.0), abs=1e-15)
 
+    def test_exponential_effective_time_when_initial_times_rate_underflows(self):
+        # 1e-24 * 1e-300 is 0.0 in double precision; tau(t) ~ t / T0 for r t << 1
+        for rate in (1e-300, -1e-300):
+            assert effective_time(ExponentialSchedule(1e-24, rate), 1.0) == pytest.approx(1e24)
+
     def test_exponential_zero_rate_is_constant(self):
         assert effective_time(ExponentialSchedule(2.0, 0.0), 4.0) == pytest.approx(2.0)
 
@@ -700,3 +705,40 @@ class TestEmbeddedPair:
         assert traj.renormalizations == traj.step_counts.accepted_steps
         # a fresh first stage after each step; at the breakpoint it is due anyway
         assert extra == traj.step_counts.accepted_steps
+
+    @pytest.mark.parametrize("gap", [1e-14, 2e-14, 3e-14, 5e-14, 8e-14])
+    def test_a_stop_closer_than_the_shortest_step_is_reached(self, gap):
+        # a step landing on the second of two stops this close is ~gap long,
+        # and the step size after it falls below MIN_STEP ("step size
+        # underflow"); a breakpoint reached without a step still moves T
+        field = linear_field(np.zeros(3), rotation_coupling(1.0))
+        plain = IntegratorControls(sample_times=(0.0, 1.0, 2.0), convergence_kl=0.0)
+        close = IntegratorControls(sample_times=(0.0, 1.0, 1.0 + gap, 2.0), convergence_kl=0.0)
+        reference = _run_flow(FieldKind.LITERAL, self.P0, field.scores_at, field.potential,
+                              ConstantSchedule(1.0), 2.0, plain)
+        traj = _run_flow(FieldKind.LITERAL, self.P0, field.scores_at, field.potential,
+                         ConstantSchedule(1.0), 2.0, close)
+        assert traj.terminal_status is TerminalStatus.MAX_TIME
+        assert list(traj.t) == [0.0, 1.0, 1.0 + gap, 2.0]
+        assert traj.step_counts == reference.step_counts
+        assert np.array_equal(traj.P[[0, 1, 3]], reference.P)
+        assert np.array_equal(traj.P[2], traj.P[1])  # the state up to MIN_STEP early
+        at_one, close_after = (
+            _run_flow(FieldKind.ENTROPIC, self.P0, field.scores_at, field.potential,
+                      PiecewiseConstantSchedule((edge,), (1.0, 0.5)), 2.0, plain)
+            for edge in (1.0, 1.0 + gap)
+        )
+        assert close_after.terminal_status is TerminalStatus.MAX_TIME
+        assert close_after.step_counts == at_one.step_counts
+        assert np.array_equal(close_after.P, at_one.P)
+
+    def test_step_size_underflow_ends_the_run_keeping_its_rows(self, monkeypatch):
+        field = linear_field(np.zeros(3), rotation_coupling(1.0))
+        monkeypatch.setattr(replicator, "MIN_STEP", 0.5)  # the second step is 0.02 long
+        traj = _run_flow(FieldKind.LITERAL, self.P0, field.scores_at, field.potential,
+                         ConstantSchedule(1.0), 10.0, IntegratorControls(sample_times=(0.0, 10.0)))
+        assert traj.terminal_status is TerminalStatus.DIVERGED
+        assert traj.diagnostics == "step size underflow at t=0.01 (h=0.02)"
+        assert list(traj.t) == [0.0, 0.01] and traj.step_counts.accepted_steps == 1
+        assert np.array_equal(traj.P[0], self.P0.probs) and np.all(np.isfinite(traj.P))
+        assert traj.P[1][0] > self.P0.probs[0]  # the rotation moved the one step taken

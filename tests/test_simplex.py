@@ -24,11 +24,13 @@ from simplexflow import (
     free_energy,
     kl_divergence,
     log_partition,
+    log_softmax,
     restrict_to_face,
     softmax,
     softmax_jacobian,
 )
 from simplexflow.oracles import fd_gradient, fd_jacobian
+from simplexflow.simplex import PROB_FLOOR
 
 from conftest import score_lists, weight_lists
 
@@ -182,6 +184,32 @@ class TestLogPartition:
         s = ScoreVector(values)
         grad = fd_gradient(lambda v: log_partition(ScoreVector(v), t), s.values)
         assert np.max(np.abs(grad - softmax(s, t).probs)) < 1e-6
+
+
+class TestScoresBeyondTheTemperature:
+    """s / T overflows while the spread (max s - min s) / T is finite: the
+    three primitives shift by max s and stay finite.  Where s / T is finite
+    they keep the unshifted arithmetic."""
+
+    def test_equal_huge_scores_at_a_tiny_temperature(self):
+        s = ScoreVector([1e259] * 3)
+        assert np.array_equal(softmax(s, 1e-281).probs, np.full(3, 1.0 / 3.0))
+        assert np.array_equal(log_softmax(s, 1e-281), np.full(3, -math.log(3.0)))
+        assert log_partition(s, 1e-281) == 1e259
+
+    def test_a_finite_spread_over_an_overflowing_scale(self):
+        s = ScoreVector([1e10, 1e10 - 1.0])  # s / T = 1e310, spread / T = 1e300
+        assert np.array_equal(log_softmax(s, 1e-300), [0.0, -1.0 / 1e-300])
+        assert np.array_equal(softmax(s, 1e-300).probs, [1.0, PROB_FLOOR])
+        assert log_partition(s, 1e-300) == 1e10
+
+    @given(score_lists(bound=1e3), st.floats(1e-3, 1e3))
+    def test_finite_scaled_scores_keep_the_unshifted_arithmetic(self, values, t):
+        s = ScoreVector(values)
+        z = s.values / t
+        m = float(z.max())
+        assert np.array_equal(log_softmax(s, t), (z - m) - math.log(float(np.exp(z - m).sum())))
+        assert log_partition(s, t) == t * (m + math.log(float(np.exp(z - m).sum())))
 
 
 class TestEntropy:
