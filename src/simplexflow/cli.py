@@ -35,14 +35,13 @@ import numpy as np
 from . import __version__, oracles
 from .exceptions import ConfigError, InvalidInputError, OracleFailureError, SimplexFlowError
 from .mirror import MirrorStepKind, iterate
-from .path_fields import detect_recurrence, integrate_path, linear_field
+from .path_fields import ScoreField, detect_recurrence, integrate_path
 from .replicator import (
     ConstantSchedule,
     FieldKind,
     IntegratorControls,
     _reparameterization_deviation,
     as_schedule,
-    integrate,
     parse_schedule,
 )
 from .simplex import (
@@ -121,6 +120,8 @@ class ExperimentConfig:
                 )
         if self.max_steps < 0:
             raise ConfigError("[mirror] steps must be nonnegative")
+        if min([self.seed, *self.grid.get("seed", ())]) < 0:
+            raise ConfigError("[run] seed (--seed) and [sweep] grid.seed must be nonnegative")
         if self.jobs < 1:
             raise ConfigError("[sweep] jobs must be at least 1")
         try:
@@ -564,19 +565,9 @@ def _resolve(cfg: ExperimentConfig) -> _ResolvedRun:
 
 def _simulate_record(cfg: ExperimentConfig) -> tuple:
     run = _resolve(cfg)
+    field = ScoreField(run.scores.values, run.coupling)
     kind = FieldKind(cfg.dynamics)
-    if run.coupling is not None:
-        record = integrate_path(
-            linear_field(run.scores.values, run.coupling),
-            kind,
-            run.p0,
-            run.schedule,
-            cfg.horizon,
-            run.controls,
-        )
-    else:
-        record = integrate(kind, run.p0, run.scores, run.schedule, cfg.horizon, run.controls)
-    return run, record
+    return run, integrate_path(field, kind, run.p0, run.schedule, cfg.horizon, run.controls)
 
 
 def _iterate_record(cfg: ExperimentConfig) -> tuple:
@@ -751,6 +742,8 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     _check_output_directory("--output", args.output)
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
     include = None
     if args.claims:
         include = [tok.strip() for tok in args.claims.split(",") if tok.strip()]

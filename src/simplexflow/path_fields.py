@@ -34,6 +34,7 @@ from .replicator import (
     DEFAULT_HORIZON,
     FieldKind,
     IntegratorControls,
+    _DP_REACH,
     _row_dot,
     _run_flow,
     as_schedule,
@@ -89,9 +90,13 @@ class ScoreField:
         return float(np.linalg.norm(self.coupling, 2))
 
     def scores_at(self, p: np.ndarray) -> np.ndarray:
+        """s(p) at a point, or at each row of a (K, V) array; stacked (1, V)
+        products keep each row equal to its point to the bit, (K, V) @ B.T not."""
         if self.coupling is None:
             return self.base
-        return self.base + self.coupling @ p
+        if p.ndim == 1:
+            return self.base + self.coupling @ p
+        return self.base + (p[:, np.newaxis, :] @ self.coupling.T)[:, 0]
 
     def potential(self, p: np.ndarray):
         """<p, s0> + 0.5 <p, B p> at a point, or at each row of a (K, V) array;
@@ -176,16 +181,22 @@ def integrate_path(
     runs.  Genuinely linear fields go through the adaptive integrator; their
     free-energy annotation is the generalized G above and no closed-form
     target exists, so ``kl_to_target`` is NaN, ``convergence_kl`` is unused
-    and early stopping, if any, goes through ``convergence_field_norm``.
+    and the run ends at the horizon or DIVERGED.  Scores over T(0) that
+    could overflow the integrator's stages raise InvalidInputError.
     """
     if field.constant_equivalent:
         return integrate(fieldkind, p0, ScoreVector(field.base), schedule, horizon, controls)
 
     if p0.size != field.size:
         raise InvalidInputError(f"size mismatch: p0 has {p0.size} entries, field has {field.size}")
-    return _run_flow(
-        fieldkind, p0, field.scores_at, field.potential, as_schedule(schedule), horizon, controls
-    )
+    schedule = as_schedule(schedule)
+    # |slope| <= 2 max|s(p)| / T, a stage moves log p by up to _DP_REACH slopes
+    # times a step of at most the horizon, and normalizing subtracts two moves
+    largest = float(np.abs(field.base).max()) + float(np.abs(field.coupling).max())
+    reach = largest / schedule.at(0.0) * 4.0 * _DP_REACH * max(horizon, 1.0)
+    if math.isfinite(horizon) and not math.isfinite(reach):
+        raise InvalidInputError(f"linear field scores up to {largest:.3g} overflow at T(0)")
+    return _run_flow(fieldkind, p0, field.scores_at, field.potential, schedule, horizon, controls)
 
 
 # ---------------------------------------------------------------------------
@@ -314,16 +325,14 @@ def lockin_probe(
     temperature: float,
     horizon: float = 200.0,
     cluster_tol: float = 1e-4,
-    controls: Optional[IntegratorControls] = None,
 ) -> LockinReport:
-    """Integrate each start and partition by terminal basin.
+    """Integrate each start with 50 samples and partition by terminal basin.
 
-    Terminal points are clustered greedily by sup-norm distance
-    ``cluster_tol``; each cluster reports its size and mean terminal value
-    of the recorded free energy.
+    Terminal points (a linear field's at the horizon) are clustered greedily
+    by sup-norm distance ``cluster_tol``; each cluster reports its size and
+    mean terminal value of the recorded free energy.
     """
-    if controls is None:
-        controls = IntegratorControls(convergence_field_norm=1e-12, n_samples=50)
+    controls = IntegratorControls(n_samples=50)
     clusters: list[BasinCluster] = []
     assignments: list = []
     diverged: list = []

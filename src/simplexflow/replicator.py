@@ -32,7 +32,8 @@ and normalization hold by construction and exact zeros stay zero.  The local
 error is the sup-norm gap in p between the 5th- and the embedded 4th-order
 solutions; the 5th-order one is kept, and its stage is the first stage of
 the next step unless a renormalization or a schedule breakpoint moves the
-state or T.  Samples are kept as (t, log p) and measured row-wise at the end.
+state or T.  Samples are kept as (t, log p) and measured as one block at the
+end.  The run ends at its horizon, or DIVERGED.
 """
 
 from __future__ import annotations
@@ -298,18 +299,15 @@ class IntegratorControls:
     times, so step control applies to linear fields only: a step is accepted
     when the sup-norm gap in p between the 5th- and 4th-order solutions of
     the Dormand-Prince pair is at most ``abs_tol + rel_tol``, one absolute
-    bound as neither is scaled by the state.  ``dt0``, positive and finite, is
-    the first trial step and also the first geometric sample time of every
-    flow."""
+    bound as neither is scaled by the state; both are finite and >= 0, with a
+    positive sum.  ``dt0``, positive and finite, is the first trial step and
+    also the first geometric sample time of every flow."""
 
     dt0: float = 1e-2
     rel_tol: float = 1e-8
     abs_tol: float = 1e-10
     #: KL stop of fixed-score flows, checked at the stop times (0 disables)
     convergence_kl: float = 1e-10
-    #: stop when the field sup-norm drops below this (0 disables); used for
-    #: state-dependent score fields where no closed-form target exists
-    convergence_field_norm: float = 0.0
     n_samples: int = 200
     uniform_samples: bool = False
     sample_times: Optional[tuple] = None
@@ -317,6 +315,11 @@ class IntegratorControls:
     def __post_init__(self):
         if not 0.0 < self.dt0 < math.inf:
             raise InvalidInputError(f"dt0 must be positive and finite, got {self.dt0!r}")
+        tolerances = (self.rel_tol, self.abs_tol)
+        if not (min(tolerances) >= 0.0 and 0.0 < sum(tolerances) < math.inf):
+            raise InvalidInputError(
+                f"rel_tol and abs_tol must be finite and >= 0, not both 0, got {tolerances}"
+            )
 
 
 DEFAULT_HORIZON = 1e3
@@ -360,7 +363,7 @@ def _free_energy_rows(inner, temperatures, P: np.ndarray, logs: np.ndarray) -> n
 
 
 def _field_norm(p: np.ndarray, g: np.ndarray):
-    """Sup norm of the tangent field of fitness g at a point or at each row."""
+    """Sup norm of the tangent field of fitness g at each row."""
     return np.abs(_tangent_field(p, g)).max(axis=-1)
 
 
@@ -383,6 +386,9 @@ _DP_A = np.array(
 _DP_B4 = np.array(
     [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
 )
+#: largest sum of |a_ij| over a row of _DP_A: a stage moves log p by at most
+#: this many slopes times the step
+_DP_REACH = float(np.abs(_DP_A).sum(axis=1).max())
 
 
 def _run_flow(
@@ -397,8 +403,8 @@ def _run_flow(
     """Adaptive flow of the score map ``p -> s(p)`` from p0, annotated with
     ``potential(p) + T H(p)`` and a NaN KL; see the module docstring.
 
-    ``scores_at`` and ``potential`` take one point.  Samples are kept as
-    (t, log p) while stepping and measured row by row at the end."""
+    Stages call ``scores_at`` on one point; the samples are measured by one
+    call each of ``scores_at`` and ``potential`` on their (K, V) rows."""
     stops, sample_set = _stops(horizon, schedule, controls)
     if kind is FieldKind.ENTROPIC and not p0.interior:
         raise InteriorityError("entropic field requires an interior start")
@@ -464,13 +470,6 @@ def _run_flow(
                 if not fresh:
                     p = np.exp(ell)
                     g = fitness(p, ell, schedule.at(t_now))
-                if (
-                    controls.convergence_field_norm > 0
-                    and _field_norm(p, g) < controls.convergence_field_norm
-                ):
-                    status = TerminalStatus.CONVERGED
-                    done = True
-                    break
             else:
                 rejected += 1
             h = h_try * min(MAX_GROWTH, max(0.2, factor))
@@ -494,14 +493,11 @@ def _run_flow(
     L = np.array(logs)
     raw = np.exp(L)
     temperatures = np.array([schedule.at(t) for t in times])
-    fitnesses = np.array([fitness(*row) for row in zip(raw, L, temperatures)])
     columns = {
         "t": np.array(times),
-        "free_energy": _free_energy_rows(
-            np.array([potential(row) for row in raw]), temperatures, raw, L
-        ),
+        "free_energy": _free_energy_rows(potential(raw), temperatures, raw, L),
         "kl_to_target": np.full(len(times), math.nan),
-        "field_norm": _field_norm(raw, fitnesses),
+        "field_norm": _field_norm(raw, fitness(raw, L, temperatures[:, np.newaxis])),
     }
     return TrajectoryRecord.from_columns(
         _simplex_rows(raw),
@@ -632,9 +628,8 @@ def integrate(
     time is not evaluated.  Samples carry the free energy at T(t) and the KL
     to softmax(s, T(t)) (ENTROPIC) or, from the closed-form limit point,
     D(limit || p) (LITERAL).  The run ends at the first sample below
-    ``controls.convergence_kl`` or ``convergence_field_norm``, else at the
-    last sample; a log-probability below ``LOG_CLAMP`` or an overflowing
-    weight ends it DIVERGED.
+    ``controls.convergence_kl``, else at the last sample; a log-probability
+    below ``LOG_CLAMP`` or an overflowing weight ends it DIVERGED.
     """
     sched = as_schedule(schedule)
     if p0.size != s.size:
@@ -677,10 +672,7 @@ def integrate(
             "kl_to_target": np.maximum(kl_rows(P, logs, temperatures), 0.0),
             "field_norm": _field_norm(P, fitness(P, logs, temperatures)),
         }
-        met = np.flatnonzero(
-            (columns["kl_to_target"] < controls.convergence_kl)
-            | (columns["field_norm"] < controls.convergence_field_norm)
-        )
+        met = np.flatnonzero(columns["kl_to_target"] < controls.convergence_kl)
         if met.size and (stop is None or met[0] < stop):
             stop, status, diagnostics = int(met[0]), TerminalStatus.CONVERGED, ""
         return stop, status, diagnostics, columns
@@ -793,20 +785,17 @@ def _reparameterization_deviation(
         raise InvalidInputError(f"need at least 1 checkpoint, got {n_checkpoints}")
     sched = as_schedule(schedule)
     grid = np.linspace(0.0, horizon, n_checkpoints + 1)
-    base = replace(controls, convergence_field_norm=0.0, sample_times=tuple(grid))
-    constant, inner = (lambda p: s.values), (lambda p: float(p @ s.values))
+    base = replace(controls, sample_times=tuple(grid))
+    constant, inner = (lambda p: s.values), (lambda p: p @ s.values)
     run_sched = _run_flow(kind, p0, constant, inner, sched, horizon, base)
 
     taus = np.array([sched.effective_time(t) for t in grid])
     unit = replace(base, sample_times=tuple(taus))
     run_unit = _run_flow(kind, p0, constant, inner, ConstantSchedule(1.0), float(taus[-1]), unit)
 
-    if len(run_sched.samples) != len(run_unit.samples):
+    if run_sched.P.shape != run_unit.P.shape:
         raise InvalidInputError("reparameterization runs recorded mismatched checkpoints")
-    dev = 0.0
-    for a, b in zip(run_sched.samples, run_unit.samples):
-        dev = max(dev, float(np.max(np.abs(a.p.probs - b.p.probs))))
-    return dev
+    return float(np.max(np.abs(run_sched.P - run_unit.P)))
 
 
 def check_time_reparameterization(

@@ -11,7 +11,7 @@ import warnings
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from simplexflow import cli
 from simplexflow.cli import (
@@ -164,6 +164,58 @@ class TestConfigFile:
         assert main(["sweep", "--config", str(cfg_file), "--output", "grid"]) == EXIT_DIVERGED
         (cell,) = json.loads(Path("grid.json").read_text())["cells"]
         assert cell["status"] == "error" and "dt0" in cell["error"]
+
+    @pytest.mark.parametrize(
+        "setting", ["abs_tol = -1", "abs_tol = nan", "abs_tol = inf", "rel_tol = 0\nabs_tol = 0"]
+    )
+    def test_invalid_tolerances_are_exit_2(self, tmp_path, monkeypatch, capsys, setting):
+        # abs_tol = -1 made the step factor complex, nan ended in a step size
+        # underflow, and inf accepted 13 steps up to 20.48 long
+        monkeypatch.chdir(tmp_path)
+        Path("tol.ini").write_text(
+            "[run]\nstart = 0.5, 0.3, 0.2\ndynamics = literal\n"
+            "[scores]\nvalues = 0, 0, 0\n"
+            "[field]\nkind = linear\ncoupling = 0,1,-1,-1,0,1,1,-1,0\n"
+            f"[integrator]\nhorizon = 50\nsamples = 2\n{setting}\n"
+        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["simulate", "--config", "tol.ini"]) == EXIT_CONFIG
+        assert not caught
+        assert "rel_tol and abs_tol must be finite" in capsys.readouterr().err
+        assert not Path("run.csv").exists() and not Path("run.manifest.json").exists()
+        assert main(["sweep", "--config", "tol.ini", "--output", "grid"]) == EXIT_DIVERGED
+        (cell,) = json.loads(Path("grid.json").read_text())["cells"]
+        assert cell["status"] == "error" and "tol" in cell["error"]
+
+    @pytest.mark.parametrize(
+        "argv, names",
+        [
+            (["simulate", "--config", "r.ini", "--seed", "-3"], "[run] seed"),
+            (["prox-iterate", "--config", "r.ini", "--seed", "-3"], "--seed"),
+            (["simulate", "--config", "neg.ini"], "[run] seed"),
+            (["sweep", "--config", "grid.ini"], "[sweep] grid.seed"),
+            (["verify", "--seed", "-1"], "--seed"),
+        ],
+        ids=["simulate-flag", "prox-iterate-flag", "ini", "sweep-grid", "verify"],
+    )
+    def test_a_negative_seed_is_exit_2_before_any_file(
+        self, tmp_path, monkeypatch, capsys, argv, names
+    ):
+        monkeypatch.chdir(tmp_path)
+        Path("r.ini").write_text("[run]\nstart = random\n[scores]\nvalues = 1, 0, -0.5\n")
+        Path("neg.ini").write_text(
+            "[run]\nstart = random\nseed = -3\n[scores]\nvalues = 1, 0, -0.5\n"
+        )
+        Path("grid.ini").write_text(
+            "[run]\nstart = random\n[scores]\nvalues = 1, 0, -0.5\n"
+            "[sweep]\ntask = simulate\ngrid.seed = 1, -1\n"
+        )
+        before = set(os.listdir())
+        assert main([*argv, "--output", "out"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert names in err and "nonnegative" in err
+        assert set(os.listdir()) == before
 
     @pytest.mark.parametrize(
         "argv",
@@ -419,6 +471,27 @@ class TestSimulate:
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert "score spread" in capsys.readouterr().err
         assert not Path("wide.manifest.json").exists()
+
+    @pytest.mark.parametrize(
+        "ini",
+        [
+            "[scores]\nvalues = 1, 0, 0.5\n[temperature]\nvalue = 1e-300\n"
+            "[field]\nkind = linear\ncoupling = 1e300,1,-1,-1,0,1,1,-1,1e300\n",
+            # 2 (1e300 + 1) / T is finite, but a stage sum of slopes is not
+            "[scores]\nvalues = 1e300, 0\n[temperature]\nvalue = 1.2e-8\n"
+            "[field]\nkind = linear\ncoupling = 0,1,1,0\n",
+        ],
+        ids=["scores-over-t", "stage-sums"],
+    )
+    def test_linear_field_overflow_is_exit_2(self, tmp_path, monkeypatch, capsys, ini):
+        monkeypatch.chdir(tmp_path)
+        Path("big.ini").write_text(ini)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["simulate", "--config", "big.ini", "--output", "big"]) == EXIT_CONFIG
+        assert not caught
+        assert "overflow at T(0)" in capsys.readouterr().err
+        assert not Path("big.csv").exists() and not Path("big.manifest.json").exists()
 
     def test_temperature_overflow_is_exit_2(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
@@ -853,45 +926,90 @@ def _schedule_flags(draw):
     return ["--schedule", spec]
 
 
+_HORIZON = _scaled(st.floats(1.0, 9.99), (-300, 0))
+_LINEAR_OVERFLOWS = (
+    "[temperature]\nvalue = 1e-300\n[field]\nkind = linear\n"
+    "coupling = 1e300,1,-1,-1,0,1,1,-1,1e300\n",
+    "[temperature]\nvalue = 1.2e-8\n[field]\nkind = linear\ncoupling = 0,1,1,0\n",
+)
+
+
+def _extreme_numbers(draw, count):
+    """``count`` numbers up to 1e300 in size; half the time drawn from at most
+    three values, so equal entries far larger than T (a spread of 0 over an
+    overflowing s / T) occur."""
+    values = st.sampled_from(draw(st.lists(_SIGNED, min_size=1, max_size=3)))
+    return draw(st.lists(values if draw(st.booleans()) else _SIGNED, min_size=count,
+                         max_size=count))
+
+
 @st.composite
 def _extreme_runs(draw):
-    """argv of a fixed-score simulate or prox-iterate run with scores up to
-    1e300 in size, T and the horizon from 1e-300 to 1e300 and V from 2 to 16.
-    Scores go as --scores=..., since argparse reads "--scores -1,0" as a flag."""
+    """(argv, INI text or None, whether the run must exit 2) of a fixed-score
+    simulate or prox-iterate run, or of a linear-field simulate run written as
+    an INI, with scores and couplings up to 1e300 in size, T from 1e-300 to
+    1e300 and V from 2 to 16.  Fixed-score horizons reach 1e300; a linear
+    field's stays at most 10, so the driver's steps stay few, and its rel_tol
+    or abs_tol is sometimes -1, nan or inf (exit 2) or 0.  Scores go as
+    --scores=..., since argparse reads "--scores -1,0" as a flag."""
     size = draw(st.integers(2, 16))
-    # half the runs draw their scores from at most three values, so equal
-    # scores far larger than T (a spread of 0 over an overflowing s / T) occur
-    values = st.sampled_from(draw(st.lists(_SIGNED, min_size=1, max_size=3)))
-    scores = draw(st.lists(values if draw(st.booleans()) else _SIGNED, min_size=size,
-                           max_size=size))
+    scores = _extreme_numbers(draw, size)
     argv = [f"--scores={','.join(repr(x) for x in scores)}"]
     face = draw(st.none() | st.integers(1, len(scores)))
     if face is not None:
         argv += ["--face", f"topk:{face}"]
-    if draw(st.booleans()):
+    kind = draw(st.sampled_from(["simulate", "prox-iterate", "linear"]))
+    if kind == "simulate":
         argv = ["simulate", *argv, *_schedule_flags(draw),
                 "--dynamics", draw(st.sampled_from(["literal", "entropic"])),
                 "--horizon", repr(draw(_POSITIVE))]
-    else:
+    elif kind == "prox-iterate":
         argv = ["prox-iterate", *argv, "--temperature", repr(draw(_POSITIVE)),
                 "--step", draw(st.sampled_from(["exact-prox", "printed-mw"])),
                 "--steps", str(draw(st.integers(0, 50)))]
-    return argv
+    else:
+        coupling = _extreme_numbers(draw, size * size)
+        ini = (
+            f"[run]\ndynamics = {draw(st.sampled_from(['literal', 'entropic']))}\n"
+            f"[temperature]\nvalue = {draw(_POSITIVE)!r}\n"
+            f"[field]\nkind = linear\ncoupling = {','.join(repr(x) for x in coupling)}\n"
+            f"[integrator]\nhorizon = {draw(_HORIZON)!r}\n"
+        )
+        name, value = draw(st.sampled_from([None, "rel_tol", "abs_tol"])), "0"
+        if name is not None:
+            value = draw(st.sampled_from(["-1", "nan", "inf", "0"]))
+            ini += f"{name} = {value}\n"
+        return ["simulate", *argv], ini, value != "0"
+    return argv, None, False
 
 
 @settings(max_examples=300, derandomize=True)
 @given(_extreme_runs())
-def test_extreme_inputs_end_in_an_exit_code_and_finite_files(argv):
-    """Every run exits 0, 2 or 3; one that writes its files writes a manifest
-    that strict JSON parses and a table with no NaN or infinity.  A numpy
-    RuntimeWarning fails the run, as the test configuration turns it into an
-    error."""
+@example((["simulate", "--scores=1,0,0.5"], _LINEAR_OVERFLOWS[0], True))
+@example((["simulate", "--scores=1e300,0"], _LINEAR_OVERFLOWS[1], True))
+def test_extreme_inputs_end_in_an_exit_code_and_finite_files(run):
+    """Every run exits 0, 2 or 3, and one drawn to be rejected exits 2; one
+    that writes its files writes a manifest that strict JSON parses and a
+    table with no NaN or infinity, save the KL column of a linear field,
+    which has no closed-form target.  A numpy RuntimeWarning fails the run,
+    as the test configuration turns it into an error."""
+    argv, ini, rejected = run
     with tempfile.TemporaryDirectory() as tmp:
         stem = Path(tmp) / "run"
+        if ini is not None:
+            config = Path(tmp) / "run.ini"
+            config.write_text(ini)
+            argv = [argv[0], "--config", str(config), *argv[1:]]
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             code = main([*argv, "--output", str(stem)])
-        assert code in (EXIT_OK, EXIT_CONFIG, EXIT_DIVERGED)
+        assert code in ((EXIT_CONFIG,) if rejected else (EXIT_OK, EXIT_CONFIG, EXIT_DIVERGED))
         if code != EXIT_CONFIG:
             read_strict_json(f"{stem}.manifest.json")
-            table = stem.with_suffix(".csv").read_text().lower()
-            assert "nan" not in table and "inf" not in table
+            header, *rows = (
+                line.split(",") for line in stem.with_suffix(".csv").read_text().lower().split()
+            )
+            exempt = header.index("kl_to_target") if ini is not None else None
+            assert not [
+                value for row in rows for i, value in enumerate(row)
+                if i != exempt and ("nan" in value or "inf" in value)
+            ]

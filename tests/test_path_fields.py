@@ -28,8 +28,10 @@ from simplexflow import (
     rotation_coupling,
     softmax,
 )
+from simplexflow.exceptions import InvalidInputError
 from simplexflow.path_fields import _barycentric_lattice, _grid_local_maxima
 from simplexflow.simplex import entropy
+from simplexflow.trajectory import TerminalStatus
 
 
 class TestScoreField:
@@ -71,6 +73,11 @@ class TestScoreField:
         field = linear_field(np.zeros(4), coupling)
         assert field.lipschitz_bound == pytest.approx(np.linalg.norm(coupling, 2))
         assert constant_field(np.zeros(3)).lipschitz_bound == 0.0
+
+    def test_scores_at_rows_equal_the_points_to_the_bit(self, rng):
+        field = linear_field(rng.normal(size=5), rng.normal(size=(5, 5)))
+        rows = rng.dirichlet(np.ones(5), size=40)
+        assert np.array_equal(field.scores_at(rows), [field.scores_at(p) for p in rows])
 
     def test_json_round_trip(self, rng):
         field = linear_field(rng.uniform(-1, 1, 3), rotation_coupling(0.7))
@@ -132,6 +139,31 @@ class TestReduction:
         b = integrate(FieldKind.ENTROPIC, p0, ScoreVector(s0), 1.0, 50.0, controls)
         for sa, sb in zip(a.samples, b.samples):
             assert np.array_equal(sa.p.probs, sb.p.probs)
+
+
+class TestLinearFieldRuns:
+    def test_a_linear_field_run_ends_at_the_horizon(self):
+        # the coupling find_multibasin_coupling returns
+        field = linear_field(np.zeros(3), [[0.0, 2.0, 0.0], [2.0, 0.0, 0.0], [0.0, 0.0, 2.0]])
+        p0 = SimplexPoint([0.2, 0.3, 0.5])
+        traj = integrate_path(field, FieldKind.ENTROPIC, p0, 0.5, 300.0)
+        assert traj.terminal_status is TerminalStatus.MAX_TIME and traj.terminal.t == 300.0
+        assert traj.field_norm[-1] < 1e-7  # long since at the basin's equilibrium
+
+    @pytest.mark.parametrize(
+        "base, coupling, temperature",
+        [
+            ([1.0, 0.0, 0.5], [[1e300, 1, -1], [-1, 0, 1], [1, -1, 1e300]], 1e-300),
+            # 2 (1e300 + 1) / T is finite, but a stage sum of slopes is not
+            ([1e300, 0.0], [[0.0, 1.0], [1.0, 0.0]], 1.2e-8),
+        ],
+    )
+    def test_scores_that_overflow_over_the_temperature_raise(self, base, coupling, temperature):
+        field = linear_field(base, coupling)
+        p0 = SimplexPoint.uniform(field.size)
+        for kind in FieldKind:
+            with pytest.raises(InvalidInputError, match="overflow"):
+                integrate_path(field, kind, p0, temperature, 1.0)
 
 
 class TestRecurrence:

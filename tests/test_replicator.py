@@ -375,7 +375,7 @@ GATE_SCHEDULES = (
 
 
 def constant_scores(s):
-    return lambda p: s.values, lambda p: float(p @ s.values)
+    return lambda p: s.values, lambda p: p @ s.values
 
 
 class TestClosedFormGates:
@@ -693,8 +693,8 @@ class TestEmbeddedPair:
             traj = _run_flow(FieldKind.ENTROPIC, self.P0, counted, potential, schedule, 3.0,
                              controls)
             trials = traj.step_counts.accepted_steps + traj.step_counts.rejected_steps
-            # one call for the start, six per trial step and one per sample row
-            return traj, counted.calls - 1 - 6 * trials - len(traj.samples)
+            # one call for the start, six per trial step and one for the sample block
+            return traj, counted.calls - 2 - 6 * trials
 
         traj, extra = run()
         assert traj.renormalizations == 0
@@ -705,6 +705,17 @@ class TestEmbeddedPair:
         assert traj.renormalizations == traj.step_counts.accepted_steps
         # a fresh first stage after each step; at the breakpoint it is due anyway
         assert extra == traj.step_counts.accepted_steps
+
+    @pytest.mark.parametrize(
+        "tolerances",
+        [{"abs_tol": -1.0}, {"abs_tol": math.nan}, {"rel_tol": math.inf},
+         {"rel_tol": 0.0, "abs_tol": 0.0}],
+    )
+    def test_invalid_tolerances_raise(self, tolerances):
+        with pytest.raises(InvalidInputError, match="tol"):
+            IntegratorControls(**tolerances)
+        IntegratorControls(rel_tol=0.0)  # one of them may be 0
+        IntegratorControls(abs_tol=0.0)
 
     @pytest.mark.parametrize("gap", [1e-14, 2e-14, 3e-14, 5e-14, 8e-14])
     def test_a_stop_closer_than_the_shortest_step_is_reached(self, gap):
