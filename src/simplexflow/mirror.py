@@ -63,6 +63,7 @@ from .trajectory import (
 
 DEFAULT_KL_TOL = 1e-12
 DEFAULT_STEP_SIZE = 0.5
+DEFAULT_MAX_STEPS = 10000
 #: an exact-prox run whose per-step move fell below ``kl_tol`` ends STALLED,
 #: not CONVERGED, when its KL to softmax exceeds STALL_RATIO * kl_tol (1e-6 at
 #: the default tolerance); a fixed KL bound would call every run with a loose
@@ -143,7 +144,7 @@ def iterate(
     temperature: float,
     eta: float = DEFAULT_STEP_SIZE,
     *,
-    max_steps: int = 10000,
+    max_steps: int = DEFAULT_MAX_STEPS,
     kl_tol: float = DEFAULT_KL_TOL,
 ) -> TrajectoryRecord:
     """Iterate a step map until the per-step KL move drops below ``kl_tol``.

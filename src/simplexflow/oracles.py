@@ -11,12 +11,20 @@ primitive arithmetic and log-sum-exp are shared with the checked modules.
 ``run_adjudication`` assembles the claim matrix: for each claimed property
 and each dynamics variant it reports whether the property holds at the
 stated tolerance, backed either by a passing statistic or by a concrete
-counterexample.  The expected matrix committed under ``data/`` was produced
-by this module and is re-derivable with ``--seed`` defaults.
+counterexample.  One table maps each claim id to its statement and its
+adjudicator.  Each claim draws its random instances from its own stream,
+keyed by the seed and the claim id, so a run of any subset of the claims
+gives exactly the verdicts and witnesses of the full run at that seed.  The
+flow runs behind ``prop-lyapunov``, ``thm-manifold-3`` and ``cor-convergence``
+are one piece of evidence on a stream of its own, computed at most once per
+run and only when one of those claims is asked for.  The expected matrix
+committed under ``data/`` was produced by this module and is re-derivable
+with ``--seed`` defaults.
 """
 
 from __future__ import annotations
 
+import functools
 import importlib.resources
 import json
 import math
@@ -33,26 +41,18 @@ from .replicator import FieldKind, IntegratorControls, ConstantSchedule, Exponen
 from .simplex import (
     ScoreVector,
     SimplexPoint,
+    build_face_topk,
     check_step_size,
     check_temperature,
+    embed_in_face,
     kl_divergence,
     log_partition,
+    restrict_to_face,
     softmax,
 )
 
 DEFAULT_SEED = 20250808
 DEFAULT_FD_STEP = 1e-5
-
-#: claim registry: identifier -> behavioral statement being adjudicated
-CLAIMS = {
-    "prop-ascent": "one-step free-energy gain of at least KL(new, old)/eta",
-    "prop-lyapunov": "free energy is nondecreasing along the flow",
-    "thm-manifold-3": "softmax is the unique interior equilibrium and attracts",
-    "cor-convergence": "interior trajectories converge to softmax",
-    "cor-temp-rescale": "temperature schedules reparameterize time along one path",
-    "lemma-forward-invariance": "coordinates starting at zero stay exactly zero",
-    "cor-faces": "face-restricted runs match the restricted-system runs",
-}
 
 
 # ---------------------------------------------------------------------------
@@ -368,260 +368,214 @@ class ClaimVerdict:
         }
 
 
-def _entropic_batch(rng: np.random.Generator, n_runs: int):
-    """Shared convergence/monotonicity evidence for the entropic field."""
+_ENTROPIC = FieldKind.ENTROPIC.value
+_LITERAL = FieldKind.LITERAL.value
+#: entropic runs from random instances behind the three flow claims
+_FLOW_RUNS = 60
+
+
+def _claim_stream(seed: int, key: str) -> np.random.Generator:
+    """The random stream keyed by ``(seed, key)``, not by the position of the
+    claim in a run: any subset of claims draws what the full run draws."""
+    return np.random.default_rng([seed, *key.encode()])
+
+
+def _flow_evidence(rng: np.random.Generator) -> tuple:
+    """(worst terminal KL to softmax, worst free-energy drop, literal witness):
+    the first two over _FLOW_RUNS entropic runs from random instances, the
+    witness of a literal run started exactly at softmax."""
     controls = IntegratorControls(n_samples=60)
-    terminal_kls = []
-    worst_drop = 0.0
     temperatures = (0.25, 1.0, 4.0)
-    for i in range(n_runs):
+    worst_kl = worst_drop = 0.0
+    for i in range(_FLOW_RUNS):
         size = int(rng.choice((2, 3, 8)))
         s = random_scores(rng, size)
         p0 = random_interior_point(rng, size)
         temp = temperatures[i % len(temperatures)]
         traj = rep.integrate(FieldKind.ENTROPIC, p0, s, temp, 1e3, controls)
-        terminal_kls.append(kl_divergence(traj.terminal.p, softmax(s, temp)))
-        report = rep.lyapunov_report(traj, s, temp)
-        worst_drop = min(worst_drop, report.worst_drop)
-    return float(max(terminal_kls)), float(worst_drop)
+        worst_kl = max(worst_kl, kl_divergence(traj.terminal.p, softmax(s, temp)))
+        worst_drop = min(worst_drop, float(rep.lyapunov_report(traj, s, temp).worst_drop))
 
-
-def _literal_from_softmax(rng: np.random.Generator):
-    """Literal-field run started exactly at softmax; the adjudication witness."""
     s = ScoreVector([1.0, 0.0])
-    temp = 1.0
-    pi = softmax(s, temp)
-    field_at_pi = rep.eval_field(FieldKind.LITERAL, pi, s, temp)
-    controls = IntegratorControls(n_samples=80)
-    traj = rep.integrate(FieldKind.LITERAL, pi, s, temp, 50.0, controls)
-    report = rep.lyapunov_report(traj, s, temp)
+    pi = softmax(s, 1.0)
+    traj = rep.integrate(FieldKind.LITERAL, pi, s, 1.0, 50.0, IntegratorControls(n_samples=80))
     terminal = traj.terminal.p
-    return {
+    literal = {
         "scores": s.values.tolist(),
-        "temperature": temp,
+        "temperature": 1.0,
         "softmax": pi.probs.tolist(),
-        "field_norm_at_softmax": float(np.max(np.abs(field_at_pi))),
-        "free_energy_worst_drop": report.worst_drop,
+        "field_norm_at_softmax": float(
+            np.max(np.abs(rep.eval_field(FieldKind.LITERAL, pi, s, 1.0)))
+        ),
+        "free_energy_worst_drop": rep.lyapunov_report(traj, s, 1.0).worst_drop,
         "terminal_point": terminal.probs.tolist(),
         "terminal_kl_to_softmax": kl_divergence(terminal, pi),
         "terminal_mass_on_argmax": float(terminal.probs[0]),
     }
+    return float(worst_kl), worst_drop, literal
+
+
+# An adjudicator takes its claim's stream, the run's seed and the run's flow
+# evidence (computed on the first call) and returns the claim's verdicts as
+# (dynamics, holds, tolerance, witness) rows.
+
+
+def _prop_ascent(rng: np.random.Generator, seed: int, flows: Callable) -> list:
+    worst_slack = math.inf
+    checked = 0
+    for size in (2, 3, 8, 64):
+        for _ in range(100):
+            s = random_scores(rng, size)
+            p = random_interior_point(rng, size)
+            temp = float(rng.uniform(0.25, 4.0))
+            eta = float(rng.uniform(0.05, 2.0))
+            cert = mirror.ascent_certificate(MirrorStepKind.EXACT_PROX, p, s, temp, eta)
+            worst_slack = min(worst_slack, cert.slack)
+            checked += 1
+    s = ScoreVector([1.0, 0.0])
+    mw = mirror.ascent_certificate(MirrorStepKind.PRINTED_MW, softmax(s, 1.0), s, 1.0, 0.5)
+    return [
+        (MirrorStepKind.EXACT_PROX.value, worst_slack >= -1e-10, 1e-10,
+         {"trials": checked, "worst_slack": worst_slack, "seed": seed}),
+        (MirrorStepKind.PRINTED_MW.value, mw.slack >= -1e-10 and mw.f_after >= mw.f_before, 1e-10,
+         {
+             "start": "softmax((1,0), T=1)",
+             "f_before": mw.f_before,
+             "f_after": mw.f_after,
+             "slack": mw.slack,
+             "note": "free energy strictly decreases on the first step",
+         }),
+    ]
+
+
+def _prop_lyapunov(rng: np.random.Generator, seed: int, flows: Callable) -> list:
+    _, worst_drop, literal = flows()
+    return [
+        (_ENTROPIC, worst_drop >= -1e-9, 1e-9,
+         {"runs": _FLOW_RUNS, "worst_drop": worst_drop, "seed": seed}),
+        (_LITERAL, literal["free_energy_worst_drop"] >= -1e-9, 1e-9, literal),
+    ]
+
+
+def _thm_manifold_3(rng: np.random.Generator, seed: int, flows: Callable) -> list:
+    worst_kl, _, literal = flows()
+    return [
+        (_ENTROPIC, worst_kl < 1e-8, 1e-8,
+         {"runs": _FLOW_RUNS, "worst_terminal_kl": worst_kl, "seed": seed}),
+        (_LITERAL, literal["field_norm_at_softmax"] <= 1e-12, 1e-12, literal),
+    ]
+
+
+def _cor_convergence(rng: np.random.Generator, seed: int, flows: Callable) -> list:
+    worst_kl, _, literal = flows()
+    return [
+        (_ENTROPIC, worst_kl < 1e-8, 1e-8,
+         {"runs": _FLOW_RUNS, "worst_terminal_kl": worst_kl, "seed": seed}),
+        (_LITERAL, literal["terminal_kl_to_softmax"] < 1e-8, 1e-8, literal),
+    ]
+
+
+def _cor_temp_rescale(rng: np.random.Generator, seed: int, flows: Callable) -> list:
+    s = random_scores(rng, 3)
+    p0 = random_interior_point(rng, 3)
+    controls = IntegratorControls(rel_tol=1e-10, abs_tol=1e-12, n_samples=40)
+    schedules = {
+        "constant": ConstantSchedule(2.0),
+        "piecewise": PiecewiseConstantSchedule((1.0,), (1.0, 0.5)),
+        "exponential": ExponentialSchedule(1.0, 0.3),
+    }
+    deviations = {
+        name: rep._reparameterization_deviation(FieldKind.LITERAL, s, p0, sched, 5.0, controls)
+        for name, sched in schedules.items()
+    }
+    entropic_dev = rep._reparameterization_deviation(
+        FieldKind.ENTROPIC, s, p0, ConstantSchedule(2.0), 5.0, controls
+    )
+    return [
+        (_LITERAL, max(deviations.values()) < 1e-7, 1e-7,
+         {"deviations": deviations, "seed": seed}),
+        (_ENTROPIC, entropic_dev < 1e-7, 1e-7,
+         {
+             "constant_schedule_deviation": entropic_dev,
+             "note": "temperature also enters the entropic fitness, so the "
+             "scheduled flow is not a time reparameterization",
+         }),
+    ]
+
+
+def _lemma_forward_invariance(rng: np.random.Generator, seed: int, flows: Callable) -> list:
+    p0 = SimplexPoint([0.4, 0.0, 0.35, 0.25, 0.0])
+    s = random_scores(rng, 5)
+    traj = rep.integrate(FieldKind.LITERAL, p0, s, 1.0, 50.0, IntegratorControls(n_samples=60))
+    stayed_zero = bool(np.all(traj.P[:, [1, 4]] == 0.0))
+    return [
+        (_LITERAL, stayed_zero, 0.0,
+         {
+             "zero_coordinates": [1, 4],
+             "samples_checked": len(traj.samples),
+             "stayed_exactly_zero": stayed_zero,
+             "seed": seed,
+         }),
+    ]
+
+
+def _cor_faces(rng: np.random.Generator, seed: int, flows: Callable) -> list:
+    s = random_scores(rng, 5)
+    mask = build_face_topk(s, 3)
+    p_face = SimplexPoint(rng.dirichlet(np.ones(3)))
+    s_face, _ = restrict_to_face(s, embed_in_face(mask, p_face), mask)
+    grid = tuple(np.linspace(0.0, 20.0, 21))
+    controls = IntegratorControls(sample_times=grid, convergence_kl=0.0)
+    full = rep.integrate(FieldKind.LITERAL, embed_in_face(mask, p_face), s, 1.0, 20.0, controls)
+    restricted = rep.integrate(FieldKind.LITERAL, p_face, s_face, 1.0, 20.0, controls)
+    gap = float(np.max(np.abs(full.P[:, mask.support] - restricted.P)))
+    return [
+        (_LITERAL, gap < 1e-8, 1e-8, {"max_gap": gap, "face": mask.indices.tolist(), "seed": seed}),
+    ]
+
+
+#: claim id -> (behavioral statement being adjudicated, adjudicator)
+_CLAIM_TABLE = {
+    "prop-ascent": ("one-step free-energy gain of at least KL(new, old)/eta", _prop_ascent),
+    "prop-lyapunov": ("free energy is nondecreasing along the flow", _prop_lyapunov),
+    "thm-manifold-3": ("softmax is the unique interior equilibrium and attracts", _thm_manifold_3),
+    "cor-convergence": ("interior trajectories converge to softmax", _cor_convergence),
+    "cor-temp-rescale": (
+        "temperature schedules reparameterize time along one path", _cor_temp_rescale
+    ),
+    "lemma-forward-invariance": (
+        "coordinates starting at zero stay exactly zero", _lemma_forward_invariance
+    ),
+    "cor-faces": ("face-restricted runs match the restricted-system runs", _cor_faces),
+}
+#: claim registry: identifier -> behavioral statement being adjudicated
+CLAIMS = {claim_id: statement for claim_id, (statement, _) in _CLAIM_TABLE.items()}
 
 
 def run_adjudication(
     seed: int = DEFAULT_SEED, include: Optional[Sequence[str]] = None
 ) -> list:
-    """Produce the full claim matrix; see module docstring.
+    """The claim matrix, or its rows for the claim ids in ``include``; see the
+    module docstring.
 
-    ``include`` filters by claim id; unknown ids raise InvalidInputError.
-    Oracle self-tests run first and abort everything on failure.
+    Unknown ids raise InvalidInputError.  Oracle self-tests run first and
+    abort everything on failure.
     """
-    if include is not None:
-        unknown = sorted(set(include) - set(CLAIMS))
-        if unknown:
-            raise InvalidInputError(f"unknown claim ids: {', '.join(unknown)}")
-        wanted = set(include)
-    else:
-        wanted = set(CLAIMS)
+    wanted = set(CLAIMS if include is None else include)
+    unknown = sorted(wanted - set(CLAIMS))
+    if unknown:
+        raise InvalidInputError(f"unknown claim ids: {', '.join(unknown)}")
 
     oracle_self_test()
-    rng = np.random.default_rng(seed)
-    verdicts: list[ClaimVerdict] = []
-
-    if "prop-ascent" in wanted:
-        worst_slack = math.inf
-        checked = 0
-        for size in (2, 3, 8, 64):
-            for _ in range(100):
-                s = random_scores(rng, size)
-                p = random_interior_point(rng, size)
-                temp = float(rng.uniform(0.25, 4.0))
-                eta = float(rng.uniform(0.05, 2.0))
-                cert = mirror.ascent_certificate(MirrorStepKind.EXACT_PROX, p, s, temp, eta)
-                worst_slack = min(worst_slack, cert.slack)
-                checked += 1
-        verdicts.append(
-            ClaimVerdict(
-                claim_id="prop-ascent",
-                dynamics=MirrorStepKind.EXACT_PROX.value,
-                holds=bool(worst_slack >= -1e-10),
-                tolerance=1e-10,
-                witness={"trials": checked, "worst_slack": worst_slack, "seed": seed},
-            )
+    flows = functools.cache(lambda: _flow_evidence(_claim_stream(seed, "flow-evidence")))
+    verdicts = [
+        ClaimVerdict(claim_id, dynamics, bool(holds), tolerance, witness)
+        for claim_id, (_, adjudicate) in _CLAIM_TABLE.items()
+        if claim_id in wanted
+        for dynamics, holds, tolerance, witness in adjudicate(
+            _claim_stream(seed, claim_id), seed, flows
         )
-        s_wit = ScoreVector([1.0, 0.0])
-        pi = softmax(s_wit, 1.0)
-        cert = mirror.ascent_certificate(MirrorStepKind.PRINTED_MW, pi, s_wit, 1.0, 0.5)
-        verdicts.append(
-            ClaimVerdict(
-                claim_id="prop-ascent",
-                dynamics=MirrorStepKind.PRINTED_MW.value,
-                holds=bool(cert.slack >= -1e-10 and cert.f_after >= cert.f_before),
-                tolerance=1e-10,
-                witness={
-                    "start": "softmax((1,0), T=1)",
-                    "f_before": cert.f_before,
-                    "f_after": cert.f_after,
-                    "slack": cert.slack,
-                    "note": "free energy strictly decreases on the first step",
-                },
-            )
-        )
-
-    needs_entropic = wanted & {"prop-lyapunov", "thm-manifold-3", "cor-convergence"}
-    if needs_entropic:
-        worst_kl, worst_drop = _entropic_batch(rng, n_runs=60)
-        literal_wit = _literal_from_softmax(rng)
-        if "prop-lyapunov" in wanted:
-            verdicts.append(
-                ClaimVerdict(
-                    claim_id="prop-lyapunov",
-                    dynamics=FieldKind.ENTROPIC.value,
-                    holds=bool(worst_drop >= -1e-9),
-                    tolerance=1e-9,
-                    witness={"runs": 60, "worst_drop": worst_drop, "seed": seed},
-                )
-            )
-            verdicts.append(
-                ClaimVerdict(
-                    claim_id="prop-lyapunov",
-                    dynamics=FieldKind.LITERAL.value,
-                    holds=bool(literal_wit["free_energy_worst_drop"] >= -1e-9),
-                    tolerance=1e-9,
-                    witness=literal_wit,
-                )
-            )
-        if "thm-manifold-3" in wanted:
-            verdicts.append(
-                ClaimVerdict(
-                    claim_id="thm-manifold-3",
-                    dynamics=FieldKind.ENTROPIC.value,
-                    holds=bool(worst_kl < 1e-8),
-                    tolerance=1e-8,
-                    witness={"runs": 60, "worst_terminal_kl": worst_kl, "seed": seed},
-                )
-            )
-            verdicts.append(
-                ClaimVerdict(
-                    claim_id="thm-manifold-3",
-                    dynamics=FieldKind.LITERAL.value,
-                    holds=bool(literal_wit["field_norm_at_softmax"] <= 1e-12),
-                    tolerance=1e-12,
-                    witness=literal_wit,
-                )
-            )
-        if "cor-convergence" in wanted:
-            verdicts.append(
-                ClaimVerdict(
-                    claim_id="cor-convergence",
-                    dynamics=FieldKind.ENTROPIC.value,
-                    holds=bool(worst_kl < 1e-8),
-                    tolerance=1e-8,
-                    witness={"runs": 60, "worst_terminal_kl": worst_kl, "seed": seed},
-                )
-            )
-            verdicts.append(
-                ClaimVerdict(
-                    claim_id="cor-convergence",
-                    dynamics=FieldKind.LITERAL.value,
-                    holds=bool(literal_wit["terminal_kl_to_softmax"] < 1e-8),
-                    tolerance=1e-8,
-                    witness=literal_wit,
-                )
-            )
-
-    if "cor-temp-rescale" in wanted:
-        s = random_scores(rng, 3)
-        p0 = random_interior_point(rng, 3)
-        controls = IntegratorControls(rel_tol=1e-10, abs_tol=1e-12, n_samples=40)
-        schedules = {
-            "constant": ConstantSchedule(2.0),
-            "piecewise": PiecewiseConstantSchedule((1.0,), (1.0, 0.5)),
-            "exponential": ExponentialSchedule(1.0, 0.3),
-        }
-        deviations = {
-            name: rep._reparameterization_deviation(
-                FieldKind.LITERAL, s, p0, sched, 5.0, controls
-            )
-            for name, sched in schedules.items()
-        }
-        verdicts.append(
-            ClaimVerdict(
-                claim_id="cor-temp-rescale",
-                dynamics=FieldKind.LITERAL.value,
-                holds=bool(max(deviations.values()) < 1e-7),
-                tolerance=1e-7,
-                witness={"deviations": deviations, "seed": seed},
-            )
-        )
-        entropic_dev = rep._reparameterization_deviation(
-            FieldKind.ENTROPIC, s, p0, ConstantSchedule(2.0), 5.0, controls
-        )
-        verdicts.append(
-            ClaimVerdict(
-                claim_id="cor-temp-rescale",
-                dynamics=FieldKind.ENTROPIC.value,
-                holds=bool(entropic_dev < 1e-7),
-                tolerance=1e-7,
-                witness={
-                    "constant_schedule_deviation": entropic_dev,
-                    "note": "temperature also enters the entropic fitness, so the "
-                    "scheduled flow is not a time reparameterization",
-                },
-            )
-        )
-
-    if "lemma-forward-invariance" in wanted:
-        probs = np.array([0.4, 0.0, 0.35, 0.25, 0.0])
-        p0 = SimplexPoint(probs)
-        s = random_scores(rng, 5)
-        traj = rep.integrate(
-            FieldKind.LITERAL, p0, s, 1.0, 50.0, IntegratorControls(n_samples=60)
-        )
-        off_face = [sample.p.probs[[1, 4]] for sample in traj.samples]
-        stayed_zero = bool(all(np.all(v == 0.0) for v in off_face))
-        verdicts.append(
-            ClaimVerdict(
-                claim_id="lemma-forward-invariance",
-                dynamics=FieldKind.LITERAL.value,
-                holds=stayed_zero,
-                tolerance=0.0,
-                witness={
-                    "zero_coordinates": [1, 4],
-                    "samples_checked": len(traj.samples),
-                    "stayed_exactly_zero": stayed_zero,
-                    "seed": seed,
-                },
-            )
-        )
-
-    if "cor-faces" in wanted:
-        from .simplex import build_face_topk, embed_in_face, restrict_to_face
-
-        s = random_scores(rng, 5)
-        mask = build_face_topk(s, 3)
-        p_face = SimplexPoint(rng.dirichlet(np.ones(3)))
-        s_face, _ = restrict_to_face(s, embed_in_face(mask, p_face), mask)
-        grid = tuple(np.linspace(0.0, 20.0, 21))
-        controls = IntegratorControls(sample_times=grid, convergence_kl=0.0)
-        full = rep.integrate(
-            FieldKind.LITERAL, embed_in_face(mask, p_face), s, 1.0, 20.0, controls
-        )
-        restricted = rep.integrate(FieldKind.LITERAL, p_face, s_face, 1.0, 20.0, controls)
-        gap = max(
-            float(np.max(np.abs(a.p.probs[mask.support] - b.p.probs)))
-            for a, b in zip(full.samples, restricted.samples)
-        )
-        verdicts.append(
-            ClaimVerdict(
-                claim_id="cor-faces",
-                dynamics=FieldKind.LITERAL.value,
-                holds=bool(gap < 1e-8),
-                tolerance=1e-8,
-                witness={"max_gap": gap, "face": mask.indices.tolist(), "seed": seed},
-            )
-        )
-
+    ]
     verdicts.sort(key=lambda v: (v.claim_id, v.dynamics))
     return verdicts
 
@@ -646,7 +600,12 @@ def expected_claim_matrix() -> dict:
 def compare_to_expected(
     verdicts: Sequence[ClaimVerdict], expected: Optional[dict] = None
 ) -> list:
-    """Human-readable mismatch list between verdicts and the committed matrix."""
+    """Human-readable mismatch list between verdicts and the committed matrix.
+
+    Each claim the verdicts judge must cover every dynamics the matrix lists
+    for it, so a run of some claims is held to their rows; a matrix claim
+    that is not in ``CLAIMS`` is missing from any run.
+    """
     if expected is None:
         expected = expected_claim_matrix()
     got = matrix_from_verdicts(verdicts)
@@ -660,4 +619,9 @@ def compare_to_expected(
                 problems.append(
                     f"{claim_id}/{dynamics}: got holds={holds}, committed matrix says {want}"
                 )
+    for claim_id, row in expected.items():
+        if claim_id in got or claim_id not in CLAIMS:
+            for dynamics in row:
+                if dynamics not in got.get(claim_id, {}):
+                    problems.append(f"{claim_id}/{dynamics}: missing from this run")
     return problems

@@ -181,8 +181,10 @@ def integrate_path(
     runs.  Genuinely linear fields go through the adaptive integrator; their
     free-energy annotation is the generalized G above and no closed-form
     target exists, so ``kl_to_target`` is NaN, ``convergence_kl`` is unused
-    and the run ends at the horizon or DIVERGED.  Scores over T(0) that
-    could overflow the integrator's stages raise InvalidInputError.
+    and the run ends at the horizon or DIVERGED.  Scores over the run's
+    smallest T that could overflow the integrator's stages, or a smallest T
+    of 0, raise InvalidInputError.  Every schedule kind is monotone between
+    breakpoints, so that T is taken at 0, the horizon or a breakpoint.
     """
     if field.constant_equivalent:
         return integrate(fieldkind, p0, ScoreVector(field.base), schedule, horizon, controls)
@@ -192,10 +194,17 @@ def integrate_path(
     schedule = as_schedule(schedule)
     # |slope| <= 2 max|s(p)| / T, a stage moves log p by up to _DP_REACH slopes
     # times a step of at most the horizon, and normalizing subtracts two moves
-    largest = float(np.abs(field.base).max()) + float(np.abs(field.coupling).max())
-    reach = largest / schedule.at(0.0) * 4.0 * _DP_REACH * max(horizon, 1.0)
-    if math.isfinite(horizon) and not math.isfinite(reach):
-        raise InvalidInputError(f"linear field scores up to {largest:.3g} overflow at T(0)")
+    if 0.0 < horizon < math.inf:  # _run_flow refuses any other horizon
+        edges = sorted({0.0, horizon, *(b for b in schedule.breakpoints() if 0.0 < b < horizon)})
+        t_cold = min(edges, key=schedule.at)
+        coldest = schedule.at(t_cold)
+        largest = float(np.abs(field.base).max()) + float(np.abs(field.coupling).max())
+        spread = largest / coldest if coldest > 0.0 else math.inf
+        if not math.isfinite(spread * 4.0 * _DP_REACH * max(horizon, 1.0)):
+            raise InvalidInputError(
+                f"linear field scores up to {largest:.3g} overflow at T({t_cold:.6g}) = "
+                f"{coldest:.3g}, the run's smallest temperature"
+            )
     return _run_flow(fieldkind, p0, field.scores_at, field.potential, schedule, horizon, controls)
 
 

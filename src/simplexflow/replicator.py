@@ -472,7 +472,10 @@ def _run_flow(
                     g = fitness(p, ell, schedule.at(t_now))
             else:
                 rejected += 1
-            h = h_try * min(MAX_GROWTH, max(0.2, factor))
+            grown = h_try * min(MAX_GROWTH, max(0.2, factor))
+            # a step cut short to land on a stop says little about the step
+            # size, so one accepted landing step keeps the proposal made before it
+            h = max(grown, h) if err <= tol and h_try < h else grown
             if h < MIN_STEP:
                 status = TerminalStatus.DIVERGED
                 diagnostics = f"step size underflow at t={t_now:.6g} (h={h:.3g})"

@@ -493,6 +493,23 @@ class TestSimulate:
         assert "overflow at T(0)" in capsys.readouterr().err
         assert not Path("big.csv").exists() and not Path("big.manifest.json").exists()
 
+    def test_linear_field_overflow_after_a_temperature_drop_is_exit_2(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # T(0) = 1 passes; the check takes the run's smallest T, here from t = 0.5
+        monkeypatch.chdir(tmp_path)
+        Path("cold.ini").write_text(
+            "[run]\ndynamics = literal\n[scores]\nvalues = 1, 0, 0.5\n"
+            "[temperature]\nschedule = piecewise:0:1,0.5:1e-300\n[integrator]\nhorizon = 2\n"
+            "[field]\nkind = linear\ncoupling = 1e10,1,-1,-1,0,1,1,-1,1e10\n"
+        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["simulate", "--config", "cold.ini", "--output", "cold"]) == EXIT_CONFIG
+        assert not caught
+        assert "overflow at T(0.5) = 1e-300" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cold.ini"]
+
     def test_temperature_overflow_is_exit_2(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         code = main(

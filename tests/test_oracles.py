@@ -1,5 +1,6 @@
 """Finite differences, closed forms, the prox maximizer, and the claim matrix."""
 
+import functools
 import math
 
 import numpy as np
@@ -21,8 +22,10 @@ from simplexflow import (
     run_adjudication,
     softmax,
 )
+from simplexflow import replicator
 from simplexflow.oracles import (
     CLAIMS,
+    DEFAULT_SEED,
     compare_to_expected,
     expected_claim_matrix,
     fd_gradient_checked,
@@ -225,3 +228,37 @@ class TestAdjudication:
     def test_claim_filter_limits_the_run(self):
         verdicts = run_adjudication(include=["cor-faces"])
         assert {v.claim_id for v in verdicts} == {"cor-faces"}
+
+    @pytest.mark.parametrize("seed", [DEFAULT_SEED, 0, 1, 2])
+    @pytest.mark.parametrize("claim_id", list(CLAIMS))
+    def test_a_claim_run_alone_reproduces_the_full_run(self, claim_id, seed):
+        # each claim draws from its own stream, so the claims run beside it
+        # change none of its instances
+        alone = run_adjudication(seed, include=[claim_id])
+        in_full = [v for v in _full_run(seed) if v.claim_id == claim_id]
+        assert [v.to_jsonable() for v in alone] == [v.to_jsonable() for v in in_full]
+
+    def test_the_flow_claims_share_one_evidence_run(self, monkeypatch):
+        calls = []
+        integrate = replicator.integrate
+        monkeypatch.setattr(
+            replicator, "integrate", lambda *a, **k: calls.append(1) or integrate(*a, **k)
+        )
+        run_adjudication(include=["prop-lyapunov", "cor-convergence"])
+        assert len(calls) == 61  # 60 entropic runs and the literal run from softmax
+
+    def test_a_subset_is_held_to_the_matrix_rows_of_its_claims(self, verdicts):
+        ascent = [v for v in verdicts if v.claim_id == "prop-ascent"]
+        assert compare_to_expected(ascent) == []
+        assert compare_to_expected(ascent[:1]) == [
+            f"prop-ascent/{ascent[1].dynamics}: missing from this run"
+        ]
+        unknown = {**expected_claim_matrix(), "no-such-claim": {"literal": True}}
+        assert compare_to_expected(ascent, unknown) == [
+            "no-such-claim/literal: missing from this run"
+        ]
+
+
+@functools.cache
+def _full_run(seed):
+    return run_adjudication(seed)

@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 from simplexflow import (
+    ExponentialSchedule,
     FieldKind,
     IntegratorControls,
+    PiecewiseConstantSchedule,
     ScoreField,
     ScoreVector,
     SimplexPoint,
@@ -156,6 +158,10 @@ class TestLinearFieldRuns:
             ([1.0, 0.0, 0.5], [[1e300, 1, -1], [-1, 0, 1], [1, -1, 1e300]], 1e-300),
             # 2 (1e300 + 1) / T is finite, but a stage sum of slopes is not
             ([1e300, 0.0], [[0.0, 1.0], [1.0, 0.0]], 1.2e-8),
+            # T(0) = 1 passes; the run's smallest T does not
+            ([1.0, 0.0, 0.5], [[1e10, 1, -1], [-1, 0, 1], [1, -1, 1e10]],
+             PiecewiseConstantSchedule((0.5,), (1.0, 1e-300))),
+            ([1.0, 0.0], [[0.0, 1.0], [1.0, 0.0]], ExponentialSchedule(1.0, -1000.0)),  # T(1) = 0
         ],
     )
     def test_scores_that_overflow_over_the_temperature_raise(self, base, coupling, temperature):

@@ -743,6 +743,26 @@ class TestEmbeddedPair:
         assert close_after.step_counts == at_one.step_counts
         assert np.array_equal(close_after.P, at_one.P)
 
+    def test_a_landing_step_keeps_the_step_size_proposed_before_it(self):
+        # a stop 2e-13 after t = 1, or a breakpoint 4e-13 after it, cuts one
+        # step short; growing from that step took 52 and 57 steps
+        field = linear_field(np.zeros(3), rotation_coupling(1.0))
+
+        def accepted(kind, schedule, times):
+            controls = IntegratorControls(sample_times=times, convergence_kl=0.0)
+            return _run_flow(kind, self.P0, field.scores_at, field.potential, schedule, 2.0,
+                             controls).step_counts.accepted_steps
+
+        assert [
+            accepted(FieldKind.LITERAL, ConstantSchedule(1.0), times)
+            for times in ((0.0, 1.0, 2.0), (0.0, 1.0, 1.0 + 2e-13, 2.0))
+        ] == [12, 13]
+        assert [
+            accepted(FieldKind.ENTROPIC, PiecewiseConstantSchedule((edge,), (1.0, 0.5)),
+                     (0.0, 1.0, 2.0))
+            for edge in (1.0, 1.0 + 4e-13)
+        ] == [20, 21]
+
     def test_step_size_underflow_ends_the_run_keeping_its_rows(self, monkeypatch):
         field = linear_field(np.zeros(3), rotation_coupling(1.0))
         monkeypatch.setattr(replicator, "MIN_STEP", 0.5)  # the second step is 0.02 long
