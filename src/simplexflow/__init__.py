@@ -63,6 +63,7 @@ from .path_fields import (
     find_recurrent_beta,
     generalized_free_energy,
     integrate_path,
+    integrate_paths,
     is_conservative,
     linear_field,
     lockin_probe,
@@ -72,6 +73,7 @@ from .oracles import (
     ClaimVerdict,
     closed_form_entropic,
     closed_form_literal,
+    equilibrium_residual,
     fd_gradient,
     fd_jacobian,
     prox_objective_maximizer,

@@ -748,6 +748,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     include = None
     if args.claims:
         include = [tok.strip() for tok in args.claims.split(",") if tok.strip()]
+        if not include:
+            raise ConfigError(f"--claims {args.claims!r} names no claim")
     try:
         verdicts = oracles.run_adjudication(seed=args.seed, include=include)
     except InvalidInputError as exc:

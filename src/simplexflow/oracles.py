@@ -181,6 +181,19 @@ def closed_form_entropic(p0: SimplexPoint, s: ScoreVector, schedule, t: float) -
     return SimplexPoint(q / q.sum())
 
 
+def equilibrium_residual(field, p: SimplexPoint, temperature: float) -> float:
+    """||p - softmax(s(p) / T)||_inf for a score field ``field`` (anything
+    with ``scores_at``, such as a ``path_fields.ScoreField``).
+
+    It vanishes exactly at the rest points of the entropic flow, the fixed
+    points of the Gibbs map p -> softmax(s(p), T), so it judges an end point
+    without trusting the driver that reached it: it reads the field's scores
+    at p and nothing else.
+    """
+    gibbs = softmax(ScoreVector(field.scores_at(p.probs)), temperature)
+    return float(np.abs(p.probs - gibbs.probs).max())
+
+
 def prox_objective_maximizer(
     p: SimplexPoint,
     s: ScoreVector,

@@ -36,7 +36,7 @@ from .replicator import (
     IntegratorControls,
     _DP_REACH,
     _row_dot,
-    _run_flow,
+    _run_flows,
     as_schedule,
     eval_field,
     integrate,
@@ -186,15 +186,36 @@ def integrate_path(
     of 0, raise InvalidInputError.  Every schedule kind is monotone between
     breakpoints, so that T is taken at 0, the horizon or a breakpoint.
     """
-    if field.constant_equivalent:
-        return integrate(fieldkind, p0, ScoreVector(field.base), schedule, horizon, controls)
+    return integrate_paths(field, fieldkind, [p0], schedule, horizon, controls)[0]
 
-    if p0.size != field.size:
-        raise InvalidInputError(f"size mismatch: p0 has {p0.size} entries, field has {field.size}")
+
+def integrate_paths(
+    field: ScoreField,
+    fieldkind: FieldKind,
+    starts: Sequence[SimplexPoint],
+    schedule,
+    horizon: float = DEFAULT_HORIZON,
+    controls: IntegratorControls = IntegratorControls(),
+) -> list:
+    """``integrate_path`` from each start, one record per start.  A linear
+    field's starts are checked once and stepped as one block that shares
+    every step (``replicator._run_flows``); a field without state dependence
+    is solved in closed form per start."""
+    if not starts:
+        return []
+    if field.constant_equivalent:
+        scores = ScoreVector(field.base)
+        return [integrate(fieldkind, p0, scores, schedule, horizon, controls) for p0 in starts]
+
+    for p0 in starts:
+        if p0.size != field.size:
+            raise InvalidInputError(
+                f"size mismatch: p0 has {p0.size} entries, field has {field.size}"
+            )
     schedule = as_schedule(schedule)
     # |slope| <= 2 max|s(p)| / T, a stage moves log p by up to _DP_REACH slopes
     # times a step of at most the horizon, and normalizing subtracts two moves
-    if 0.0 < horizon < math.inf:  # _run_flow refuses any other horizon
+    if 0.0 < horizon < math.inf:  # _run_flows refuses any other horizon
         edges = sorted({0.0, horizon, *(b for b in schedule.breakpoints() if 0.0 < b < horizon)})
         t_cold = min(edges, key=schedule.at)
         coldest = schedule.at(t_cold)
@@ -205,7 +226,9 @@ def integrate_path(
                 f"linear field scores up to {largest:.3g} overflow at T({t_cold:.6g}) = "
                 f"{coldest:.3g}, the run's smallest temperature"
             )
-    return _run_flow(fieldkind, p0, field.scores_at, field.potential, schedule, horizon, controls)
+    return _run_flows(
+        fieldkind, starts, field.scores_at, field.potential, schedule, horizon, controls
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -335,19 +358,23 @@ def lockin_probe(
     horizon: float = 200.0,
     cluster_tol: float = 1e-4,
 ) -> LockinReport:
-    """Integrate each start with 50 samples and partition by terminal basin.
+    """Integrate the starts with 50 samples and partition by terminal basin.
 
-    Terminal points (a linear field's at the horizon) are clustered greedily
-    by sup-norm distance ``cluster_tol``; each cluster reports its size and
-    mean terminal value of the recorded free energy.
+    A linear field's starts are one block that shares every step
+    (``integrate_paths``), and a start whose row ends DIVERGED is listed in
+    ``diverged`` alone; a field without state dependence is solved in closed
+    form per start.  Terminal points (a linear field's at the horizon) are
+    clustered greedily by sup-norm distance ``cluster_tol``; each cluster
+    reports its size and mean terminal value of the recorded free energy.
     """
-    controls = IntegratorControls(n_samples=50)
+    runs = integrate_paths(
+        field, fieldkind, starts, temperature, horizon, IntegratorControls(n_samples=50)
+    )
     clusters: list[BasinCluster] = []
     assignments: list = []
     diverged: list = []
     energies: list[list[float]] = []
-    for idx, start in enumerate(starts):
-        traj = integrate_path(field, fieldkind, start, temperature, horizon, controls)
+    for idx, traj in enumerate(runs):
         if traj.terminal_status is TerminalStatus.DIVERGED:
             diverged.append(idx)
             assignments.append(None)

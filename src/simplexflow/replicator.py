@@ -32,8 +32,11 @@ and normalization hold by construction and exact zeros stay zero.  The local
 error is the sup-norm gap in p between the 5th- and the embedded 4th-order
 solutions; the 5th-order one is kept, and its stage is the first stage of
 the next step unless a renormalization or a schedule breakpoint moves the
-state or T.  Samples are kept as (t, log p) and measured as one block at the
-end.  The run ends at its horizon, or DIVERGED.
+state or T.  ``_run_flows`` steps several starts of one field as a (B, V)
+block whose rows share every step, accepted on the largest error over the
+rows; a row that diverges leaves the block alone.  Samples are kept as
+(t, log p) and measured as one block at the end.  A run ends at its
+horizon, or DIVERGED.
 """
 
 from __future__ import annotations
@@ -258,6 +261,11 @@ def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("kv,kv->k", a, b)
 
 
+def _row_inner(p: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """<p, g> of each row of two (B, V) blocks, as a column."""
+    return _row_dot(p, g)[:, np.newaxis]
+
+
 def _tangent_field(p: np.ndarray, g: np.ndarray) -> np.ndarray:
     """p * (g - <p, g>) for a point or each row of a (K, V) block, with the
     rounding residual folded into the largest-magnitude entry.
@@ -265,8 +273,7 @@ def _tangent_field(p: np.ndarray, g: np.ndarray) -> np.ndarray:
     Coordinates with p_i = 0 stay exactly zero; the fold keeps the float sum
     within one ulp of zero without touching them.
     """
-    inner = p @ g if p.ndim == 1 else _row_dot(p, g)[:, np.newaxis]
-    x = p * (g - inner)
+    x = p * (g - (p @ g if p.ndim == 1 else _row_inner(p, g)))
     rows = x.reshape(-1, x.shape[-1])
     rows[np.arange(len(rows)), np.argmax(np.abs(rows), axis=1)] -= rows.sum(axis=1)
     return x
@@ -391,39 +398,107 @@ _DP_B4 = np.array(
 _DP_REACH = float(np.abs(_DP_A).sum(axis=1).max())
 
 
+def _stage_sum(coefficients: np.ndarray, slopes: np.ndarray) -> np.ndarray:
+    """sum_j c_j slopes[j] over the first axis of (j, B, V) stage slopes."""
+    return (coefficients @ slopes.reshape(len(coefficients), -1)).reshape(slopes.shape[1:])
+
+
+def _row_values(values) -> list:
+    """A reduction over the last axis as floats, one per row: a point's
+    scalar is one row."""
+    return values.tolist() if isinstance(values, np.ndarray) else [float(values)]
+
+
 def _run_flow(
     kind: FieldKind,
     p0: SimplexPoint,
     scores_at: Callable[[np.ndarray], np.ndarray],
-    potential: Callable[[np.ndarray], float],
+    potential: Callable[[np.ndarray], np.ndarray],
     schedule: TemperatureSchedule,
     horizon: float,
     controls: IntegratorControls,
 ) -> TrajectoryRecord:
-    """Adaptive flow of the score map ``p -> s(p)`` from p0, annotated with
-    ``potential(p) + T H(p)`` and a NaN KL; see the module docstring.
+    """The adaptive flow from the one start p0: ``_run_flows`` on a block of
+    one row, which keeps the per-point stage arithmetic."""
+    return _run_flows(kind, [p0], scores_at, potential, schedule, horizon, controls)[0]
 
-    Stages call ``scores_at`` on one point; the samples are measured by one
-    call each of ``scores_at`` and ``potential`` on their (K, V) rows."""
+
+def _run_flows(
+    kind: FieldKind,
+    starts: Sequence[SimplexPoint],
+    scores_at: Callable[[np.ndarray], np.ndarray],
+    potential: Callable[[np.ndarray], np.ndarray],
+    schedule: TemperatureSchedule,
+    horizon: float,
+    controls: IntegratorControls,
+) -> list:
+    """Adaptive flows of the score map ``p -> s(p)`` from each start, one
+    record per start annotated with ``potential(p) + T H(p)`` and a NaN KL;
+    see the module docstring.
+
+    The B starts are stepped as one (B, V) block that shares every step: a
+    trial is accepted when its error, the largest over the rows, is within
+    the tolerance, so the step control, the landing on stops and breakpoints
+    and the step growth are those of one start.  Renormalization and the
+    log-clamp are checked per row.  A row that meets the clamp ends DIVERGED
+    and leaves the block; on a step size underflow the rows whose error
+    exceeded the tolerance do so (every row, after an accepted trial) and
+    the others retry the trial.  Each record carries the block's step
+    counts.  One start keeps the per-point stage arithmetic, the faster form
+    on one row.  Stages call ``scores_at`` once on the whole block, and the
+    samples of every row are measured by one call each of ``scores_at`` and
+    ``potential`` on their rows."""
     stops, sample_set = _stops(horizon, schedule, controls)
-    if kind is FieldKind.ENTROPIC and not p0.interior:
+    if not starts or len({p0.size for p0 in starts}) > 1:
+        raise InvalidInputError("the flow needs one or more starts of one size")
+    if kind is FieldKind.ENTROPIC and not all(p0.interior for p0 in starts):
         raise InteriorityError("entropic field requires an interior start")
     fitness = _fitness(kind, scores_at)
     breaks = set(schedule.breakpoints())
     tol = controls.abs_tol + controls.rel_tol
+    single = len(starts) == 1
+    # one start keeps the per-point arithmetic, the faster form on one row
+    if single:
+        normalize, inner, stage_sum = _normalize_logs, np.matmul, np.matmul
+    else:
+        normalize, inner, stage_sum = _normalize_rows, _row_inner, _stage_sum
 
     with np.errstate(divide="ignore"):
-        ell = _normalize_logs(np.log(p0.probs))
+        ell = normalize(np.log(starts[0].probs if single else [p0.probs for p0 in starts]))
+    size = ell.shape[-1]
     p = np.exp(ell)
     g = fitness(p, ell, schedule.at(0.0))  # the next step's first stage
-    slopes = np.empty((7, ell.size))
-    times, logs = [0.0], [ell]
-    renorms = rejected = 0
+    slopes = np.empty((7,) + ell.shape)
+    block = np.arange(len(starts))  # the start of each row of the block
+    sampled = slice(None)  # where the block's rows go in a sample: all rows, or block
+    times = [0.0]
+    logs = np.empty((len(sample_set) + 1, len(starts), size))  # sample rows per start
+    logs[0] = ell
+    recorded = [None] * len(starts)  # samples taken before a start left the block
+    ends = {}  # start -> diagnostics, for the starts that left the block DIVERGED
+    tails = {}  # start -> (t, log p) where it left, unless that was a sample time
+    renorms = np.zeros(len(starts), dtype=int)
+    rejected = 0
     sizes = []  # of the accepted steps
     t_now = 0.0
     h = controls.dt0
-    status = TerminalStatus.MAX_TIME
-    diagnostics = ""
+
+    def leave(mask, diagnostics, last_logs) -> bool:
+        """End the masked rows DIVERGED at t_now with the given log p and drop
+        them from the block; True when no row is left."""
+        nonlocal ell, p, g, block, slopes, sampled
+        mask = np.asarray(mask)
+        for start, last in zip(block[mask].tolist(), last_logs):
+            recorded[start] = len(times)
+            ends[start] = diagnostics
+            if times[-1] < t_now:
+                tails[start] = (t_now, last)
+        if mask.all():
+            return True
+        ell, p, g, block = ell[~mask], p[~mask], g[~mask], block[~mask]
+        sampled = block
+        slopes = np.empty((7,) + ell.shape)
+        return False
 
     done = False
     for t_stop in stops:
@@ -436,17 +511,18 @@ def _run_flow(
             # schedule.at gives the next piece, and as only piecewise-constant
             # schedules have breakpoints, T at the step's start is the left limit
             end_temperature = schedule.at(t_now) if on_break else schedule.at(t_now + h_try)
-            slopes[0] = g - p @ g
+            slopes[0] = g - inner(p, g)
             for i in range(1, 7):
                 c = _DP_C[i]
-                ell_i = _normalize_logs(ell + h_try * (_DP_A[i, :i] @ slopes[:i]))
+                ell_i = normalize(ell + h_try * stage_sum(_DP_A[i, :i], slopes[:i]))
                 p_i = np.exp(ell_i)
                 temperature = end_temperature if c == 1.0 else schedule.at(t_now + c * h_try)
                 g_i = fitness(p_i, ell_i, temperature)
-                slopes[i] = g_i - p_i @ g_i
+                slopes[i] = g_i - inner(p_i, g_i)
             # the last stage is the 5th-order solution
-            ell4 = _normalize_logs(ell + h_try * (_DP_B4 @ slopes))
-            err = float(np.abs(p_i - np.exp(ell4)).max())
+            ell4 = normalize(ell + h_try * stage_sum(_DP_B4, slopes))
+            gaps = np.abs(p_i - np.exp(ell4))
+            err = float(gaps.max())
             factor = 0.9 * (tol / max(err, 1e-300)) ** 0.2
             if err <= tol:
                 ell, p, g = ell_i, p_i, g_i
@@ -456,17 +532,23 @@ def _run_flow(
                     t_now = t_stop
                 # the last stage is the next step's first unless T or the state moves
                 fresh = not on_break
-                total = float(p.sum())
-                if abs(total - 1.0) > NORM_EPS:
-                    ell = ell - math.log(total)
-                    renorms += 1
+                totals = _row_values(p.sum(axis=-1))
+                off = [abs(total - 1.0) > NORM_EPS for total in totals]
+                if any(off):
+                    shifts = [math.log(total) if o else 0.0 for total, o in zip(totals, off)]
+                    ell = ell - np.reshape(shifts, ell.shape[:-1] + (1,))
+                    renorms[block[off]] += 1
                     fresh = False
-                if kind is FieldKind.ENTROPIC and float(ell.min()) < LOG_CLAMP:
-                    ell = _normalize_logs(np.maximum(ell, LOG_CLAMP))
-                    status = TerminalStatus.DIVERGED
-                    diagnostics = "log-probability clamp hit near the boundary"
-                    done = True
-                    break
+                if kind is FieldKind.ENTROPIC:
+                    low = [least < LOG_CLAMP for least in _row_values(ell.min(axis=-1))]
+                    if any(low):
+                        clamped = [
+                            _normalize_logs(np.maximum(row, LOG_CLAMP))
+                            for row in ell.reshape(-1, size)[low]
+                        ]
+                        if leave(low, "log-probability clamp hit near the boundary", clamped):
+                            done = True
+                            break
                 if not fresh:
                     p = np.exp(ell)
                     g = fitness(p, ell, schedule.at(t_now))
@@ -477,46 +559,67 @@ def _run_flow(
             # size, so one accepted landing step keeps the proposal made before it
             h = max(grown, h) if err <= tol and h_try < h else grown
             if h < MIN_STEP:
-                status = TerminalStatus.DIVERGED
+                # the rows over the tolerance end; after an accepted trial, every row
+                if err > tol:
+                    over = [error > tol for error in _row_values(gaps.max(axis=-1))]
+                else:
+                    over = [True] * len(block)
                 diagnostics = f"step size underflow at t={t_now:.6g} (h={h:.3g})"
-                done = True
-                break
+                if leave(over, diagnostics, ell.reshape(-1, size)[over]):
+                    done = True
+                    break
+                h = h_try  # the rows kept were within the tolerance on this trial
         if done:
             break
         if t_now < t_stop and t_stop in breaks:  # T moves for the next first stage
             g = fitness(p, ell, schedule.at(t_stop))
         if t_stop in sample_set:
             times.append(t_stop)
-            logs.append(ell)
+            logs[len(times) - 1, sampled] = ell
 
-    if done and times[-1] < t_now:
-        times.append(t_now)
-        logs.append(ell)
-
-    L = np.array(logs)
+    parts, part_times = [], []
+    for start in range(len(starts)):
+        n = len(times) if recorded[start] is None else recorded[start]
+        parts.append(logs[:n, start])
+        part_times.append(times[:n])
+        if start in tails:
+            t_end, last = tails[start]
+            parts.append(last[np.newaxis])
+            part_times[-1] = part_times[-1] + [t_end]
+    L = np.concatenate(parts)
     raw = np.exp(L)
-    temperatures = np.array([schedule.at(t) for t in times])
+    all_times = [t for part in part_times for t in part]
+    temperatures = np.array([schedule.at(t) for t in all_times])
     columns = {
-        "t": np.array(times),
+        "t": np.array(all_times),
         "free_energy": _free_energy_rows(potential(raw), temperatures, raw, L),
-        "kl_to_target": np.full(len(times), math.nan),
+        "kl_to_target": np.full(len(all_times), math.nan),
         "field_norm": _field_norm(raw, fitness(raw, L, temperatures[:, np.newaxis])),
     }
-    return TrajectoryRecord.from_columns(
-        _simplex_rows(raw),
-        columns,
-        status,
-        accepted_steps=len(sizes),
-        diagnostics=diagnostics,
-        renormalizations=renorms,
-        step_counts=StepCounts(
-            len(sizes),
-            rejected,
-            min(sizes, default=math.nan),
-            max(sizes, default=math.nan),
-            sizes[-1] if sizes else math.nan,
-        ),
+    P = _simplex_rows(raw)
+    counts = StepCounts(
+        len(sizes),
+        rejected,
+        min(sizes, default=math.nan),
+        max(sizes, default=math.nan),
+        sizes[-1] if sizes else math.nan,
     )
+    records, first = [], 0
+    for start, part in enumerate(part_times):
+        rows = slice(first, first + len(part))
+        first += len(part)
+        records.append(
+            TrajectoryRecord.from_columns(
+                P[rows],
+                {name: column[rows] for name, column in columns.items()},
+                TerminalStatus.DIVERGED if start in ends else TerminalStatus.MAX_TIME,
+                accepted_steps=len(sizes),
+                diagnostics=ends.get(start, ""),
+                renormalizations=int(renorms[start]),
+                step_counts=counts,
+            )
+        )
+    return records
 
 
 #: rows in the first closed-form block; each later block has twice as many

@@ -856,6 +856,14 @@ class TestVerify:
         monkeypatch.chdir(tmp_path)
         assert main(["verify", "--claims", "nope"]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("claims", [",", " , ,"])
+    def test_a_claim_list_naming_no_claim_is_exit_2(self, tmp_path, monkeypatch, capsys, claims):
+        # it used to judge nothing and report that every verdict matched
+        monkeypatch.chdir(tmp_path)
+        assert main(["verify", "--claims", claims, "--output", "none.json"]) == EXIT_CONFIG
+        assert "--claims" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_broken_oracle_is_exit_4(self, tmp_path, monkeypatch):
         from simplexflow import oracles
         from simplexflow.exceptions import OracleFailureError

@@ -15,7 +15,10 @@ from simplexflow import (
     SimplexPoint,
     closed_form_entropic,
     closed_form_literal,
+    constant_field,
+    equilibrium_residual,
     exact_prox_step,
+    linear_field,
     fd_gradient,
     log_partition,
     prox_objective_maximizer,
@@ -161,6 +164,24 @@ class TestClosedFormEntropic:
             closed_form_entropic(SimplexPoint([1.0, 0.0]), s, 1.0, 1.0)
         with pytest.raises(InvalidInputError):
             closed_form_entropic(SimplexPoint([0.5, 0.5]), s, 1.0, -1.0)
+
+
+class TestEquilibriumResidual:
+    def test_zero_at_the_softmax_of_a_constant_field(self, rng):
+        for size in (2, 3, 10, 1000):
+            for temperature in (0.01, 0.5, 1.0, 100.0):
+                s0 = rng.uniform(-3, 3, size)
+                pi = softmax(ScoreVector(s0), temperature)
+                assert equilibrium_residual(constant_field(s0), pi, temperature) <= 1e-15
+
+    def test_reads_the_state_dependent_scores(self):
+        # s(p) = 2 p: the uniform point is a fixed point of p -> softmax(s(p) / T),
+        # and elsewhere the residual is the gap to softmax(2 p / T), not to uniform
+        field = linear_field(np.zeros(3), 2.0 * np.eye(3))
+        assert equilibrium_residual(field, SimplexPoint.uniform(3), 0.5) <= 1e-16
+        p = SimplexPoint([0.5, 0.3, 0.2])
+        gibbs = softmax(ScoreVector(2.0 * p.probs), 0.5).probs
+        assert equilibrium_residual(field, p, 0.5) == float(np.abs(p.probs - gibbs).max()) > 0.05
 
 
 class TestSelfTest:

@@ -17,6 +17,7 @@ from simplexflow import (
     constant_field,
     curl_magnitude,
     detect_recurrence,
+    equilibrium_residual,
     eval_field,
     eval_path_field,
     find_multibasin_coupling,
@@ -24,6 +25,7 @@ from simplexflow import (
     generalized_free_energy,
     integrate,
     integrate_path,
+    integrate_paths,
     is_conservative,
     linear_field,
     lockin_probe,
@@ -277,6 +279,51 @@ class TestLockinProbe:
         probe = lockin_probe(field, FieldKind.ENTROPIC, starts, 0.5, horizon=300.0)
         assert len(probe.clusters) >= 2
         assert not probe.diverged
+
+
+    def test_linear_field_starts_are_one_block(self, monkeypatch):
+        from simplexflow import path_fields
+
+        blocks = []
+
+        def recorded(kind, starts, *args):
+            blocks.append(len(starts))
+            return run_flows(kind, starts, *args)
+
+        run_flows = path_fields._run_flows
+        monkeypatch.setattr(path_fields, "_run_flows", recorded)
+        field = linear_field(np.zeros(3), [[0.0, 2.0, 0.0], [2.0, 0.0, 0.0], [0.0, 0.0, 2.0]])
+        starts = [SimplexPoint(p) for p in ([0.2, 0.3, 0.5], [0.6, 0.3, 0.1], [0.1, 0.1, 0.8])]
+        probe = lockin_probe(field, FieldKind.ENTROPIC, starts, 0.5, horizon=50.0)
+        assert blocks == [3] and sum(probe.basin_sizes) == 3
+        lockin_probe(constant_field([1.0, 0.0, 0.5]), FieldKind.ENTROPIC, starts, 0.5)
+        assert blocks == [3]  # closed form per start
+
+    def test_a_start_that_meets_the_clamp_is_the_only_one_diverged(self):
+        # T = 1e-3: the second start meets the log-probability clamp near
+        # t = 0.42, the others only after t = 0.6
+        field = linear_field([1.0, 0.0, 0.5], np.eye(3))
+        starts = [SimplexPoint([0.1, 0.1, 0.8]), SimplexPoint([0.3, 0.3, 0.4]),
+                  SimplexPoint([0.05, 0.15, 0.8])]
+        probe = lockin_probe(field, FieldKind.ENTROPIC, starts, 1e-3, horizon=0.5)
+        assert probe.diverged == [1]
+        assert probe.assignments == [0, None, 0] and probe.basin_sizes == [2]
+
+    @pytest.mark.parametrize("seed", [5, 6, 7, 12345])
+    def test_terminal_points_are_equilibria_of_the_field(self, seed):
+        # every run of the probe ends at a fixed point of p -> softmax(s(p) / T);
+        # measured at most 3.0e-9 (single-start runs: 2.2e-8)
+        field, _ = find_multibasin_coupling()
+        rng = np.random.default_rng(seed)
+        starts = [SimplexPoint(rng.dirichlet(np.ones(3))) for _ in range(50)]
+        runs = integrate_paths(field, FieldKind.ENTROPIC, starts, 0.5, 300.0,
+                               IntegratorControls(n_samples=50))  # lockin_probe's runs
+        assert max(equilibrium_residual(field, run.terminal.p, 0.5) for run in runs) <= 5e-8
+        probe = lockin_probe(field, FieldKind.ENTROPIC, starts, 0.5, horizon=300.0)
+        assert len(probe.clusters) >= 2 and not probe.diverged
+        for cluster in probe.clusters:
+            point = SimplexPoint(cluster.representative)
+            assert equilibrium_residual(field, point, 0.5) <= 5e-8
 
 
 def separated_maxima(maxima, separation=0.2):

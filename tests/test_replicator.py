@@ -37,7 +37,7 @@ from simplexflow import (
 from simplexflow import replicator
 from simplexflow.oracles import closed_form_entropic, closed_form_literal
 from simplexflow.path_fields import linear_field, rotation_coupling
-from simplexflow.replicator import BLOCK_BYTES, FIRST_BLOCK, LOG_CLAMP, _run_flow
+from simplexflow.replicator import BLOCK_BYTES, FIRST_BLOCK, LOG_CLAMP, _run_flow, _run_flows
 from simplexflow.trajectory import BlockCounts, TrajectoryRecord
 
 from conftest import score_lists, weight_lists
@@ -773,3 +773,124 @@ class TestEmbeddedPair:
         assert list(traj.t) == [0.0, 0.01] and traj.step_counts.accepted_steps == 1
         assert np.array_equal(traj.P[0], self.P0.probs) and np.all(np.isfinite(traj.P))
         assert traj.P[1][0] > self.P0.probs[0]  # the rotation moved the one step taken
+
+
+class TestBlockDriver:
+    """``_run_flows`` steps B starts as one (B, V) block that shares every
+    step.  Each row is held to its own single-start run at a bound about the
+    measured gap, and row-wise events (the log-clamp, a step size underflow)
+    end only the rows they happen to."""
+
+    @staticmethod
+    def both(field, kind, starts, schedule, horizon, controls):
+        rows = _run_flows(kind, starts, field.scores_at, field.potential, schedule, horizon,
+                          controls)
+        singles = [_run_flow(kind, start, field.scores_at, field.potential, schedule, horizon,
+                             controls) for start in starts]
+        return rows, singles
+
+    def test_rows_stay_near_their_single_start_runs(self):
+        rng = np.random.default_rng(7)  # find_multibasin_coupling's probe starts
+        starts = [SimplexPoint(rng.dirichlet(np.ones(3))) for _ in range(12)]
+        multibasin = linear_field(np.zeros(3), [[0, 2, 0], [2, 0, 0], [0, 0, 2]])
+        rng = np.random.default_rng(12)
+        symmetric, antisymmetric = (rng.normal(size=(8, 8)) for _ in range(2))
+        cases = [
+            # measured 9.4e-9; the single runs take 114 to 322 steps, the block 207
+            (multibasin, FieldKind.ENTROPIC, starts, ConstantSchedule(0.5), 300.0, 50, 1.2e-8),
+        ]
+        # with a breakpoint at t = 2; measured 5.2e-9, 1.5e-9, 8.3e-8 and 3.8e-9
+        bounds = iter((6.5e-9, 2e-9, 1e-7, 5e-9))
+        for coupling in (symmetric + symmetric.T, antisymmetric - antisymmetric.T):
+            for kind in FieldKind:
+                field = linear_field(rng.uniform(-1, 1, 8), coupling)
+                starts = [SimplexPoint(rng.dirichlet(np.ones(8))) for _ in range(6)]
+                schedule = PiecewiseConstantSchedule((2.0,), (1.0, 0.5))
+                cases.append((field, kind, starts, schedule, 8.0, 40, next(bounds)))
+        for field, kind, starts, schedule, horizon, n_samples, bound in cases:
+            controls = IntegratorControls(n_samples=n_samples)
+            rows, singles = self.both(field, kind, starts, schedule, horizon, controls)
+            assert len(rows) == len(starts)
+            for row, single in zip(rows, singles):
+                assert row.terminal_status is single.terminal_status is TerminalStatus.MAX_TIME
+                assert list(row.t) == list(single.t)
+                assert float(np.max(np.abs(row.P - single.P))) <= bound
+                assert row.step_counts == rows[0].step_counts
+
+    @pytest.mark.parametrize("beta", [0.5, 8.0])
+    def test_rows_conserve_the_first_integral_of_the_rotation_flow(self, beta):
+        # the bound of one start (TestEmbeddedPair) holds for every row
+        rng = np.random.default_rng(11)
+        starts = [SimplexPoint(rng.dirichlet(np.ones(3))) for _ in range(8)]
+        field = linear_field(np.zeros(3), rotation_coupling(beta))
+        controls = IntegratorControls(n_samples=50, convergence_kl=0.0)
+        for row in _run_flows(FieldKind.LITERAL, starts, field.scores_at, field.potential,
+                              ConstantSchedule(1.0), 50.0 / beta, controls):
+            invariant = np.log(row.P).sum(axis=1)
+            assert np.max(np.abs(invariant - invariant[0])) <= 2e-7
+
+    def test_each_stage_calls_the_scores_once_for_the_whole_block(self, monkeypatch):
+        field = linear_field(np.zeros(3), [[0, 2, 0], [2, 0, 0], [0, 0, 2]])
+        starts = [SimplexPoint([0.5, 0.3, 0.2]), SimplexPoint([0.1, 0.2, 0.7]),
+                  SimplexPoint([0.3, 0.3, 0.4])]
+        schedule = PiecewiseConstantSchedule((1.0,), (1.0, 0.5))
+
+        def run():
+            counted = Counted(field.scores_at, 2000)
+            rows = _run_flows(FieldKind.ENTROPIC, starts, counted, field.potential, schedule,
+                              3.0, IntegratorControls(n_samples=20))
+            trials = rows[0].step_counts.accepted_steps + rows[0].step_counts.rejected_steps
+            # as for one start: the start, six per trial step and the sample block
+            return rows, counted.calls - 2 - 6 * trials
+
+        rows, extra = run()
+        assert extra == 1  # the first stage after the breakpoint
+        with monkeypatch.context() as patch:
+            patch.setattr(replicator, "NORM_EPS", -1.0)  # renormalize every row after every step
+            rows, extra = run()
+        accepted = rows[0].step_counts.accepted_steps
+        assert [row.renormalizations for row in rows] == [accepted] * len(starts)
+        assert extra == accepted
+
+    def test_a_row_that_meets_the_clamp_ends_alone(self):
+        # the CLI clamp test's field; the middle start meets the clamp near
+        # t = 0.42 and the others would meet it after t = 0.6
+        field = linear_field([1.0, 0.0, 0.5], np.eye(3))
+        starts = [SimplexPoint([0.1, 0.1, 0.8]), SimplexPoint([0.3, 0.3, 0.4]),
+                  SimplexPoint([0.05, 0.15, 0.8])]
+        controls = IntegratorControls(n_samples=50)
+        rows, singles = self.both(field, FieldKind.ENTROPIC, starts, ConstantSchedule(1e-3), 0.5,
+                                  controls)
+        assert [row.terminal_status for row in rows] == [single.terminal_status for single in singles]
+        assert [row.terminal_status for row in rows] == [
+            TerminalStatus.MAX_TIME, TerminalStatus.DIVERGED, TerminalStatus.MAX_TIME
+        ]
+        clamped = rows[1]
+        assert clamped.diagnostics == "log-probability clamp hit near the boundary"
+        assert 0.4 < clamped.t[-1] < 0.45 and clamped.P[-1].min() >= 1e-300
+        # its samples up to the clamp are those of a single run's
+        assert list(clamped.t[:-1]) == list(singles[1].t[:-1])
+        assert [row.t[-1] for row in rows[::2]] == [0.5, 0.5] and np.all(np.isfinite(clamped.P))
+
+    def test_a_step_size_underflow_ends_the_rows_over_the_tolerance(self, monkeypatch):
+        # the first trial (h = dt0 = 0.01) fails on the start far out on the
+        # fast rotation, and the next proposal falls below MIN_STEP; the
+        # uniform start is the rotation's centre, with no error
+        monkeypatch.setattr(replicator, "MIN_STEP", 0.009)
+        field = linear_field(np.zeros(3), rotation_coupling(50.0))
+        starts = [SimplexPoint.uniform(3), SimplexPoint([0.3, 0.3, 0.4])]
+        rows, singles = self.both(field, FieldKind.LITERAL, starts, ConstantSchedule(1.0), 1.0,
+                                  IntegratorControls(n_samples=20))
+        assert singles[1].diagnostics == "step size underflow at t=0 (h=0.00608)"
+        assert [row.terminal_status for row in rows] == [
+            TerminalStatus.MAX_TIME, TerminalStatus.DIVERGED
+        ]
+        assert rows[1].diagnostics == singles[1].diagnostics and list(rows[1].t) == [0.0]
+        assert rows[0].t[-1] == 1.0 and np.array_equal(rows[0].P, singles[0].P)
+
+    def test_starts_of_different_sizes_are_refused(self):
+        field = linear_field(np.zeros(3), rotation_coupling(1.0))
+        for starts in ([], [SimplexPoint.uniform(3), SimplexPoint.uniform(4)]):
+            with pytest.raises(InvalidInputError, match="starts"):
+                _run_flows(FieldKind.LITERAL, starts, field.scores_at, field.potential,
+                           ConstantSchedule(1.0), 1.0, IntegratorControls())
