@@ -34,7 +34,7 @@ def main() -> None:
     rng = np.random.default_rng(args.seed)
     s = ScoreVector(rng.uniform(-3, 3, args.size))
     p0 = SimplexPoint(rng.dirichlet(np.ones(args.size)))
-    controls = IntegratorControls(rel_tol=1e-10, abs_tol=1e-12)
+    controls = IntegratorControls(step_tol=1.01e-10)
 
     schedules = {
         "constant T=0.5": ConstantSchedule(0.5),

@@ -88,8 +88,7 @@ class ExperimentConfig:
     max_steps: int = DEFAULT_MAX_STEPS
     kl_tol: float = DEFAULT_KL_TOL
     dt0: float = IntegratorControls.dt0
-    rel_tol: float = IntegratorControls.rel_tol
-    abs_tol: float = IntegratorControls.abs_tol
+    step_tol: float = IntegratorControls.step_tol
     convergence_kl: float = IntegratorControls.convergence_kl
     horizon: float = DEFAULT_HORIZON
     n_samples: int = IntegratorControls.n_samples
@@ -224,8 +223,7 @@ _OPTIONS = (
     _Option("kl_tol", ("mirror.kl_tol",), "--tol", _PROX, float,
             help="stop tolerance (per-step KL / convergence KL)"),
     _Option("dt0", ("integrator.dt0",), None, _FIELDS, float),
-    _Option("rel_tol", ("integrator.rel_tol",), None, _FIELDS, float),
-    _Option("abs_tol", ("integrator.abs_tol",), None, _FIELDS, float),
+    _Option("step_tol", ("integrator.step_tol",), None, _FIELDS, float),
     _Option("convergence_kl", ("integrator.convergence_kl",), "--tol", ("simulate",), float),
     _Option("horizon", ("integrator.horizon",), "--horizon", _FLOWS, float, grid="horizon",
             help="integration horizon"),
@@ -553,8 +551,7 @@ def _resolve(cfg: ExperimentConfig) -> _ResolvedRun:
 
     controls = IntegratorControls(
         dt0=cfg.dt0,
-        rel_tol=cfg.rel_tol,
-        abs_tol=cfg.abs_tol,
+        step_tol=cfg.step_tol,
         convergence_kl=cfg.convergence_kl,
         n_samples=cfg.n_samples,
         uniform_samples=cfg.uniform_samples,
@@ -675,7 +672,7 @@ def _cell_outcome(cfg: ExperimentConfig) -> tuple:
             run.p0,
             as_schedule(run.schedule),
             cfg.horizon,
-            IntegratorControls(rel_tol=1e-10, abs_tol=1e-12),
+            IntegratorControls(step_tol=1.01e-10),
             n_checkpoints=cfg.n_samples,
         )
         return "ok", {"deviation": deviation}

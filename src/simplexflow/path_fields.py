@@ -373,34 +373,24 @@ def lockin_probe(
     clusters: list[BasinCluster] = []
     assignments: list = []
     diverged: list = []
-    energies: list[list[float]] = []
     for idx, traj in enumerate(runs):
         if traj.terminal_status is TerminalStatus.DIVERGED:
             diverged.append(idx)
             assignments.append(None)
             continue
-        terminal = traj.terminal
-        placed = None
-        for c_idx, cluster in enumerate(clusters):
-            if float(np.max(np.abs(cluster.representative - terminal.p.probs))) <= cluster_tol:
-                placed = c_idx
-                break
-        if placed is None:
-            clusters.append(
-                BasinCluster(
-                    representative=np.array(terminal.p.probs),
-                    members=[idx],
-                    terminal_free_energy=terminal.free_energy,
-                )
-            )
-            energies.append([terminal.free_energy])
-            assignments.append(len(clusters) - 1)
-        else:
-            clusters[placed].members.append(idx)
-            energies[placed].append(terminal.free_energy)
-            assignments.append(placed)
-    for cluster, vals in zip(clusters, energies):
-        cluster.terminal_free_energy = float(np.mean(vals))
+        terminal = traj.terminal.p.probs
+        placed = next(
+            (c for c, cluster in enumerate(clusters)
+             if float(np.max(np.abs(cluster.representative - terminal))) <= cluster_tol),
+            len(clusters),
+        )
+        if placed == len(clusters):
+            clusters.append(BasinCluster(np.array(terminal), [], math.nan))
+        clusters[placed].members.append(idx)
+        assignments.append(placed)
+    for cluster in clusters:
+        energies = [runs[idx].terminal.free_energy for idx in cluster.members]
+        cluster.terminal_free_energy = float(np.mean(energies))
     return LockinReport(clusters=clusters, assignments=assignments, diverged=diverged)
 
 
@@ -477,13 +467,10 @@ def find_multibasin_coupling(
         maxima = _grid_local_maxima(field, t, resolution)
         if len(maxima) < 2:
             continue
-        pts = np.array([m[0] for m in maxima])
-        separated = False
-        for a in range(len(pts)):
-            for b in range(a + 1, len(pts)):
-                if np.max(np.abs(pts[a] - pts[b])) >= separation:
-                    separated = True
-        if not separated:
+        pts = [point for point, _ in maxima]
+        if not any(
+            np.max(np.abs(a - b)) >= separation for a, b in itertools.combinations(pts, 2)
+        ):
             continue
         probe = lockin_probe(field, FieldKind.ENTROPIC, starts, t, horizon=300.0)
         if len(probe.clusters) >= 2:

@@ -34,9 +34,9 @@ solutions; the 5th-order one is kept, and its stage is the first stage of
 the next step unless a renormalization or a schedule breakpoint moves the
 state or T.  ``_run_flows`` steps several starts of one field as a (B, V)
 block whose rows share every step, accepted on the largest error over the
-rows; a row that diverges leaves the block alone.  Samples are kept as
-(t, log p) and measured as one block at the end.  A run ends at its
-horizon, or DIVERGED.
+rows; a row that diverges leaves the block alone.  Each start keeps its
+samples as a list of (t, log p) rows, and the rows of all starts are
+measured as one block at the end.  A run ends at its horizon, or DIVERGED.
 """
 
 from __future__ import annotations
@@ -128,8 +128,10 @@ class PiecewiseConstantSchedule:
                 f"piecewise schedule needs len(values) == len(times) + 1, "
                 f"got {len(values)} values for {len(times)} breakpoints"
             )
-        if any(t <= 0 for t in times) or any(b >= a for a, b in zip(times[1:], times)):
-            raise InvalidInputError("breakpoints must be positive and strictly increasing")
+        if not all(0.0 < t < math.inf for t in times) or any(
+            b >= a for a, b in zip(times[1:], times)
+        ):
+            raise InvalidInputError("breakpoints must be finite, positive and strictly increasing")
         for v in values:
             check_temperature(v)
         object.__setattr__(self, "times", times)
@@ -305,14 +307,13 @@ class IntegratorControls:
     """Flow settings.  Fixed-score flows are solved exactly at their stop
     times, so step control applies to linear fields only: a step is accepted
     when the sup-norm gap in p between the 5th- and 4th-order solutions of
-    the Dormand-Prince pair is at most ``abs_tol + rel_tol``, one absolute
-    bound as neither is scaled by the state; both are finite and >= 0, with a
-    positive sum.  ``dt0``, positive and finite, is the first trial step and
-    also the first geometric sample time of every flow."""
+    the Dormand-Prince pair is at most ``step_tol``, positive and finite: one
+    absolute bound, not scaled by the state.  ``dt0``, positive and finite, is
+    the first trial step and also the first geometric sample time of every
+    flow."""
 
     dt0: float = 1e-2
-    rel_tol: float = 1e-8
-    abs_tol: float = 1e-10
+    step_tol: float = 1.01e-8
     #: KL stop of fixed-score flows, checked at the stop times (0 disables)
     convergence_kl: float = 1e-10
     n_samples: int = 200
@@ -322,10 +323,9 @@ class IntegratorControls:
     def __post_init__(self):
         if not 0.0 < self.dt0 < math.inf:
             raise InvalidInputError(f"dt0 must be positive and finite, got {self.dt0!r}")
-        tolerances = (self.rel_tol, self.abs_tol)
-        if not (min(tolerances) >= 0.0 and 0.0 < sum(tolerances) < math.inf):
+        if not 0.0 < self.step_tol < math.inf:
             raise InvalidInputError(
-                f"rel_tol and abs_tol must be finite and >= 0, not both 0, got {tolerances}"
+                f"step_tol must be positive and finite, got {self.step_tol!r}"
             )
 
 
@@ -334,14 +334,17 @@ DEFAULT_HORIZON = 1e3
 
 def _stops(horizon: float, schedule: TemperatureSchedule, controls: IntegratorControls) -> tuple:
     """(stops, samples): the set of sample times in (0, horizon], and those
-    with every breakpoint in (0, horizon) and the horizon added, sorted."""
+    with every breakpoint in (0, horizon) and the horizon added, sorted.
+    Without ``sample_times``, ``n_samples`` counts t = 0 and must be >= 2."""
     if horizon <= 0 or not math.isfinite(horizon):
         raise InvalidInputError(f"horizon must be positive and finite, got {horizon}")
-    n = max(int(controls.n_samples), 2)
+    n = controls.n_samples
     if controls.sample_times is not None:
         grid = np.asarray(controls.sample_times, dtype=np.float64)
         if grid.ndim != 1 or np.any(grid < 0) or np.any(np.diff(grid) <= 0):
             raise InvalidInputError("sample times must be strictly increasing and nonnegative")
+    elif n < 2:
+        raise InvalidInputError(f"samples must be at least 2 (t = 0 and the horizon), got {n}")
     elif controls.uniform_samples or horizon <= controls.dt0 or n < 3:
         grid = np.linspace(0.0, horizon, n)
     else:
@@ -445,9 +448,10 @@ def _run_flows(
     exceeded the tolerance do so (every row, after an accepted trial) and
     the others retry the trial.  Each record carries the block's step
     counts.  One start keeps the per-point stage arithmetic, the faster form
-    on one row.  Stages call ``scores_at`` once on the whole block, and the
-    samples of every row are measured by one call each of ``scores_at`` and
-    ``potential`` on their rows."""
+    on one row.  Stages call ``scores_at`` once on the whole block.  Each
+    start keeps a list of (t, log p) rows, with the state it left with if it
+    left after its last sample; the lists are stacked in start order and
+    measured by one call each of ``scores_at`` and ``potential``."""
     stops, sample_set = _stops(horizon, schedule, controls)
     if not starts or len({p0.size for p0 in starts}) > 1:
         raise InvalidInputError("the flow needs one or more starts of one size")
@@ -455,7 +459,7 @@ def _run_flows(
         raise InteriorityError("entropic field requires an interior start")
     fitness = _fitness(kind, scores_at)
     breaks = set(schedule.breakpoints())
-    tol = controls.abs_tol + controls.rel_tol
+    tol = controls.step_tol
     single = len(starts) == 1
     # one start keeps the per-point arithmetic, the faster form on one row
     if single:
@@ -470,13 +474,8 @@ def _run_flows(
     g = fitness(p, ell, schedule.at(0.0))  # the next step's first stage
     slopes = np.empty((7,) + ell.shape)
     block = np.arange(len(starts))  # the start of each row of the block
-    sampled = slice(None)  # where the block's rows go in a sample: all rows, or block
-    times = [0.0]
-    logs = np.empty((len(sample_set) + 1, len(starts), size))  # sample rows per start
-    logs[0] = ell
-    recorded = [None] * len(starts)  # samples taken before a start left the block
+    history = [[(0.0, row)] for row in ell.reshape(-1, size)]  # (t, log p) rows per start
     ends = {}  # start -> diagnostics, for the starts that left the block DIVERGED
-    tails = {}  # start -> (t, log p) where it left, unless that was a sample time
     renorms = np.zeros(len(starts), dtype=int)
     rejected = 0
     sizes = []  # of the accepted steps
@@ -486,17 +485,15 @@ def _run_flows(
     def leave(mask, diagnostics, last_logs) -> bool:
         """End the masked rows DIVERGED at t_now with the given log p and drop
         them from the block; True when no row is left."""
-        nonlocal ell, p, g, block, slopes, sampled
+        nonlocal ell, p, g, block, slopes
         mask = np.asarray(mask)
         for start, last in zip(block[mask].tolist(), last_logs):
-            recorded[start] = len(times)
             ends[start] = diagnostics
-            if times[-1] < t_now:
-                tails[start] = (t_now, last)
+            if history[start][-1][0] < t_now:  # it left after its last sample
+                history[start].append((t_now, last))
         if mask.all():
             return True
         ell, p, g, block = ell[~mask], p[~mask], g[~mask], block[~mask]
-        sampled = block
         slopes = np.empty((7,) + ell.shape)
         return False
 
@@ -574,26 +571,18 @@ def _run_flows(
         if t_now < t_stop and t_stop in breaks:  # T moves for the next first stage
             g = fitness(p, ell, schedule.at(t_stop))
         if t_stop in sample_set:
-            times.append(t_stop)
-            logs[len(times) - 1, sampled] = ell
+            for start, row in zip(block.tolist(), ell.reshape(-1, size)):
+                history[start].append((t_stop, row))
 
-    parts, part_times = [], []
-    for start in range(len(starts)):
-        n = len(times) if recorded[start] is None else recorded[start]
-        parts.append(logs[:n, start])
-        part_times.append(times[:n])
-        if start in tails:
-            t_end, last = tails[start]
-            parts.append(last[np.newaxis])
-            part_times[-1] = part_times[-1] + [t_end]
-    L = np.concatenate(parts)
+    flat = [row for rows in history for row in rows]
+    L = np.array([log for _, log in flat])
     raw = np.exp(L)
-    all_times = [t for part in part_times for t in part]
-    temperatures = np.array([schedule.at(t) for t in all_times])
+    stamps = [t for t, _ in flat]
+    temperatures = np.array([schedule.at(t) for t in stamps])
     columns = {
-        "t": np.array(all_times),
+        "t": np.array(stamps),
         "free_energy": _free_energy_rows(potential(raw), temperatures, raw, L),
-        "kl_to_target": np.full(len(all_times), math.nan),
+        "kl_to_target": np.full(len(stamps), math.nan),
         "field_norm": _field_norm(raw, fitness(raw, L, temperatures[:, np.newaxis])),
     }
     P = _simplex_rows(raw)
@@ -605,13 +594,13 @@ def _run_flows(
         sizes[-1] if sizes else math.nan,
     )
     records, first = [], 0
-    for start, part in enumerate(part_times):
-        rows = slice(first, first + len(part))
-        first += len(part)
+    for start, rows in enumerate(history):
+        cut = slice(first, first + len(rows))
+        first += len(rows)
         records.append(
             TrajectoryRecord.from_columns(
-                P[rows],
-                {name: column[rows] for name, column in columns.items()},
+                P[cut],
+                {name: column[cut] for name, column in columns.items()},
                 TerminalStatus.DIVERGED if start in ends else TerminalStatus.MAX_TIME,
                 accepted_steps=len(sizes),
                 diagnostics=ends.get(start, ""),
@@ -910,7 +899,7 @@ def check_time_reparameterization(
     schedule,
     horizon: float,
     kind: FieldKind = FieldKind.LITERAL,
-    controls: IntegratorControls = IntegratorControls(rel_tol=1e-10, abs_tol=1e-12),
+    controls: IntegratorControls = IntegratorControls(step_tol=1.01e-10),
 ) -> float:
     """Deviation of the scheduled trajectory from its effective-time replay.
 

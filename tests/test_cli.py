@@ -166,11 +166,11 @@ class TestConfigFile:
         assert cell["status"] == "error" and "dt0" in cell["error"]
 
     @pytest.mark.parametrize(
-        "setting", ["abs_tol = -1", "abs_tol = nan", "abs_tol = inf", "rel_tol = 0\nabs_tol = 0"]
+        "setting", ["step_tol = -1", "step_tol = nan", "step_tol = inf", "step_tol = 0"]
     )
     def test_invalid_tolerances_are_exit_2(self, tmp_path, monkeypatch, capsys, setting):
-        # abs_tol = -1 made the step factor complex, nan ended in a step size
-        # underflow, and inf accepted 13 steps up to 20.48 long
+        # a tolerance of -1 made the step factor complex, nan ended in a step
+        # size underflow, and inf accepted 13 steps up to 20.48 long
         monkeypatch.chdir(tmp_path)
         Path("tol.ini").write_text(
             "[run]\nstart = 0.5, 0.3, 0.2\ndynamics = literal\n"
@@ -182,11 +182,32 @@ class TestConfigFile:
             warnings.simplefilter("always")
             assert main(["simulate", "--config", "tol.ini"]) == EXIT_CONFIG
         assert not caught
-        assert "rel_tol and abs_tol must be finite" in capsys.readouterr().err
+        assert "step_tol must be positive and finite" in capsys.readouterr().err
         assert not Path("run.csv").exists() and not Path("run.manifest.json").exists()
         assert main(["sweep", "--config", "tol.ini", "--output", "grid"]) == EXIT_DIVERGED
         (cell,) = json.loads(Path("grid.json").read_text())["cells"]
         assert cell["status"] == "error" and "tol" in cell["error"]
+
+    @pytest.mark.parametrize("key", ["rel_tol", "abs_tol"])
+    def test_the_two_old_tolerance_keys_are_unknown(self, tmp_path, monkeypatch, capsys, key):
+        # both were read as one sum; one alone would move the bound silently
+        monkeypatch.chdir(tmp_path)
+        Path("tol.ini").write_text(f"[scores]\nvalues = 1, 0\n[integrator]\n{key} = 1e-10\n")
+        assert main(["simulate", "--config", "tol.ini"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"[integrator] unknown key {key!r}" in err
+        known = err.partition("(known: ")[2].rstrip(")\n").split(", ")
+        assert "step_tol" in known
+        assert not Path("run.csv").exists()
+
+    @pytest.mark.parametrize("samples", ["-3", "0", "1"])
+    def test_fewer_than_two_samples_is_exit_2(self, tmp_path, monkeypatch, capsys, samples):
+        # these were raised to 2 without a word, and the run wrote 2 rows
+        monkeypatch.chdir(tmp_path)
+        Path("few.ini").write_text(f"[scores]\nvalues = 1, 0\n[integrator]\nsamples = {samples}\n")
+        assert main(["simulate", "--config", "few.ini"]) == EXIT_CONFIG
+        assert "samples must be at least 2" in capsys.readouterr().err
+        assert not Path("run.csv").exists() and not Path("run.manifest.json").exists()
 
     @pytest.mark.parametrize(
         "argv, names",
@@ -370,6 +391,17 @@ class TestSimulate:
         _, rows = read_csv("flat.csv")
         for row in rows:
             assert row[1:4] == rows[0][1:4]
+
+    @pytest.mark.parametrize("breakpoint", ["nan", "inf"])
+    def test_a_breakpoint_that_is_not_finite_is_exit_2(self, tmp_path, monkeypatch, capsys,
+                                                       breakpoint):
+        # NaN ran the whole horizon at the second piece's T = 2, from t = 0
+        monkeypatch.chdir(tmp_path)
+        code = main(["simulate", "--scores", "1,0", "--schedule", f"piecewise:0:1,{breakpoint}:2",
+                     "--output", "o"])
+        assert code == EXIT_CONFIG
+        assert "breakpoints must be finite" in capsys.readouterr().err
+        assert not Path("o.csv").exists() and not Path("o.manifest.json").exists()
 
     def test_topk_face_zeroes_off_face_columns(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -974,8 +1006,8 @@ def _extreme_runs(draw):
     simulate or prox-iterate run, or of a linear-field simulate run written as
     an INI, with scores and couplings up to 1e300 in size, T from 1e-300 to
     1e300 and V from 2 to 16.  Fixed-score horizons reach 1e300; a linear
-    field's stays at most 10, so the driver's steps stay few, and its rel_tol
-    or abs_tol is sometimes -1, nan or inf (exit 2) or 0.  Scores go as
+    field's stays at most 10, so the driver's steps stay few, and it sometimes
+    sets a step_tol of -1, nan, inf or 0 (exit 2).  Scores go as
     --scores=..., since argparse reads "--scores -1,0" as a flag."""
     size = draw(st.integers(2, 16))
     scores = _extreme_numbers(draw, size)
@@ -1000,11 +1032,10 @@ def _extreme_runs(draw):
             f"[field]\nkind = linear\ncoupling = {','.join(repr(x) for x in coupling)}\n"
             f"[integrator]\nhorizon = {draw(_HORIZON)!r}\n"
         )
-        name, value = draw(st.sampled_from([None, "rel_tol", "abs_tol"])), "0"
-        if name is not None:
-            value = draw(st.sampled_from(["-1", "nan", "inf", "0"]))
-            ini += f"{name} = {value}\n"
-        return ["simulate", *argv], ini, value != "0"
+        step_tol = draw(st.none() | st.sampled_from(["-1", "nan", "inf", "0"]))
+        if step_tol is not None:
+            ini += f"step_tol = {step_tol}\n"
+        return ["simulate", *argv], ini, step_tol is not None
     return argv, None, False
 
 
