@@ -77,6 +77,7 @@ from .oracles import (
     fd_gradient,
     fd_jacobian,
     prox_objective_maximizer,
+    rk4_flow,
     run_adjudication,
 )
 from .trajectory import TerminalStatus, TrajectoryRecord, TrajectorySample

@@ -4,9 +4,11 @@ Every oracle here is deliberately implementation-independent of the code it
 checks: derivatives come from central finite differences, the prox step is
 certified against a numerical constrained maximizer (cyclic coordinate
 ascent in the softmax parameterization), the literal flow is certified
-against its closed-form solution, and the entropic flow against its solution
-with the schedule integral taken by Gauss-Legendre quadrature.  Only
-primitive arithmetic and log-sum-exp are shared with the checked modules.
+against its closed-form solution, the entropic flow against its solution
+with the schedule integral taken by Gauss-Legendre quadrature, and flows of
+state-dependent scores against fixed-step RK4 in p coordinates, refined until
+two runs agree.  Only primitive arithmetic and log-sum-exp are shared with
+the checked modules.
 
 ``run_adjudication`` assembles the claim matrix: for each claimed property
 and each dynamics variant it reports whether the property holds at the
@@ -53,6 +55,8 @@ from .simplex import (
 
 DEFAULT_SEED = 20250808
 DEFAULT_FD_STEP = 1e-5
+#: sup-norm agreement of two successive RK4 runs at which ``rk4_flow`` stops
+RK4_AGREEMENT = 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -192,6 +196,68 @@ def equilibrium_residual(field, p: SimplexPoint, temperature: float) -> float:
     """
     gibbs = softmax(ScoreVector(field.scores_at(p.probs)), temperature)
     return float(np.abs(p.probs - gibbs.probs).max())
+
+
+def rk4_flow(
+    scores_at: Callable[[np.ndarray], np.ndarray],
+    kind: FieldKind,
+    p0: SimplexPoint,
+    temperature: float,
+    times,
+    max_refinements: int = 12,
+) -> tuple:
+    """The replicator flow dp/dt = p (g - <p, g>) of a score map at each of
+    the increasing ``times``, from p0 at times[0], with g = s(p) / T for the
+    literal kind and s(p) / T - log p for the entropic one.
+
+    Classical fixed-step RK4 in p coordinates, not log p: every interval
+    between two sample times is cut into the same number of steps, and that
+    number is doubled until two successive runs agree within RK4_AGREEMENT
+    at every sample (sup norm).  Returns (P, estimate): the rows of the finer
+    run and that agreement, which for a 4th-order method is about 15 times
+    the finer run's error (Richardson).  It reads the field only through
+    ``scores_at`` and shares no step, stage or normalization with the
+    adaptive driver it checks; no agreement within ``max_refinements``
+    doublings fails the oracle.
+    """
+    temp = check_temperature(temperature)
+    times = np.asarray(times, dtype=np.float64)
+    if times.ndim != 1 or times.size < 2 or np.any(np.diff(times) <= 0):
+        raise InvalidInputError("times must be at least two strictly increasing values")
+    entropic = FieldKind(kind) is FieldKind.ENTROPIC
+    if entropic and not p0.interior:
+        raise InteriorityError("the entropic flow needs an interior start")
+
+    def slope(p):
+        g = scores_at(p) / temp
+        if entropic:
+            g = g - np.log(p)
+        return p * (g - p @ g)
+
+    def run(steps: int) -> np.ndarray:
+        p = np.array(p0.probs)
+        rows = [p]
+        for h in (np.diff(times) / steps).tolist():
+            for _ in range(steps):
+                k1 = slope(p)
+                k2 = slope(p + 0.5 * h * k1)
+                k3 = slope(p + 0.5 * h * k2)
+                k4 = slope(p + h * k3)
+                p = p + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            rows.append(p)
+        return np.array(rows)
+
+    steps, coarse = 1, run(1)
+    for _ in range(max_refinements):
+        steps *= 2
+        fine = run(steps)
+        gap = float(np.abs(fine - coarse).max())
+        if gap <= RK4_AGREEMENT:
+            return fine, gap
+        coarse = fine
+    raise OracleFailureError(
+        f"RK4 runs disagree beyond {RK4_AGREEMENT:.3g} at {steps} steps per interval"
+    )
 
 
 def prox_objective_maximizer(
@@ -346,6 +412,17 @@ def oracle_self_test() -> list:
     settled = closed_form_entropic(p0, s3, ConstantSchedule(2.0), 50.0)
     err = float(np.max(np.abs(settled.probs - softmax(s3, 2.0).probs)))
     check("closed-form-entropic-softmax-limit", err < 1e-12, f"max err {err:.3g}")
+
+    # constant scores: the literal flow is normalize(log p0 + t s / T)
+    times = (0.0, 0.25)
+    stepped, estimate = rk4_flow(lambda p: s3.values, FieldKind.LITERAL, p0, 1.0, times)
+    exact = np.array([closed_form_literal(p0, s3, 1.0, t).probs for t in times])
+    err = float(np.abs(stepped - exact).max())
+    check(
+        "rk4-constant-scores",
+        err <= estimate <= RK4_AGREEMENT,
+        f"max err {err:.3g}, estimate {estimate:.3g}",
+    )
 
     near_start = prox_objective_maximizer(p0, s3, 1.0, 1e-9)
     err = float(np.max(np.abs(near_start.probs - p0.probs)))

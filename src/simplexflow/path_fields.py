@@ -173,6 +173,8 @@ def integrate_path(
     schedule,
     horizon: float = DEFAULT_HORIZON,
     controls: IntegratorControls = IntegratorControls(),
+    *,
+    dense: bool = False,
 ) -> TrajectoryRecord:
     """Integrate the replicator flow of a state-dependent score field.
 
@@ -185,8 +187,11 @@ def integrate_path(
     smallest T that could overflow the integrator's stages, or a smallest T
     of 0, raise InvalidInputError.  Every schedule kind is monotone between
     breakpoints, so that T is taken at 0, the horizon or a breakpoint.
+    With ``dense``, a linear field's steps land only on breakpoints and the
+    horizon, and the samples between are read from each step's continuous
+    extension (``replicator._run_flows``); a constant field ignores it.
     """
-    return integrate_paths(field, fieldkind, [p0], schedule, horizon, controls)[0]
+    return integrate_paths(field, fieldkind, [p0], schedule, horizon, controls, dense=dense)[0]
 
 
 def integrate_paths(
@@ -196,11 +201,13 @@ def integrate_paths(
     schedule,
     horizon: float = DEFAULT_HORIZON,
     controls: IntegratorControls = IntegratorControls(),
+    *,
+    dense: bool = False,
 ) -> list:
     """``integrate_path`` from each start, one record per start.  A linear
     field's starts are checked once and stepped as one block that shares
-    every step (``replicator._run_flows``); a field without state dependence
-    is solved in closed form per start."""
+    every step (``replicator._run_flows``, with ``dense`` passed through); a
+    field without state dependence is solved in closed form per start."""
     if not starts:
         return []
     if field.constant_equivalent:
@@ -226,9 +233,8 @@ def integrate_paths(
                 f"linear field scores up to {largest:.3g} overflow at T({t_cold:.6g}) = "
                 f"{coldest:.3g}, the run's smallest temperature"
             )
-    return _run_flows(
-        fieldkind, starts, field.scores_at, field.potential, schedule, horizon, controls
-    )
+    run = functools.partial(_run_flows, dense=True) if dense else _run_flows
+    return run(fieldkind, starts, field.scores_at, field.potential, schedule, horizon, controls)
 
 
 # ---------------------------------------------------------------------------
@@ -303,27 +309,37 @@ def find_recurrent_beta(
     uniform point a center surrounded by closed orbits (the quadratic form
     <p, B p> vanishes, so the score mean is identically zero).  The horizon
     and sampling cadence scale with 1/beta so each run covers a few orbit
-    periods with samples fine enough to witness the return.
+    periods with samples fine enough to witness the return.  The runs use
+    dense output: steps land only on the horizon, and the samples between
+    are interpolated, so their number does not set the number of steps.
+    Every beta must be positive and finite (else InvalidInputError, before
+    any run).
 
     Returns (first recurrent beta or None, {beta: RecurrenceReport}).
     """
     t = check_temperature(temperature)
+    betas = [float(beta) for beta in betas]
+    for beta in betas:
+        if not 0.0 < beta < math.inf:
+            raise InvalidInputError(
+                f"rotation strength beta must be positive and finite, got {beta!r}"
+            )
     if p0 is None:
         p0 = SimplexPoint(np.array([0.5, 0.3, 0.2]))
     reports: dict = {}
     for beta in betas:
         field = linear_field(np.zeros(3), rotation_coupling(beta))
-        horizon = 50.0 * t / float(beta)
+        horizon = 50.0 * t / beta
         controls = IntegratorControls(
             n_samples=n_samples, uniform_samples=True, convergence_kl=0.0
         )
-        traj = integrate_path(field, FieldKind.LITERAL, p0, t, horizon, controls)
+        traj = integrate_path(field, FieldKind.LITERAL, p0, t, horizon, controls, dense=True)
         report = detect_recurrence(
             traj, delta_rec=delta_rec, min_separation=min_separation
         )
-        reports[float(beta)] = report
+        reports[beta] = report
         if report.recurrent:
-            return float(beta), reports
+            return beta, reports
     return None, reports
 
 

@@ -34,15 +34,18 @@ solutions; the 5th-order one is kept, and its stage is the first stage of
 the next step unless a renormalization or a schedule breakpoint moves the
 state or T.  ``_run_flows`` steps several starts of one field as a (B, V)
 block whose rows share every step, accepted on the largest error over the
-rows; a row that diverges leaves the block alone.  Each start keeps its
-samples as a list of (t, log p) rows, and the rows of all starts are
-measured as one block at the end.  A run ends at its horizon, or DIVERGED.
+rows; a row that diverges leaves the block alone.  A step lands on every
+sample time unless the run asks for dense output, which reads the samples
+inside a step from the pair's continuous extension.  Each start keeps its
+samples as a list of (times, log p rows) chunks, and the rows of all starts
+are measured as one block at the end.  A run ends at its horizon, or
+DIVERGED.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable, Optional, Sequence, Union
@@ -399,6 +402,19 @@ _DP_B4 = np.array(
 #: largest sum of |a_ij| over a row of _DP_A: a stage moves log p by at most
 #: this many slopes times the step
 _DP_REACH = float(np.abs(_DP_A).sum(axis=1).max())
+#: weights of the 4th-order continuous extension's last term (Hairer, Norsett
+#: & Wanner, Solving ODEs I, II.6; the ``dense`` sampling of ``_run_flows``)
+_DP_D = np.array(
+    [
+        -12715105075 / 11282082432,
+        0.0,
+        87487479700 / 32700410799,
+        -10690763975 / 1880347072,
+        701980252875 / 199316789632,
+        -1453857185 / 822651844,
+        69997945 / 29380423,
+    ]
+)
 
 
 def _stage_sum(coefficients: np.ndarray, slopes: np.ndarray) -> np.ndarray:
@@ -434,6 +450,8 @@ def _run_flows(
     schedule: TemperatureSchedule,
     horizon: float,
     controls: IntegratorControls,
+    *,
+    dense: bool = False,
 ) -> list:
     """Adaptive flows of the score map ``p -> s(p)`` from each start, one
     record per start annotated with ``potential(p) + T H(p)`` and a NaN KL;
@@ -448,10 +466,18 @@ def _run_flows(
     exceeded the tolerance do so (every row, after an accepted trial) and
     the others retry the trial.  Each record carries the block's step
     counts.  One start keeps the per-point stage arithmetic, the faster form
-    on one row.  Stages call ``scores_at`` once on the whole block.  Each
-    start keeps a list of (t, log p) rows, with the state it left with if it
-    left after its last sample; the lists are stacked in start order and
-    measured by one call each of ``scores_at`` and ``potential``."""
+    on one row.  Stages call ``scores_at`` once on the whole block.
+
+    By default a step lands on every sample time.  With ``dense``, steps land
+    only on the schedule's breakpoints and the horizon, and a sample inside
+    an accepted step is read from the step's 4th-order continuous extension
+    (Hairer, Norsett & Wanner, Solving ODEs I, II.6): in log p, from the
+    step's seven slopes and no further ``scores_at`` call, then normalized,
+    all the samples of one step as one array.  A sample at a stop takes the
+    state there in both modes.  Each start keeps a list of (times, log p
+    rows) chunks, with the state it left with if it left after its last
+    sample; the chunks are stacked in start order and measured by one call
+    each of ``scores_at`` and ``potential``."""
     stops, sample_set = _stops(horizon, schedule, controls)
     if not starts or len({p0.size for p0 in starts}) > 1:
         raise InvalidInputError("the flow needs one or more starts of one size")
@@ -459,6 +485,13 @@ def _run_flows(
         raise InteriorityError("entropic field requires an interior start")
     fitness = _fitness(kind, scores_at)
     breaks = set(schedule.breakpoints())
+    if dense:
+        stops = [t for t in stops if t in breaks or t == horizon]
+    # the sample times not yet recorded are pending[k:]; a sample before the
+    # end of an accepted step is interpolated, one at or before a stop takes
+    # the state there.  Without dense output every sample is a stop, so no
+    # step passes one and nothing is interpolated
+    pending, k = sorted(sample_set) + [math.inf], 0
     tol = controls.step_tol
     single = len(starts) == 1
     # one start keeps the per-point arithmetic, the faster form on one row
@@ -474,13 +507,21 @@ def _run_flows(
     g = fitness(p, ell, schedule.at(0.0))  # the next step's first stage
     slopes = np.empty((7,) + ell.shape)
     block = np.arange(len(starts))  # the start of each row of the block
-    history = [[(0.0, row)] for row in ell.reshape(-1, size)]  # (t, log p) rows per start
+    # (times, log p rows) chunks per start; one start records ell itself, so
+    # no row is a view that keeps a larger array alive
+    history = [[((0.0,), row)] for row in ([ell] if single else ell)]
     ends = {}  # start -> diagnostics, for the starts that left the block DIVERGED
     renorms = np.zeros(len(starts), dtype=int)
     rejected = 0
     sizes = []  # of the accepted steps
     t_now = 0.0
     h = controls.dt0
+
+    def record(times, rows):
+        """Append the block's rows at ``times``: (len(times), B, V), or (B, V)
+        for one time; one start's rows drop the B axis."""
+        for start, chunk in zip(block.tolist(), [rows] if single else np.swapaxes(rows, 0, -2)):
+            history[start].append((times, chunk))
 
     def leave(mask, diagnostics, last_logs) -> bool:
         """End the masked rows DIVERGED at t_now with the given log p and drop
@@ -489,8 +530,8 @@ def _run_flows(
         mask = np.asarray(mask)
         for start, last in zip(block[mask].tolist(), last_logs):
             ends[start] = diagnostics
-            if history[start][-1][0] < t_now:  # it left after its last sample
-                history[start].append((t_now, last))
+            if history[start][-1][0][-1] < t_now:  # it left after its last sample
+                history[start].append(((t_now,), last))
         if mask.all():
             return True
         ell, p, g, block = ell[~mask], p[~mask], g[~mask], block[~mask]
@@ -522,11 +563,26 @@ def _run_flows(
             err = float(gaps.max())
             factor = 0.9 * (tol / max(err, 1e-300)) ** 0.2
             if err <= tol:
-                ell, p, g = ell_i, p_i, g_i
-                sizes.append(h_try)
+                t_start = t_now
                 t_now = t_now + h_try
                 if t_stop - t_now <= 1e-14 * max(1.0, t_stop):
                     t_now = t_stop
+                if pending[k] < t_now:  # only with dense: samples inside this step
+                    j = bisect_left(pending, t_now, k)
+                    times, k = pending[k:j], j
+                    theta = (np.array(times) - t_start) / h_try
+                    theta = theta.reshape((-1,) + (1,) * ell.ndim)
+                    # dopri5's contd5 terms; each row's constant shift drops
+                    # out when the rows are normalized
+                    r2 = ell_i - ell
+                    r3 = h_try * slopes[0] - r2
+                    r4 = r2 - h_try * slopes[6] - r3
+                    r5 = h_try * stage_sum(_DP_D, slopes)
+                    rows = ell + theta * (r2 + (1.0 - theta) * (
+                        r3 + theta * (r4 + (1.0 - theta) * r5)))
+                    record(times, _normalize_rows(rows.reshape(-1, size)).reshape(rows.shape))
+                ell, p, g = ell_i, p_i, g_i
+                sizes.append(h_try)
                 # the last stage is the next step's first unless T or the state moves
                 fresh = not on_break
                 totals = _row_values(p.sum(axis=-1))
@@ -570,14 +626,16 @@ def _run_flows(
             break
         if t_now < t_stop and t_stop in breaks:  # T moves for the next first stage
             g = fitness(p, ell, schedule.at(t_stop))
-        if t_stop in sample_set:
-            for start, row in zip(block.tolist(), ell.reshape(-1, size)):
-                history[start].append((t_stop, row))
+        j = bisect_right(pending, t_stop, k)
+        if j > k:
+            times, k = pending[k:j], j
+            rows = ell if len(times) == 1 else np.broadcast_to(ell, (len(times),) + ell.shape)
+            record(times, rows)
 
-    flat = [row for rows in history for row in rows]
-    L = np.array([log for _, log in flat])
+    chunks = [chunk for rows in history for chunk in rows]
+    L = np.vstack([rows for _, rows in chunks])
     raw = np.exp(L)
-    stamps = [t for t, _ in flat]
+    stamps = [t for times, _ in chunks for t in times]
     temperatures = np.array([schedule.at(t) for t in stamps])
     columns = {
         "t": np.array(stamps),
@@ -595,8 +653,8 @@ def _run_flows(
     )
     records, first = [], 0
     for start, rows in enumerate(history):
-        cut = slice(first, first + len(rows))
-        first += len(rows)
+        cut = slice(first, first + sum(len(times) for times, _ in rows))
+        first = cut.stop
         records.append(
             TrajectoryRecord.from_columns(
                 P[cut],

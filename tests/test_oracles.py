@@ -22,10 +22,13 @@ from simplexflow import (
     fd_gradient,
     log_partition,
     prox_objective_maximizer,
+    rk4_flow,
+    rotation_coupling,
     run_adjudication,
     softmax,
 )
 from simplexflow import replicator
+from simplexflow.replicator import FieldKind, IntegratorControls, _run_flows
 from simplexflow.oracles import (
     CLAIMS,
     DEFAULT_SEED,
@@ -184,6 +187,70 @@ class TestEquilibriumResidual:
         assert equilibrium_residual(field, p, 0.5) == float(np.abs(p.probs - gibbs).max()) > 0.05
 
 
+class TestRK4Reference:
+    """The adaptive driver's samples against fixed-step RK4 in p coordinates,
+    on 0.01-spaced samples from the benchmark's seed-5 start.  Bounds are
+    about the measured gaps: (dense, landing) 9.2e-9 and 1.1e-14 on the slow
+    rotation, 8.0e-8 and 1.6e-10 on the fast one up to t = 4 (2.2e-7 and
+    4.7e-10 up to t = 8), 1.7e-8 and 1.6e-12 on the multibasin field.  The
+    landing gaps of the first and last instance are at the reference's own
+    error."""
+
+    P0 = SimplexPoint(np.random.default_rng(5).dirichlet(np.full(3, 5.0)))
+    MULTIBASIN = [[0.0, 2.0, 0.0], [2.0, 0.0, 0.0], [0.0, 0.0, 2.0]]
+
+    @pytest.mark.parametrize(
+        "coupling, kind, temperature, horizon, dense_bound, landing_bound",
+        [
+            (rotation_coupling(0.5), FieldKind.LITERAL, 1.0, 8.0, 1.2e-8, 2e-14),
+            (rotation_coupling(8.0), FieldKind.LITERAL, 1.0, 4.0, 1e-7, 2e-10),
+            (MULTIBASIN, FieldKind.ENTROPIC, 0.5, 8.0, 2e-8, 2e-12),
+        ],
+        ids=["rotation-0.5", "rotation-8", "multibasin"],
+    )
+    def test_driver_samples_against_the_reference(
+        self, coupling, kind, temperature, horizon, dense_bound, landing_bound
+    ):
+        field = linear_field(np.zeros(3), coupling)
+        n = round(horizon / 0.01) + 1
+        grid = np.linspace(0.0, horizon, n)
+        reference, estimate = rk4_flow(field.scores_at, kind, self.P0, temperature, grid)
+        assert estimate <= 1e-10
+        controls = IntegratorControls(n_samples=n, uniform_samples=True, convergence_kl=0.0)
+        for dense, bound in ((True, dense_bound), (False, landing_bound)):
+            traj = _run_flows(kind, [self.P0], field.scores_at, field.potential,
+                              ConstantSchedule(temperature), horizon, controls,
+                              dense=dense)[0]
+            assert list(traj.t) == grid.tolist()
+            assert float(np.max(np.abs(traj.P - reference))) <= bound
+
+    def test_the_estimate_bounds_the_error_on_a_closed_form(self):
+        s = ScoreVector([2.0, -1.0, 0.5, 0.0])
+        p0 = SimplexPoint([0.1, 0.2, 0.3, 0.4])
+        times = np.linspace(0.0, 1.0, 5)
+        for kind, exact in (
+            (FieldKind.LITERAL, lambda t: closed_form_literal(p0, s, 0.5, t)),
+            (FieldKind.ENTROPIC,
+             lambda t: closed_form_entropic(p0, s, ConstantSchedule(0.5), t)),
+        ):
+            stepped, estimate = rk4_flow(lambda p: s.values, kind, p0, 0.5, times)
+            err = float(np.abs(stepped - [exact(t).probs for t in times]).max())
+            assert err <= estimate <= 1e-10
+
+    def test_invalid_inputs_and_no_agreement_raise(self):
+        field = linear_field(np.zeros(3), rotation_coupling(1.0))
+        p0 = SimplexPoint([0.5, 0.3, 0.2])
+        for times in ((0.0,), (0.0, 1.0, 1.0), (1.0, 0.0)):
+            with pytest.raises(InvalidInputError, match="times"):
+                rk4_flow(field.scores_at, FieldKind.LITERAL, p0, 1.0, times)
+        with pytest.raises(InteriorityError):
+            rk4_flow(field.scores_at, FieldKind.ENTROPIC, SimplexPoint([0.5, 0.5, 0.0]), 1.0,
+                     (0.0, 1.0))
+        with pytest.raises(OracleFailureError, match="RK4 runs disagree"):
+            rk4_flow(field.scores_at, FieldKind.LITERAL, p0, 1.0, (0.0, 10.0),
+                     max_refinements=2)
+
+
 class TestSelfTest:
     def test_all_entries_pass(self):
         results = oracle_self_test()
@@ -192,6 +259,9 @@ class TestSelfTest:
     def test_entropic_oracle_is_self_tested(self):
         names = {name for name, _ in oracle_self_test()}
         assert {"closed-form-entropic-at-zero", "closed-form-entropic-softmax-limit"} <= names
+
+    def test_the_rk4_oracle_is_self_tested(self):
+        assert "rk4-constant-scores" in {name for name, _ in oracle_self_test()}
 
 
 @pytest.fixture(scope="module")
