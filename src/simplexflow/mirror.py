@@ -30,9 +30,10 @@ h = log(1 + eta T), since e^{-h} = 1/(1 + eta T).  ``iterate`` and
 form in ``replicator``, iterate k being the flow at time k h, in
 log-probabilities, so long concentrating runs survive far past the
 underflow point of the probabilities themselves.  Iterates come in (K, V)
-blocks from ``replicator._solve_blocks``; free energy, per-step KL move,
-KL to softmax and ascent slack are row-wise operations on a block, and the
-run stops at the first row whose KL move is below the tolerance.  The two
+blocks from ``replicator._solve_blocks``; free energy, per-step KL move
+and KL to softmax are row-wise operations on a block, the run stops at the
+first row whose KL move is below the tolerance, and the ascent slack is one
+array operation on the run's free energy and KL moves.  The two
 printed maps stay as written, as the reference the iterates are checked
 against.
 """
@@ -54,12 +55,7 @@ from .simplex import (
     check_temperature,
     log_softmax,
 )
-from .trajectory import (
-    CERTIFICATE_COLUMNS,
-    AscentCertificate,
-    TerminalStatus,
-    TrajectoryRecord,
-)
+from .trajectory import AscentCertificate, TerminalStatus, TrajectoryRecord
 
 DEFAULT_KL_TOL = 1e-12
 DEFAULT_STEP_SIZE = 0.5
@@ -153,8 +149,10 @@ def iterate(
     evaluated in closed form, a block of iterates at a time, rather than by
     composing k steps.  Samples use the step index as time and carry the KL
     to softmax(s, T); no field is evaluated, so ``field_norm`` is NaN.  One
-    certificate is attached per executed step, between consecutive iterates,
-    and holds the per-step KL move.  Hitting ``max_steps`` (0 included) is
+    certificate is attached per executed step, between consecutive iterates:
+    the record stores its per-step KL move and its slack, computed once for
+    the whole run from the ``free_energy`` column, which also gives the
+    certificate's two free energies.  Hitting ``max_steps`` (0 included) is
     reported as status MAX_TIME, not raised; weights that overflow end the
     run DIVERGED before that step.  An exact-prox run whose move fell below
     ``kl_tol`` while its KL to softmax is above ``STALL_RATIO * kl_tol`` ends
@@ -167,29 +165,24 @@ def iterate(
         raise InvalidInputError(f"max_steps must be nonnegative, got {max_steps}")
     flow, h = _sampled_flow(kind, p0, s, t, eta)
     ell_target = log_softmax(s, t)
-    previous = []  # (log-state, free energy) of the last iterate measured so far
+    previous = []  # log-state of the last iterate measured so far
 
     def measure(temperatures, logs):
         q = np.exp(logs)
-        f = _free_energy_rows(q @ s.values, t, q, logs)
         first = not previous
-        ell_before, f_before = (logs[0], math.nan) if first else previous.pop()
+        ell_before = logs[0] if first else previous.pop()
         kl_move = np.maximum(_row_dot(q, logs - np.vstack([ell_before, logs[:-1]])), 0.0)
-        f_before = np.concatenate([[f_before], f[:-1]])
         if first:
             kl_move[0] = math.nan  # the start has no step before it
-        previous.append((logs[-1], f[-1]))
+        previous.append(logs[-1])
         met = np.flatnonzero(kl_move < kl_tol)
         stop = int(met[0]) if met.size else None
         status = TerminalStatus.MAX_TIME if stop is None else TerminalStatus.CONVERGED
         return stop, status, "", {
             "P": q,
-            "free_energy": f,
+            "free_energy": _free_energy_rows(q @ s.values, t, q, logs),
             "kl_to_target": np.maximum(_row_dot(q, logs - ell_target), 0.0),
-            "f_before": f_before,
-            "f_after": f,
             "kl_move": kl_move,
-            "slack": f - f_before - kl_move / eta,
         }
 
     shifted = s.values - s.values.max()
@@ -210,8 +203,9 @@ def iterate(
         diagnostics = f"per-step KL move below {kl_tol:.3g} at KL {kl_end:.3g} to softmax"
     columns["t"] = np.arange(len(P), dtype=np.float64)
     columns["field_norm"] = np.full(len(P), math.nan)
-    for name in CERTIFICATE_COLUMNS:
-        columns[name] = columns[name][1:]
+    columns["kl_move"] = columns["kl_move"][1:]
+    f = columns["free_energy"]
+    columns["slack"] = f[1:] - f[:-1] - columns["kl_move"] / eta
     return TrajectoryRecord.from_columns(
         P, columns, status, accepted_steps=steps, diagnostics=diagnostics, block_counts=counts
     )

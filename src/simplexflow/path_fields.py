@@ -233,8 +233,10 @@ def integrate_paths(
                 f"linear field scores up to {largest:.3g} overflow at T({t_cold:.6g}) = "
                 f"{coldest:.3g}, the run's smallest temperature"
             )
-    run = functools.partial(_run_flows, dense=True) if dense else _run_flows
-    return run(fieldkind, starts, field.scores_at, field.potential, schedule, horizon, controls)
+    return _run_flows(
+        fieldkind, starts, field.scores_at, field.potential, schedule, horizon, controls,
+        dense=dense,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -266,12 +268,10 @@ def detect_recurrence(
     excursion_factor: float = 5.0,
 ) -> RecurrenceReport:
     """Scan a trajectory for the first qualifying loop (sup-norm distances)."""
-    if len(traj.samples) < 2:
-        raise InvalidInputError("recurrence detection needs at least 2 samples")
-    points = traj.probabilities
-    times = traj.times
-    energies = traj.free_energies
+    points, times, energies = traj.P, traj.t, traj.free_energy
     n = len(times)
+    if n < 2:
+        raise InvalidInputError("recurrence detection needs at least 2 samples")
     for i in range(n - 1):
         dists = np.max(np.abs(points[i + 1 :] - points[i]), axis=1)
         # largest excursion over samples strictly between i and each candidate

@@ -66,7 +66,6 @@ from .simplex import (
     _simplex_rows,
     check_score_spread,
     check_temperature,
-    free_energy,
 )
 from .trajectory import BlockCounts, StepCounts, TerminalStatus, TrajectoryRecord
 
@@ -473,8 +472,10 @@ def _run_flows(
     an accepted step is read from the step's 4th-order continuous extension
     (Hairer, Norsett & Wanner, Solving ODEs I, II.6): in log p, from the
     step's seven slopes and no further ``scores_at`` call, then normalized,
-    all the samples of one step as one array.  A sample at a stop takes the
-    state there in both modes.  Each start keeps a list of (times, log p
+    all the samples of one step as one array.  An entropic row leaves at its
+    first such sample below the clamp, as it leaves at a step's end below it:
+    that point is its last, clamped.  A sample at a stop takes the state
+    there in both modes.  Each start keeps a list of (times, log p
     rows) chunks, with the state it left with if it left after its last
     sample; the chunks are stacked in start order and measured by one call
     each of ``scores_at`` and ``potential``."""
@@ -517,21 +518,27 @@ def _run_flows(
     t_now = 0.0
     h = controls.dt0
 
-    def record(times, rows):
+    def record(times, rows, kept=None):
         """Append the block's rows at ``times``: (len(times), B, V), or (B, V)
-        for one time; one start's rows drop the B axis."""
-        for start, chunk in zip(block.tolist(), [rows] if single else np.swapaxes(rows, 0, -2)):
-            history[start].append((times, chunk))
+        for one time; one start's rows drop the B axis.  With ``kept``, row i
+        appends only its first kept[i] samples."""
+        chunks = [rows] if single else np.swapaxes(rows, 0, -2)
+        for i, (start, chunk) in enumerate(zip(block.tolist(), chunks)):
+            if kept is None:
+                history[start].append((times, chunk))
+            elif kept[i]:
+                history[start].append((times[: kept[i]], chunk[: kept[i]]))
 
-    def leave(mask, diagnostics, last_logs) -> bool:
-        """End the masked rows DIVERGED at t_now with the given log p and drop
-        them from the block; True when no row is left."""
+    def leave(mask, diagnostics, exits) -> bool:
+        """End the masked rows DIVERGED, each with its (time, log p) exit,
+        recorded if it left after its last sample, and drop them from the
+        block; True when no row is left."""
         nonlocal ell, p, g, block, slopes
         mask = np.asarray(mask)
-        for start, last in zip(block[mask].tolist(), last_logs):
+        for start, (t_exit, last) in zip(block[mask].tolist(), exits):
             ends[start] = diagnostics
-            if history[start][-1][0][-1] < t_now:  # it left after its last sample
-                history[start].append(((t_now,), last))
+            if history[start][-1][0][-1] < t_exit:
+                history[start].append(((t_exit,), last))
         if mask.all():
             return True
         ell, p, g, block = ell[~mask], p[~mask], g[~mask], block[~mask]
@@ -567,6 +574,7 @@ def _run_flows(
                 t_now = t_now + h_try
                 if t_stop - t_now <= 1e-14 * max(1.0, t_stop):
                     t_now = t_stop
+                exits = {}  # row -> (time, log p) of its first sample below the clamp
                 if pending[k] < t_now:  # only with dense: samples inside this step
                     j = bisect_left(pending, t_now, k)
                     times, k = pending[k:j], j
@@ -580,7 +588,16 @@ def _run_flows(
                     r5 = h_try * stage_sum(_DP_D, slopes)
                     rows = ell + theta * (r2 + (1.0 - theta) * (
                         r3 + theta * (r4 + (1.0 - theta) * r5)))
-                    record(times, _normalize_rows(rows.reshape(-1, size)).reshape(rows.shape))
+                    rows = _normalize_rows(rows.reshape(-1, size)).reshape(rows.shape)
+                    kept = None
+                    if kind is FieldKind.ENTROPIC:
+                        # a row keeps its samples before the first below the clamp
+                        n = len(times)
+                        samples = rows.reshape(n, -1, size)
+                        low = samples.min(axis=-1) < LOG_CLAMP
+                        kept = np.where(low.any(axis=0), low.argmax(axis=0), n).tolist()
+                        exits = {i: (times[c], samples[c, i]) for i, c in enumerate(kept) if c < n}
+                    record(times, rows, kept)
                 ell, p, g = ell_i, p_i, g_i
                 sizes.append(h_try)
                 # the last stage is the next step's first unless T or the state moves
@@ -593,13 +610,15 @@ def _run_flows(
                     renorms[block[off]] += 1
                     fresh = False
                 if kind is FieldKind.ENTROPIC:
-                    low = [least < LOG_CLAMP for least in _row_values(ell.min(axis=-1))]
+                    lows = _row_values(ell.min(axis=-1))
+                    low = [least < LOG_CLAMP or i in exits for i, least in enumerate(lows)]
                     if any(low):
-                        clamped = [
-                            _normalize_logs(np.maximum(row, LOG_CLAMP))
-                            for row in ell.reshape(-1, size)[low]
-                        ]
-                        if leave(low, "log-probability clamp hit near the boundary", clamped):
+                        # clamped at its first sample below the clamp, else at the step's end
+                        last = ell.reshape(-1, size)
+                        points = [exits.get(i, (t_now, last[i])) for i in np.flatnonzero(low)]
+                        clamped = _normalize_rows(np.maximum([x for _, x in points], LOG_CLAMP))
+                        diagnostics = "log-probability clamp hit near the boundary"
+                        if leave(low, diagnostics, zip([t for t, _ in points], clamped)):
                             done = True
                             break
                 if not fresh:
@@ -618,7 +637,7 @@ def _run_flows(
                 else:
                     over = [True] * len(block)
                 diagnostics = f"step size underflow at t={t_now:.6g} (h={h:.3g})"
-                if leave(over, diagnostics, ell.reshape(-1, size)[over]):
+                if leave(over, diagnostics, [(t_now, x) for x in ell.reshape(-1, size)[over]]):
                     done = True
                     break
                 h = h_try  # the rows kept were within the tolerance on this trial
@@ -864,15 +883,26 @@ def lyapunov_report(
 ) -> LyapunovReport:
     """Scan free energy along samples; monotone iff no consecutive drop beyond ``slack``.
 
-    Free energy is recomputed from the sampled points, so the report does not
-    trust the values recorded by the integrator.
+    F(p) = <p, s> + T H(p) is recomputed on the record's rows ``P``, so the
+    report trusts neither the values the solvers recorded nor their row
+    helpers.  Each row's value is that of ``free_energy`` at its sample to the
+    bit: the inner products are stacked (1, V) products, and a row with zero
+    entries sums its entropy terms over its positive entries only.
     """
-    values = [free_energy(sample.p, s, temperature).value for sample in traj.samples]
-    diffs = np.diff(values)
-    if diffs.size == 0:
+    t = check_temperature(temperature)
+    P = traj.P
+    if len(P) and P.shape[1] != s.size:
+        raise InvalidInputError(f"size mismatch: p has {P.shape[1]} entries, s has {s.size}")
+    if len(P) < 2:
         return LyapunovReport(monotone=True, worst_drop=0.0)
-    worst = float(diffs.min())
-    return LyapunovReport(monotone=bool(np.all(diffs >= -slack)), worst_drop=worst)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = P * np.log(P)  # NaN where p = 0
+    entropies = -terms.sum(axis=1)
+    for k in np.flatnonzero(np.isnan(entropies)):
+        entropies[k] = -terms[k][P[k] > 0.0].sum()
+    entropies = np.clip(entropies, 0.0, math.log(s.size))
+    diffs = np.diff((P[:, np.newaxis, :] @ s.values)[:, 0] + t * entropies)
+    return LyapunovReport(monotone=bool(np.all(diffs >= -slack)), worst_drop=float(diffs.min()))
 
 
 @dataclass(frozen=True)

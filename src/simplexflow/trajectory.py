@@ -44,8 +44,9 @@ class TrajectorySample:
 class AscentCertificate:
     """One-step record of the free-energy inequality F(q) >= F(p) + D(q||p)/eta.
 
-    ``slack`` is F(q) - F(p) - D(q||p)/eta; it is guaranteed nonnegative (to
-    rounding) for the exact prox step only.
+    ``f_before`` and ``f_after`` are the record's free energy at the step's two
+    iterates; ``slack`` is F(q) - F(p) - D(q||p)/eta, guaranteed nonnegative
+    (to rounding) for the exact prox step only.
     """
 
     f_before: float
@@ -77,7 +78,7 @@ class StepCounts:
 
 
 SAMPLE_COLUMNS = ("t", "free_energy", "kl_to_target", "field_norm")
-CERTIFICATE_COLUMNS = ("f_before", "f_after", "kl_move", "slack")
+CERTIFICATE_COLUMNS = ("kl_move", "slack")
 
 
 class _Rows(Sequence):
@@ -117,43 +118,24 @@ def _frozen(values) -> np.ndarray:
 class TrajectoryRecord:
     """A run stored as columns: times ``t``, the (n, V) probabilities ``P``
     (each row meets ``SimplexPoint``'s invariants), ``free_energy``,
-    ``kl_to_target`` and ``field_norm``, plus one ``f_before``, ``f_after``,
-    ``kl_move`` and ``slack`` per certified step.
+    ``kl_to_target`` and ``field_norm``, plus one ``kl_move`` and ``slack``
+    per certified step.
 
     ``samples`` and ``certificates`` are read-only sequences that build a
     ``TrajectorySample`` or an ``AscentCertificate`` only when a row is read;
-    ``len`` builds nothing.  The constructor takes lists of those objects;
-    ``from_columns`` takes the arrays.  ``block_counts`` is set by the
-    closed-form solver only, ``step_counts`` by the adaptive driver only.
+    ``len`` builds nothing.  Certificate k reads its free energies from
+    samples k and k + 1.  The constructor takes a list of samples and makes a
+    record without certificates; ``from_columns`` takes the arrays.
+    ``block_counts`` is set by the closed-form solver only, ``step_counts`` by
+    the adaptive driver only.
     """
 
-    def __init__(
-        self,
-        samples: Sequence,
-        terminal_status: TerminalStatus,
-        renormalizations: int = 0,
-        accepted_steps: int = 0,
-        diagnostics: str = "",
-        certificates: Sequence = (),
-    ):
-        samples, certificates = list(samples), list(certificates)
-        columns = {
-            name: [getattr(sample, name) for sample in samples] for name in SAMPLE_COLUMNS
-        }
-        columns.update(
-            {name: [getattr(cert, name) for cert in certificates] for name in CERTIFICATE_COLUMNS}
-        )
+    def __init__(self, samples: Sequence, terminal_status: TerminalStatus):
+        samples = list(samples)
+        columns = {name: [getattr(sample, name) for sample in samples] for name in SAMPLE_COLUMNS}
         probs = [sample.p.probs for sample in samples]
-        self._set(
-            np.vstack(probs) if probs else np.empty((0, 0)),
-            columns,
-            terminal_status,
-            renormalizations,
-            accepted_steps,
-            diagnostics,
-            None,
-            None,
-        )
+        P = np.vstack(probs) if probs else np.empty((0, 0))
+        self._set(P, columns, terminal_status, 0, 0, "", None, None)
 
     @classmethod
     def from_columns(
@@ -205,7 +187,8 @@ class TrajectoryRecord:
         )
 
     def _certificate(self, i: int) -> AscentCertificate:
-        return AscentCertificate(*(float(getattr(self, name)[i]) for name in CERTIFICATE_COLUMNS))
+        f_before, f_after = self.free_energy[i : i + 2].tolist()
+        return AscentCertificate(f_before, f_after, float(self.kl_move[i]), float(self.slack[i]))
 
     @property
     def samples(self) -> Sequence:
@@ -218,16 +201,3 @@ class TrajectoryRecord:
     @property
     def terminal(self) -> TrajectorySample:
         return self._sample(len(self.t) - 1)
-
-    @property
-    def times(self) -> np.ndarray:
-        return self.t
-
-    @property
-    def free_energies(self) -> np.ndarray:
-        return self.free_energy
-
-    @property
-    def probabilities(self) -> np.ndarray:
-        """Samples stacked into an (n_samples, V) array."""
-        return self.P

@@ -174,6 +174,9 @@ class TestIterate:
             assert all(math.isnan(sample.field_norm) for sample in record.samples)
             for before, after, cert in zip(record.samples, record.samples[1:], record.certificates):
                 assert cert.kl_move == pytest.approx(kl_divergence(after.p, before.p), rel=1e-9)
+                # the certificate's free energies are the samples'
+                assert (cert.f_before, cert.f_after) == (before.free_energy, after.free_energy)
+                assert cert.slack == cert.f_after - cert.f_before - cert.kl_move / 0.5
 
     def test_max_steps_reported_not_raised(self):
         s = ScoreVector([1.0, 0.0])
@@ -279,7 +282,7 @@ class TestAscentCertificate:
         record = iterate(MirrorStepKind.EXACT_PROX, SimplexPoint.uniform(3), s, 1.0, 0.5)
         for cert in record.certificates:
             assert cert.slack >= -1e-10
-        energies = record.free_energies
+        energies = record.free_energy
         assert np.all(np.diff(energies) >= -1e-12)
 
 

@@ -335,9 +335,9 @@ class TestLockinProbe:
 
         blocks = []
 
-        def recorded(kind, starts, *args):
+        def recorded(kind, starts, *args, **kwargs):
             blocks.append(len(starts))
-            return run_flows(kind, starts, *args)
+            return run_flows(kind, starts, *args, **kwargs)
 
         run_flows = path_fields._run_flows
         monkeypatch.setattr(path_fields, "_run_flows", recorded)

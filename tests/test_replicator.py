@@ -25,6 +25,7 @@ from simplexflow import (
     embed_in_face,
     euler_consistency,
     eval_field,
+    free_energy,
     integrate,
     iterate,
     kl_divergence,
@@ -182,7 +183,7 @@ class TestIntegrateEntropic:
         for sample in traj.samples:
             assert abs(float(sample.p.probs.sum()) - 1.0) <= 1e-12
         assert traj.renormalizations == 0  # corrective events counted, none expected
-        assert np.all(np.diff(traj.times) > 0)
+        assert np.all(np.diff(traj.t) > 0)
 
     def test_boundary_push_hits_clamp_and_reports_diverged(self):
         # equilibrium mass below 1e-300: with early stopping disabled the flow
@@ -299,6 +300,38 @@ class TestLyapunovReport:
         traj = integrate(FieldKind.ENTROPIC, pi, s, 1.0, 10.0)
         report = lyapunov_report(traj, s, 1.0)
         assert report.worst_drop >= -1e-12
+
+    def test_the_report_equals_a_scan_of_free_energy_per_sample(self, rng):
+        # the reference: F through free_energy at each sample, as a loop
+        def scan(samples, s, temperature):
+            diffs = np.diff([free_energy(x.p, s, temperature).value for x in samples])
+            return bool(np.all(diffs >= -1e-9)), repr(float(diffs.min()))
+
+        def check(traj, s, temperature):
+            runs = [traj] + [  # each step alone too, so that every row's value shows
+                TrajectoryRecord(pair, traj.terminal_status)
+                for pair in zip(traj.samples, traj.samples[1:])
+            ]
+            for run in runs:
+                report = lyapunov_report(run, s, temperature)
+                assert (report.monotone, repr(report.worst_drop)) == scan(run.samples, s, temperature)
+
+        controls = IntegratorControls(n_samples=40, convergence_kl=0.0)
+        for size in (2, 3, 8, 64):
+            for kind in FieldKind:
+                for temperature in (0.25, 1.0, 4.0):
+                    s = ScoreVector(rng.uniform(-3.0, 3.0, size) * 20.0)
+                    weights = rng.dirichlet(np.ones(size))
+                    if kind is FieldKind.LITERAL:  # rows with zeros: H sums p > 0 only
+                        weights[rng.permutation(size)[: size // 3]] = 0.0
+                    p0 = SimplexPoint(weights / weights.sum())
+                    check(integrate(kind, p0, s, temperature, 1e3, controls), s, temperature)
+        # underflowed iterates hold exact zeros too
+        s = ScoreVector(rng.uniform(-3.0, 3.0, 64))
+        record = iterate(MirrorStepKind.PRINTED_MW, SimplexPoint.uniform(64), s, 0.05, 5.0,
+                         max_steps=80, kl_tol=0.0)
+        assert (record.P == 0.0).any()
+        check(record, s, 0.05)
 
 
 class TestEulerConsistency:
@@ -594,10 +627,21 @@ class TestBlockedClosedForm:
         tail = record.samples[1:]
         assert [x.t for x in tail] == list(range(1, n))
         assert np.array_equal(np.array([x.p.probs for x in tail]), record.P[1:])
-        assert np.array_equal(record.probabilities, np.array([x.p.probs for x in record.samples]))
+        assert np.array_equal(record.P, np.array([x.p.probs for x in record.samples]))
         assert record.certificates[-1].kl_move == record.kl_move[-1]
         with pytest.raises(ValueError):
             record.P[0, 0] = 0.5
+
+    def test_a_record_built_from_samples_has_no_certificates(self):
+        record = iterate(MirrorStepKind.EXACT_PROX, self.P0, self.S, 1.0, 0.5, max_steps=5)
+        rebuilt = TrajectoryRecord(record.samples, record.terminal_status)
+        for name in ("t", "P", "free_energy", "kl_to_target", "field_norm"):
+            assert np.array_equal(getattr(rebuilt, name), getattr(record, name), equal_nan=True)
+        assert len(record.certificates) == 5 and rebuilt.certificates == []
+        assert rebuilt.kl_move.size == rebuilt.slack.size == 0
+        assert rebuilt.terminal_status is record.terminal_status
+        assert (rebuilt.accepted_steps, rebuilt.renormalizations, rebuilt.diagnostics) == (0, 0, "")
+        assert rebuilt.block_counts is None and rebuilt.step_counts is None
 
 
 def closed_form(kind, p0, s, schedule, t):
@@ -954,3 +998,25 @@ class TestDenseOutput:
         # measured: the second start leaves at t = 0.42, the first at t = 0.84
         first, second = rows
         assert second.t[-1] < 0.5 < first.t[-1] < 1.0
+
+    def test_no_sample_below_the_clamp_is_recorded(self):
+        # each start passes the clamp inside one step: it leaves at its first
+        # sample below it, which it records clamped, and records nothing later
+        field = linear_field([1.0, 0.0, 0.5], np.eye(3))
+        starts = [SimplexPoint([0.1, 0.1, 0.8]), SimplexPoint([0.3, 0.3, 0.4]),
+                  SimplexPoint([0.05, 0.15, 0.8])]
+        controls = IntegratorControls(n_samples=50, uniform_samples=True)
+        grid = np.linspace(0.0, 1.0, 50).tolist()
+
+        def run(block):
+            return _run_flows(FieldKind.ENTROPIC, block, field.scores_at, field.potential,
+                              ConstantSchedule(1e-3), 1.0, controls, dense=True)
+
+        rows = run(starts) + run(starts[1:2])
+        for row in rows:
+            assert row.terminal_status is TerminalStatus.DIVERGED
+            assert row.diagnostics == "log-probability clamp hit near the boundary"
+            assert row.P.min() >= 1e-300
+            assert list(row.t) == grid[: len(row.t)]
+        # measured: the second start leaves at sample 21 (t = 0.43), the others at 31
+        assert [len(row.t) for row in rows] == [32, 22, 32, 22]
