@@ -5,9 +5,10 @@ with command-line flags taking precedence, both defined by one table,
 ``_OPTIONS``; a run rejects any setting its task does not read unless it holds
 its default.  Every run writes a manifest JSON next to its output carrying the
 config hash (task included), seed, tool version, wall clock, terminal status,
-and headline metrics.  Trajectory and iterate tables render floats with 17
-significant digits, so files round-trip to the exact float64 values and
-identical config + seed gives byte-identical data files.
+headline metrics and, for a single run, the time of each layer.  Trajectory
+and iterate tables render floats with 17 significant digits, so files
+round-trip to the exact float64 values and identical config + seed gives
+byte-identical data files; a CSV table is streamed to its file row by row.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical divergence, a
 stalled exact-prox run or failed sweep cells, 4 oracle/verification failure.
@@ -99,10 +100,13 @@ class ExperimentConfig:
     grid: dict = field(default_factory=dict)
 
     def hash(self) -> str:
-        payload = dataclasses.asdict(self)
-        for opt in _OPTIONS:
-            if opt.plumbing:
-                payload.pop(opt.attr)
+        # the fields themselves: dataclasses.asdict would deep-copy every score
+        plumbing = {opt.attr for opt in _OPTIONS if opt.plumbing}
+        payload = {
+            f.name: getattr(self, f.name)
+            for f in dataclasses.fields(self)
+            if f.name not in plumbing
+        }
         canonical = json.dumps(payload, sort_keys=True, default=repr)
         return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
@@ -358,6 +362,9 @@ class RunManifest:
     #: steps); a sweep cell's metrics equal its run's, so these stay out of
     #: ``metrics``
     telemetry: dict = field(default_factory=dict)
+    #: seconds a single run spent on its record, its table and writing it
+    #: (``record_s``, ``table_s``, ``write_s``), within ``wall_clock_s``
+    timings: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
         return _strict_json(dataclasses.asdict(self), indent=2, sort_keys=True)
@@ -394,6 +401,7 @@ def _finish_run(
     status: str,
     metrics: dict,
     telemetry: Optional[dict] = None,
+    timings: Optional[dict] = None,
 ) -> None:
     """Write the run manifest ``<out>.manifest.json``; wall clock ends here."""
     manifest = RunManifest(
@@ -404,17 +412,14 @@ def _finish_run(
         terminal_status=status,
         metrics=metrics,
         telemetry=telemetry or {},
+        timings=timings or {},
     )
     _write_manifest(out.parent / (out.name + ".manifest.json"), manifest)
 
 
 # ---------------------------------------------------------------------------
-# table writers (17 significant digits for lossless float64 round-trips)
+# table writers: a table is an (n, k) float array and its first step number
 # ---------------------------------------------------------------------------
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
 
 
 def _probabilities(record: TrajectoryRecord, mask: Optional[FaceMask]) -> np.ndarray:
@@ -427,18 +432,20 @@ def _probabilities(record: TrajectoryRecord, mask: Optional[FaceMask]) -> np.nda
 
 
 def _trajectory_table(record: TrajectoryRecord, mask: Optional[FaceMask]) -> tuple:
+    """(columns, (body, None)): one unnumbered (n, k) float row per sample."""
     P = _probabilities(record, mask)
     columns = (
         ["t"] + [f"p_{i + 1}" for i in range(P.shape[1])]
         + ["free_energy", "kl_to_target", "field_norm"]
     )
-    rows = np.column_stack(
+    body = np.column_stack(
         [record.t, P, record.free_energy, record.kl_to_target, record.field_norm]
-    ).tolist()
-    return columns, rows
+    )
+    return columns, (body, None)
 
 
 def _iterate_table(record: TrajectoryRecord, mask: Optional[FaceMask]) -> tuple:
+    """(columns, (body, 1)): one (n, k) float row per step, numbered from step 1."""
     P = _probabilities(record, mask)
     columns = (
         ["step"]
@@ -447,18 +454,31 @@ def _iterate_table(record: TrajectoryRecord, mask: Optional[FaceMask]) -> tuple:
     )
     body = np.column_stack(
         [P[1:], record.free_energy[1:], record.kl_move, record.kl_to_target[1:], record.slack]
-    ).tolist()
-    return columns, [[step, *row] for step, row in enumerate(body, start=1)]
+    )
+    return columns, (body, 1)
 
 
-def _write_table(path: Path, columns: list, rows: list, fmt: str) -> None:
+def _write_table(path: Path, columns: list, table: tuple, fmt: str) -> None:
+    """Write ``table`` = (body, first step) under ``columns``; a first step
+    other than None numbers the rows in a leading integer column.
+
+    A CSV is streamed one row at a time through one ``%`` format string per
+    table, so no Python list of the whole table is ever built.  ``%.17g``
+    renders the bytes of ``f"{x:.17g}"`` (17 significant digits: every
+    float64 parses back exactly; ``nan``, ``inf``, ``-0``)."""
+    body, first = table
+    numbered = first is not None
     if fmt == "json":
+        rows = body.tolist()
+        if numbered:
+            rows = [[step, *row] for step, row in enumerate(rows, first)]
         path.write_text(_strict_json({"columns": columns, "rows": rows}) + "\n")
         return
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
+    line = ("%d," if numbered else "") + ",".join(["%.17g"] * body.shape[1]) + "\n"
+    with path.open("w") as fh:
+        fh.write(",".join(columns) + "\n")
+        for step, row in enumerate(body, first or 0):
+            fh.write(line % ((step, *row.tolist()) if numbered else tuple(row.tolist())))
 
 
 # ---------------------------------------------------------------------------
@@ -627,15 +647,22 @@ def cmd_run(cfg: ExperimentConfig) -> int:
     started = time.perf_counter()
     record_fn, table_fn, metrics_fn, noun = _run_task(cfg.task)
     run, record = record_fn(cfg)
-    columns, rows = table_fn(record, run.mask)
+    recorded = time.perf_counter()
+    columns, table = table_fn(record, run.mask)
+    tabled = time.perf_counter()
     out = Path(cfg.output)
     data_path = out.with_suffix(".json" if cfg.format == "json" else ".csv")
-    _write_table(data_path, columns, rows, cfg.format)
+    _write_table(data_path, columns, table, cfg.format)
+    timings = {
+        "record_s": recorded - started,
+        "table_s": tabled - recorded,
+        "write_s": time.perf_counter() - tabled,
+    }
     status = record.terminal_status.value
     counts = record.block_counts or record.step_counts
     telemetry = dataclasses.asdict(counts) if counts is not None else None
-    _finish_run(cfg, out, started, status, metrics_fn(record), telemetry)
-    print(f"wrote {data_path} ({len(rows)} {noun}, status {status})")
+    _finish_run(cfg, out, started, status, metrics_fn(record), telemetry, timings)
+    print(f"wrote {data_path} ({len(table[0])} {noun}, status {status})")
     if record.terminal_status in _FAILED:
         print(f"{status}: {record.diagnostics}", file=sys.stderr)
         return EXIT_DIVERGED

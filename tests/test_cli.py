@@ -7,9 +7,11 @@ import math
 import os
 import re
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -345,6 +347,19 @@ class TestConfigFile:
         assert read_manifest("flow").config_hash == flow.hash()
         assert read_manifest("prox").config_hash == prox.hash()
         assert flow.hash() != prox.hash()
+
+    def test_hash_digests_are_pinned(self):
+        # digests of the asdict payload, which the fields payload must equal
+        assert ExperimentConfig().hash() == "315ad7635fccd4ec"
+        wide = ExperimentConfig(
+            task="prox-iterate",
+            seed=5,
+            start="random",
+            scores=tuple(i / 1000 - 5.0 for i in range(10_000)),
+            temperature=0.5,
+            grid={"seed": [1, 2]},
+        )
+        assert wide.hash() == "cdd81b9e83acd5f3"
 
     def test_readme_config_block_runs_its_sweep(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -961,6 +976,100 @@ class TestManifest:
         }
         assert steps["accepted_steps"] == linear.metrics["accepted_steps"] >= 1
         assert 0.0 < steps["min_step"] <= steps["last_step"] <= steps["max_step"]
+
+    def test_single_runs_time_their_layers(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["simulate", "--scores", "1,0,-0.5", "--output", "flow"]) == EXIT_OK
+        assert main(["prox-iterate", "--scores", "1,0,-0.5", "--output", "prox"]) == EXIT_OK
+        layers = {"record_s", "table_s", "write_s"}
+        for manifest in (read_manifest("flow"), read_manifest("prox")):
+            timings = manifest.timings
+            assert set(timings) == layers
+            assert all(value >= 0.0 for value in timings.values())
+            assert sum(timings.values()) <= manifest.wall_clock_s
+            assert not layers & (set(manifest.telemetry) | set(manifest.metrics))
+        # a sweep cell's metrics are its run's, so they carry no timings either
+        Path("grid.ini").write_text("[scores]\nvalues = 1, 0\n[sweep]\ngrid.seed = 1, 2\n")
+        assert main(["sweep", "--config", "grid.ini", "--output", "grid"]) == EXIT_OK
+        assert read_manifest("grid").timings == {}
+        for cell in read_strict_json("grid.json")["cells"]:
+            assert not layers & set(cell["metrics"])
+
+
+def _reference_csv(columns, rows):
+    """A table as the per-value writer rendered it: ``f"{x:.17g}"`` for each
+    float, ``str`` for the step number."""
+    lines = [",".join(columns)]
+    for row in rows:
+        lines.append(",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def _list_rows(table):
+    body, first = table
+    rows = body.tolist()
+    return rows if first is None else [[step, *row] for step, row in enumerate(rows, first)]
+
+
+class TestTables:
+    SPECIAL = [
+        math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324, 1e-300,
+        1e16, -1e16, 0.1, 1.0 / 3.0, 1.7976931348623157e308, 2.5e-05, 123456789.125, -7.0,
+    ]
+
+    @pytest.mark.parametrize("first", [None, 1])
+    def test_rows_render_as_the_per_value_reference(self, tmp_path, first):
+        body = np.array(self.SPECIAL).reshape(4, 4)
+        body = np.vstack([body, -body[::-1]])
+        table = (body, first)
+        columns = ["a", "b", "c", "d"] if first is None else ["step", "b", "c", "d", "e"]
+        path = tmp_path / "t.csv"
+        cli._write_table(path, columns, table, "csv")
+        rows = _list_rows(table)
+        assert path.read_bytes() == _reference_csv(columns, rows).encode()
+        cli._write_table(tmp_path / "t.json", columns, table, "json")
+        strict = cli._strict_json({"columns": columns, "rows": rows}) + "\n"
+        assert (tmp_path / "t.json").read_text() == strict
+
+    @pytest.mark.parametrize("task, flags", [
+        ("simulate", ["--dynamics", "literal"]),
+        ("prox-iterate", ["--step", "exact-prox"]),
+    ])
+    def test_face_tables_render_as_the_per_value_reference(self, tmp_path, monkeypatch,
+                                                           task, flags):
+        monkeypatch.chdir(tmp_path)
+        argv = [task, "--scores", "3,2,1,0", "--face", "topk:2", *flags]
+        assert main([*argv, "--output", "face"]) == EXIT_OK
+        assert main([*argv, "--format", "json", "--output", "face"]) == EXIT_OK
+        cfg = cli._config_from_args(build_parser().parse_args(argv))
+        record_fn, table_fn, _, _ = cli._run_task(task)
+        run, record = record_fn(cfg)
+        columns, table = table_fn(record, run.mask)
+        body, first = table
+        assert first == (1 if task == "prox-iterate" else None)
+        p_offset = 1 if first is None else 0
+        assert np.all(body[:, p_offset + 2:p_offset + 4] == 0.0) and len(body) > 1
+        rows = _list_rows(table)
+        assert Path("face.csv").read_bytes() == _reference_csv(columns, rows).encode()
+        strict = cli._strict_json({"columns": columns, "rows": rows}) + "\n"
+        assert Path("face.json").read_text() == strict
+
+    def test_writing_a_wide_table_peaks_below_a_tenth_of_its_size(self, tmp_path):
+        # the table is streamed: the peak is a few rows, not the whole file
+        rng = np.random.default_rng(0)
+        n, v = 40, 2500
+        body = np.column_stack(
+            [np.linspace(0.0, 10.0, n), rng.dirichlet(np.ones(v), n), rng.random((n, 3))]
+        )
+        columns = ["t"] + [f"p_{i + 1}" for i in range(v)] + ["free_energy", "kl", "norm"]
+        path = tmp_path / "wide.csv"
+        tracemalloc.start()
+        try:
+            cli._write_table(path, columns, (body, None), "csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < path.stat().st_size / 10
 
 
 def _scaled(mantissas, exponents):
