@@ -462,20 +462,26 @@ def _write_table(path: Path, columns: list, table: tuple, fmt: str) -> None:
     """Write ``table`` = (body, first step) under ``columns``; a first step
     other than None numbers the rows in a leading integer column.
 
-    A CSV is streamed one row at a time through one ``%`` format string per
-    table, so no Python list of the whole table is ever built.  ``%.17g``
-    renders the bytes of ``f"{x:.17g}"`` (17 significant digits: every
-    float64 parses back exactly; ``nan``, ``inf``, ``-0``)."""
+    Both formats are streamed one row at a time, so no Python list of the
+    whole table is ever built.  A CSV row goes through one ``%`` format
+    string per table: ``%.17g`` renders the bytes of ``f"{x:.17g}"`` (17
+    significant digits: every float64 parses back exactly; ``nan``, ``inf``,
+    ``-0``).  A JSON row is ``_strict_json`` of its list, joined as
+    ``json.dumps`` joins a list, so the file holds the bytes of
+    ``_strict_json({"columns": columns, "rows": rows})``."""
     body, first = table
     numbered = first is not None
-    if fmt == "json":
-        rows = body.tolist()
-        if numbered:
-            rows = [[step, *row] for step, row in enumerate(rows, first)]
-        path.write_text(_strict_json({"columns": columns, "rows": rows}) + "\n")
-        return
-    line = ("%d," if numbered else "") + ",".join(["%.17g"] * body.shape[1]) + "\n"
     with path.open("w") as fh:
+        if fmt == "json":
+            fh.write(f'{{"columns": {_strict_json(columns)}, "rows": [')
+            separator = ""
+            for step, row in enumerate(body, first or 0):
+                values = [step, *row.tolist()] if numbered else row.tolist()
+                fh.write(separator + _strict_json(values))
+                separator = ", "
+            fh.write("]}\n")
+            return
+        line = ("%d," if numbered else "") + ",".join(["%.17g"] * body.shape[1]) + "\n"
         fh.write(",".join(columns) + "\n")
         for step, row in enumerate(body, first or 0):
             fh.write(line % ((step, *row.tolist()) if numbered else tuple(row.tolist())))
@@ -774,8 +780,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
         include = [tok.strip() for tok in args.claims.split(",") if tok.strip()]
         if not include:
             raise ConfigError(f"--claims {args.claims!r} names no claim")
+    timings: dict = {}
     try:
-        verdicts = oracles.run_adjudication(seed=args.seed, include=include)
+        verdicts = oracles.run_adjudication(seed=args.seed, include=include, timings=timings)
     except InvalidInputError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -793,6 +800,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         "matrix": oracles.matrix_from_verdicts(verdicts),
         "verdicts": [v.to_jsonable() for v in verdicts],
         "mismatches": problems,
+        "timings": timings,
     }
     Path(args.output).write_text(json.dumps(payload, indent=2) + "\n")
     if problems:

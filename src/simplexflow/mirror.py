@@ -33,9 +33,14 @@ underflow point of the probabilities themselves.  Iterates come in (K, V)
 blocks from ``replicator._solve_blocks``; free energy, per-step KL move
 and KL to softmax are row-wise operations on a block, the run stops at the
 first row whose KL move is below the tolerance, and the ascent slack is one
-array operation on the run's free energy and KL moves.  The two
-printed maps stay as written, as the reference the iterates are checked
-against.
+array operation on the run's free energy and KL moves.
+``ascent_certificates`` takes the step of N independent instances, one
+(p, s, T, eta) per row of an (N, V) block, as the same map ``normalize(a
+log p + b (s - max s))`` at one time h per row, with the row helpers
+``_solve_blocks`` uses and every check of the one-step ``iterate``, each
+failure naming its row; ``ascent_certificate`` is its one-row call and
+``iterate`` its reference.  The two printed maps stay as written, as the
+reference the iterates are checked against.
 """
 
 from __future__ import annotations
@@ -45,11 +50,13 @@ from enum import Enum
 
 import numpy as np
 
-from .exceptions import InteriorityError, InvalidInputError
+from .exceptions import InteriorityError, InvalidInputError, SimplexFlowError
 from .replicator import ConstantSchedule, FieldKind, _free_energy_rows, _row_dot, _solve_blocks
 from .simplex import (
     ScoreVector,
     SimplexPoint,
+    _normalize_rows,
+    _simplex_rows,
     check_score_spread,
     check_step_size,
     check_temperature,
@@ -123,14 +130,104 @@ def printed_mw_step(
     return SimplexPoint(w / w.sum())
 
 
+def _check_rows(bad: np.ndarray, check) -> None:
+    """Raise, with the row named, the error ``check(row)`` raises on the first
+    row that ``bad`` flags and ``check`` fails."""
+    for row in np.flatnonzero(bad).tolist():
+        try:
+            check(row)
+        except SimplexFlowError as exc:
+            raise type(exc)(f"row {row}: {exc}") from None
+
+
+def _rows_checked(rows: np.ndarray) -> np.ndarray:
+    """``_simplex_rows(rows)``, its error naming the first row that fails it."""
+    try:
+        return _simplex_rows(rows)
+    except InvalidInputError:
+        _check_rows(np.ones(len(rows), dtype=bool), lambda row: _simplex_rows(rows[row : row + 1]))
+        raise
+
+
+def ascent_certificates(kind: MirrorStepKind, P, S, temperatures, etas) -> tuple:
+    """(f_before, f_after, kl_move, slack), each an (N,) array: the
+    ``AscentCertificate`` of one step from each row of the (N, V) points P
+    with the scores S, temperature and step size of that row.
+
+    Row i is the one-step ``iterate`` of its instance: log q is ``normalize(a
+    log p + b (s - max s))`` with (a, b) = (e^{-h}, -expm1(-h)/T) at h =
+    log1p(eta T) for the exact prox step and (1, eta/T) for printed MW.  The
+    checks are the one-step ``iterate``'s and its inputs' constructors', in
+    their order, each error naming the first row that fails: finite scores,
+    P checked and renormalized as simplex points, T and eta, a strictly
+    interior P, the score spread over T, weights b·spread + spread/T that
+    overflow (InvalidInputError, as the iterate's DIVERGED step) and the
+    simplex checks of both measured rows.
+    """
+    S = np.asarray(S, dtype=np.float64)
+    P = np.asarray(P, dtype=np.float64)
+    temperatures = np.asarray(temperatures, dtype=np.float64)
+    etas = np.asarray(etas, dtype=np.float64)
+    if S.ndim != 2 or S.shape[1] < 2 or P.shape != S.shape:
+        raise InvalidInputError(
+            f"need (N, V) points and scores with V >= 2, got {P.shape} and {S.shape}"
+        )
+    if temperatures.shape != (len(S),) or etas.shape != (len(S),):
+        raise InvalidInputError(
+            f"need one temperature and one step size per row, got {temperatures.shape} "
+            f"and {etas.shape} for {len(S)} rows"
+        )
+    _check_rows(~np.isfinite(S).all(axis=1), lambda row: ScoreVector(S[row]))
+    P = _rows_checked(P)
+    _check_rows(
+        ~(np.isfinite(temperatures) & (temperatures > 0.0)),
+        lambda row: check_temperature(temperatures[row]),
+    )
+    _check_rows(~(np.isfinite(etas) & (etas > 0.0)), lambda row: check_step_size(etas[row]))
+    _check_rows(
+        ~(P.min(axis=1) > 0.0),
+        lambda row: _require_interior(SimplexPoint._from_checked(P[row])),
+    )
+
+    def overflow(row: int):
+        raise InvalidInputError(
+            f"step weights overflow: eta={float(etas[row])!r} at T={float(temperatures[row])!r}"
+        )
+
+    high = S.max(axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value fails its row
+        spread = high - S.min(axis=1)
+        _check_rows(
+            ~np.isfinite(spread / temperatures),
+            lambda row: check_score_spread(ScoreVector(S[row]), float(temperatures[row])),
+        )
+        if kind is MirrorStepKind.PRINTED_MW:
+            a, b = np.ones(len(S)), etas / temperatures
+        else:
+            h = np.log1p(etas * temperatures)
+            a, b = np.exp(-h), -np.expm1(-h) / temperatures
+        _check_rows(~np.isfinite(b * spread + spread / temperatures), overflow)
+    ell = np.log(P)
+    before = _normalize_rows(ell)
+    after = _normalize_rows(a[:, np.newaxis] * ell + b[:, np.newaxis] * (S - high[:, np.newaxis]))
+    q_before, q_after = np.exp(before), np.exp(after)
+    _rows_checked(q_before)
+    _rows_checked(q_after)
+    f_before = _free_energy_rows(_row_dot(q_before, S), temperatures, q_before, before)
+    f_after = _free_energy_rows(_row_dot(q_after, S), temperatures, q_after, after)
+    kl_move = np.maximum(_row_dot(q_after, after - before), 0.0)
+    return f_before, f_after, kl_move, f_after - f_before - kl_move / etas
+
+
 def ascent_certificate(
     kind: MirrorStepKind, p: SimplexPoint, s: ScoreVector, temperature: float, eta: float
 ) -> AscentCertificate:
-    """Free energy before/after one step plus the prox inequality slack."""
-    record = iterate(kind, p, s, temperature, eta, max_steps=1, kl_tol=0.0)
-    if record.terminal_status is TerminalStatus.DIVERGED:
-        raise InvalidInputError(f"step weights overflow: eta={eta!r} at T={temperature!r}")
-    return record.certificates[0]
+    """Free energy before/after one step plus the prox inequality slack: the
+    one-row ``ascent_certificates``."""
+    columns = ascent_certificates(
+        kind, p.probs[np.newaxis], s.values[np.newaxis], [temperature], [eta]
+    )
+    return AscentCertificate(*(float(column[0]) for column in columns))
 
 
 def iterate(

@@ -30,6 +30,7 @@ import functools
 import importlib.resources
 import json
 import math
+import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -462,6 +463,8 @@ _ENTROPIC = FieldKind.ENTROPIC.value
 _LITERAL = FieldKind.LITERAL.value
 #: entropic runs from random instances behind the three flow claims
 _FLOW_RUNS = 60
+#: the stream key and the ``timings`` key of the shared flow evidence
+_FLOW_EVIDENCE = "flow-evidence"
 
 
 def _claim_stream(seed: int, key: str) -> np.random.Generator:
@@ -510,18 +513,29 @@ def _flow_evidence(rng: np.random.Generator) -> tuple:
 # (dynamics, holds, tolerance, witness) rows.
 
 
+def _ascent_instances(rng: np.random.Generator, size: int, n: int) -> tuple:
+    """(S, P, T, eta) of ``n`` random one-step instances at ``size``, each row
+    drawn as ``random_scores``, ``random_interior_point`` (unchecked), then a
+    temperature on [0.25, 4] and a step size on [0.05, 2]."""
+    S, P = np.empty((n, size)), np.empty((n, size))
+    temperatures, etas = np.empty(n), np.empty(n)
+    ones = np.ones(size)
+    for row in range(n):
+        S[row] = rng.uniform(-3.0, 3.0, size)
+        P[row] = rng.dirichlet(ones)
+        temperatures[row] = rng.uniform(0.25, 4.0)
+        etas[row] = rng.uniform(0.05, 2.0)
+    return S, P, temperatures, etas
+
+
 def _prop_ascent(rng: np.random.Generator, seed: int, flows: Callable) -> list:
     worst_slack = math.inf
     checked = 0
     for size in (2, 3, 8, 64):
-        for _ in range(100):
-            s = random_scores(rng, size)
-            p = random_interior_point(rng, size)
-            temp = float(rng.uniform(0.25, 4.0))
-            eta = float(rng.uniform(0.05, 2.0))
-            cert = mirror.ascent_certificate(MirrorStepKind.EXACT_PROX, p, s, temp, eta)
-            worst_slack = min(worst_slack, cert.slack)
-            checked += 1
+        S, P, temperatures, etas = _ascent_instances(rng, size, 100)
+        slack = mirror.ascent_certificates(MirrorStepKind.EXACT_PROX, P, S, temperatures, etas)[3]
+        worst_slack = min(worst_slack, float(slack.min()))
+        checked += len(slack)
     s = ScoreVector([1.0, 0.0])
     mw = mirror.ascent_certificate(MirrorStepKind.PRINTED_MW, softmax(s, 1.0), s, 1.0, 0.5)
     return [
@@ -643,29 +657,45 @@ CLAIMS = {claim_id: statement for claim_id, (statement, _) in _CLAIM_TABLE.items
 
 
 def run_adjudication(
-    seed: int = DEFAULT_SEED, include: Optional[Sequence[str]] = None
+    seed: int = DEFAULT_SEED,
+    include: Optional[Sequence[str]] = None,
+    timings: Optional[dict] = None,
 ) -> list:
     """The claim matrix, or its rows for the claim ids in ``include``; see the
     module docstring.
 
     Unknown ids raise InvalidInputError.  Oracle self-tests run first and
-    abort everything on failure.
+    abort everything on failure.  A ``timings`` dict receives the wall clock
+    in seconds of each claim run, keyed by its id, and of the shared flow
+    evidence under ``flow-evidence`` when a claim asked for it; a claim's
+    time leaves out the evidence.
     """
     wanted = set(CLAIMS if include is None else include)
     unknown = sorted(wanted - set(CLAIMS))
     if unknown:
         raise InvalidInputError(f"unknown claim ids: {', '.join(unknown)}")
+    clock = {} if timings is None else timings
+
+    def evidence():
+        started = time.perf_counter()
+        result = _flow_evidence(_claim_stream(seed, _FLOW_EVIDENCE))
+        clock[_FLOW_EVIDENCE] = time.perf_counter() - started
+        return result
 
     oracle_self_test()
-    flows = functools.cache(lambda: _flow_evidence(_claim_stream(seed, "flow-evidence")))
-    verdicts = [
-        ClaimVerdict(claim_id, dynamics, bool(holds), tolerance, witness)
-        for claim_id, (_, adjudicate) in _CLAIM_TABLE.items()
-        if claim_id in wanted
-        for dynamics, holds, tolerance, witness in adjudicate(
-            _claim_stream(seed, claim_id), seed, flows
-        )
-    ]
+    flows = functools.cache(evidence)
+    verdicts = []
+    for claim_id, (_, adjudicate) in _CLAIM_TABLE.items():
+        if claim_id not in wanted:
+            continue
+        started, evidence_before = time.perf_counter(), clock.get(_FLOW_EVIDENCE, 0.0)
+        rows = adjudicate(_claim_stream(seed, claim_id), seed, flows)
+        evidence_s = clock.get(_FLOW_EVIDENCE, 0.0) - evidence_before
+        clock[claim_id] = time.perf_counter() - started - evidence_s
+        verdicts += [
+            ClaimVerdict(claim_id, dynamics, bool(holds), tolerance, witness)
+            for dynamics, holds, tolerance, witness in rows
+        ]
     verdicts.sort(key=lambda v: (v.claim_id, v.dynamics))
     return verdicts
 

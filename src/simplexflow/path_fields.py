@@ -261,18 +261,50 @@ class RecurrenceReport:
     drift_per_cycle: float
 
 
+def _loop_starts(points, times, delta_rec, min_separation, excursion_factor) -> np.ndarray:
+    """The first samples i that the bounding boxes of ``detect_recurrence``
+    leave open, in order; every i < n - 1 unless the times are nondecreasing."""
+    n = len(times)
+    i = np.arange(n - 1)
+    if not (np.diff(times) >= 0.0).all():
+        return i
+    hi = np.maximum.accumulate(points[::-1], axis=0)[::-1]
+    lo = np.minimum.accumulate(points[::-1], axis=0)[::-1]
+    head = points[:-1]
+    reach = np.maximum(hi[1:] - head, head - lo[1:]).max(axis=1)
+    # j: the first sample with times[j] - times[i] >= min_separation, as the
+    # scan tests it, from a searchsorted guess
+    j = np.maximum(np.searchsorted(times, times[:-1] + min_separation), i + 1)
+    while (back := (j > i + 1) & (times[j - 1] - times[i] >= min_separation)).any():
+        j[back] -= 1
+    while (ahead := (j < n) & (times[np.minimum(j, n - 1)] - times[i] < min_separation)).any():
+        j[ahead] += 1
+    late = np.minimum(j, n - 1)
+    gap = np.maximum(lo[late] - head, head - hi[late]).max(axis=1)
+    return np.flatnonzero((reach >= excursion_factor * delta_rec) & (j < n) & (gap <= delta_rec))
+
+
 def detect_recurrence(
     traj: TrajectoryRecord,
     delta_rec: float = 1e-3,
     min_separation: float = 0.5,
     excursion_factor: float = 5.0,
 ) -> RecurrenceReport:
-    """Scan a trajectory for the first qualifying loop (sup-norm distances)."""
+    """Scan a trajectory for the first qualifying loop (sup-norm distances).
+
+    A first sample i gets the row scan only if two bounding boxes of the
+    later samples, the running max and min of P taken from the end, allow a
+    loop from it: the box from i + 1 reaches ``excursion_factor * delta_rec``
+    away from p_i, and the box from the first sample ``min_separation`` later
+    comes within ``delta_rec`` of it.  Float subtraction is monotone, so a
+    sample's distance never passes its box's bound, and the first loop
+    reported is the one the scan of every i finds.
+    """
     points, times, energies = traj.P, traj.t, traj.free_energy
     n = len(times)
     if n < 2:
         raise InvalidInputError("recurrence detection needs at least 2 samples")
-    for i in range(n - 1):
+    for i in _loop_starts(points, times, delta_rec, min_separation, excursion_factor).tolist():
         dists = np.max(np.abs(points[i + 1 :] - points[i]), axis=1)
         # largest excursion over samples strictly between i and each candidate
         left_max = np.concatenate(([0.0], np.maximum.accumulate(dists)[:-1]))

@@ -899,6 +899,16 @@ class TestVerify:
         payload = json.loads(Path("subset.json").read_text())
         assert set(payload["matrix"]) == {"cor-faces"}
 
+    def test_the_report_times_each_claim_outside_the_verdicts(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code = main(["verify", "--claims", "cor-faces,prop-lyapunov", "--output", "timed.json"])
+        assert code == EXIT_OK
+        payload = json.loads(Path("timed.json").read_text())
+        assert set(payload["timings"]) == {"cor-faces", "prop-lyapunov", "flow-evidence"}
+        assert all(value >= 0.0 for value in payload["timings"].values())
+        assert all(set(v) == {"claim_id", "dynamics", "statement", "holds", "tolerance", "witness"}
+                   for v in payload["verdicts"])
+
     def test_unknown_claim_id_is_exit_2(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         assert main(["verify", "--claims", "nope"]) == EXIT_CONFIG
@@ -1070,6 +1080,39 @@ class TestTables:
         finally:
             tracemalloc.stop()
         assert peak < path.stat().st_size / 10
+
+    @pytest.mark.parametrize("first", [None, 1])
+    def test_writing_a_wide_json_table_peaks_below_a_tenth_of_its_size(self, tmp_path, first):
+        # the table is streamed: the peak is a few rows, not the whole file.  A
+        # JSON row peaks at about 6.5 times its text (its float list, the
+        # null-safe copy and the encoder's chunks), so the file has 100 rows
+        rng = np.random.default_rng(0)
+        n, v = 100, 2500
+        body = np.column_stack(
+            [np.linspace(0.0, 10.0, n), rng.dirichlet(np.ones(v), n), rng.random((n, 3))]
+        )
+        body[1, -1], body[2, -2], body[3, -3] = math.nan, math.inf, -math.inf
+        columns = ["t"] + [f"p_{i + 1}" for i in range(v)] + ["free_energy", "kl", "norm"]
+        path = tmp_path / "wide.json"
+        tracemalloc.start()
+        try:
+            cli._write_table(path, columns, (body, first), "json")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < path.stat().st_size / 10
+        rows = body.tolist()
+        if first is not None:
+            rows = [[step, *row] for step, row in enumerate(rows, first)]
+        strict = cli._strict_json({"columns": columns, "rows": rows}) + "\n"
+        assert path.read_text() == strict
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_an_empty_table_has_its_header_alone(self, tmp_path, fmt):
+        path = tmp_path / f"empty.{fmt}"
+        cli._write_table(path, ["step", "t"], (np.empty((0, 1)), 1), fmt)
+        want = "step,t\n" if fmt == "csv" else '{"columns": ["step", "t"], "rows": []}\n'
+        assert path.read_text() == want
 
 
 def _scaled(mantissas, exponents):

@@ -20,7 +20,12 @@ from simplexflow import (
     printed_mw_step,
     softmax,
 )
-from simplexflow.mirror import DEFAULT_KL_TOL, STALL_RATIO, step_agreement_exponent
+from simplexflow.mirror import (
+    DEFAULT_KL_TOL,
+    STALL_RATIO,
+    ascent_certificates,
+    step_agreement_exponent,
+)
 from simplexflow.oracles import (
     closed_form_entropic,
     closed_form_literal,
@@ -284,6 +289,84 @@ class TestAscentCertificate:
             assert cert.slack >= -1e-10
         energies = record.free_energy
         assert np.all(np.diff(energies) >= -1e-12)
+
+
+class TestAscentCertificates:
+    @pytest.mark.parametrize("kind", list(MirrorStepKind))
+    @pytest.mark.parametrize("size", [2, 3, 8, 64])
+    def test_each_row_is_the_one_step_iterate(self, rng, kind, size):
+        # slack and KL move are differences, so the bound is on the scale of F
+        n = 40
+        S = rng.uniform(-3.0, 3.0, (n, size))
+        P = rng.dirichlet(np.ones(size), n)
+        temperatures = rng.uniform(0.25, 4.0, n)
+        etas = rng.uniform(0.05, 2.0, n)
+        columns = ascent_certificates(kind, P, S, temperatures, etas)
+        assert all(column.shape == (n,) for column in columns)
+        for row in range(n):
+            record = iterate(
+                kind, SimplexPoint(P[row]), ScoreVector(S[row]), temperatures[row], etas[row],
+                max_steps=1, kl_tol=0.0,
+            )
+            cert = record.certificates[0]
+            bound = 1e-14 * max(1.0, abs(cert.f_before), abs(cert.f_after))
+            want = (cert.f_before, cert.f_after, cert.kl_move, cert.slack)
+            for column, value in zip(columns, want):
+                assert abs(column[row] - value) <= bound
+
+    @pytest.mark.parametrize(
+        "kind, change, error, match",
+        [
+            ("exact-prox", {"S": [1.0, math.nan, 0.0]}, InvalidInputError, "finite"),
+            ("exact-prox", {"P": [0.5, 0.5, 0.5]}, InvalidInputError, "sum to"),
+            ("exact-prox", {"P": [0.5, -0.1, 0.6]}, InvalidInputError, "negative"),
+            ("exact-prox", {"P": [0.5, 0.5, 0.0]}, InteriorityError, "interior"),
+            ("exact-prox", {"T": 0.0}, InvalidInputError, "temperature"),
+            ("exact-prox", {"T": math.inf}, InvalidInputError, "temperature"),
+            ("printed-mw", {"T": math.nan}, InvalidInputError, "temperature"),
+            ("exact-prox", {"eta": -1.0}, InvalidInputError, "step size"),
+            ("printed-mw", {"eta": math.inf}, InvalidInputError, "step size"),
+            ("exact-prox", {"S": [1.7e308, -1.7e308, 0.0]}, InvalidInputError, "spread"),
+            ("printed-mw", {"T": 1e-300, "eta": 1e10}, InvalidInputError, "overflow"),
+            (
+                "exact-prox",
+                {"S": [1.5e8, 0.0, 0.0], "T": 1e-300, "eta": 1e300},
+                InvalidInputError,
+                "overflow",
+            ),
+        ],
+    )
+    def test_a_failing_row_is_named(self, kind, change, error, match):
+        n, bad = 5, 3
+        S = np.tile([1.0, 0.0, -0.5], (n, 1))
+        P = np.tile([0.2, 0.3, 0.5], (n, 1))
+        temperatures, etas = np.ones(n), np.full(n, 0.5)
+        for name, value in change.items():
+            {"S": S, "P": P, "T": temperatures, "eta": etas}[name][bad] = value
+        with pytest.raises(error, match=f"^row {bad}: .*{match}"):
+            ascent_certificates(MirrorStepKind(kind), P, S, temperatures, etas)
+        # the same rows without the failing one pass
+        keep = np.arange(n) != bad
+        ascent_certificates(MirrorStepKind(kind), P[keep], S[keep], temperatures[keep], etas[keep])
+
+    def test_the_first_failing_row_is_named(self):
+        S = np.tile([1.0, 0.0], (4, 1))
+        P = np.tile([0.5, 0.5], (4, 1))
+        with pytest.raises(InvalidInputError, match="^row 1: "):
+            ascent_certificates(MirrorStepKind.EXACT_PROX, P, S, [1.0, -1.0, 0.0, 1.0], np.ones(4))
+
+    @pytest.mark.parametrize(
+        "P, S, temperatures, etas",
+        [
+            (np.full((2, 1), 1.0), np.zeros((2, 1)), np.ones(2), np.ones(2)),
+            (np.full((2, 3), 1 / 3), np.zeros((2, 2)), np.ones(2), np.ones(2)),
+            (np.full((2, 2), 0.5), np.zeros((2, 2)), np.ones(3), np.ones(2)),
+            (np.full((2, 2), 0.5), np.zeros((2, 2)), np.ones(2), 1.0),
+        ],
+    )
+    def test_shapes_that_do_not_fit_raise(self, P, S, temperatures, etas):
+        with pytest.raises(InvalidInputError):
+            ascent_certificates(MirrorStepKind.EXACT_PROX, P, S, temperatures, etas)
 
 
 class TestFixedPointCharacterization:

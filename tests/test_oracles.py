@@ -35,9 +35,13 @@ from simplexflow.oracles import (
     compare_to_expected,
     expected_claim_matrix,
     fd_gradient_checked,
+    _ascent_instances,
     matrix_from_verdicts,
     oracle_self_test,
+    random_interior_point,
+    random_scores,
 )
+from simplexflow.simplex import _simplex_rows
 
 
 class TestFiniteDifferences:
@@ -337,6 +341,34 @@ class TestAdjudication:
         )
         run_adjudication(include=["prop-lyapunov", "cor-convergence"])
         assert len(calls) == 61  # 60 entropic runs and the literal run from softmax
+
+    @pytest.mark.parametrize(
+        "include",
+        [
+            ["cor-faces"],
+            ["prop-ascent", "cor-temp-rescale"],
+            ["prop-lyapunov", "cor-convergence"],
+            None,
+        ],
+    )
+    def test_timings_cover_the_claims_run_and_the_shared_evidence(self, include):
+        timings = {}
+        verdicts = run_adjudication(include=include, timings=timings)
+        ran = {v.claim_id for v in verdicts}
+        flow_claims = {"prop-lyapunov", "thm-manifold-3", "cor-convergence"}
+        assert set(timings) == ran | ({"flow-evidence"} if ran & flow_claims else set())
+        assert all(math.isfinite(value) and value >= 0.0 for value in timings.values())
+
+    @pytest.mark.parametrize("size", [2, 3, 8, 64])
+    def test_ascent_instances_are_the_per_instance_draws(self, size):
+        S, P, temperatures, etas = _ascent_instances(np.random.default_rng([7, size]), size, 25)
+        rng = np.random.default_rng([7, size])
+        for row in range(25):
+            assert np.array_equal(S[row], random_scores(rng, size).values)
+            point = random_interior_point(rng, size)
+            assert np.array_equal(_simplex_rows(P[row : row + 1])[0], point.probs)
+            assert temperatures[row] == float(rng.uniform(0.25, 4.0))
+            assert etas[row] == float(rng.uniform(0.05, 2.0))
 
     def test_a_subset_is_held_to_the_matrix_rows_of_its_claims(self, verdicts):
         ascent = [v for v in verdicts if v.claim_id == "prop-ascent"]

@@ -33,9 +33,34 @@ from simplexflow import (
     softmax,
 )
 from simplexflow.exceptions import InvalidInputError
-from simplexflow.path_fields import _barycentric_lattice, _grid_local_maxima
+from simplexflow.path_fields import RecurrenceReport, _barycentric_lattice, _grid_local_maxima
 from simplexflow.simplex import entropy
-from simplexflow.trajectory import TerminalStatus
+from simplexflow.trajectory import TerminalStatus, TrajectoryRecord
+
+
+def scanned_recurrence(traj, delta_rec=1e-3, min_separation=0.5, excursion_factor=5.0):
+    """The reference loop scan: one row of distances per first sample."""
+    points, times, energies = traj.P, traj.t, traj.free_energy
+    for i in range(len(times) - 1):
+        dists = np.max(np.abs(points[i + 1 :] - points[i]), axis=1)
+        left_max = np.concatenate(([0.0], np.maximum.accumulate(dists)[:-1]))
+        ok = (
+            (times[i + 1 :] - times[i] >= min_separation)
+            & (dists <= delta_rec)
+            & (left_max >= excursion_factor * delta_rec)
+        )
+        if ok.any():
+            m = int(np.argmax(ok))
+            j = i + 1 + m
+            return RecurrenceReport(
+                recurrent=True,
+                first_return_time=float(times[j] - times[i]),
+                return_distance=float(dists[m]),
+                drift_per_cycle=float(energies[j] - energies[i]),
+            )
+    return RecurrenceReport(
+        recurrent=False, first_return_time=None, return_distance=np.inf, drift_per_cycle=0.0
+    )
 
 
 class TestScoreField:
@@ -266,6 +291,63 @@ class TestRecurrence:
             IntegratorControls(n_samples=500, uniform_samples=True, convergence_kl=0.0),
         )
         assert not detect_recurrence(traj).recurrent
+
+    @pytest.mark.parametrize("beta", [0.5, 1.0, 8.0])
+    @pytest.mark.parametrize("delta_rec", [1e-3, 1e-2])
+    def test_a_rotation_run_reports_the_reference_loop(self, beta, delta_rec):
+        traj = integrate_path(
+            linear_field(np.zeros(3), rotation_coupling(beta)),
+            FieldKind.LITERAL,
+            SimplexPoint([0.5, 0.3, 0.2]),
+            1.0,
+            60.0 / beta,
+            IntegratorControls(n_samples=1500, uniform_samples=True),
+            dense=True,
+        )
+        report = detect_recurrence(traj, delta_rec)
+        assert report.recurrent
+        assert report == scanned_recurrence(traj, delta_rec)
+
+    def test_a_multibasin_run_reports_the_reference_verdict(self):
+        coupling = np.array([[0.0, 2.0, 0.0], [2.0, 0.0, 0.0], [0.0, 0.0, 2.0]])
+        p0 = SimplexPoint(np.random.default_rng(5).dirichlet(np.full(3, 5.0)))
+        traj = integrate_path(
+            linear_field(np.zeros(3), coupling),
+            FieldKind.ENTROPIC,
+            p0,
+            0.5,
+            50.0,
+            IntegratorControls(n_samples=1500, uniform_samples=True),
+            dense=True,
+        )
+        for delta_rec in (1e-3, 1e-2, 0.05):
+            report = detect_recurrence(traj, delta_rec)
+            assert report == scanned_recurrence(traj, delta_rec)
+        assert not detect_recurrence(traj).recurrent
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_runs_report_the_reference_loop(self, seed):
+        # a random walk in log coordinates on several time grids, with
+        # repeated and decreasing times among them
+        rng = np.random.default_rng(seed)
+        n, v = int(rng.integers(2, 400)), int(rng.integers(2, 6))
+        logs = np.cumsum(rng.normal(0.0, rng.choice([0.02, 0.1, 0.5]), (n, v)), axis=0)
+        P = np.exp(logs - logs.max(axis=1, keepdims=True))
+        P /= P.sum(axis=1, keepdims=True)
+        grids = [
+            np.arange(n) * 0.1,
+            np.cumsum(rng.exponential(0.1, n)),
+            np.cumsum(rng.choice([0.0, 0.05, 0.3], n)),
+            rng.uniform(0.0, 10.0, n),
+        ]
+        for times, (delta_rec, separation, excursion) in itertools.product(
+            grids, [(1e-3, 0.5, 5.0), (0.02, 0.3, 2.0), (0.1, 0.0, 1.0), (0.05, 2.0, 3.0)]
+        ):
+            traj = TrajectoryRecord.from_columns(
+                P, {"t": times, "free_energy": rng.normal(size=n)}, TerminalStatus.MAX_TIME
+            )
+            got = detect_recurrence(traj, delta_rec, separation, excursion)
+            assert got == scanned_recurrence(traj, delta_rec, separation, excursion)
 
     def test_needs_at_least_two_samples(self):
         from simplexflow.exceptions import InvalidInputError
