@@ -25,6 +25,7 @@ import json
 import math
 import sys
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
@@ -363,7 +364,10 @@ class RunManifest:
     #: ``metrics``
     telemetry: dict = field(default_factory=dict)
     #: seconds a single run spent on its record, its table and writing it
-    #: (``record_s``, ``table_s``, ``write_s``), within ``wall_clock_s``
+    #: (``record_s``, ``table_s``, ``write_s``), within ``wall_clock_s``; for
+    #: a sweep, each cell's seconds (``cell_s``), the slowest cell and the
+    #: cells per status, which the sweep file leaves out so that equal sweeps
+    #: write equal files
     timings: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
@@ -587,11 +591,13 @@ def _resolve(cfg: ExperimentConfig) -> _ResolvedRun:
     )
 
 
-def _simulate_record(cfg: ExperimentConfig) -> tuple:
+def _simulate_record(cfg: ExperimentConfig, dense: bool = False) -> tuple:
     run = _resolve(cfg)
     field = ScoreField(run.scores.values, run.coupling)
     kind = FieldKind(cfg.dynamics)
-    return run, integrate_path(field, kind, run.p0, run.schedule, cfg.horizon, run.controls)
+    return run, integrate_path(
+        field, kind, run.p0, run.schedule, cfg.horizon, run.controls, dense=dense
+    )
 
 
 def _iterate_record(cfg: ExperimentConfig) -> tuple:
@@ -712,8 +718,11 @@ def _cell_outcome(cfg: ExperimentConfig) -> tuple:
     if cfg.task == "recurrence":
         if cfg.field_kind != "linear":
             raise ConfigError("[sweep] recurrence task needs a linear field")
+        # the loop scan reads every sample, and dense output interpolates
+        # them from the steps the error control takes instead of landing a
+        # step on each
         _, record = _simulate_record(
-            dataclasses.replace(cfg, uniform_samples=True, convergence_kl=0.0)
+            dataclasses.replace(cfg, uniform_samples=True, convergence_kl=0.0), dense=True
         )
         report = detect_recurrence(record)
         return record.terminal_status.value, {
@@ -732,13 +741,33 @@ def _failed_cell(index: int, cell: dict, exc: BaseException) -> dict:
     return {"index": index, "cell": cell, "status": "error", "error": error}
 
 
-def _run_cell(payload: tuple) -> dict:
+def _run_cell(payload: tuple) -> tuple:
+    """(the cell's entry in the sweep file, its seconds): the wall clock goes
+    to the manifest only, so equal sweeps write equal files."""
+    started = time.perf_counter()
     index, cfg_dict, cell = payload
     try:
         status, metrics = _cell_outcome(_apply_cell(ExperimentConfig(**cfg_dict), cell).validate())
+        result = {"index": index, "cell": cell, "status": status, "metrics": metrics}
     except Exception as exc:  # one failed cell must not abort the sweep
-        return _failed_cell(index, cell, exc)
-    return {"index": index, "cell": cell, "status": status, "metrics": metrics}
+        result = _failed_cell(index, cell, exc)
+    return result, time.perf_counter() - started
+
+
+def _sweep_timings(outcomes: list) -> dict:
+    """The sweep manifest's ``timings``: the seconds of each cell in cell
+    order (None for a cell lost with its worker), the slowest cell and the
+    number of cells per status."""
+    timed = [outcome for outcome in outcomes if outcome[1] is not None]
+    slowest = None
+    if timed:
+        result, seconds = max(timed, key=lambda outcome: outcome[1])
+        slowest = {"index": result["index"], "cell": result["cell"], "seconds": seconds}
+    return {
+        "cell_s": [seconds for _, seconds in outcomes],
+        "slowest_cell": slowest,
+        "statuses": dict(Counter(result["status"] for result, _ in outcomes)),
+    }
 
 
 def cmd_sweep(cfg: ExperimentConfig) -> int:
@@ -748,16 +777,19 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
     base["grid"] = {}
     payloads = [(i, base, cell) for i, cell in enumerate(cells)]
     if cfg.jobs > 1:
-        results = []
+        outcomes = []
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
             try:
-                results.extend(pool.map(_run_cell, payloads))
+                outcomes.extend(pool.map(_run_cell, payloads))
             except BrokenProcessPool as exc:
                 # a dead worker fails the cells still without a result, not the sweep
-                results += [_failed_cell(i, cell, exc) for i, _, cell in payloads[len(results):]]
+                outcomes += [
+                    (_failed_cell(i, cell, exc), None) for i, _, cell in payloads[len(outcomes):]
+                ]
     else:
-        results = [_run_cell(p) for p in payloads]
-    results.sort(key=lambda r: r["index"])
+        outcomes = [_run_cell(p) for p in payloads]
+    outcomes.sort(key=lambda outcome: outcome[0]["index"])
+    results = [result for result, _ in outcomes]
 
     out = Path(cfg.output)
     data_path = out.with_suffix(".json")
@@ -766,7 +798,8 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
     )
     failed = [r for r in results if r["status"] in ("error", *(s.value for s in _FAILED))]
     status = "ok" if not failed else "failed-cells"
-    _finish_run(cfg, out, started, status, {"cells": len(results), "failed": len(failed)})
+    metrics = {"cells": len(results), "failed": len(failed)}
+    _finish_run(cfg, out, started, status, metrics, timings=_sweep_timings(outcomes))
     print(f"wrote {data_path} ({len(results)} cells, {len(failed)} failed)")
     return EXIT_OK if not failed else EXIT_DIVERGED
 

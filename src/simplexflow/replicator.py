@@ -11,9 +11,12 @@ With fixed scores both flows have exact solutions,
 (1, integral of 1/T) for LITERAL and (e^{-t}, integral of e^{-(t-u)}/T(u)) for
 ENTROPIC.  ``integrate`` evaluates them at its stop times without stepping, a
 (K, V) block of stops per array operation (``_solve_blocks``, which the
-discrete iterations of ``mirror`` share): blocks double in rows from
-FIRST_BLOCK, are capped at BLOCK_BYTES, and the run ends at the first row of a
-block that meets a stop rule.  Free energy, KL, field norm and the simplex
+discrete iterations of ``mirror`` share).  A block costs a fixed few dozen
+numpy calls plus a cost per row, and FIRST_BLOCK is set above the size at
+which the two are equal at V <= 16, so most runs take one block; blocks
+double in rows from there, are capped at BLOCK_BYTES, and the run ends at the
+first row of a block that meets a stop rule.  A row's arithmetic does not
+depend on the block it lands in.  Free energy, KL, field norm and the simplex
 checks are row-wise operations on the block.
 
 The ENTROPIC field is the natural gradient of the free energy under the
@@ -688,8 +691,14 @@ def _run_flows(
     return records
 
 
-#: rows in the first closed-form block; each later block has twice as many
-FIRST_BLOCK = 16
+#: rows in the first closed-form block; each later block has twice as many.
+#: A block costs a fixed 60-90 us (the numpy calls of ``measure``,
+#: ``_normalize_rows`` and ``_simplex_rows``) and 0.7-1.6 us per row at
+#: V <= 16 (2-core host), so the two are equal at 53-95 rows.  128 rows hold
+#: most runs whole: an entropic flow at the default 200 samples converges
+#: within about 125 rows, an iteration at the default step size within a few
+#: dozen
+FIRST_BLOCK = 128
 #: bytes one (rows, V) float64 block may take, so a wide vocabulary keeps blocks small
 BLOCK_BYTES = 1 << 20
 
@@ -709,10 +718,13 @@ def _solve_blocks(
 
     Row k is ``normalize(a ell0 + b shifted)`` at t = times[k], with (a, b) =
     (1, effective_time) for LITERAL and (e^{-t}, entropic_weight) for
-    ENTROPIC; the coefficients of each row are scalar ``math`` calls, which
-    ``np.exp`` does not match to the bit.  Rows are evaluated as (K, V)
-    blocks: K starts at FIRST_BLOCK, doubles from block to block and is capped
-    at BLOCK_BYTES.  For each block ``measure(temperatures, logs)`` returns
+    ENTROPIC.  The coefficients are the scalar ``math`` functions, which
+    ``np.exp`` does not match to the bit, mapped over the block's times with
+    ``map`` (no Python loop per row); the overflow test is one array mask.
+    Rows are evaluated as (K, V) blocks: K starts at FIRST_BLOCK, the size
+    that takes most runs in one block (see there), doubles from block to
+    block and is capped at BLOCK_BYTES; no row's value depends on the layout.
+    For each block ``measure(temperatures, logs)`` returns
     (stop row or None, status, diagnostics, columns): "P", the rows of
     exp(logs) its values were measured on, and one value per row for each
     other column.  A temperature that overflows raises, and weights that
@@ -730,24 +742,29 @@ def _solve_blocks(
     status, diagnostics = TerminalStatus.MAX_TIME, ""
     start, size, evaluated = 0, FIRST_BLOCK, 0
     while start < len(times):
-        coefficients, failure = [], None
-        for row, t in enumerate(times[start : start + min(size, cap)].tolist(), start):
-            try:
-                temperature = schedule.at(t)
-            except InvalidInputError as exc:  # raised once every earlier row is measured
-                failure = exc
-                break
-            b = weight(t)
-            if not (temperature > 0.0 and math.isfinite(b * spread + spread / temperature)):
-                failure = overflow_note(row, t)
-                break
-            coefficients.append((math.exp(-t) if entropic else 1.0, b, temperature))
-        if coefficients:
-            a, b, temperatures = np.array(coefficients).T
-            logs = _normalize_rows(a[:, np.newaxis] * ell0 + b[:, np.newaxis] * shifted)
+        chunk = times[start : start + min(size, cap)]
+        stamps = chunk.tolist()
+        temperatures, failure = [], None
+        try:  # extend keeps the temperatures of the rows before the one that raised
+            temperatures.extend(map(schedule.at, stamps))
+        except InvalidInputError as exc:  # raised once every earlier row is measured
+            failure = exc
+        temperatures = np.array(temperatures)
+        b = np.array(list(map(weight, stamps[: len(temperatures)])))
+        with np.errstate(all="ignore"):
+            finite = (temperatures > 0.0) & np.isfinite(b * spread + spread / temperatures)
+        if not finite.all():
+            row = int(finite.argmin())
+            failure = overflow_note(start + row, stamps[row])
+            temperatures, b = temperatures[:row], b[:row]
+        if len(b):
+            a = 1.0
+            if entropic:
+                a = np.array(list(map(math.exp, (-chunk[: len(b)]).tolist())))[:, np.newaxis]
+            logs = _normalize_rows(a * ell0 + b[:, np.newaxis] * shifted)
             stop, status, diagnostics, columns = measure(temperatures, logs)
-            evaluated += len(coefficients)
-            end = len(coefficients) if stop is None else stop + 1
+            evaluated += len(b)
+            end = len(b) if stop is None else stop + 1
             columns = {name: column[:end] for name, column in columns.items()}
             columns["P"] = _simplex_rows(columns["P"])
             blocks.append(columns)
@@ -758,7 +775,7 @@ def _solve_blocks(
         if failure is not None:
             status, diagnostics = TerminalStatus.DIVERGED, failure
             break
-        start += len(coefficients)
+        start += len(b)
         size *= 2
     columns = {name: np.concatenate([block[name] for block in blocks]) for name in blocks[0]}
     P = columns.pop("P")

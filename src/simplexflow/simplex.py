@@ -292,10 +292,11 @@ def _normalize_logs(ell: np.ndarray) -> np.ndarray:
 
 def _normalize_rows(ell: np.ndarray) -> np.ndarray:
     """``_normalize_logs`` of each row of an (n, V) array, with the same
-    arithmetic per row (the log of each sum is ``math.log``)."""
+    arithmetic per row: the log of each row sum is ``math.log``, mapped over
+    the sums with ``map``, since ``np.log`` does not match it to the bit."""
     m = ell.max(axis=1, keepdims=True)
     sums = np.exp(ell - m).sum(axis=1)
-    return ell - (m + np.array([math.log(x) for x in sums.tolist()])[:, np.newaxis])
+    return ell - (m + np.array(list(map(math.log, sums.tolist())))[:, np.newaxis])
 
 
 def entropy(p: SimplexPoint) -> float:

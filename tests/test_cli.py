@@ -9,6 +9,7 @@ import re
 import tempfile
 import tracemalloc
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -802,6 +803,9 @@ class TestSweep:
         assert code == EXIT_OK
         cells = json.loads(Path("rot.json").read_text())["cells"]
         assert any(cell["metrics"]["recurrent"] for cell in cells)
+        # dense output returns when a step landing on every sample did
+        returns = [cell["metrics"]["first_return_time"] for cell in cells]
+        assert returns == pytest.approx([22.78713118853142, 11.401900316719452], abs=1e-12)
 
     def test_failed_cells_are_recorded_and_exit_nonzero(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -863,6 +867,28 @@ class TestSweep:
         parallel = json.loads(Path("par.json").read_text())["cells"]
         assert serial == parallel
 
+    def test_manifest_times_each_cell_and_the_file_holds_no_clock(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "sweep.ini"
+        cfg.write_text(
+            "[scores]\nvalues = 1.0, 0.0\n"
+            "[sweep]\ntask = simulate\ngrid.temperature = -1, 0.5, 1\n"
+            "[output]\npath = timed\n"
+        )
+        assert main(["sweep", "--config", str(cfg)]) == EXIT_DIVERGED
+        data = Path("timed.json").read_bytes()
+        assert main(["sweep", "--config", str(cfg), "--jobs", "2"]) == EXIT_DIVERGED
+        assert Path("timed.json").read_bytes() == data
+        cells = json.loads(data)["cells"]
+        timings = read_manifest("timed").timings
+        seconds = timings["cell_s"]
+        assert len(seconds) == 3 and all(0.0 < x < 60.0 for x in seconds)
+        k = seconds.index(max(seconds))
+        slowest = {"index": k, "cell": cells[k]["cell"], "seconds": seconds[k]}
+        assert timings["slowest_cell"] == slowest
+        assert timings["statuses"] == dict(Counter(c["status"] for c in cells))
+        assert timings["statuses"]["error"] == 1
+
     def test_dead_worker_fails_its_cells_not_the_sweep(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         monkeypatch.setattr(cli, "_run_cell", _worker_dies_on_cell_one)
@@ -879,7 +905,14 @@ class TestSweep:
         assert cells[1]["error"].startswith("BrokenProcessPool: ")
         for cell in cells:
             assert cell["status"] == "converged" or cell["error"].startswith("BrokenProcessPool")
-        assert read_manifest("dead").terminal_status == "failed-cells"
+        manifest = read_manifest("dead")
+        assert manifest.terminal_status == "failed-cells"
+        # the cells lost with the worker have no time; the others do
+        seconds = manifest.timings["cell_s"]
+        assert seconds[1] is None
+        timed = [x for x in seconds if x is not None]
+        slowest = manifest.timings["slowest_cell"]
+        assert (slowest["seconds"] if slowest else None) == max(timed, default=None)
 
 
 class TestVerify:
@@ -998,10 +1031,11 @@ class TestManifest:
             assert all(value >= 0.0 for value in timings.values())
             assert sum(timings.values()) <= manifest.wall_clock_s
             assert not layers & (set(manifest.telemetry) | set(manifest.metrics))
-        # a sweep cell's metrics are its run's, so they carry no timings either
+        # a sweep cell's metrics are its run's, so they carry no timings
+        # either; the sweep manifest times the cells, not a run's layers
         Path("grid.ini").write_text("[scores]\nvalues = 1, 0\n[sweep]\ngrid.seed = 1, 2\n")
         assert main(["sweep", "--config", "grid.ini", "--output", "grid"]) == EXIT_OK
-        assert read_manifest("grid").timings == {}
+        assert set(read_manifest("grid").timings) == {"cell_s", "slowest_cell", "statuses"}
         for cell in read_strict_json("grid.json")["cells"]:
             assert not layers & set(cell["metrics"])
 

@@ -500,7 +500,7 @@ def scalar_moves(rows):
 class TestBlockedClosedForm:
     """The (K, V) blocks of ``_solve_blocks`` against each stop evaluated alone
     (``scalar_logs``): probabilities equal to the bit, stop rows equal, KL
-    values within 1e-15.  Blocks hold FIRST_BLOCK = 16, 32, 64, ... rows."""
+    values within 1e-15.  Blocks hold FIRST_BLOCK = 128, 256, 512, ... rows."""
 
     P0 = SimplexPoint([0.1, 0.2, 0.3, 0.4])
     S = ScoreVector([1.0, 0.0, -0.5, 2.0])
@@ -551,13 +551,14 @@ class TestBlockedClosedForm:
         assert np.array_equal(record.P, scalar_probs(rows))
 
     def test_max_steps_off_a_block_edge(self):
+        steps = FIRST_BLOCK + 20
         record = iterate(MirrorStepKind.PRINTED_MW, self.P0, self.S, 1.0, 0.5,
-                         max_steps=20, kl_tol=0.0)
+                         max_steps=steps, kl_tol=0.0)
         assert record.terminal_status is TerminalStatus.MAX_TIME
-        assert record.accepted_steps == 20 and len(record.certificates) == 20
-        assert record.block_counts == BlockCounts(21, 21, 2)
+        assert record.accepted_steps == steps and len(record.certificates) == steps
+        assert record.block_counts == BlockCounts(steps + 1, steps + 1, 2)
         rows = scalar_logs(FieldKind.LITERAL, self.P0, self.S, ConstantSchedule(1.0),
-                           [k * 0.5 for k in range(21)])
+                           [k * 0.5 for k in range(steps + 1)])
         assert np.array_equal(record.P, scalar_probs(rows))
 
     def test_overflow_diverges_keeping_the_earlier_rows(self):
@@ -568,13 +569,14 @@ class TestBlockedClosedForm:
         assert record.terminal_status is TerminalStatus.DIVERGED
         assert record.diagnostics.endswith(f"at step {first}")
         assert len(record.samples) == first
-        assert record.block_counts == BlockCounts(first, first, 5)
+        assert FIRST_BLOCK < first < 3 * FIRST_BLOCK  # in the second block
+        assert record.block_counts == BlockCounts(first, first, 2)
         rows = scalar_logs(FieldKind.LITERAL, SimplexPoint.uniform(2), ScoreVector([1.0, 0.0]),
                            ConstantSchedule(temp), [k * eta for k in range(first)])
         assert np.array_equal(record.P, scalar_probs(rows))
 
     def test_clamp_row_ends_the_run(self):
-        grid = np.linspace(0.0, 2.0, 101)
+        grid = np.linspace(0.0, 2.0, 501)
         s, p0 = ScoreVector([0.0, 1600.0]), SimplexPoint.uniform(2)
         rows = scalar_logs(FieldKind.ENTROPIC, p0, s, ConstantSchedule(1.0), grid)
         clamp = next(k for k, ell in enumerate(rows) if ell.min() < LOG_CLAMP)
@@ -642,6 +644,134 @@ class TestBlockedClosedForm:
         assert rebuilt.terminal_status is record.terminal_status
         assert (rebuilt.accepted_steps, rebuilt.renormalizations, rebuilt.diagnostics) == (0, 0, "")
         assert rebuilt.block_counts is None and rebuilt.step_counts is None
+
+
+def _flow_case(kind, p0, s, schedule, horizon, event, convergence_kl=1e-10):
+    """A flow sampled 61 or 301 times (uniform), whose event lands before or
+    after row FIRST_BLOCK."""
+    def run(where):
+        n = {"inside": 61, "past": 301}[where]
+        controls = IntegratorControls(
+            n_samples=n, uniform_samples=True, convergence_kl=convergence_kl
+        )
+        return lambda: integrate(kind, p0, s, schedule, horizon, controls)
+    return run, event
+
+
+def _iterate_case(kind, p0, s, temp, etas, event, kl_tol=1e-12):
+    """An iteration at the step size of ``etas`` (inside, past) for ``where``."""
+    def run(where):
+        eta = etas[where == "past"]
+        return lambda: iterate(kind, p0, s, temp, eta, kl_tol=kl_tol)
+    return run, event
+
+
+_P0, _S = TestBlockedClosedForm.P0, TestBlockedClosedForm.S
+_PIECEWISE = PiecewiseConstantSchedule((1.0, 2.0), (4.0, 1.0, 0.5))
+#: T = e^{100 t} overflows for t above 7.09
+_SCHEDULE_ERROR = ExponentialSchedule(1.0, 100.0)
+_TINY_T = 1e-306
+
+LAYOUT_CASES = {
+    "entropic-constant": _flow_case(FieldKind.ENTROPIC, _P0, _S, 1.0, 20.0, "converged"),
+    "entropic-piecewise": _flow_case(FieldKind.ENTROPIC, _P0, _S, _PIECEWISE, 20.0, "converged"),
+    "entropic-exponential": _flow_case(
+        FieldKind.ENTROPIC, _P0, _S, ExponentialSchedule(1.0, 1.0), 20.0, "converged"
+    ),
+    "literal-constant": _flow_case(FieldKind.LITERAL, _P0, _S, 1.0, 30.0, "converged"),
+    "literal-piecewise": _flow_case(FieldKind.LITERAL, _P0, _S, _PIECEWISE, 16.0, "converged"),
+    "literal-exponential": _flow_case(
+        FieldKind.LITERAL, _P0, _S, ExponentialSchedule(0.5, -0.05), 12.0, "converged"
+    ),
+    "literal-zeros": _flow_case(
+        FieldKind.LITERAL, SimplexPoint([0.0, 0.5, 0.5, 0.0]), _S, 1.0, 60.0, "converged"
+    ),
+    "entropic-clamp": _flow_case(
+        FieldKind.ENTROPIC, SimplexPoint.uniform(2), ScoreVector([0.0, 1600.0]), 1.0, 1.0,
+        "diverged", convergence_kl=0.0,
+    ),
+    "literal-overflow": _flow_case(
+        FieldKind.LITERAL, SimplexPoint.uniform(2), ScoreVector([1.0, 0.0]), _TINY_T, 300.0,
+        "overflow", convergence_kl=0.0,
+    ),
+    "entropic-schedule-error": _flow_case(
+        FieldKind.ENTROPIC, _P0, _S, _SCHEDULE_ERROR, 10.0, "raises", convergence_kl=0.0
+    ),
+    "literal-schedule-error": _flow_case(
+        FieldKind.LITERAL, _P0, _S, _SCHEDULE_ERROR, 10.0, "raises", convergence_kl=0.0
+    ),
+    # the run stops before the row whose temperature overflows, so nothing raises
+    "entropic-stop-before-schedule-error": _flow_case(
+        FieldKind.ENTROPIC, _P0, _S, _SCHEDULE_ERROR, 10.0, "converged", convergence_kl=1e-5
+    ),
+    "exact-prox": _iterate_case(
+        MirrorStepKind.EXACT_PROX, _P0, _S, 1.0, (0.5, 0.05), "converged"
+    ),
+    "printed-mw": _iterate_case(
+        MirrorStepKind.PRINTED_MW, _P0, _S, 1.0, (0.5, 0.1), "converged"
+    ),
+    "printed-mw-overflow": _iterate_case(
+        MirrorStepKind.PRINTED_MW, SimplexPoint.uniform(2), ScoreVector([1.0, 0.0]), _TINY_T,
+        (2.0, 0.5), "overflow", kl_tol=0.0,
+    ),
+}
+
+
+def _outcome(run):
+    """The record of ``run()``, or the message of the InvalidInputError it raised."""
+    try:
+        return run()
+    except InvalidInputError as exc:
+        return str(exc)
+
+
+class TestBlockLayoutIsInvisible:
+    """Every record of the closed-form solver is the same to the bit, whatever
+    the block layout: the first block of 1, 16 or FIRST_BLOCK rows, with and
+    without a byte cap of a few rows.  Each case's event (a stop row, a clamp
+    row, an overflow row or a schedule error) lies before row FIRST_BLOCK
+    ("inside") or after it ("past")."""
+
+    LAYOUTS = [(1, None), (16, None), (16, 96), (FIRST_BLOCK, 96)]
+
+    @pytest.mark.parametrize("where", ["inside", "past"])
+    @pytest.mark.parametrize("case", sorted(LAYOUT_CASES))
+    def test_records_do_not_depend_on_the_layout(self, case, where, monkeypatch):
+        make, event = LAYOUT_CASES[case]
+        run = make(where)
+        reference = _outcome(run)
+        if event == "raises":
+            assert isinstance(reference, str) and "overflows" in reference
+            step = 10.0 / {"inside": 60, "past": 300}[where]
+            row = round(float(reference.rpartition("t=")[2]) / step)
+        else:
+            assert reference.terminal_status.value == ("diverged" if event == "overflow" else event)
+            if event == "overflow":
+                assert "overflow" in reference.diagnostics
+            row = len(reference.P) - (0 if event == "overflow" else 1)
+        assert (row < FIRST_BLOCK) if where == "inside" else (row > FIRST_BLOCK)
+        for first, cap_bytes in self.LAYOUTS:
+            monkeypatch.setattr(replicator, "FIRST_BLOCK", first)
+            if cap_bytes is not None:
+                monkeypatch.setattr(replicator, "BLOCK_BYTES", cap_bytes)
+            record = _outcome(run)
+            monkeypatch.undo()
+            if isinstance(reference, str):
+                assert record == reference
+                continue
+            for name in ("t", "P", "free_energy", "kl_to_target", "field_norm", "kl_move",
+                         "slack"):
+                assert np.array_equal(
+                    getattr(record, name), getattr(reference, name), equal_nan=True
+                ), (first, cap_bytes, name)
+            assert record.terminal_status is reference.terminal_status
+            assert record.diagnostics == reference.diagnostics
+            assert record.accepted_steps == reference.accepted_steps
+            assert list(record.certificates) == list(reference.certificates)
+            counts = record.block_counts
+            assert counts.stops_kept == reference.block_counts.stops_kept
+            if cap_bytes is not None:  # at most 96 // (8 V) rows per block
+                assert counts.blocks >= counts.stops_evaluated / (96 // (8 * record.P.shape[1]))
 
 
 def closed_form(kind, p0, s, schedule, t):
