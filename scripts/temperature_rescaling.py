@@ -16,12 +16,11 @@ from simplexflow import (
     ConstantSchedule,
     ExponentialSchedule,
     FieldKind,
-    IntegratorControls,
     PiecewiseConstantSchedule,
     ScoreVector,
     SimplexPoint,
 )
-from simplexflow.replicator import _reparameterization_deviation
+from simplexflow.replicator import REPARAMETERIZATION_CONTROLS, _reparameterization_deviation
 
 
 def main() -> None:
@@ -34,7 +33,6 @@ def main() -> None:
     rng = np.random.default_rng(args.seed)
     s = ScoreVector(rng.uniform(-3, 3, args.size))
     p0 = SimplexPoint(rng.dirichlet(np.ones(args.size)))
-    controls = IntegratorControls(step_tol=1.01e-10)
 
     schedules = {
         "constant T=0.5": ConstantSchedule(0.5),
@@ -46,10 +44,10 @@ def main() -> None:
     print(f"{'schedule':<28}{'literal deviation':<20}entropic deviation")
     for name, sched in schedules.items():
         lit = _reparameterization_deviation(
-            FieldKind.LITERAL, s, p0, sched, args.horizon, controls
+            FieldKind.LITERAL, s, p0, sched, args.horizon, REPARAMETERIZATION_CONTROLS
         )
         ent = _reparameterization_deviation(
-            FieldKind.ENTROPIC, s, p0, sched, args.horizon, controls
+            FieldKind.ENTROPIC, s, p0, sched, args.horizon, REPARAMETERIZATION_CONTROLS
         )
         print(f"{name:<28}{lit:<20.3e}{ent:.3e}")
     print("\nliteral deviations sit at integrator tolerance; entropic ones do not vanish.")

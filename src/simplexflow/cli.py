@@ -2,13 +2,14 @@
 
 Configuration comes from an INI file (flat sections, documented in the README)
 with command-line flags taking precedence, both defined by one table,
-``_OPTIONS``; a run rejects any setting its task does not read unless it holds
-its default.  Every run writes a manifest JSON next to its output carrying the
-config hash (task included), seed, tool version, wall clock, terminal status,
-headline metrics and, for a single run, the time of each layer.  Trajectory
-and iterate tables render floats with 17 significant digits, so files
-round-trip to the exact float64 values and identical config + seed gives
-byte-identical data files; a CSV table is streamed to its file row by row.
+``_OPTIONS``; a run rejects any setting its task and field kind do not read
+unless it holds its default.  Every run writes a manifest JSON next to its
+output carrying the config hash (task included), seed, tool version, wall
+clock, terminal status, headline metrics and, for a single run, the time of
+each layer.  Trajectory and iterate tables render floats with 17
+significant digits, so files round-trip to the exact float64 values and
+identical config + seed gives byte-identical data files; a CSV table is
+streamed to its file row by row.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical divergence, a
 stalled exact-prox run or failed sweep cells, 4 oracle/verification failure.
@@ -40,6 +41,7 @@ from .mirror import DEFAULT_KL_TOL, DEFAULT_MAX_STEPS, DEFAULT_STEP_SIZE, Mirror
 from .path_fields import ScoreField, detect_recurrence, integrate_path
 from .replicator import (
     DEFAULT_HORIZON,
+    REPARAMETERIZATION_CONTROLS,
     ConstantSchedule,
     FieldKind,
     IntegratorControls,
@@ -64,6 +66,8 @@ EXIT_DIVERGED = 3
 EXIT_ORACLE = 4
 
 TASKS = ("simulate", "prox-iterate", "reparameterization", "recurrence")
+#: ``[field] kind``: fixed scores, or scores s0 + B p
+_KINDS = ("constant", "linear")
 #: statuses that exit EXIT_DIVERGED and count as failed sweep cells
 _FAILED = (TerminalStatus.DIVERGED, TerminalStatus.STALLED)
 
@@ -112,7 +116,18 @@ class ExperimentConfig:
         return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
     def validate(self) -> "ExperimentConfig":
-        """Checks across settings; each value's choices are checked where it is read."""
+        """Checks across settings; each value's choices are checked where it is
+        read.  No grid name changes a setting read here but the seed, and every
+        grid seed is checked, so each cell of a valid sweep is valid too."""
+        if self.task == "reparameterization" and self.dynamics != "literal":
+            raise ConfigError(
+                f"[run] dynamics = {self.dynamics}: task reparameterization on a "
+                f"{self.field_kind} field needs literal dynamics"
+            )
+        if self.task == "recurrence" and self.field_kind != "linear":
+            raise ConfigError(
+                f"[field] kind = {self.field_kind}: task recurrence needs a linear field"
+            )
         if len(self.scores) < 2:
             raise ConfigError("[scores] needs at least 2 score values")
         if self.temperature is not None and self.schedule is not None:
@@ -180,8 +195,9 @@ class _Option:
     """One setting: ``ExperimentConfig`` attribute, INI ``section.key`` names
     (the first present wins; a ``file`` key names a file of numbers), flag,
     readers (the tasks that read it), INI parser (int and float also type the
-    flag), choices and ``[sweep] grid.<name>`` name.  Plumbing is read by
-    subcommands, not tasks, and is left out of the config hash."""
+    flag), choices, ``[sweep] grid.<name>`` name and the field kinds whose
+    runs read it.  Plumbing is read by subcommands, not tasks, and is left out
+    of the config hash."""
 
     attr: str
     keys: tuple
@@ -192,9 +208,10 @@ class _Option:
     grid: Optional[str] = None
     plumbing: bool = False
     help: Optional[str] = None
+    kinds: tuple = _KINDS
 
-    def read_by(self, command: str, task: str) -> bool:
-        return (command if self.plumbing else task) in self.readers
+    def read_by(self, command: str, task: str, kind: str) -> bool:
+        return (command if self.plumbing else task) in self.readers and kind in self.kinds
 
 
 _RUNS = ("simulate", "prox-iterate", "sweep")
@@ -220,16 +237,19 @@ _OPTIONS = (
             help="schedule spec: constant:T | piecewise:0:T0,t1:T1,... | exponential:T0:rate"),
     _Option("face", ("face.spec",), "--face", TASKS,
             help="none | topk:K | nucleus:MASS | indices:i,j,... (1-based)"),
-    _Option("field_kind", ("field.kind",), None, _FIELDS, choices=("constant", "linear")),
+    _Option("field_kind", ("field.kind",), None, _FIELDS, choices=_KINDS),
     _Option("coupling", ("field.coupling", "field.file"), None, _FIELDS, _parse_float_list,
-            grid="beta"),
+            grid="beta", kinds=("linear",)),
     _Option("eta", ("mirror.eta",), None, _PROX, float, grid="eta"),
     _Option("max_steps", ("mirror.steps",), "--steps", _PROX, int, help="max discrete steps"),
     _Option("kl_tol", ("mirror.kl_tol",), "--tol", _PROX, float,
             help="stop tolerance (per-step KL / convergence KL)"),
     _Option("dt0", ("integrator.dt0",), None, _FIELDS, float),
-    _Option("step_tol", ("integrator.step_tol",), None, _FIELDS, float),
-    _Option("convergence_kl", ("integrator.convergence_kl",), "--tol", ("simulate",), float),
+    # fixed scores are solved exactly and stop at a KL; a linear field is
+    # stepped to its horizon
+    _Option("step_tol", ("integrator.step_tol",), None, _FIELDS, float, kinds=("linear",)),
+    _Option("convergence_kl", ("integrator.convergence_kl",), "--tol", ("simulate",), float,
+            kinds=("constant",)),
     _Option("horizon", ("integrator.horizon",), "--horizon", _FLOWS, float, grid="horizon",
             help="integration horizon"),
     _Option("n_samples", ("integrator.samples",), None, _FLOWS, int),
@@ -318,32 +338,38 @@ def _override(values: dict, attr: str, value) -> None:
 
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     """The file, then the flags; a single run takes the [sweep] section as
-    unread and its subcommand as its task.  Every setting the run does not read
-    must hold its default, and every grid name must set one it reads."""
+    unread and its subcommand as its task.  The settings must pass ``validate``
+    (so a task's requirements come first), every setting the run does not read
+    (for its task and field kind) must hold its default, and every grid name
+    must set one it reads."""
     command = args.command
     values, names = _read_ini(args.config, command != "sweep") if args.config else ({}, {})
     if command != "sweep" and values.setdefault("task", command) != command:
         raise ConfigError(f"{names['task']} = {values['task']}, but {command} runs task {command}")
     task = values.get("task", ExperimentConfig.task)
+    kind = values.get("field_kind", ExperimentConfig.field_kind)
     where = f"task {task}" if command == task else f"a sweep of task {task}"
+    if task in _FIELDS:
+        where += f" on a {kind} field"
     for flag, opts in _FLAGS.items():
         value = getattr(args, flag[2:], None)
         if value in (None, ""):  # an empty flag is not given
             continue
-        read = [opt for opt in opts if opt.read_by(command, task)]
+        read = [opt for opt in opts if opt.read_by(command, task, kind)]
         if not read:
             raise ConfigError(f"{flag} sets nothing that {where} reads")
         for opt in read:
             _override(values, opt.attr, _parse_scores_arg(value) if flag == "--scores" else value)
+    cfg = ExperimentConfig(**values).validate()
     for opt in _OPTIONS:
-        if opt.read_by(command, task):
+        if opt.read_by(command, task, kind):
             continue
         default = getattr(ExperimentConfig, opt.attr)  # a dataclass field's default
         if values.get(opt.attr, default) != default:
             raise ConfigError(f"{names[opt.attr]} is not read by {where}; leave it at its default")
         if opt.grid in values.get("grid", {}):
             raise ConfigError(f"[sweep] grid.{opt.grid} sets nothing that {where} reads")
-    return ExperimentConfig(**values).validate()
+    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -691,8 +717,6 @@ def _apply_cell(cfg: ExperimentConfig, cell: dict) -> ExperimentConfig:
     values = {"grid": {}}
     for name, value in cell.items():
         if name == "beta":
-            if cfg.field_kind != "linear" or cfg.coupling is None:
-                raise ConfigError("[sweep] grid.beta needs a linear field with a coupling")
             values["coupling"] = tuple((float(value) * np.asarray(cfg.coupling)).tolist())
         else:
             _override(values, _GRID[name].attr, _GRID[name].parse(value))
@@ -700,24 +724,20 @@ def _apply_cell(cfg: ExperimentConfig, cell: dict) -> ExperimentConfig:
 
 
 def _cell_outcome(cfg: ExperimentConfig) -> tuple:
-    """(status, metrics) of one validated sweep cell."""
+    """(status, metrics) of one cell of a validated sweep."""
     if cfg.task == "reparameterization":
         run = _resolve(cfg)
-        if cfg.dynamics != "literal":
-            raise ConfigError("[sweep] reparameterization task needs literal dynamics")
         deviation = _reparameterization_deviation(
             FieldKind.LITERAL,
             run.scores,
             run.p0,
             as_schedule(run.schedule),
             cfg.horizon,
-            IntegratorControls(step_tol=1.01e-10),
+            REPARAMETERIZATION_CONTROLS,
             n_checkpoints=cfg.n_samples,
         )
         return "ok", {"deviation": deviation}
     if cfg.task == "recurrence":
-        if cfg.field_kind != "linear":
-            raise ConfigError("[sweep] recurrence task needs a linear field")
         # the loop scan reads every sample, and dense output interpolates
         # them from the steps the error control takes instead of landing a
         # step on each
@@ -747,7 +767,7 @@ def _run_cell(payload: tuple) -> tuple:
     started = time.perf_counter()
     index, cfg_dict, cell = payload
     try:
-        status, metrics = _cell_outcome(_apply_cell(ExperimentConfig(**cfg_dict), cell).validate())
+        status, metrics = _cell_outcome(_apply_cell(ExperimentConfig(**cfg_dict), cell))
         result = {"index": index, "cell": cell, "status": status, "metrics": metrics}
     except Exception as exc:  # one failed cell must not abort the sweep
         result = _failed_cell(index, cell, exc)
@@ -863,7 +883,7 @@ def build_parser() -> argparse.ArgumentParser:
         sub = subs.add_parser(name)
         sub.add_argument("--config", help="INI experiment file (flags override it)")
         for flag, opts in _FLAGS.items():
-            if any(opt.read_by(name, task) for opt in opts for task in tasks):
+            if any(opt.read_by(name, t, k) for opt in opts for t in tasks for k in _KINDS):
                 first = opts[0]
                 typed = first.parse if first.parse in (int, float) else None
                 sub.add_argument(flag, type=typed, choices=first.choices or None, help=first.help)

@@ -308,19 +308,20 @@ def iterate(
     )
 
 
+#: the step sizes at which ``step_agreement_exponent`` measures the gap
+AGREEMENT_ETAS = (1e-2, 1e-3, 1e-4)
+
+
 def step_agreement_exponent(
-    p: SimplexPoint,
-    s: ScoreVector,
-    temperature: float,
-    etas=(1e-2, 1e-3, 1e-4),
+    p: SimplexPoint, s: ScoreVector, temperature: float
 ) -> tuple[float, np.ndarray]:
     """Measured order in eta of the gap between the two one-step maps at the same point.
 
-    Returns (fitted slope of log gap vs log eta, gap per eta).  The two maps
-    share their O(eta) velocity only up to the entropic fitness difference,
-    so the slope approaches 2 only where T * (centered log p) is small and
-    the score scaling matches; the caller records the measurement rather
-    than assuming the exponent.
+    Returns (fitted slope of log gap vs log eta, gap per eta in
+    ``AGREEMENT_ETAS``).  The two maps share their O(eta) velocity only up
+    to the entropic fitness difference, so the slope approaches 2 only where
+    T * (centered log p) is small and the score scaling matches; the caller
+    records the measurement rather than assuming the exponent.
     """
     gaps = np.array(
         [
@@ -332,7 +333,7 @@ def step_agreement_exponent(
                     )
                 )
             )
-            for e in etas
+            for e in AGREEMENT_ETAS
         ]
     )
-    return _log_slope(etas, gaps, 1e-15), gaps
+    return _log_slope(AGREEMENT_ETAS, gaps, 1e-15), gaps

@@ -40,7 +40,14 @@ from .exceptions import InvalidInputError, InteriorityError, OracleFailureError
 from . import mirror
 from .mirror import MirrorStepKind
 from . import replicator as rep
-from .replicator import FieldKind, IntegratorControls, ConstantSchedule, ExponentialSchedule, PiecewiseConstantSchedule
+from .replicator import (
+    REPARAMETERIZATION_CONTROLS,
+    ConstantSchedule,
+    ExponentialSchedule,
+    FieldKind,
+    IntegratorControls,
+    PiecewiseConstantSchedule,
+)
 from .simplex import (
     ScoreVector,
     SimplexPoint,
@@ -58,6 +65,11 @@ DEFAULT_SEED = 20250808
 DEFAULT_FD_STEP = 1e-5
 #: sup-norm agreement of two successive RK4 runs at which ``rk4_flow`` stops
 RK4_AGREEMENT = 1e-10
+#: ``prox_objective_maximizer`` stops when a sweep improves the objective by
+#: less than this (and moves no coordinate by 1e-10); it fails after
+#: ``PROX_MAX_SWEEPS`` sweeps
+PROX_OBJECTIVE_TOL = 1e-12
+PROX_MAX_SWEEPS = 500
 
 
 # ---------------------------------------------------------------------------
@@ -79,16 +91,16 @@ def fd_gradient(f: Callable[[np.ndarray], float], x, step: float = DEFAULT_FD_ST
 def fd_gradient_checked(
     f: Callable[[np.ndarray], float],
     x,
-    step: float = DEFAULT_FD_STEP,
     limit: float = 1e-6,
 ) -> np.ndarray:
-    """Gradient with a Richardson pair at 2*step certifying the O(step^2) model.
+    """Gradient at ``DEFAULT_FD_STEP`` with a Richardson pair at twice that
+    step certifying the O(step^2) model.
 
     If the two estimates disagree beyond ``limit`` the oracle itself is
     declared broken (wrong step, non-smooth target) and the check aborts.
     """
-    g1 = fd_gradient(f, x, step)
-    g2 = fd_gradient(f, x, 2.0 * step)
+    g1 = fd_gradient(f, x)
+    g2 = fd_gradient(f, x, 2.0 * DEFAULT_FD_STEP)
     disc = float(np.max(np.abs(g1 - g2)))
     if disc > limit:
         raise OracleFailureError(
@@ -97,16 +109,15 @@ def fd_gradient_checked(
     return g1
 
 
-def fd_jacobian(
-    f: Callable[[np.ndarray], np.ndarray], x, step: float = DEFAULT_FD_STEP
-) -> np.ndarray:
-    """Central-difference Jacobian of a vector map, column by column."""
+def fd_jacobian(f: Callable[[np.ndarray], np.ndarray], x) -> np.ndarray:
+    """Central-difference Jacobian of a vector map at ``DEFAULT_FD_STEP``,
+    column by column."""
     x = np.asarray(x, dtype=np.float64)
     cols = []
     for j in range(x.size):
         bump = np.zeros(x.size)
-        bump[j] = step
-        cols.append((f(x + bump) - f(x - bump)) / (2.0 * step))
+        bump[j] = DEFAULT_FD_STEP
+        cols.append((f(x + bump) - f(x - bump)) / (2.0 * DEFAULT_FD_STEP))
     return np.column_stack(cols)
 
 
@@ -266,8 +277,6 @@ def prox_objective_maximizer(
     s: ScoreVector,
     temperature: float,
     eta: float,
-    objective_tol: float = 1e-12,
-    max_sweeps: int = 500,
 ) -> SimplexPoint:
     """Numerically maximize <q,s> + T H(q) - D(q||p)/eta over the simplex.
 
@@ -276,7 +285,7 @@ def prox_objective_maximizer(
     <q, b> - c <q, log q>, and the restriction to one coordinate z_k has a
     unique stationary point available in closed form (the other coordinates
     enter only through their unnormalized weights).  Sweeps stop when the
-    objective improves by less than ``objective_tol``; failure to converge
+    objective improves by less than ``PROX_OBJECTIVE_TOL``; failure to converge
     fails the oracle, never the target under test.
     """
     temp = check_temperature(temperature)
@@ -297,7 +306,7 @@ def prox_objective_maximizer(
 
     z = normalized(np.log(p.probs))
     value = objective(z)
-    for _ in range(max_sweeps):
+    for _ in range(PROX_MAX_SWEEPS):
         w = np.exp(z)
         weighted = w * (b - c * z)
         total_w = float(w.sum())
@@ -320,20 +329,17 @@ def prox_objective_maximizer(
         new_value = objective(z)
         # objective tolerance alone can leave the argument a few ulps short of
         # stationary, so also require the sweep itself to have stopped moving
-        if abs(new_value - value) < objective_tol and moved < 1e-10:
+        if abs(new_value - value) < PROX_OBJECTIVE_TOL and moved < 1e-10:
             return SimplexPoint(np.exp(normalized(z)))
         value = new_value
     raise OracleFailureError(
-        f"prox maximizer did not converge within {max_sweeps} sweeps"
+        f"prox maximizer did not converge within {PROX_MAX_SWEEPS} sweeps"
     )
 
 
 # ---------------------------------------------------------------------------
 # reproducible random instances
 # ---------------------------------------------------------------------------
-
-#: vocabulary sizes used by the stochastic property runs
-INSTANCE_SIZES = (2, 3, 8, 64, 1000)
 
 
 def random_scores(rng: np.random.Generator, size: int) -> ScoreVector:
@@ -582,18 +588,19 @@ def _cor_convergence(rng: np.random.Generator, seed: int, flows: Callable) -> li
 def _cor_temp_rescale(rng: np.random.Generator, seed: int, flows: Callable) -> list:
     s = random_scores(rng, 3)
     p0 = random_interior_point(rng, 3)
-    controls = IntegratorControls(step_tol=1.01e-10, n_samples=40)
     schedules = {
         "constant": ConstantSchedule(2.0),
         "piecewise": PiecewiseConstantSchedule((1.0,), (1.0, 0.5)),
         "exponential": ExponentialSchedule(1.0, 0.3),
     }
     deviations = {
-        name: rep._reparameterization_deviation(FieldKind.LITERAL, s, p0, sched, 5.0, controls)
+        name: rep._reparameterization_deviation(
+            FieldKind.LITERAL, s, p0, sched, 5.0, REPARAMETERIZATION_CONTROLS
+        )
         for name, sched in schedules.items()
     }
     entropic_dev = rep._reparameterization_deviation(
-        FieldKind.ENTROPIC, s, p0, ConstantSchedule(2.0), 5.0, controls
+        FieldKind.ENTROPIC, s, p0, ConstantSchedule(2.0), 5.0, REPARAMETERIZATION_CONTROLS
     )
     return [
         (_LITERAL, max(deviations.values()) < 1e-7, 1e-7,

@@ -147,11 +147,16 @@ def eval_path_field(
     return eval_field(fieldkind, p, ScoreVector(field.scores_at(p.probs)), temperature)
 
 
-def is_conservative(field: ScoreField, tol: float = 1e-12) -> bool:
-    """True iff the coupling is symmetric, i.e. s(p) derives from a potential."""
+#: largest |B - B^T| entry that ``is_conservative`` still counts as symmetric
+SYMMETRY_TOL = 1e-12
+
+
+def is_conservative(field: ScoreField) -> bool:
+    """True iff the coupling is symmetric (to ``SYMMETRY_TOL``), i.e. s(p)
+    derives from a potential."""
     if field.coupling is None:
         return True
-    return bool(np.max(np.abs(field.coupling - field.coupling.T)) <= tol)
+    return bool(np.max(np.abs(field.coupling - field.coupling.T)) <= SYMMETRY_TOL)
 
 
 def curl_magnitude(field: ScoreField) -> float:
@@ -331,8 +336,6 @@ def find_recurrent_beta(
     betas: Sequence[float] = (0.5, 1.0, 2.0, 4.0, 8.0),
     temperature: float = 1.0,
     p0: Optional[SimplexPoint] = None,
-    delta_rec: float = 1e-3,
-    min_separation: float = 0.5,
     n_samples: int = 5000,
 ) -> tuple[Optional[float], dict]:
     """Sweep the rotation strength until the recurrence detector fires.
@@ -344,8 +347,8 @@ def find_recurrent_beta(
     periods with samples fine enough to witness the return.  The runs use
     dense output: steps land only on the horizon, and the samples between
     are interpolated, so their number does not set the number of steps.
-    Every beta must be positive and finite (else InvalidInputError, before
-    any run).
+    Each run is scanned by ``detect_recurrence`` at its defaults.  Every beta
+    must be positive and finite (else InvalidInputError, before any run).
 
     Returns (first recurrent beta or None, {beta: RecurrenceReport}).
     """
@@ -366,9 +369,7 @@ def find_recurrent_beta(
             n_samples=n_samples, uniform_samples=True, convergence_kl=0.0
         )
         traj = integrate_path(field, FieldKind.LITERAL, p0, t, horizon, controls, dense=True)
-        report = detect_recurrence(
-            traj, delta_rec=delta_rec, min_separation=min_separation
-        )
+        report = detect_recurrence(traj)
         reports[beta] = report
         if report.recurrent:
             return beta, reports
@@ -378,6 +379,11 @@ def find_recurrent_beta(
 # ---------------------------------------------------------------------------
 # lock-in probe
 # ---------------------------------------------------------------------------
+
+
+#: sup-norm distance within which ``lockin_probe`` puts two terminal points
+#: in one basin
+CLUSTER_TOL = 1e-4
 
 
 @dataclass
@@ -404,7 +410,6 @@ def lockin_probe(
     starts: Sequence[SimplexPoint],
     temperature: float,
     horizon: float = 200.0,
-    cluster_tol: float = 1e-4,
 ) -> LockinReport:
     """Integrate the starts with 50 samples and partition by terminal basin.
 
@@ -412,7 +417,7 @@ def lockin_probe(
     (``integrate_paths``), and a start whose row ends DIVERGED is listed in
     ``diverged`` alone; a field without state dependence is solved in closed
     form per start.  Terminal points (a linear field's at the horizon) are
-    clustered greedily by sup-norm distance ``cluster_tol``; each cluster
+    clustered greedily by sup-norm distance ``CLUSTER_TOL``; each cluster
     reports its size and mean terminal value of the recorded free energy.
     """
     runs = integrate_paths(
@@ -429,7 +434,7 @@ def lockin_probe(
         terminal = traj.terminal.p.probs
         placed = next(
             (c for c, cluster in enumerate(clusters)
-             if float(np.max(np.abs(cluster.representative - terminal))) <= cluster_tol),
+             if float(np.max(np.abs(cluster.representative - terminal))) <= CLUSTER_TOL),
             len(clusters),
         )
         if placed == len(clusters):
@@ -446,6 +451,15 @@ def lockin_probe(
 # brute-force search for a multi-basin instance
 # ---------------------------------------------------------------------------
 
+
+#: the multibasin search: each of the six entries of a symmetric V = 3
+#: coupling takes these values, the lattice screen divides the simplex into
+#: this many steps per side, two of its maxima must lie this far apart (sup
+#: norm), and the probe that confirms a candidate runs this many starts
+SEARCH_ENTRIES = (0, 1, 2)
+LATTICE_RESOLUTION = 24
+BASIN_SEPARATION = 0.2
+PROBE_STARTS = 12
 
 #: lattice steps (di, dj, dk) to the six neighbours of a barycentric lattice point
 _LATTICE_STEPS = ((1, -1, 0), (-1, 1, 0), (1, 0, -1), (-1, 0, 1), (0, 1, -1), (0, -1, 1))
@@ -474,11 +488,12 @@ def _barycentric_lattice(resolution: int) -> tuple:
     return points, neighbours
 
 
-def _grid_local_maxima(field: ScoreField, temperature: float, resolution: int = 24):
-    """Strict local maxima of G on the interior barycentric lattice, as
-    (point, value) pairs: G is evaluated on the whole lattice at once, so a
-    value may differ from ``generalized_free_energy`` in its last bits."""
-    points, neighbours = _barycentric_lattice(resolution)
+def _grid_local_maxima(field: ScoreField, temperature: float):
+    """Strict local maxima of G on the interior barycentric lattice of
+    ``LATTICE_RESOLUTION``, as (point, value) pairs: G is evaluated on the
+    whole lattice at once, so a value may differ from
+    ``generalized_free_energy`` in its last bits."""
+    points, neighbours = _barycentric_lattice(LATTICE_RESOLUTION)
     entropies = np.clip(-_row_dot(points, np.log(points)), 0.0, math.log(points.shape[1]))
     values = field.potential(points) + check_temperature(temperature) * entropies
     padded = np.append(values, -np.inf)  # row -1: no neighbour
@@ -489,35 +504,33 @@ def _grid_local_maxima(field: ScoreField, temperature: float, resolution: int = 
 
 def find_multibasin_coupling(
     temperature: float = 0.5,
-    entries: Sequence[int] = (0, 1, 2),
-    resolution: int = 24,
-    separation: float = 0.2,
-    probe_starts: int = 12,
     seed: int = 7,
 ) -> tuple[Optional[ScoreField], list]:
     """Search small integer symmetric couplings (V=3) for >= 2 separated basins.
 
     Candidates are screened by counting separated local maxima of G on a
     barycentric lattice, then confirmed by clustering the terminal points of
-    entropic flows from deterministic random starts.  Returns the first
-    confirmed field and its grid maxima, or (None, []).
+    entropic flows from deterministic random starts (the sizes of both are
+    the module constants above).  Returns the first confirmed field and its
+    grid maxima, or (None, []).
     """
     t = check_temperature(temperature)
     rng = np.random.default_rng(seed)
-    starts = [SimplexPoint(rng.dirichlet(np.ones(3))) for _ in range(probe_starts)]
-    for b11, b22, b33, b12, b13, b23 in itertools.product(entries, repeat=6):
+    starts = [SimplexPoint(rng.dirichlet(np.ones(3))) for _ in range(PROBE_STARTS)]
+    for b11, b22, b33, b12, b13, b23 in itertools.product(SEARCH_ENTRIES, repeat=6):
         coupling = np.array(
             [[b11, b12, b13], [b12, b22, b23], [b13, b23, b33]], dtype=np.float64
         )
         if not coupling.any():
             continue
         field = linear_field(np.zeros(3), coupling)
-        maxima = _grid_local_maxima(field, t, resolution)
+        maxima = _grid_local_maxima(field, t)
         if len(maxima) < 2:
             continue
         pts = [point for point, _ in maxima]
         if not any(
-            np.max(np.abs(a - b)) >= separation for a, b in itertools.combinations(pts, 2)
+            np.max(np.abs(a - b)) >= BASIN_SEPARATION
+            for a, b in itertools.combinations(pts, 2)
         ):
             continue
         probe = lockin_probe(field, FieldKind.ENTROPIC, starts, t, horizon=300.0)

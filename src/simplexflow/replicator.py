@@ -335,6 +335,10 @@ class IntegratorControls:
 
 
 DEFAULT_HORIZON = 1e3
+#: the step controls of a reparameterization check: both of its runs step at
+#: a tolerance 100x below the default, well under the 1e-7 its deviation is
+#: judged against
+REPARAMETERIZATION_CONTROLS = IntegratorControls(step_tol=1.01e-10)
 
 
 def _stops(horizon: float, schedule: TemperatureSchedule, controls: IntegratorControls) -> tuple:
@@ -1004,7 +1008,7 @@ def check_time_reparameterization(
     schedule,
     horizon: float,
     kind: FieldKind = FieldKind.LITERAL,
-    controls: IntegratorControls = IntegratorControls(step_tol=1.01e-10),
+    controls: IntegratorControls = REPARAMETERIZATION_CONTROLS,
 ) -> float:
     """Deviation of the scheduled trajectory from its effective-time replay.
 

@@ -269,6 +269,7 @@ class TestConfigFile:
             cfg.validate()
 
     LINEAR = "[scores]\nvalues = 0, 0, 0\n[field]\nkind = linear\ncoupling = 0,1,-1,-1,0,1,1,-1,0\n"
+    ROTATION = "[run]\nstart = 0.5, 0.3, 0.2\n" + LINEAR
 
     @pytest.mark.parametrize(
         "argv, text, named",
@@ -288,7 +289,7 @@ class TestConfigFile:
             (["sweep"], LINEAR + "[run]\ndynamics = literal\n[sweep]\ntask = reparameterization\n",
              ["[field] kind", "task reparameterization"]),
             (["sweep"],
-             "[scores]\nvalues = 1, 0\n[integrator]\ndt0 = 0.02\n"
+             "[run]\ndynamics = literal\n[scores]\nvalues = 1, 0\n[integrator]\ndt0 = 0.02\n"
              "[sweep]\ntask = reparameterization\n",
              ["[integrator] dt0", "task reparameterization"]),
             (["sweep", "--tol", "1e-9"],
@@ -300,6 +301,27 @@ class TestConfigFile:
              ["grid.eta", "task recurrence"]),
             (["sweep"], "[scores]\nvalues = 1, 0\n[output]\nformat = json\n",
              ["[output] format", "task simulate"]),
+            # without its kind, the README rotation file would run fixed
+            # scores, drop its coupling and stop "converged" after 1 sample
+            (["simulate", "--dynamics", "literal", "--horizon", "50"],
+             ROTATION.replace("kind = linear\n", ""),
+             ["[field] coupling", "task simulate on a constant field"]),
+            (["simulate"], "[scores]\nvalues = 1, 0\n[integrator]\nstep_tol = 1e-9\n",
+             ["[integrator] step_tol", "task simulate on a constant field"]),
+            (["simulate", "--dynamics", "literal", "--horizon", "50", "--tol", "1e-3"], ROTATION,
+             ["--tol", "task simulate on a linear field"]),
+            (["simulate"], LINEAR + "[integrator]\nconvergence_kl = 1e-3\n",
+             ["[integrator] convergence_kl", "task simulate on a linear field"]),
+            (["sweep"], "[scores]\nvalues = 1, 0\n[sweep]\ngrid.beta = 1, 2\n",
+             ["grid.beta", "a sweep of task simulate on a constant field"]),
+            (["sweep"], "[scores]\nvalues = 1, 0\n[sweep]\ntask = reparameterization\n",
+             ["[run] dynamics = entropic", "task reparameterization on a constant field",
+              "needs literal dynamics"]),
+            (["sweep"], "[scores]\nvalues = 0, 0, 0\n[sweep]\ntask = recurrence\n",
+             ["[field] kind = constant", "task recurrence needs a linear field"]),
+            (["sweep"], LINEAR.replace("kind = linear", "kind = constant")
+             + "[sweep]\ntask = recurrence\n",
+             ["[field] kind = constant", "task recurrence needs a linear field"]),
         ],
         ids=[
             "simulate-other-task",
@@ -314,6 +336,14 @@ class TestConfigFile:
             "recurrence-convergence-kl",
             "recurrence-eta-grid",
             "sweep-format",
+            "simulate-coupling-of-a-constant-field",
+            "simulate-step-tol-of-a-constant-field",
+            "simulate-tol-flag-of-a-linear-field",
+            "simulate-convergence-kl-of-a-linear-field",
+            "simulate-beta-grid-of-a-constant-field",
+            "reparameterization-entropic",
+            "recurrence-constant-field",
+            "recurrence-constant-field-with-a-coupling",
         ],
     )
     def test_settings_the_task_does_not_read_are_rejected(
@@ -370,6 +400,19 @@ class TestConfigFile:
         assert len(read_strict_json("run.json")["cells"]) == 3
         assert main(["simulate", "--config", "experiment.ini"]) == EXIT_OK
 
+    def test_readme_config_block_names_every_ini_key(self):
+        # a key counts where the block sets it and where a comment shows it
+        # set ("; schedule = ...", "; or: file = ...")
+        (block,) = re.findall(r"```ini\n(.*?)```", README.read_text(), re.S)
+        documented, section = set(), None
+        for line in block.splitlines():
+            header = re.fullmatch(r"\[(\w+)\]", line)
+            if header:
+                section = header.group(1)
+            for key in re.findall(r"(?:^;?\s*|or: )([a-z][a-z0-9_.]*) = ", line):
+                documented.add(f"{section}.{key}")
+        assert documented == cli._INI_KEYS
+
     def test_readme_flag_table_matches_the_parser(self):
         rows = re.findall(r"^\| `([a-z-]+)` \| `([^`]*)`", README.read_text(), re.M)
         documented = {command: set(flags.split()) for command, flags in rows}
@@ -380,6 +423,99 @@ class TestConfigFile:
             for command, sub in subparsers.items()
         }
         assert documented == registered
+
+
+class TestInputs:
+    """Inputs that only a run reads: score files, starts, faces, and the
+    checks across settings.  An input error is exit 2, names what is wrong
+    and writes no file."""
+
+    @pytest.mark.parametrize("text", ["1.5 -2 0.25\n", "1.5\n-2\n0.25\n"], ids=["spaces", "lines"])
+    def test_a_score_file_of_plain_numbers(self, tmp_path, monkeypatch, text):
+        # the format of the benchmark's wide-vocabulary score files
+        monkeypatch.chdir(tmp_path)
+        Path("scores.txt").write_text(text)
+        Path("exp.ini").write_text("[scores]\nfile = scores.txt\n")
+        assert load_config_file("exp.ini").scores == (1.5, -2.0, 0.25)
+        assert main(["simulate", "--config", "exp.ini", "--output", "file"]) == EXIT_OK
+        # --scores reads a file when its text is not a list of numbers
+        assert main(["simulate", "--scores", "scores.txt", "--output", "flag"]) == EXIT_OK
+        assert Path("file.csv").read_bytes() == Path("flag.csv").read_bytes()
+
+    def test_a_random_start_is_drawn_from_the_seed(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        Path("exp.ini").write_text("[run]\nstart = random\n[scores]\nvalues = 1, 0, -0.5\n")
+        for stem, seed in (("a", "3"), ("b", "3"), ("c", "4")):
+            argv = ["simulate", "--config", "exp.ini", "--seed", seed, "--output", stem]
+            assert main(argv) == EXIT_OK
+        a, b, c = (Path(f"{stem}.csv").read_bytes() for stem in "abc")
+        assert a == b and a != c
+        header, rows = read_csv("a.csv")
+        start = [rows[0][header.index(f"p_{i}")] for i in (1, 2, 3)]
+        drawn = np.random.default_rng(3).dirichlet(np.ones(3))
+        assert np.max(np.abs(np.array(start) - drawn)) <= 1e-15
+
+    @pytest.mark.parametrize(
+        "argv, files, named",
+        [
+            (["simulate", "--scores", "scores.txt"], {"scores.txt": "1.0 two 3.0\n"},
+             "cannot parse numbers from scores.txt"),
+            (["simulate", "--config", "exp.ini"],
+             {"exp.ini": "[scores]\nfile = scores.json\n", "scores.json": "[1.0, 2.0\n"},
+             "cannot parse numbers from scores.json"),
+            (["simulate", "--config", "missing.ini"], {}, "config file not found: missing.ini"),
+            (["simulate", "--config", "exp.ini"],
+             {"exp.ini": "[scores]\nvalues = 1, 0\n[run]\ndynamics = euler\n"},
+             "[run] dynamics must be one of literal | entropic, got 'euler'"),
+            (["simulate", "--scores", "1,nan"], {}, "[scores] scores must be finite"),
+            (["simulate", "--scores", "1,0", "--face", "top2"], {}, "[face] unknown spec 'top2'"),
+            (["simulate", "--config", "exp.ini"],
+             {"exp.ini": "[run]\nstart = middle\n[scores]\nvalues = 1, 0, -0.5\n"},
+             "[run] start must be uniform|random|numbers, got 'middle'"),
+            (["simulate", "--config", "exp.ini"],
+             {"exp.ini": "[run]\nstart = 0.5, 0.5\n[scores]\nvalues = 1, 0, -0.5\n"},
+             "[run] start has 2 entries, expected 3"),
+            (["simulate", "--config", "exp.ini"],
+             {"exp.ini": "[run]\nstart = 0.5, 0.6, 0.2\n[scores]\nvalues = 1, 0, -0.5\n"},
+             "[run] start is not a simplex point"),
+            (["simulate", "--config", "exp.ini"],
+             {"exp.ini": "[scores]\nvalues = 1, 0\n[field]\nkind = linear\n"},
+             "[field] linear kind needs a row-major coupling with 4 entries"),
+            (["simulate", "--config", "exp.ini"],
+             {"exp.ini": "[scores]\nvalues = 1, 0\n[field]\nkind = linear\ncoupling = 0, 1, 1\n"},
+             "[field] linear kind needs a row-major coupling with 4 entries"),
+            (["prox-iterate", "--scores", "1,0", "--steps=-1"], {},
+             "[mirror] steps must be nonnegative"),
+            (["sweep", "--scores", "1,0", "--jobs", "0"], {}, "[sweep] jobs must be at least 1"),
+            (["prox-iterate", "--scores", "1,0", "--schedule", "piecewise:0:1,1:2"], {},
+             "[temperature] prox-iterate needs a constant temperature"),
+        ],
+        ids=[
+            "unparseable-score-file-flag",
+            "unparseable-score-file-ini",
+            "missing-config-file",
+            "ini-value-outside-its-choices",
+            "non-finite-score",
+            "unknown-face-spec",
+            "start-word",
+            "start-entries",
+            "start-off-the-simplex",
+            "linear-field-without-a-coupling",
+            "linear-field-coupling-entries",
+            "negative-steps",
+            "no-sweep-jobs",
+            "prox-iterate-schedule",
+        ],
+    )
+    def test_input_errors_are_exit_2_before_any_file(
+        self, tmp_path, monkeypatch, capsys, argv, files, named
+    ):
+        monkeypatch.chdir(tmp_path)
+        for name, text in files.items():
+            Path(name).write_text(text)
+        assert main(argv) == EXIT_CONFIG
+        assert named in capsys.readouterr().err
+        assert sorted(os.listdir()) == sorted(files)
 
 
 class TestSimulate:
