@@ -117,8 +117,10 @@ class ExperimentConfig:
 
     def validate(self) -> "ExperimentConfig":
         """Checks across settings; each value's choices are checked where it is
-        read.  No grid name changes a setting read here but the seed, and every
-        grid seed is checked, so each cell of a valid sweep is valid too."""
+        read.  No grid name changes a setting read here but the seed and the
+        temperature, every grid seed is checked, and a grid temperature makes
+        every cell's schedule constant, so each cell of a valid sweep is valid
+        too."""
         if self.task == "reparameterization" and self.dynamics != "literal":
             raise ConfigError(
                 f"[run] dynamics = {self.dynamics}: task reparameterization on a "
@@ -132,6 +134,15 @@ class ExperimentConfig:
             raise ConfigError("[scores] needs at least 2 score values")
         if self.temperature is not None and self.schedule is not None:
             raise ConfigError("[temperature] give exactly one of value or schedule")
+        # a grid.temperature gives every cell a constant temperature
+        gridded = "temperature" in self.grid
+        if self.task == "prox-iterate" and self.schedule is not None and not gridded:
+            try:
+                schedule = parse_schedule(self.schedule)
+            except InvalidInputError as exc:
+                raise ConfigError(f"[temperature] schedule: {exc}") from exc
+            if not isinstance(schedule, ConstantSchedule):
+                raise ConfigError("[temperature] prox-iterate needs a constant temperature")
         if self.field_kind == "linear":
             v = len(self.scores)
             if self.coupling is None or len(self.coupling) != v * v:
@@ -176,10 +187,13 @@ def _load_values_file(path: str) -> tuple:
 
 
 def _parse_scores_arg(value: str) -> tuple:
+    """``--scores``: numbers, or the path of a file of numbers."""
     try:
         return _parse_float_list(value)
-    except ValueError:
-        return _load_values_file(value)
+    except ValueError as exc:
+        if Path(value).exists():
+            return _load_values_file(value)
+        raise ConfigError(f"--scores {value!r} is neither numbers nor a file: {exc}") from None
 
 
 def _parse_bool(text: str) -> bool:

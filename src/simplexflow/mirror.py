@@ -50,13 +50,14 @@ from enum import Enum
 
 import numpy as np
 
-from .exceptions import InteriorityError, InvalidInputError, SimplexFlowError
+from .exceptions import InteriorityError, InvalidInputError
 from .replicator import ConstantSchedule, FieldKind, _free_energy_rows, _row_dot, _solve_blocks
 from .simplex import (
     ScoreVector,
     SimplexPoint,
+    _check_rows,
     _normalize_rows,
-    _simplex_rows,
+    _rows_checked,
     check_score_spread,
     check_step_size,
     check_temperature,
@@ -128,25 +129,6 @@ def printed_mw_step(
     z = (eta / t) * s.values
     w = p.probs * np.exp(z - z.max())
     return SimplexPoint(w / w.sum())
-
-
-def _check_rows(bad: np.ndarray, check) -> None:
-    """Raise, with the row named, the error ``check(row)`` raises on the first
-    row that ``bad`` flags and ``check`` fails."""
-    for row in np.flatnonzero(bad).tolist():
-        try:
-            check(row)
-        except SimplexFlowError as exc:
-            raise type(exc)(f"row {row}: {exc}") from None
-
-
-def _rows_checked(rows: np.ndarray) -> np.ndarray:
-    """``_simplex_rows(rows)``, its error naming the first row that fails it."""
-    try:
-        return _simplex_rows(rows)
-    except InvalidInputError:
-        _check_rows(np.ones(len(rows), dtype=bool), lambda row: _simplex_rows(rows[row : row + 1]))
-        raise
 
 
 def ascent_certificates(kind: MirrorStepKind, P, S, temperatures, etas) -> tuple:

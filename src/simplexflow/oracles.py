@@ -19,7 +19,10 @@ keyed by the seed and the claim id, so a run of any subset of the claims
 gives exactly the verdicts and witnesses of the full run at that seed.  The
 flow runs behind ``prop-lyapunov``, ``thm-manifold-3`` and ``cor-convergence``
 are one piece of evidence on a stream of its own, computed at most once per
-run and only when one of those claims is asked for.  The expected matrix
+run and only when one of those claims is asked for; its entropic runs are
+solved as rows, one ``replicator.integrate_entropic_rows`` call per size,
+and judged per run on each row's record.  The reparameterization pairs of
+``cor-temp-rescale`` use dense output.  The expected matrix
 committed under ``data/`` was produced by this module and is re-derivable
 with ``--seed`` defaults.
 """
@@ -469,6 +472,8 @@ _ENTROPIC = FieldKind.ENTROPIC.value
 _LITERAL = FieldKind.LITERAL.value
 #: entropic runs from random instances behind the three flow claims
 _FLOW_RUNS = 60
+#: the sizes the flow evidence draws from
+_FLOW_SIZES = (2, 3, 8)
 #: the stream key and the ``timings`` key of the shared flow evidence
 _FLOW_EVIDENCE = "flow-evidence"
 
@@ -482,18 +487,28 @@ def _claim_stream(seed: int, key: str) -> np.random.Generator:
 def _flow_evidence(rng: np.random.Generator) -> tuple:
     """(worst terminal KL to softmax, worst free-energy drop, literal witness):
     the first two over _FLOW_RUNS entropic runs from random instances, the
-    witness of a literal run started exactly at softmax."""
+    witness of a literal run started exactly at softmax.
+
+    Run i draws its size, scores and start as ``random_scores`` and
+    ``random_interior_point`` do, in that order, and takes the i-th of the
+    temperatures in turn.  The runs of one size are solved as rows of one
+    ``integrate_entropic_rows`` call, each record equal to the bit to its
+    ``integrate`` run; the terminal KL and ``lyapunov_report`` are taken per
+    run on its record, as the check independent of the solver."""
     controls = IntegratorControls(n_samples=60)
     temperatures = (0.25, 1.0, 4.0)
-    worst_kl = worst_drop = 0.0
+    draws = {size: [] for size in _FLOW_SIZES}
     for i in range(_FLOW_RUNS):
-        size = int(rng.choice((2, 3, 8)))
-        s = random_scores(rng, size)
-        p0 = random_interior_point(rng, size)
-        temp = temperatures[i % len(temperatures)]
-        traj = rep.integrate(FieldKind.ENTROPIC, p0, s, temp, 1e3, controls)
-        worst_kl = max(worst_kl, kl_divergence(traj.terminal.p, softmax(s, temp)))
-        worst_drop = min(worst_drop, float(rep.lyapunov_report(traj, s, temp).worst_drop))
+        size = int(rng.choice(_FLOW_SIZES))
+        s = rng.uniform(-3.0, 3.0, size)
+        draws[size].append((s, rng.dirichlet(np.ones(size)), temperatures[i % len(temperatures)]))
+    worst_kl = worst_drop = 0.0
+    for runs in filter(None, draws.values()):
+        S, P0, T = (np.array(column) for column in zip(*runs))
+        for traj, (s, _, temp) in zip(rep.integrate_entropic_rows(P0, S, T, 1e3, controls), runs):
+            s = ScoreVector(s)
+            worst_kl = max(worst_kl, kl_divergence(traj.terminal.p, softmax(s, temp)))
+            worst_drop = min(worst_drop, float(rep.lyapunov_report(traj, s, temp).worst_drop))
 
     s = ScoreVector([1.0, 0.0])
     pi = softmax(s, 1.0)

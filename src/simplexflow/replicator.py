@@ -17,7 +17,10 @@ which the two are equal at V <= 16, so most runs take one block; blocks
 double in rows from there, are capped at BLOCK_BYTES, and the run ends at the
 first row of a block that meets a stop rule.  A row's arithmetic does not
 depend on the block it lands in.  Free energy, KL, field norm and the simplex
-checks are row-wise operations on the block.
+checks are row-wise operations on the block.  ``integrate_entropic_rows``
+solves N independent entropic instances with a constant T each, one per row,
+at the shared stop times in one (N, K, V) array, each row's record equal to
+its ``integrate`` run.
 
 The ENTROPIC field is the natural gradient of the free energy under the
 inner product <u, v>_p = sum u_i v_i / p_i and vanishes exactly at
@@ -64,8 +67,10 @@ from .simplex import (
     NORM_EPS,
     ScoreVector,
     SimplexPoint,
+    _check_rows,
     _normalize_logs,
     _normalize_rows,
+    _rows_checked,
     _simplex_rows,
     check_score_spread,
     check_temperature,
@@ -888,6 +893,119 @@ def integrate(
     )
 
 
+def integrate_entropic_rows(
+    P0,
+    S,
+    temperatures,
+    horizon: float = DEFAULT_HORIZON,
+    controls: IntegratorControls = IntegratorControls(),
+) -> list:
+    """``integrate(ENTROPIC, ...)`` of N independent instances, one (p0, s, T)
+    per row of the (N, V) starts P0 and scores S with a constant T per row:
+    one record per row, equal to the bit to that instance's ``integrate`` run
+    from ``SimplexPoint(P0[i])``.
+
+    Every instance is evaluated at the shared stop times in one (N, K, V)
+    array, with ``integrate``'s coefficients and row helpers, and each record
+    ends at its own first sample below ``controls.convergence_kl``, else at
+    the last sample.  The checks are ``integrate``'s and its inputs'
+    constructors', in their order, each error naming the first row that fails
+    it: finite scores, starts checked and renormalized as simplex points, T,
+    the horizon and samples, an interior start, the score spread over T, and
+    then the two ways ``integrate`` ends a run DIVERGED before it converges,
+    weights that overflow and a log-probability below ``LOG_CLAMP``
+    (InvalidInputError).
+    """
+    S = np.asarray(S, dtype=np.float64)
+    P0 = np.asarray(P0, dtype=np.float64)
+    temperatures = np.asarray(temperatures, dtype=np.float64)
+    if S.ndim != 2 or S.shape[1] < 2 or P0.shape != S.shape:
+        raise InvalidInputError(
+            f"need (N, V) starts and scores with V >= 2, got {P0.shape} and {S.shape}"
+        )
+    if temperatures.shape != (len(S),):
+        raise InvalidInputError(
+            f"need one temperature per row, got {temperatures.shape} for {len(S)} rows"
+        )
+    _check_rows(~np.isfinite(S).all(axis=1), lambda row: ScoreVector(S[row]))
+    P0 = _rows_checked(P0)
+    _check_rows(
+        ~(np.isfinite(temperatures) & (temperatures > 0.0)),
+        lambda row: check_temperature(temperatures[row]),
+    )
+    _, samples = _stops(horizon, ConstantSchedule(1.0), controls)
+
+    def exterior(row: int):
+        raise InteriorityError("entropic field requires an interior start")
+
+    _check_rows(~(P0.min(axis=1) > 0.0), exterior)
+    with np.errstate(over="ignore"):  # a spread that overflows fails its row
+        shifted = S - S.max(axis=1, keepdims=True)
+        spread = -shifted.min(axis=1)
+        _check_rows(
+            ~np.isfinite(spread / temperatures),
+            lambda row: check_score_spread(ScoreVector(S[row]), float(temperatures[row])),
+        )
+    times = np.array([0.0] + sorted(samples))
+    n, k, size = len(S), len(times), S.shape[1]
+    # _solve_blocks' coefficients (a, b) of each time, b by ConstantSchedule.entropic_weight
+    a = np.array(list(map(math.exp, (-times).tolist())))
+    b = -np.array(list(map(math.expm1, (-times).tolist()))) / temperatures[:, np.newaxis]
+    scaled = shifted / temperatures[:, np.newaxis]
+    rows_t = np.repeat(temperatures, k)
+    # an instance's rows from its first overflowing weight on are never kept
+    with np.errstate(all="ignore"):
+        finite = np.isfinite(b * spread[:, np.newaxis] + (spread / temperatures)[:, np.newaxis])
+        ell0 = np.log(P0)[:, np.newaxis]
+        weighted = a[:, np.newaxis] * ell0 + b[..., np.newaxis] * shifted[:, np.newaxis]
+        logs = _normalize_rows(weighted.reshape(-1, size))
+        P = np.exp(logs)
+        # one (K, V) @ (V,) product per instance, the product integrate takes
+        # on its run: a row inner product does not match it to the bit
+        inner = np.matmul(P.reshape(n, k, size), S[..., np.newaxis]).reshape(-1)
+        target = np.repeat(_normalize_rows(scaled), k, axis=0)
+        columns = {
+            "free_energy": _free_energy_rows(inner, rows_t, P, logs),
+            "kl_to_target": np.maximum(_row_dot(P, logs - target), 0.0),
+            "field_norm": _field_norm(P, np.repeat(scaled, k, axis=0) - logs),
+        }
+        low = (logs.min(axis=1) < LOG_CLAMP).reshape(n, k)
+        met = (columns["kl_to_target"] < controls.convergence_kl).reshape(n, k)
+
+    def first(mask: np.ndarray) -> np.ndarray:
+        return np.where(mask.any(axis=1), mask.argmax(axis=1), k)
+
+    # integrate measures no row from the overflow on, and the clamp wins a tie
+    overflow = first(~finite)
+    ends, converged = np.minimum(first(low), overflow), first(met)
+
+    def diverged(row: int):
+        t = f"t={float(times[ends[row]]):.6g}"
+        if ends[row] == overflow[row]:
+            raise InvalidInputError(f"flow weights overflow at {t}")
+        raise InvalidInputError(f"log-probability clamp hit near the boundary at {t}")
+
+    _check_rows((ends < k) & (ends <= converged), diverged)
+    kept = np.minimum(converged, k - 1) + 1
+    rows = (np.arange(k) < kept[:, np.newaxis]).reshape(-1)
+    P = _simplex_rows(P[rows])
+    columns = {name: column[rows] for name, column in columns.items()}
+    columns["t"] = np.tile(times, n)[rows]
+    records, first_row = [], 0
+    for count, stop in zip(kept.tolist(), converged.tolist()):
+        cut = slice(first_row, first_row + count)
+        first_row = cut.stop
+        records.append(
+            TrajectoryRecord.from_columns(
+                P[cut],
+                {name: column[cut] for name, column in columns.items()},
+                TerminalStatus.CONVERGED if stop < k else TerminalStatus.MAX_TIME,
+                block_counts=BlockCounts(k, count, 1),
+            )
+        )
+    return records
+
+
 # ---------------------------------------------------------------------------
 # diagnostics on trajectories
 # ---------------------------------------------------------------------------
@@ -981,8 +1099,11 @@ def _reparameterization_deviation(
     n_checkpoints: int = 60,
 ) -> float:
     """Max deviation between the scheduled run and the unit-temperature run
-    replayed at the closed-form effective time.  Both runs are integrated
-    numerically, so the identity is measured rather than assumed."""
+    replayed at the closed-form effective time, over ``n_checkpoints`` + 1
+    checkpoints.  Both runs are integrated numerically, so the identity is
+    measured rather than assumed.  They use dense output: steps land only on
+    the schedule's breakpoints and the horizon, and the checkpoints are read
+    from each step's continuous extension."""
     if p0.size != s.size:
         raise InvalidInputError(f"size mismatch: p0 has {p0.size} entries, s has {s.size}")
     if n_checkpoints < 1:
@@ -991,11 +1112,13 @@ def _reparameterization_deviation(
     grid = np.linspace(0.0, horizon, n_checkpoints + 1)
     base = replace(controls, sample_times=tuple(grid))
     constant, inner = (lambda p: s.values), (lambda p: p @ s.values)
-    run_sched = _run_flow(kind, p0, constant, inner, sched, horizon, base)
+    (run_sched,) = _run_flows(kind, [p0], constant, inner, sched, horizon, base, dense=True)
 
     taus = np.array([sched.effective_time(t) for t in grid])
     unit = replace(base, sample_times=tuple(taus))
-    run_unit = _run_flow(kind, p0, constant, inner, ConstantSchedule(1.0), float(taus[-1]), unit)
+    (run_unit,) = _run_flows(
+        kind, [p0], constant, inner, ConstantSchedule(1.0), float(taus[-1]), unit, dense=True
+    )
 
     if run_sched.P.shape != run_unit.P.shape:
         raise InvalidInputError("reparameterization runs recorded mismatched checkpoints")

@@ -24,6 +24,7 @@ import numpy as np
 from .exceptions import (
     DegenerateFaceError,
     InvalidInputError,
+    SimplexFlowError,
     SupportMismatchError,
 )
 
@@ -189,6 +190,25 @@ def _simplex_rows(rows: np.ndarray) -> np.ndarray:
         if again.any():
             rows = rows / np.where(again, totals, 1.0)[:, np.newaxis]
     return rows
+
+
+def _check_rows(bad: np.ndarray, check) -> None:
+    """Raise, with the row named, the error ``check(row)`` raises on the first
+    row that ``bad`` flags and ``check`` fails."""
+    for row in np.flatnonzero(bad).tolist():
+        try:
+            check(row)
+        except SimplexFlowError as exc:
+            raise type(exc)(f"row {row}: {exc}") from None
+
+
+def _rows_checked(rows: np.ndarray) -> np.ndarray:
+    """``_simplex_rows(rows)``, its error naming the first row that fails it."""
+    try:
+        return _simplex_rows(rows)
+    except InvalidInputError:
+        _check_rows(np.ones(len(rows), dtype=bool), lambda row: _simplex_rows(rows[row : row + 1]))
+        raise
 
 
 @dataclass(frozen=True)

@@ -489,6 +489,14 @@ class TestInputs:
             (["sweep", "--scores", "1,0", "--jobs", "0"], {}, "[sweep] jobs must be at least 1"),
             (["prox-iterate", "--scores", "1,0", "--schedule", "piecewise:0:1,1:2"], {},
              "[temperature] prox-iterate needs a constant temperature"),
+            # without a grid.temperature every cell would run the schedule
+            (["sweep", "--config", "exp.ini"],
+             {"exp.ini": "[scores]\nvalues = 1, 0\n[temperature]\nschedule = exponential:1:0.3\n"
+                         "[sweep]\ntask = prox-iterate\ngrid.eta = 0.1, 1\n"},
+             "[temperature] prox-iterate needs a constant temperature"),
+            (["simulate", "--scores", "1,two"], {},
+             "--scores '1,two' is neither numbers nor a file: "
+             "could not convert string to float: 'two'"),
         ],
         ids=[
             "unparseable-score-file-flag",
@@ -505,6 +513,8 @@ class TestInputs:
             "negative-steps",
             "no-sweep-jobs",
             "prox-iterate-schedule",
+            "prox-iterate-sweep-schedule",
+            "unparseable-scores-flag",
         ],
     )
     def test_input_errors_are_exit_2_before_any_file(
@@ -896,6 +906,17 @@ class TestSweep:
         direct = read_manifest("direct")
         assert cell["metrics"]["terminal_kl"] == direct.metrics["terminal_kl"]
         assert cell["metrics"]["accepted_steps"] == direct.metrics["accepted_steps"]
+
+    def test_a_temperature_grid_replaces_a_prox_iterate_schedule(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        Path("sweep.ini").write_text(
+            "[scores]\nvalues = 1.0, 0.0\n[temperature]\nschedule = exponential:1:0.3\n"
+            "[sweep]\ntask = prox-iterate\ngrid.temperature = 0.5, 1\n"
+        )
+        assert main(["sweep", "--config", "sweep.ini", "--output", "temps"]) == EXIT_OK
+        cells = json.loads(Path("temps.json").read_text())["cells"]
+        assert [(c["cell"]["temperature"], c["status"]) for c in cells] == [
+            (0.5, "converged"), (1.0, "converged")]
 
     def test_eta_grid_matches_prox_iterate(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

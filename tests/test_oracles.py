@@ -2,6 +2,7 @@
 
 import functools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -334,13 +335,18 @@ class TestAdjudication:
         assert [v.to_jsonable() for v in alone] == [v.to_jsonable() for v in in_full]
 
     def test_the_flow_claims_share_one_evidence_run(self, monkeypatch):
-        calls = []
-        integrate = replicator.integrate
-        monkeypatch.setattr(
-            replicator, "integrate", lambda *a, **k: calls.append(1) or integrate(*a, **k)
-        )
+        calls = Counter()
+
+        def counted(name):
+            solver = getattr(replicator, name)
+            return lambda *a, **k: calls.update([name]) or solver(*a, **k)
+
+        for name in ("integrate", "integrate_entropic_rows"):
+            monkeypatch.setattr(replicator, name, counted(name))
         run_adjudication(include=["prop-lyapunov", "cor-convergence"])
-        assert len(calls) == 61  # 60 entropic runs and the literal run from softmax
+        # one row call per size for the 60 entropic runs, and the literal run
+        # from softmax
+        assert calls == {"integrate_entropic_rows": 3, "integrate": 1}
 
     @pytest.mark.parametrize(
         "include",
