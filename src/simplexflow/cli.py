@@ -8,8 +8,10 @@ output carrying the config hash (task included), seed, tool version, wall
 clock, terminal status, headline metrics and, for a single run, the time of
 each layer.  Trajectory and iterate tables render floats with 17
 significant digits, so files round-trip to the exact float64 values and
-identical config + seed gives byte-identical data files; a CSV table is
-streamed to its file row by row.
+identical config + seed gives byte-identical data files.  A CSV table is
+streamed to its file in blocks of values, each rendered to the bytes of
+``'%.17g' % x`` by array arithmetic (``csvfloats``); a JSON table
+row by row.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical divergence, a
 stalled exact-prox run or failed sweep cells, 4 oracle/verification failure.
@@ -35,7 +37,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import __version__, oracles
+from . import __version__, csvfloats, oracles
 from .exceptions import ConfigError, InvalidInputError, OracleFailureError, SimplexFlowError
 from .mirror import DEFAULT_KL_TOL, DEFAULT_MAX_STEPS, DEFAULT_STEP_SIZE, MirrorStepKind, iterate
 from .path_fields import ScoreField, detect_recurrence, integrate_path
@@ -403,11 +405,12 @@ class RunManifest:
     #: steps); a sweep cell's metrics equal its run's, so these stay out of
     #: ``metrics``
     telemetry: dict = field(default_factory=dict)
-    #: seconds a single run spent on its record, its table and writing it
-    #: (``record_s``, ``table_s``, ``write_s``), within ``wall_clock_s``; for
-    #: a sweep, each cell's seconds (``cell_s``), the slowest cell and the
-    #: cells per status, which the sweep file leaves out so that equal sweeps
-    #: write equal files
+    #: seconds a single run spent resolving its config (``resolve_s``: scores,
+    #: schedule, face and start), solving its record (``record_s``), building
+    #: its table (``table_s``) and writing it (``write_s``), within
+    #: ``wall_clock_s``; for a sweep, each cell's seconds (``cell_s``), the
+    #: slowest cell and the cells per status, which the sweep file leaves out
+    #: so that equal sweeps write equal files
     timings: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
@@ -502,21 +505,27 @@ def _iterate_table(record: TrajectoryRecord, mask: Optional[FaceMask]) -> tuple:
     return columns, (body, 1)
 
 
+#: values per CSV block: ``csvfloats.format_block`` peaks near 75 bytes a
+#: value and costs about 120 numpy calls a block
+_CSV_BLOCK = 1536
+
+
 def _write_table(path: Path, columns: list, table: tuple, fmt: str) -> None:
     """Write ``table`` = (body, first step) under ``columns``; a first step
     other than None numbers the rows in a leading integer column.
 
-    Both formats are streamed one row at a time, so no Python list of the
-    whole table is ever built.  A CSV row goes through one ``%`` format
-    string per table: ``%.17g`` renders the bytes of ``f"{x:.17g}"`` (17
-    significant digits: every float64 parses back exactly; ``nan``, ``inf``,
-    ``-0``).  A JSON row is ``_strict_json`` of its list, joined as
+    Both formats are streamed, so no Python list of the whole table is ever
+    built.  A CSV goes out in blocks of ``_CSV_BLOCK`` values of the flat
+    table, step column included, each rendered by ``csvfloats.format_block``:
+    the bytes of ``'%.17g' % x`` (17 significant digits: every float64
+    parses back exactly; ``nan``, ``inf``, ``-0``), and a step as
+    ``str(step)``.  A JSON row is ``_strict_json`` of its list, joined as
     ``json.dumps`` joins a list, so the file holds the bytes of
     ``_strict_json({"columns": columns, "rows": rows})``."""
     body, first = table
     numbered = first is not None
-    with path.open("w") as fh:
-        if fmt == "json":
+    if fmt == "json":
+        with path.open("w") as fh:
             fh.write(f'{{"columns": {_strict_json(columns)}, "rows": [')
             separator = ""
             for step, row in enumerate(body, first or 0):
@@ -524,11 +533,24 @@ def _write_table(path: Path, columns: list, table: tuple, fmt: str) -> None:
                 fh.write(separator + _strict_json(values))
                 separator = ", "
             fh.write("]}\n")
-            return
-        line = ("%d," if numbered else "") + ",".join(["%.17g"] * body.shape[1]) + "\n"
-        fh.write(",".join(columns) + "\n")
-        for step, row in enumerate(body, first or 0):
-            fh.write(line % ((step, *row.tolist()) if numbered else tuple(row.tolist())))
+        return
+    width = body.shape[1] + numbered
+    flat = body.reshape(-1)
+    total = len(body) * width
+    with path.open("wb") as fh:
+        fh.write((",".join(columns) + "\n").encode())
+        for start in range(0, total, _CSV_BLOCK):
+            stop = min(start + _CSV_BLOCK, total)
+            if numbered:
+                # rows before the block's start and stop; the step of each row
+                # that starts in the block goes before that row's first value
+                before, upto = -(-start // width), -(-stop // width)
+                rows = np.arange(before, upto)
+                at = rows * (width - 1) - start + before
+                values = np.insert(flat[start - before:stop - upto], at, rows + first)
+            else:
+                values = flat[start:stop]
+            fh.write(csvfloats.format_block(values, start % width, width))
 
 
 # ---------------------------------------------------------------------------
@@ -631,8 +653,11 @@ def _resolve(cfg: ExperimentConfig) -> _ResolvedRun:
     )
 
 
-def _simulate_record(cfg: ExperimentConfig, dense: bool = False) -> tuple:
-    run = _resolve(cfg)
+def _simulate_record(
+    cfg: ExperimentConfig, dense: bool = False, run: Optional[_ResolvedRun] = None
+) -> tuple:
+    """(run, record); ``run`` is ``_resolve(cfg)``, resolved here if not given."""
+    run = _resolve(cfg) if run is None else run
     field = ScoreField(run.scores.values, run.coupling)
     kind = FieldKind(cfg.dynamics)
     return run, integrate_path(
@@ -640,8 +665,9 @@ def _simulate_record(cfg: ExperimentConfig, dense: bool = False) -> tuple:
     )
 
 
-def _iterate_record(cfg: ExperimentConfig) -> tuple:
-    run = _resolve(cfg)
+def _iterate_record(cfg: ExperimentConfig, run: Optional[_ResolvedRun] = None) -> tuple:
+    """(run, record); ``run`` is ``_resolve(cfg)``, resolved here if not given."""
+    run = _resolve(cfg) if run is None else run
     if not isinstance(run.schedule, ConstantSchedule):
         raise ConfigError("[temperature] prox-iterate needs a constant temperature")
     record = iterate(
@@ -698,7 +724,9 @@ def cmd_run(cfg: ExperimentConfig) -> int:
     """``simulate`` or ``prox-iterate``: one run, its table and its manifest."""
     started = time.perf_counter()
     record_fn, table_fn, metrics_fn, noun = _run_task(cfg.task)
-    run, record = record_fn(cfg)
+    run = _resolve(cfg)
+    resolved = time.perf_counter()
+    _, record = record_fn(cfg, run=run)
     recorded = time.perf_counter()
     columns, table = table_fn(record, run.mask)
     tabled = time.perf_counter()
@@ -706,7 +734,8 @@ def cmd_run(cfg: ExperimentConfig) -> int:
     data_path = out.with_suffix(".json" if cfg.format == "json" else ".csv")
     _write_table(data_path, columns, table, cfg.format)
     timings = {
-        "record_s": recorded - started,
+        "resolve_s": resolved - started,
+        "record_s": recorded - resolved,
         "table_s": tabled - recorded,
         "write_s": time.perf_counter() - tabled,
     }

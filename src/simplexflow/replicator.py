@@ -30,7 +30,7 @@ softmax is not one of its stationary points.  Both fields are tangent to the
 simplex and keep every face invariant.
 
 State-dependent scores s(p) of ``path_fields`` have no closed form; the
-adaptive driver ``_run_flow`` steps them in log-coordinates with the
+adaptive driver ``_run_flows`` steps them in log-coordinates with the
 Dormand-Prince 5(4) pair (Dormand & Prince 1980; step control as in Hairer,
 Norsett & Wanner, Solving ODEs I, II.4).  Each stage is
 normalize(log p + h sum_j a_ij k_j) with slope k = g - <p, g>, so positivity
@@ -38,8 +38,8 @@ and normalization hold by construction and exact zeros stay zero.  The local
 error is the sup-norm gap in p between the 5th- and the embedded 4th-order
 solutions; the 5th-order one is kept, and its stage is the first stage of
 the next step unless a renormalization or a schedule breakpoint moves the
-state or T.  ``_run_flows`` steps several starts of one field as a (B, V)
-block whose rows share every step, accepted on the largest error over the
+state or T.  Several starts of one field are stepped as a (B, V) block
+whose rows share every step, accepted on the largest error over the
 rows; a row that diverges leaves the block alone.  A step lands on every
 sample time unless the run asks for dense output, which reads the samples
 inside a step from the pair's continuous extension.  Each start keeps its
@@ -437,20 +437,6 @@ def _row_values(values) -> list:
     """A reduction over the last axis as floats, one per row: a point's
     scalar is one row."""
     return values.tolist() if isinstance(values, np.ndarray) else [float(values)]
-
-
-def _run_flow(
-    kind: FieldKind,
-    p0: SimplexPoint,
-    scores_at: Callable[[np.ndarray], np.ndarray],
-    potential: Callable[[np.ndarray], np.ndarray],
-    schedule: TemperatureSchedule,
-    horizon: float,
-    controls: IntegratorControls,
-) -> TrajectoryRecord:
-    """The adaptive flow from the one start p0: ``_run_flows`` on a block of
-    one row, which keeps the per-point stage arithmetic."""
-    return _run_flows(kind, [p0], scores_at, potential, schedule, horizon, controls)[0]
 
 
 def _run_flows(

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from simplexflow import cli
+from simplexflow import cli, csvfloats
 from simplexflow.cli import (
     EXIT_CONFIG,
     EXIT_DIVERGED,
@@ -996,7 +996,7 @@ class TestSweep:
         assert cells[1]["error"].startswith("InvalidInputError: temperature schedule overflows")
 
     def test_unexpected_exception_is_an_error_cell(self, tmp_path, monkeypatch):
-        from simplexflow import cli
+        from simplexflow import cli, csvfloats
 
         def boom(cfg):
             raise ZeroDivisionError("cell went wrong")
@@ -1181,7 +1181,7 @@ class TestManifest:
         monkeypatch.chdir(tmp_path)
         assert main(["simulate", "--scores", "1,0,-0.5", "--output", "flow"]) == EXIT_OK
         assert main(["prox-iterate", "--scores", "1,0,-0.5", "--output", "prox"]) == EXIT_OK
-        layers = {"record_s", "table_s", "write_s"}
+        layers = {"resolve_s", "record_s", "table_s", "write_s"}
         for manifest in (read_manifest("flow"), read_manifest("prox")):
             timings = manifest.timings
             assert set(timings) == layers
@@ -1304,6 +1304,87 @@ class TestTables:
         cli._write_table(path, ["step", "t"], (np.empty((0, 1)), 1), fmt)
         want = "step,t\n" if fmt == "csv" else '{"columns": ["step", "t"], "rows": []}\n'
         assert path.read_text() == want
+
+    # The array formatter against '%.17g' % x, value by value.  Exact ties
+    # of the 18th digit: a 16-digit integer part and .25 or .75, or a
+    # 15-digit one and an odd number of eighths.
+    TIES = [(2**53 - j) / 4 for j in (1, 3, 5, 7)] + [(2**52 - j) / 8 for j in (1, 3, 5, 7)]
+
+    @staticmethod
+    def _edge_values():
+        powers = [float(f"1e{e}") for e in range(-323, 309)]
+        values = [*powers, *np.nextafter(powers, 0.0), *np.nextafter(powers, np.inf)]
+        # the notation switches at X = -5 / -4 and 16 / 17, exponents of one,
+        # two and three digits, and the ends of the range
+        values += [1.5e-5, 9.87654321e-5, 1.5e-4, 2.5e16, 9.9999999999999984e16, 1.5e17,
+                   3e-9, 4.5e-10, 6e99, 7e-100, 8e100, 5e-324, 2.5e-320, 1.7976931348623157e308]
+        # integers up to 10^17
+        values += [float(i) for i in range(1001)]
+        values += [float(10**j + d) for j in range(1, 18) for d in (-1, 0, 1)]
+        values += [float(2**53 + j) for j in (-1, 0, 2)] + TestTables.TIES
+        return np.array(values + [-x for x in values])
+
+    @staticmethod
+    def _assert_fields_are_reference(path, columns, body, first):
+        header, *lines, end = path.read_text().split("\n")
+        assert header == ",".join(columns) and end == "" and len(lines) == len(body)
+        for step, (row, line) in enumerate(zip(body.tolist(), lines), first or 0):
+            want = ["%.17g" % x for x in row]
+            assert line.split(",") == (want if first is None else [str(step), *want])
+
+    @pytest.mark.parametrize("first", [None, 1])
+    def test_edge_values_render_as_the_per_value_reference(self, tmp_path, first):
+        values = self._edge_values()
+        body = np.concatenate([values, np.zeros(-len(values) % 7)]).reshape(-1, 7)
+        columns = [f"c{i}" for i in range(7 + (first is not None))]
+        cli._write_table(tmp_path / "edge.csv", columns, (body, first), "csv")
+        self._assert_fields_are_reference(tmp_path / "edge.csv", columns, body, first)
+
+    def test_exact_ties_take_the_fallback(self):
+        from decimal import Decimal
+        for x in self.TIES:
+            assert Decimal(x).as_tuple().digits[17:] == (5,), x
+        values = np.array(self.TIES + [-x for x in self.TIES] + [0.1, 2.5e-5, 1e16, 0.0])
+        _, _, fallback = csvfloats.decimal_digits(values)
+        assert fallback.tolist() == [True] * (2 * len(self.TIES)) + [False] * 4
+
+    @pytest.mark.parametrize("first", [None, 1])
+    @pytest.mark.parametrize("block", [1, 2, 3, 5, 7, 11])
+    def test_blocks_that_split_rows_render_as_the_reference(self, tmp_path, monkeypatch,
+                                                             first, block):
+        monkeypatch.setattr(cli, "_CSV_BLOCK", block)
+        body = np.array(self.SPECIAL + [1.0 / 7.0, -2.5e-7, 3e20, 42.0]).reshape(4, 5)
+        columns = [f"c{i}" for i in range(5 + (first is not None))]
+        cli._write_table(tmp_path / "split.csv", columns, (body, first), "csv")
+        self._assert_fields_are_reference(tmp_path / "split.csv", columns, body, first)
+
+    # any 64-bit pattern; NaN payloads and subnormals of either sign; and
+    # hypothesis' floats, which favour zeros, infinities and other edges
+    BITS = (
+        st.integers(0, 2**64 - 1)
+        | st.sampled_from([0, 1 << 63]).flatmap(lambda sign: st.one_of(
+            st.integers(0x7FF0000000000001, 0x7FFFFFFFFFFFFFFF), st.integers(1, 2**52 - 1)
+        ).map(lambda bits: bits | sign))
+        | st.floats().map(lambda x: int(np.float64(x).view(np.uint64)))
+    )
+
+    @settings(max_examples=150)
+    @given(
+        shape=st.tuples(st.integers(0, 6), st.integers(1, 6)),
+        bits=st.lists(BITS, min_size=36, max_size=36),
+        first=st.sampled_from([None, 0, 1, 9998]),
+        block=st.sampled_from([1, 2, 3, 5, 1024]),
+    )
+    def test_any_float64_bit_pattern_renders_as_the_per_value_reference(
+            self, shape, bits, first, block):
+        n, k = shape
+        body = np.array(bits[: n * k], np.uint64).view(np.float64).reshape(n, k)
+        columns = [f"c{i}" for i in range(k + (first is not None))]
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cli, "_CSV_BLOCK", block)
+            path = Path(tmp) / "bits.csv"
+            cli._write_table(path, columns, (body, first), "csv")
+            self._assert_fields_are_reference(path, columns, body, first)
 
 
 def _scaled(mantissas, exponents):

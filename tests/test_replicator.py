@@ -51,12 +51,16 @@ from simplexflow.replicator import (
     FIRST_BLOCK,
     LOG_CLAMP,
     REPARAMETERIZATION_CONTROLS,
-    _run_flow,
     _run_flows,
 )
 from simplexflow.trajectory import BlockCounts, TrajectoryRecord
 
 from conftest import score_lists, weight_lists
+
+
+def _run_flow(kind, p0, *args):
+    """The adaptive flow from the one start p0: ``_run_flows`` on one row."""
+    return _run_flows(kind, [p0], *args)[0]
 
 
 class TestSchedules:
@@ -913,7 +917,7 @@ class Counted:
 
 
 class TestEmbeddedPair:
-    """The Dormand-Prince 5(4) driver of ``_run_flow``: a first integral of the
+    """The Dormand-Prince 5(4) driver of ``_run_flows``: a first integral of the
     rotation flow, gate B's instances at a bound and a step count pinned here,
     steps that end on schedule breakpoints, and the reuse of a step's last
     stage as the next step's first (FSAL).  Each bound is about the measured
