@@ -82,13 +82,6 @@ class ScoreField:
         """True when scores do not actually depend on the state."""
         return self.coupling is None or not self.coupling.any()
 
-    @property
-    def lipschitz_bound(self) -> float:
-        """Spectral norm of the coupling; Lipschitz constant of p -> s(p)."""
-        if self.coupling is None:
-            return 0.0
-        return float(np.linalg.norm(self.coupling, 2))
-
     def scores_at(self, p: np.ndarray) -> np.ndarray:
         """s(p) at a point, or at each row of a (K, V) array; stacked (1, V)
         products keep each row equal to its point to the bit, (K, V) @ B.T not."""

@@ -93,6 +93,16 @@ def _inf_on_overflow(fn: Callable[[float], float], x: float) -> float:
         return math.inf
 
 
+def _math_map(fn: Callable[[float], float], x: np.ndarray) -> np.ndarray:
+    """``_inf_on_overflow(fn, .)`` of each entry of the 1-D array ``x``, a C-level
+    ``map`` unless one overflows: ``np.exp`` differs from ``math.exp`` in the last bit."""
+    values = x.tolist()
+    try:
+        return np.array(list(map(fn, values)))
+    except OverflowError:
+        return np.array([_inf_on_overflow(fn, v) for v in values])
+
+
 class FieldKind(Enum):
     LITERAL = "literal"
     ENTROPIC = "entropic"
@@ -100,6 +110,8 @@ class FieldKind(Enum):
 
 # ---------------------------------------------------------------------------
 # temperature schedules
+# ``effective_time`` and ``entropic_weight`` map a 1-D array of times to tau(t)
+# and w(t) (see ``_solve_blocks``); an overflow is inf, warned as numpy warns.
 # ---------------------------------------------------------------------------
 
 
@@ -113,11 +125,11 @@ class ConstantSchedule:
     def at(self, t: float) -> float:
         return self.temperature
 
-    def effective_time(self, t: float) -> float:
+    def effective_time(self, t: np.ndarray) -> np.ndarray:
         return t / self.temperature
 
-    def entropic_weight(self, t: float) -> float:
-        return -math.expm1(-t) / self.temperature
+    def entropic_weight(self, t: np.ndarray) -> np.ndarray:
+        return -_math_map(math.expm1, -t) / self.temperature
 
     def breakpoints(self) -> tuple:
         return ()
@@ -150,27 +162,21 @@ class PiecewiseConstantSchedule:
     def at(self, t: float) -> float:
         return self.values[bisect_right(self.times, t)]
 
-    def _pieces(self, t: float):
-        """(start, end, T) of each constant piece of [0, t], in order."""
-        prev = 0.0
-        for edge, value in zip(self.times, self.values):
-            if t <= prev:
-                return
-            yield prev, min(t, edge), value
-            prev = edge
-        if t > prev:
-            yield prev, t, self.values[-1]
-
-    def effective_time(self, t: float) -> float:
-        tau = 0.0
-        for start, end, value in self._pieces(t):
-            tau += (end - start) / value
+    def effective_time(self, t: np.ndarray) -> np.ndarray:
+        tau = np.zeros(len(t))
+        # a piece adds its term to each row it covers, in a row's own order
+        for start, edge, value in zip((0.0, *self.times), (*self.times, math.inf), self.values):
+            rows = t > start
+            tau[rows] += (np.minimum(t[rows], edge) - start) / value
         return tau
 
-    def entropic_weight(self, t: float) -> float:
-        w = 0.0
-        for start, end, value in self._pieces(t):
-            w += math.exp(end - t) * -math.expm1(start - end) / value
+    def entropic_weight(self, t: np.ndarray) -> np.ndarray:
+        w = np.zeros(len(t))
+        for start, edge, value in zip((0.0, *self.times), (*self.times, math.inf), self.values):
+            rows = t > start
+            end = np.minimum(t[rows], edge)
+            decay = _math_map(math.exp, end - t[rows])
+            w[rows] += decay * -_math_map(math.expm1, start - end) / value
         return w
 
     def breakpoints(self) -> tuple:
@@ -195,21 +201,21 @@ class ExponentialSchedule:
             raise InvalidInputError(f"temperature schedule overflows at t={t:.6g}")
         return temperature
 
-    def effective_time(self, t: float) -> float:
+    def effective_time(self, t: np.ndarray) -> np.ndarray:
         if self.rate == 0.0:
             return t / self.initial
         scale = self.initial * self.rate  # when it underflows to 0, divide in two steps
-        growth = -_inf_on_overflow(math.expm1, -self.rate * t)
+        growth = -_math_map(math.expm1, -self.rate * t)
         return growth / scale if scale else growth / self.rate / self.initial
 
-    def entropic_weight(self, t: float) -> float:
+    def entropic_weight(self, t: np.ndarray) -> np.ndarray:
         # (e^{-rt} - e^{-t}) / (T0 (1 - r)) with the larger exponential
         # factored out, so neither factor overflows while the other underflows
         d = abs(1.0 - self.rate)
         if d == 0.0:
-            return t * math.exp(-t) / self.initial
-        larger = _inf_on_overflow(math.exp, -min(self.rate, 1.0) * t)
-        return larger * -math.expm1(-d * t) / (self.initial * d)
+            return t * _math_map(math.exp, -t) / self.initial
+        larger = _math_map(math.exp, -min(self.rate, 1.0) * t)
+        return larger * -_math_map(math.expm1, -d * t) / (self.initial * d)
 
     def breakpoints(self) -> tuple:
         return ()
@@ -260,7 +266,8 @@ def effective_time(schedule: TemperatureSchedule, t: float) -> float:
     """Closed-form effective time tau(t) = integral of 1/T(u) du over [0, t]."""
     if t < 0:
         raise InvalidInputError(f"time must be nonnegative, got {t}")
-    return as_schedule(schedule).effective_time(float(t))
+    with np.errstate(over="ignore"):
+        return float(as_schedule(schedule).effective_time(np.array([float(t)]))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -712,10 +719,9 @@ def _solve_blocks(
     ``measure`` stops at.
 
     Row k is ``normalize(a ell0 + b shifted)`` at t = times[k], with (a, b) =
-    (1, effective_time) for LITERAL and (e^{-t}, entropic_weight) for
-    ENTROPIC.  The coefficients are the scalar ``math`` functions, which
-    ``np.exp`` does not match to the bit, mapped over the block's times with
-    ``map`` (no Python loop per row); the overflow test is one array mask.
+    (1, tau(t)) for LITERAL and (e^{-t}, w(t)) for ENTROPIC: b is one call of
+    the schedule's ``effective_time`` or ``entropic_weight`` on the block's
+    times, e^{-t} one ``_math_map``, and the overflow test one array mask.
     Rows are evaluated as (K, V) blocks: K starts at FIRST_BLOCK, the size
     that takes most runs in one block (see there), doubles from block to
     block and is capped at BLOCK_BYTES; no row's value depends on the layout.
@@ -745,17 +751,15 @@ def _solve_blocks(
         except InvalidInputError as exc:  # raised once every earlier row is measured
             failure = exc
         temperatures = np.array(temperatures)
-        b = np.array(list(map(weight, stamps[: len(temperatures)])))
         with np.errstate(all="ignore"):
+            b = weight(chunk[: len(temperatures)])
             finite = (temperatures > 0.0) & np.isfinite(b * spread + spread / temperatures)
         if not finite.all():
             row = int(finite.argmin())
             failure = overflow_note(start + row, stamps[row])
             temperatures, b = temperatures[:row], b[:row]
         if len(b):
-            a = 1.0
-            if entropic:
-                a = np.array(list(map(math.exp, (-chunk[: len(b)]).tolist())))[:, np.newaxis]
+            a = _math_map(math.exp, -chunk[: len(b)])[:, np.newaxis] if entropic else 1.0
             logs = _normalize_rows(a * ell0 + b[:, np.newaxis] * shifted)
             stop, status, diagnostics, columns = measure(temperatures, logs)
             evaluated += len(b)
@@ -934,13 +938,13 @@ def integrate_entropic_rows(
         )
     times = np.array([0.0] + sorted(samples))
     n, k, size = len(S), len(times), S.shape[1]
-    # _solve_blocks' coefficients (a, b) of each time, b by ConstantSchedule.entropic_weight
-    a = np.array(list(map(math.exp, (-times).tolist())))
-    b = -np.array(list(map(math.expm1, (-times).tolist()))) / temperatures[:, np.newaxis]
     scaled = shifted / temperatures[:, np.newaxis]
     rows_t = np.repeat(temperatures, k)
-    # an instance's rows from its first overflowing weight on are never kept
+    # _solve_blocks' coefficients (a, b) of each time; dividing by T = 1 is
+    # exact.  An instance's rows from its first overflowing weight on are never kept.
+    a = _math_map(math.exp, -times)
     with np.errstate(all="ignore"):
+        b = ConstantSchedule(1.0).entropic_weight(times) / temperatures[:, np.newaxis]
         finite = np.isfinite(b * spread[:, np.newaxis] + (spread / temperatures)[:, np.newaxis])
         ell0 = np.log(P0)[:, np.newaxis]
         weighted = a[:, np.newaxis] * ell0 + b[..., np.newaxis] * shifted[:, np.newaxis]
@@ -1100,7 +1104,8 @@ def _reparameterization_deviation(
     constant, inner = (lambda p: s.values), (lambda p: p @ s.values)
     (run_sched,) = _run_flows(kind, [p0], constant, inner, sched, horizon, base, dense=True)
 
-    taus = np.array([sched.effective_time(t) for t in grid])
+    with np.errstate(over="ignore"):  # an overflowing tau(horizon) fails the unit run
+        taus = sched.effective_time(grid)
     unit = replace(base, sample_times=tuple(taus))
     (run_unit,) = _run_flows(
         kind, [p0], constant, inner, ConstantSchedule(1.0), float(taus[-1]), unit, dense=True

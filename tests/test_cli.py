@@ -1467,6 +1467,11 @@ def _extreme_runs(draw):
 @given(_extreme_runs())
 @example((["simulate", "--scores=1,0,0.5"], _LINEAR_OVERFLOWS[0], True))
 @example((["simulate", "--scores=1e300,0"], _LINEAR_OVERFLOWS[1], True))
+# flow weights that overflow at t = 18.5905 and t = 123.285 end the run, exit 3
+@example((["simulate", "--scores=1,0,-0.5", "--dynamics", "literal", "--tol", "0",
+           "--schedule", "exponential:1e-300:-1", "--horizon", "50"], None, False))
+@example((["simulate", "--scores=1,0,-0.5", "--dynamics", "literal", "--tol", "0",
+           "--schedule", "piecewise:0:1,1:1e-306", "--horizon", "1e3"], None, False))
 def test_extreme_inputs_end_in_an_exit_code_and_finite_files(run):
     """Every run exits 0, 2 or 3, and one drawn to be rejected exits 2; one
     that writes its files writes a manifest that strict JSON parses and a

@@ -97,12 +97,6 @@ class TestScoreField:
             scores = field.scores_at(p)
             assert abs(float(p @ scores) - float(p @ field.base)) <= 1e-14
 
-    def test_lipschitz_bound_is_the_spectral_norm(self, rng):
-        coupling = rng.uniform(-2, 2, (4, 4))
-        field = linear_field(np.zeros(4), coupling)
-        assert field.lipschitz_bound == pytest.approx(np.linalg.norm(coupling, 2))
-        assert constant_field(np.zeros(3)).lipschitz_bound == 0.0
-
     def test_scores_at_rows_equal_the_points_to_the_bit(self, rng):
         field = linear_field(rng.normal(size=5), rng.normal(size=(5, 5)))
         rows = rng.dirichlet(np.ones(5), size=40)

@@ -92,6 +92,40 @@ class TestSchedules:
         taus = [effective_time(sched, float(t)) for t in ts]
         assert np.all(np.diff(taus) > 0)
 
+    def test_array_coefficients_equal_the_per_time_formulas_to_the_bit(self):
+        schedules = (
+            *GATE_SCHEDULES,
+            ExponentialSchedule(1e-24, 1e-300),
+            ExponentialSchedule(2.0, 0.0),
+            ExponentialSchedule(0.5, 1.0),
+            parse_schedule("exponential:3:5"),
+            parse_schedule("exponential:1e-300:-1"),
+            parse_schedule("piecewise:0:1,1:1e-306"),
+            parse_schedule("piecewise:0:0.3,0.7:1.9,2.2:0.7"),  # a sum's order shows
+        )
+        rng = np.random.default_rng(23)
+        for schedule in schedules:
+            edges = np.array(schedule.breakpoints())
+            times = np.concatenate([
+                [0.0, 5e-324, 1e300],
+                edges, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf),
+                np.arange(700.0, 751.0),  # e^t overflows from t = 710 on
+                rng.uniform(0.0, 10.0, 200), rng.exponential(100.0, 60),
+            ])
+            for kind, method in (
+                (FieldKind.LITERAL, schedule.effective_time),
+                (FieldKind.ENTROPIC, schedule.entropic_weight),
+            ):
+                reference = np.array([scalar_weight(kind, schedule, t) for t in times])
+                with np.errstate(over="ignore"):  # as in every caller
+                    alone = np.concatenate([method(times[k : k + 1]) for k in range(len(times))])
+                    block = np.concatenate(
+                        [method(times[k : k + 128]) for k in range(0, len(times), 128)]
+                    )
+                assert not np.isnan(reference).any()
+                assert reference.view(np.int64).tolist() == alone.view(np.int64).tolist()
+                assert reference.view(np.int64).tolist() == block.view(np.int64).tolist()
+
     def test_invalid_schedules_raise(self):
         with pytest.raises(InvalidInputError):
             PiecewiseConstantSchedule((2.0, 1.0), (1.0, 1.0, 1.0))
@@ -518,16 +552,62 @@ class TestClosedFormGates:
                 assert np.max(np.abs(sample.p.probs[mask] / exact.probs[mask] - 1.0)) < 1e-6
 
 
+def _inf_on_overflow(fn, x):
+    try:
+        return fn(x)
+    except OverflowError:
+        return math.inf
+
+
+def scalar_weight(kind, schedule, t):
+    """The coefficient b at the one time t in Python floats: tau(t) for
+    LITERAL and w(t) for ENTROPIC, by each schedule's per-time formula."""
+    t = float(t)
+    if isinstance(schedule, ConstantSchedule):
+        if kind is FieldKind.ENTROPIC:
+            return -math.expm1(-t) / schedule.temperature
+        return t / schedule.temperature
+    if isinstance(schedule, PiecewiseConstantSchedule):
+        pieces, prev = [], 0.0  # (start, end, T) of each constant piece of [0, t]
+        for edge, value in zip(schedule.times, schedule.values):
+            if t <= prev:
+                break
+            pieces.append((prev, min(t, edge), value))
+            prev = edge
+        else:
+            if t > prev:
+                pieces.append((prev, t, schedule.values[-1]))
+        b = 0.0
+        for start, end, value in pieces:
+            if kind is FieldKind.ENTROPIC:
+                b += math.exp(end - t) * -math.expm1(start - end) / value
+            else:
+                b += (end - start) / value
+        return b
+    initial, rate = schedule.initial, schedule.rate
+    if kind is FieldKind.LITERAL:
+        if rate == 0.0:
+            return t / initial
+        scale = initial * rate
+        growth = -_inf_on_overflow(math.expm1, -rate * t)
+        return growth / scale if scale else growth / rate / initial
+    d = abs(1.0 - rate)
+    if d == 0.0:
+        return t * math.exp(-t) / initial
+    larger = _inf_on_overflow(math.exp, -min(rate, 1.0) * t)
+    return larger * -math.expm1(-d * t) / (initial * d)
+
+
 def scalar_logs(kind, p0, s, schedule, times):
     """Each stop alone: normalize(a log p0 + b (s - max s)) with (a, b) =
-    (1, effective_time) for LITERAL and (e^{-t}, entropic_weight) for ENTROPIC."""
+    (1, tau(t)) for LITERAL and (e^{-t}, w(t)) for ENTROPIC, b by
+    ``scalar_weight``."""
     entropic = kind is FieldKind.ENTROPIC
     ell0, shifted = np.log(p0.probs), s.values - s.values.max()
     rows = []
     for t in times:
         a = math.exp(-t) if entropic else 1.0
-        b = schedule.entropic_weight(t) if entropic else schedule.effective_time(t)
-        rows.append(normalized(a * ell0 + b * shifted))
+        rows.append(normalized(a * ell0 + scalar_weight(kind, schedule, t) * shifted))
     return rows
 
 
@@ -738,6 +818,14 @@ class TestEntropicRows:
         assert len({len(row.t) for row in rows[2:]}) == 4
         assert {row.terminal_status for row in rows} == {
             TerminalStatus.CONVERGED, TerminalStatus.MAX_TIME}
+
+    def test_a_weight_that_overflows_after_the_stop_is_no_warning(self):
+        # equal scores at T = 5e-324: w(t) / T is inf from the second row on,
+        # past the stop at t = 0
+        rows = self.assert_rows_are_their_runs(
+            [[0.5, 0.5]], [[1.0, 1.0]], [5e-324], 1.0, IntegratorControls()
+        )
+        assert rows[0].terminal_status is TerminalStatus.CONVERGED and len(rows[0].t) == 1
 
     @pytest.mark.parametrize(
         "s, p, temp, error, named",
