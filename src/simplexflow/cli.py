@@ -505,9 +505,31 @@ def _iterate_table(record: TrajectoryRecord, mask: Optional[FaceMask]) -> tuple:
     return columns, (body, 1)
 
 
-#: values per CSV block: ``csvfloats.format_block`` peaks near 75 bytes a
-#: value and costs about 120 numpy calls a block
-_CSV_BLOCK = 1536
+#: values per CSV block: ``csvfloats.format_block`` peaks near 65 bytes a
+#: value (its 32-byte slots, then ``bytearray.translate``'s result as long
+#: as them) and costs about 115 numpy calls a block
+_CSV_BLOCK = 2560
+
+
+def _numbered_values(out: np.ndarray, body: np.ndarray, first: int, start: int) -> np.ndarray:
+    """``out`` filled with the flat table from its value ``start`` on, where
+    the table is ``body`` with the step of each row before its first value."""
+    width = body.shape[1] + 1
+    row, column = divmod(start, width)
+    done = 0
+    if column:
+        done = min(width - column, len(out))
+        out[:done] = body[row, column - 1:column - 1 + done]
+        row += 1
+    rows = (len(out) - done) // width
+    grid = out[done:done + rows * width].reshape(rows, width)
+    grid[:, 0] = np.arange(row + first, row + first + rows)
+    grid[:, 1:] = body[row:row + rows]
+    done, row = done + rows * width, row + rows
+    if done < len(out):
+        out[done] = row + first
+        out[done + 1:] = body[row, :len(out) - done - 1]
+    return out
 
 
 def _write_table(path: Path, columns: list, table: tuple, fmt: str) -> None:
@@ -516,11 +538,12 @@ def _write_table(path: Path, columns: list, table: tuple, fmt: str) -> None:
 
     Both formats are streamed, so no Python list of the whole table is ever
     built.  A CSV goes out in blocks of ``_CSV_BLOCK`` values of the flat
-    table, step column included, each rendered by ``csvfloats.format_block``:
-    the bytes of ``'%.17g' % x`` (17 significant digits: every float64
-    parses back exactly; ``nan``, ``inf``, ``-0``), and a step as
-    ``str(step)``.  A JSON row is ``_strict_json`` of its list, joined as
-    ``json.dumps`` joins a list, so the file holds the bytes of
+    table, step column included, each rendered by ``csvfloats.format_block``
+    in one block buffer (and, with steps, one value buffer) per table: the
+    bytes of ``'%.17g' % x`` (17 significant digits: every float64 parses
+    back exactly; ``nan``, ``inf``, ``-0``), and a step as ``str(step)``.  A
+    JSON row is ``_strict_json`` of its list, joined as ``json.dumps`` joins
+    a list, so the file holds the bytes of
     ``_strict_json({"columns": columns, "rows": rows})``."""
     body, first = table
     numbered = first is not None
@@ -537,20 +560,18 @@ def _write_table(path: Path, columns: list, table: tuple, fmt: str) -> None:
     width = body.shape[1] + numbered
     flat = body.reshape(-1)
     total = len(body) * width
+    size = min(_CSV_BLOCK, total)
+    block = bytearray(csvfloats.SLOT_BYTES * size)
+    numbered_values = np.empty(size) if numbered else None
     with path.open("wb") as fh:
         fh.write((",".join(columns) + "\n").encode())
         for start in range(0, total, _CSV_BLOCK):
             stop = min(start + _CSV_BLOCK, total)
             if numbered:
-                # rows before the block's start and stop; the step of each row
-                # that starts in the block goes before that row's first value
-                before, upto = -(-start // width), -(-stop // width)
-                rows = np.arange(before, upto)
-                at = rows * (width - 1) - start + before
-                values = np.insert(flat[start - before:stop - upto], at, rows + first)
+                values = _numbered_values(numbered_values[:stop - start], body, first, start)
             else:
                 values = flat[start:stop]
-            fh.write(csvfloats.format_block(values, start % width, width))
+            fh.write(csvfloats.format_block(values, start % width, width, block))
 
 
 # ---------------------------------------------------------------------------

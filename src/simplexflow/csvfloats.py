@@ -10,6 +10,11 @@ a byte template per (notation, significant digits) lays them out by the
 ``d.ddde+XX``, trailing zeros dropped and ``-0`` kept.  A value that is not
 finite, or whose rounding lies within 1e-9 of a tie (the error is about
 1e-14 of a unit), goes through ``'%.17g' % x`` itself (Gay 1990).
+
+Every array step writes into six rows of float64 scratch, four of them the
+memory of the 32-byte slots the text is laid out in.  A block of n values
+peaks near 65n bytes when ``bytearray.translate`` drops the unused bytes of
+the slots: it allocates its result as long as them.
 """
 
 from __future__ import annotations
@@ -30,27 +35,26 @@ _SPLIT = 134217729.0
 #: the sign, 1-5 the "0.000" of fixed notation below 1, 6 the first digit, 7
 #: a point after it, 8-23 the other 16 digits, 24-28 "e+XXX", 29 the
 #: separator; a byte left 0 is dropped
-_WIDTH = 32
+SLOT_BYTES = 32
 #: a value's pattern is (notation class, significant digits): class 0 is
 #: exponent notation, class X + 5 fixed notation at decimal exponent X
 _FIXED = range(-4, 17)
 
 
 class _Tables(NamedTuple):
-    #: (4, q) rows hi, head(hi), tail(hi), lo: 10^q = (hi + lo) 2^g with hi
-    #: in [1/2, 1] and |lo| <= 2^-54, head + tail = hi in 26-bit halves
+    #: (2, q) rows hi, lo: 10^q = (hi + lo) 2^g with hi in [1/2, 1] and
+    #: |lo| <= 2^-54
     powers: np.ndarray
-    #: g per q
+    #: int32 g per q
     binary_exponents: np.ndarray
-    #: 2.0 ** i, to scale by 2^(e + g)
-    powers_of_two: np.ndarray
-    #: uint64 per first digit: it at byte 6
-    first_digit: np.ndarray
     #: (3, patterns) uint64: words 0-2 of a pattern: the prefix, "0" (48) at
     #: each kept digit byte and a point after the first digit; a digit's
     #: value is added
     patterns: np.ndarray
-    #: per X - _X_MIN: class * 18, so + significant digits (0 as 1) is the pattern
+    #: per pattern: fixed notation from 10 up with a point inside the digits
+    inner_point: np.ndarray
+    #: int16 per X - _X_MIN: class * 18, so + significant digits (0 as 1) is
+    #: the pattern
     class_code: np.ndarray
     #: per X - _X_MIN: word 3 without its separator ("e", sign, 2 or 3 digits)
     exponent_words: np.ndarray
@@ -60,8 +64,8 @@ class _Tables(NamedTuple):
 def _tables() -> _Tables:
     """Built on first use (2-5 ms), exactly: Python integer division rounds
     10^q to 106 bits correctly."""
-    hi, lo = np.empty((2, _Q_MAX + 1 - _Q_MIN))
-    binary_exponents = np.empty(hi.size, np.int16)
+    powers = np.empty((2, _Q_MAX + 1 - _Q_MIN))
+    binary_exponents = np.empty(powers.shape[1], np.int32)
     for row, q in enumerate(range(_Q_MIN, _Q_MAX + 1)):
         num, den = (10**q, 1) if q >= 0 else (1, 10**-q)
         g = num.bit_length() - den.bit_length()
@@ -70,17 +74,16 @@ def _tables() -> _Tables:
         num, den = num << max(0, 106 - g), den << max(0, g - 106)
         scaled = (2 * num + den) // (2 * den)
         top = (scaled + (1 << 52)) >> 53
-        hi[row], lo[row] = math.ldexp(top, -53), math.ldexp(scaled - (top << 53), -106)
+        powers[:, row] = math.ldexp(top, -53), math.ldexp(scaled - (top << 53), -106)
         binary_exponents[row] = g
-    head = hi * _SPLIT
-    head -= head - hi
     # words 0-2 of each pattern, then word 3 of each exponent
-    patterns, exponent_words = bytearray(), bytearray()
+    patterns, exponent_words, inner_point = bytearray(), bytearray(), []
     for x in [None, *_FIXED]:
         point = 1 if x is None else max(x + 1, 0)
         prefix = b"" if x is None or x >= 0 else b"0.000"[: 1 - x]
         for significant in range(18):
             kept = max(significant, point, 1)
+            inner_point.append(x is not None and 1 < point < significant)
             patterns += b"\0" + prefix.ljust(5, b"\0") + b"0"
             patterns += b"." if point == 1 < significant else b"\0"
             patterns += (b"0" * (kept - 1)).ljust(16, b"\0")
@@ -89,12 +92,11 @@ def _tables() -> _Tables:
         text = b"\0\0" if x in _FIXED else b"e%+03d" % x
         exponent_words += text[:2] + text[2:].rjust(3, b"\0") + bytes(3)
     tables = _Tables(
-        powers=np.array([hi, head, hi - head, lo]),
+        powers=powers,
         binary_exponents=binary_exponents,
-        powers_of_two=2.0 ** np.arange(80),
-        first_digit=np.arange(10, dtype=np.uint64) << np.uint64(48),
         patterns=np.frombuffer(patterns, np.uint64).reshape(-1, 3).T.copy(),
-        class_code=18 * np.where(np.isin(exponents, _FIXED), exponents + 5, 0),
+        inner_point=np.array(inner_point),
+        class_code=np.where(np.isin(exponents, _FIXED), 18 * (exponents + 5), 0).astype(np.int16),
         exponent_words=np.frombuffer(exponent_words, np.uint64),
     )
     for array in tables:
@@ -102,76 +104,95 @@ def _tables() -> _Tables:
     return tables
 
 
-def _scaled_decimal(m: np.ndarray, e: np.ndarray, k: np.ndarray, tables: _Tables) -> tuple:
-    """(y_hi, y_lo) with y_hi + y_lo = m 2^e 10^(16 - k) to about 1e-31
-    relative; ``m`` becomes y_lo and ``e`` is overwritten."""
-    row = np.subtract(16 - _Q_MIN, k, dtype=np.intp)
-    hi, head, tail, lo = tables.powers
-    y_hi = hi[row]
-    y_hi *= m
-    m_head = m * _SPLIT
-    m_tail = m_head - m
-    m_head -= m_tail
-    np.subtract(m, m_head, out=m_tail)
-    part = lo[row]
-    m *= part
-    # plus the rounding error of m * hi, exactly (Dekker 1971)
-    np.take(head, row, out=part)
-    error = m_head * part
-    error -= y_hi
-    part *= m_tail
+def _scaled_decimal(k: np.ndarray, slots, tables: _Tables) -> tuple:
+    """(y_hi, y_lo), rows of ``slots``, with y_hi + y_lo = |x| 10^(16 - k)
+    to about 1e-31 relative.  ``slots`` is six float64 rows shaped like
+    ``k``, row 0 holding |x| (finite, nonzero); every row is overwritten."""
+    m, p, m_head, error, part, tail = slots
+    # m 2^(e + g) first: a power of two scales every product below exactly
+    row = tail.view(np.intp)
+    np.subtract(16 - _Q_MIN, k, out=row)
+    e = p.view(np.int32)[: len(k)]
+    np.frexp(m, out=(m, e))
+    g = m_head.view(np.int32)[: len(k)]
+    np.take(tables.binary_exponents, row, out=g, mode="clip")
+    e += g
+    np.ldexp(m, e, out=m)
+    hi, lo = tables.powers
+    np.take(hi, row, out=p, mode="clip")
+    # hi = head + tail and m = m_head + m_tail, each in 26-bit halves
+    head = part
+    np.multiply(p, _SPLIT, out=head)
+    np.subtract(head, p, out=tail)
+    head -= tail
+    np.subtract(p, head, out=tail)
+    p *= m
+    np.multiply(m, _SPLIT, out=m_head)
+    np.subtract(m_head, m, out=error)
+    m_head -= error
+    m_tail = np.subtract(m, m_head, out=m)
+    # the rounding error of m * hi, exactly (Dekker 1971)
+    np.multiply(m_head, head, out=error)
+    error -= p
+    head *= m_tail
+    error += head
+    np.multiply(m_head, tail, out=part)
     error += part
-    np.take(tail, row, out=part)
-    m_head *= part
-    error += m_head
-    m_tail *= part
-    error += m_tail
-    m += error
-    del m_head, m_tail, part, error
-    e += tables.binary_exponents[row]
-    scale = tables.powers_of_two[e]
-    y_hi *= scale
-    m *= scale
-    return y_hi, m
+    tail *= m_tail
+    error += tail
+    # plus m * lo
+    m = np.add(m_head, m_tail, out=m_head)
+    row = m_tail.view(np.intp)
+    np.subtract(16 - _Q_MIN, k, out=row)
+    np.take(lo, row, out=part, mode="clip")
+    part *= m
+    error += part
+    return p, error
 
 
-def decimal_digits(values: np.ndarray) -> tuple:
+def decimal_digits(values: np.ndarray, slots=None) -> tuple:
     """(digits, exponent, fallback) of float64 ``values``, as ``'%.17g'``
     rounds them: the 17 significant digits as an int64 in [1e16, 1e17) and
     the decimal exponent as an int16 (0 and 0 for a zero or a value that is
-    not finite).  ``fallback``
-    marks a value that is not finite or whose rounding lies within 1e-9 of a
-    tie; its digits are not meant to be used."""
+    not finite).  ``fallback`` marks a value that is not finite or whose
+    rounding lies within 1e-9 of a tie; its digits are not meant to be used.
+    ``slots``, six float64 rows shaped like ``values``, is the scratch; the
+    digits are returned in the memory of its row 4."""
     tables = _tables()
-    a = np.abs(values)
-    nonfinite = ~np.isfinite(a)
+    if slots is None:
+        slots = np.empty((6, len(values)))
+    a = slots[0]
+    np.abs(values, out=a)
+    nonfinite = np.isfinite(values)
+    np.logical_not(nonfinite, out=nonfinite)
     # zeros and non-finite values are scaled as 2.0, clear of the edges
     # below; their digits are reset
-    special = nonfinite | (a == 0)
+    special = a == 0
+    special |= nonfinite
     a[special] = 2.0
-    k = np.log10(a)
-    np.floor(k, out=k)
-    k = k.astype(np.int16)
-    m, e = np.frexp(a)
-    del a
-    y_hi, y_lo = _scaled_decimal(m, e, k, tables)
-    del m, e
+    np.log10(a, out=slots[1])
+    np.floor(slots[1], out=slots[1])
+    k = slots[1].astype(np.int16)
+    y_hi, y_lo = _scaled_decimal(k, slots, tables)
     # log10 may round across a power of ten, and then y falls outside
     # [1e16, 1e17); a y_hi strictly inside leaves y inside
-    edge = np.flatnonzero(np.abs(y_hi - 5.5e16) >= 4.5e16)
+    distance = np.subtract(y_hi, 5.5e16, out=slots[0])
+    edge = np.flatnonzero(np.abs(distance, out=distance) >= 4.5e16)
     if edge.size:
         k[edge] += (y_hi[edge] - 1e17) + y_lo[edge] >= 0
         k[edge] -= (y_hi[edge] - 1e16) + y_lo[edge] < 0
-        y_hi[edge], y_lo[edge] = _scaled_decimal(*np.frexp(np.abs(values[edge])), k[edge], tables)
-    del edge
+        redo = np.empty((6, edge.size))
+        np.abs(values[edge], out=redo[0])
+        y_hi[edge], y_lo[edge] = _scaled_decimal(k[edge], redo, tables)
     # y_hi >= 1e16 > 2^53 is an integer, so y rounds where y_lo does
-    whole = np.rint(y_lo)
+    whole = np.rint(y_lo, out=slots[0])
     y_lo -= whole
-    fallback = np.abs(y_lo) > 0.5 - 1e-9
+    fallback = np.abs(y_lo, out=y_lo) > 0.5 - 1e-9
     fallback |= nonfinite
-    digits = y_hi.astype(np.int64)
-    digits += whole.astype(np.int64)
-    del y_hi, y_lo, whole, nonfinite
+    digits, rounding = slots[4].view(np.int64), slots[2].view(np.int64)
+    np.copyto(digits, y_hi, casting="unsafe")
+    np.copyto(rounding, whole, casting="unsafe")
+    digits += rounding
     carry = digits == 10**17
     digits[carry] = 10**16
     k += carry
@@ -180,75 +201,92 @@ def decimal_digits(values: np.ndarray) -> tuple:
     return digits, k, fallback
 
 
-def format_block(values: np.ndarray, column: int, width: int) -> bytearray:
+def format_block(values: np.ndarray, column: int, width: int, block: bytearray) -> bytearray:
     """The bytes of ``'%.17g' % x`` for each of the float64 ``values``, each
     followed by "," or, at the last of ``width`` columns, by a newline; the
-    first value is in column ``column`` (0-based) of its row.  Each array is
-    released once used, so a block peaks near 75 bytes a value."""
+    first value is in column ``column`` (0-based) of its row.  The text is
+    laid out in ``block``, a bytearray of at least ``SLOT_BYTES`` a value
+    that a caller may reuse from block to block; the digits are found in it
+    and two more float64 rows, released before the slots are translated."""
     tables = _tables()
-    digits, k, fallback = decimal_digits(values)
+    n = len(values)
+    planes = np.frombuffer(block, np.float64, 4 * n).reshape(4, n)
+    spare = np.empty((2, n))
+    digits, k, fallback = decimal_digits(values, [*planes, *spare])
     # the first digit, then the next 16 as two words of eight, a digit a byte
     # (SWAR: halving the decimal width in each lane of a word at a time)
-    first, digits = np.divmod(digits, 10**16)
-    first = first.astype(np.uint8)
-    octets = np.array(np.divmod(digits, 10**8))
-    del digits
-    lanes = octets // 10**4
-    octets -= lanes * 10**4
+    octets, lanes = spare.view(np.uint64), planes[:2].view(np.uint64)
+    np.divmod(octets[0], 10**16, out=(lanes[0], octets[0]))
+    first = lanes[0].astype(np.uint8)
+    np.divmod(octets[0], 10**8, out=(octets[0], octets[1]))
+    # each step keeps (x - c l) << b | l with l = x // c in each lane of b
+    # bits: (x << b) - ((c << b) - 1) l, so the lanes need no division
+    np.multiply(octets, 109951163, out=lanes)
+    lanes >>= 40
     octets <<= 32
-    octets |= lanes
+    lanes *= (10**4 << 32) - 1
+    octets -= lanes
     np.multiply(octets, 5243, out=lanes)
     lanes >>= 19
     lanes &= 0x0000007F0000007F
-    octets -= lanes * 100
     octets <<= 16
-    octets |= lanes
+    lanes *= (100 << 16) - 1
+    octets -= lanes
     np.multiply(octets, 103, out=lanes)
     lanes >>= 10
     lanes &= 0x000F000F000F000F
-    octets -= lanes * 10
     octets <<= 8
-    octets |= lanes
-    del lanes
+    lanes *= (10 << 8) - 1
+    octets -= lanes
     # the last nonzero digit: the highest nonzero byte of either word
-    used = np.frexp(octets.astype(np.float64))[1]
-    used += 7
-    used >>= 3
-    significant = used[1] + 9
-    significant *= used[1] > 0
-    np.maximum(significant, used[0] + 1, out=significant)
-    del used
-    code = tables.class_code[k - _X_MIN]
+    scaled = planes[2:]
+    np.copyto(scaled, octets)
+    used = planes[0].view(np.int32).reshape(2, n)
+    np.frexp(scaled, out=(scaled, used))
+    counts = planes[1].view(np.int16)[: 2 * n].reshape(2, n)
+    np.copyto(counts, used)
+    counts += 7
+    counts >>= 3
+    significant = counts[1]
+    np.add(significant, 9, out=significant, where=significant > 0)
+    counts[0] += 1
+    np.maximum(significant, counts[0], out=significant)
+    at = planes[2].view(np.intp)
+    np.subtract(k, _X_MIN, out=at)
+    code = np.take(tables.class_code, at, mode="clip")
     code += significant
-    # fixed notation from 10 up puts its point after digit k + 1 of the 17
-    inner = np.flatnonzero((k >= 1) & (k < 16) & (significant > k + 1))
-    del significant
-    block = bytearray(_WIDTH * len(values))
-    words = np.frombuffer(block, np.uint64).reshape(-1, _WIDTH // 8)
-    for j, octet in enumerate(octets, 1):
-        np.add(octet.view(np.uint64), tables.patterns[j][code], out=words[:, j])
-    del octets, octet
-    word = tables.patterns[0][code]
-    word += tables.first_digit[first]
-    word += np.signbit(values).view(np.uint8) * np.uint8(ord("-"))
-    words[:, 0] = word
-    np.take(tables.exponent_words, k - _X_MIN, out=word)
-    word |= np.uint64(ord(",") << 40)
-    word[width - 1 - column % width::width] ^= np.uint64((ord(",") ^ ord("\n")) << 40)
+    words = np.frombuffer(block, np.uint64, 4 * n).reshape(n, 4)
+    words[:, 1] = octets[0]
+    words[:, 2] = octets[1]
+    words[:, 0] = first
+    words[:, 0] <<= 48
+    np.add(words[:, 0], ord("-"), out=words[:, 0], where=np.signbit(values))
+    index, word = spare[0].view(np.intp), spare[1].view(np.uint64)
+    np.copyto(index, code)
+    inner = np.flatnonzero(tables.inner_point[index])
+    for j, pattern in enumerate(tables.patterns):
+        np.take(pattern, index, out=word, mode="clip")
+        words[:, j] += word
+    np.subtract(k, _X_MIN, out=index)
+    np.take(tables.exponent_words, index, out=word, mode="clip")
+    word |= ord(",") << 40
+    word[width - 1 - column % width::width] ^= (ord(",") ^ ord("\n")) << 40
     words[:, 3] = word
-    del first, word, code
+    del digits, first, code, octets, index, word, spare
     chars = words.view(np.uint8)
-    # the digits after such a point move one byte on, over the unused "e"
+    # fixed notation from 10 up puts its point after digit k + 1 of the 17:
+    # the digits after it move one byte on, over the unused "e"
     if inner.size:
         point = k[inner, None]
         shift = np.arange(17)
         moved = chars[inner[:, None], 8 + shift - (shift > point)]
         moved[shift == point] = ord(".")
         chars[inner, 8:25] = moved
-    del k
     for i in np.flatnonzero(fallback).tolist():
         text = b"%.17g" % values[i]
         chars[i, :29] = 0
         chars[i, :len(text)] = np.frombuffer(text, np.uint8)
-    del chars, words
+    del k, fallback
+    # slots past the last value, left from a longer block, are dropped
+    np.frombuffer(block, np.uint8)[SLOT_BYTES * n:] = 0
     return block.translate(None, b"\0")

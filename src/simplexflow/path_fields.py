@@ -34,7 +34,7 @@ from .replicator import (
     DEFAULT_HORIZON,
     FieldKind,
     IntegratorControls,
-    _DP_REACH,
+    _check_cold_spread,
     _row_dot,
     _run_flows,
     as_schedule,
@@ -218,19 +218,8 @@ def integrate_paths(
                 f"size mismatch: p0 has {p0.size} entries, field has {field.size}"
             )
     schedule = as_schedule(schedule)
-    # |slope| <= 2 max|s(p)| / T, a stage moves log p by up to _DP_REACH slopes
-    # times a step of at most the horizon, and normalizing subtracts two moves
-    if 0.0 < horizon < math.inf:  # _run_flows refuses any other horizon
-        edges = sorted({0.0, horizon, *(b for b in schedule.breakpoints() if 0.0 < b < horizon)})
-        t_cold = min(edges, key=schedule.at)
-        coldest = schedule.at(t_cold)
-        largest = float(np.abs(field.base).max()) + float(np.abs(field.coupling).max())
-        spread = largest / coldest if coldest > 0.0 else math.inf
-        if not math.isfinite(spread * 4.0 * _DP_REACH * max(horizon, 1.0)):
-            raise InvalidInputError(
-                f"linear field scores up to {largest:.3g} overflow at T({t_cold:.6g}) = "
-                f"{coldest:.3g}, the run's smallest temperature"
-            )
+    largest = float(np.abs(field.base).max()) + float(np.abs(field.coupling).max())
+    _check_cold_spread("linear field scores", largest, schedule, horizon)
     return _run_flows(
         fieldkind, starts, field.scores_at, field.potential, schedule, horizon, controls,
         dense=dense,

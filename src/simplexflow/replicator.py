@@ -435,6 +435,26 @@ _DP_D = np.array(
 )
 
 
+def _check_cold_spread(what: str, largest: float, schedule: TemperatureSchedule,
+                       horizon: float) -> None:
+    """Raise InvalidInputError when scores up to ``largest`` overflow a DP run
+    to ``horizon`` at its coldest temperature, the smallest of T at 0, at each
+    breakpoint and at the horizon: |slope| <= 2 largest / T, a stage moves
+    log p by up to _DP_REACH slopes times a step of at most the horizon, and
+    normalizing subtracts two moves."""
+    if not 0.0 < horizon < math.inf:  # _run_flows refuses any other horizon
+        return
+    edges = sorted({0.0, horizon, *(b for b in schedule.breakpoints() if 0.0 < b < horizon)})
+    t_cold = min(edges, key=schedule.at)
+    coldest = schedule.at(t_cold)
+    spread = largest / coldest if coldest > 0.0 else math.inf
+    if not math.isfinite(spread * 4.0 * _DP_REACH * max(horizon, 1.0)):
+        raise InvalidInputError(
+            f"{what} up to {largest:.3g} overflow at T({t_cold:.6g}) = "
+            f"{coldest:.3g}, the run's smallest temperature"
+        )
+
+
 def _stage_sum(coefficients: np.ndarray, slopes: np.ndarray) -> np.ndarray:
     """sum_j c_j slopes[j] over the first axis of (j, B, V) stage slopes."""
     return (coefficients @ slopes.reshape(len(coefficients), -1)).reshape(slopes.shape[1:])
@@ -1099,6 +1119,7 @@ def _reparameterization_deviation(
     if n_checkpoints < 1:
         raise InvalidInputError(f"need at least 1 checkpoint, got {n_checkpoints}")
     sched = as_schedule(schedule)
+    _check_cold_spread("scores", float(np.abs(s.values).max()), sched, horizon)
     grid = np.linspace(0.0, horizon, n_checkpoints + 1)
     base = replace(controls, sample_times=tuple(grid))
     constant, inner = (lambda p: s.values), (lambda p: p @ s.values)

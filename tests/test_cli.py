@@ -995,6 +995,28 @@ class TestSweep:
         assert cells[1]["status"] == "error"
         assert cells[1]["error"].startswith("InvalidInputError: temperature schedule overflows")
 
+    def test_a_reparameterization_cell_that_freezes_names_its_temperature(
+            self, tmp_path, monkeypatch):
+        # T(t) = e^-t underflows to 0 before t = 800; the cell fails before
+        # any step divides by it (warnings are errors here)
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "sweep.ini"
+        cfg.write_text(
+            "[run]\ntask = reparameterization\ndynamics = literal\n"
+            "[scores]\nvalues = 1, 0\n"
+            "[temperature]\nschedule = exponential:1:-1\n"
+            "[integrator]\nhorizon = 800\n"
+            "[output]\npath = frozen\n"
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["sweep", "--config", str(cfg), "--jobs", "1"]) == EXIT_DIVERGED
+        (cell,) = json.loads(Path("frozen.json").read_text())["cells"]
+        assert cell["error"] == (
+            "InvalidInputError: scores up to 1 overflow at T(800) = 0, "
+            "the run's smallest temperature"
+        )
+
     def test_unexpected_exception_is_an_error_cell(self, tmp_path, monkeypatch):
         from simplexflow import cli, csvfloats
 
@@ -1264,6 +1286,8 @@ class TestTables:
         )
         columns = ["t"] + [f"p_{i + 1}" for i in range(v)] + ["free_energy", "kl", "norm"]
         path = tmp_path / "wide.csv"
+        # from a cold start: the formatter's tables are built inside the peak
+        csvfloats._tables.cache_clear()
         tracemalloc.start()
         try:
             cli._write_table(path, columns, (body, None), "csv")
