@@ -37,8 +37,8 @@ def main() -> None:
             p0 = SimplexPoint(rng.dirichlet(np.ones(s.size)))
             traj = integrate(kind, p0, s, args.temperature, args.horizon,
                              IntegratorControls(n_samples=120))
-            columns, table = _trajectory_table(traj, None)
-            _write_table(outdir / f"{kind.value}_{i}.csv", columns, table, "csv")
+            columns, body = _trajectory_table(traj, None)
+            _write_table(outdir / f"{kind.value}_{i}.csv", columns, body, "csv")
             gain = traj.terminal.free_energy - traj.samples[0].free_energy
             print(
                 f"{kind.value:<10}{i:<7}{traj.terminal_status.value:<12}"

@@ -48,7 +48,6 @@ from .replicator import (
     FieldKind,
     IntegratorControls,
     _reparameterization_deviation,
-    as_schedule,
     parse_schedule,
 )
 from .simplex import (
@@ -153,6 +152,10 @@ class ExperimentConfig:
                 )
         if self.max_steps < 0:
             raise ConfigError("[mirror] steps must be nonnegative")
+        for key, tol in (("[mirror] kl_tol", self.kl_tol),
+                         ("[integrator] convergence_kl", self.convergence_kl)):
+            if not 0.0 <= tol < math.inf:  # 0 disables the stop
+                raise ConfigError(f"{key} (--tol) must be finite and nonnegative, got {tol!r}")
         if min([self.seed, *self.grid.get("seed", ())]) < 0:
             raise ConfigError("[run] seed (--seed) and [sweep] grid.seed must be nonnegative")
         if self.jobs < 1:
@@ -465,7 +468,7 @@ def _finish_run(
 
 
 # ---------------------------------------------------------------------------
-# table writers: a table is an (n, k) float array and its first step number
+# table writers: a table is its columns and an (n, k) float body
 # ---------------------------------------------------------------------------
 
 
@@ -479,7 +482,7 @@ def _probabilities(record: TrajectoryRecord, mask: Optional[FaceMask]) -> np.nda
 
 
 def _trajectory_table(record: TrajectoryRecord, mask: Optional[FaceMask]) -> tuple:
-    """(columns, (body, None)): one unnumbered (n, k) float row per sample."""
+    """(columns, body): one (n, k) float row per sample."""
     P = _probabilities(record, mask)
     columns = (
         ["t"] + [f"p_{i + 1}" for i in range(P.shape[1])]
@@ -488,89 +491,63 @@ def _trajectory_table(record: TrajectoryRecord, mask: Optional[FaceMask]) -> tup
     body = np.column_stack(
         [record.t, P, record.free_energy, record.kl_to_target, record.field_norm]
     )
-    return columns, (body, None)
+    return columns, body
 
 
 def _iterate_table(record: TrajectoryRecord, mask: Optional[FaceMask]) -> tuple:
-    """(columns, (body, 1)): one (n, k) float row per step, numbered from step 1."""
+    """(columns, body): one (n, k) float row per step, led by the step number."""
     P = _probabilities(record, mask)
     columns = (
         ["step"]
         + [f"p_{i + 1}" for i in range(P.shape[1])]
         + ["free_energy", "kl_step", "kl_to_softmax", "ascent_slack"]
     )
-    body = np.column_stack(
-        [P[1:], record.free_energy[1:], record.kl_move, record.kl_to_target[1:], record.slack]
-    )
-    return columns, (body, 1)
+    body = np.column_stack([
+        np.arange(1.0, len(P)), P[1:], record.free_energy[1:], record.kl_move,
+        record.kl_to_target[1:], record.slack,
+    ])
+    return columns, body
 
 
-#: values per CSV block: ``csvfloats.format_block`` peaks near 65 bytes a
-#: value (its 32-byte slots, then ``bytearray.translate``'s result as long
-#: as them) and costs about 115 numpy calls a block
+#: values per CSV block, a slice of the flat body: ``csvfloats.format_block``
+#: peaks near 65 bytes a value, whatever the values (its 32-byte slots, then
+#: ``bytearray.translate``'s result as long as them), and costs about 115
+#: numpy calls a block
 _CSV_BLOCK = 2560
 
 
-def _numbered_values(out: np.ndarray, body: np.ndarray, first: int, start: int) -> np.ndarray:
-    """``out`` filled with the flat table from its value ``start`` on, where
-    the table is ``body`` with the step of each row before its first value."""
-    width = body.shape[1] + 1
-    row, column = divmod(start, width)
-    done = 0
-    if column:
-        done = min(width - column, len(out))
-        out[:done] = body[row, column - 1:column - 1 + done]
-        row += 1
-    rows = (len(out) - done) // width
-    grid = out[done:done + rows * width].reshape(rows, width)
-    grid[:, 0] = np.arange(row + first, row + first + rows)
-    grid[:, 1:] = body[row:row + rows]
-    done, row = done + rows * width, row + rows
-    if done < len(out):
-        out[done] = row + first
-        out[done + 1:] = body[row, :len(out) - done - 1]
-    return out
-
-
-def _write_table(path: Path, columns: list, table: tuple, fmt: str) -> None:
-    """Write ``table`` = (body, first step) under ``columns``; a first step
-    other than None numbers the rows in a leading integer column.
+def _write_table(path: Path, columns: list, body: np.ndarray, fmt: str) -> None:
+    """Write the (n, k) float ``body`` under ``columns``.
 
     Both formats are streamed, so no Python list of the whole table is ever
     built.  A CSV goes out in blocks of ``_CSV_BLOCK`` values of the flat
-    table, step column included, each rendered by ``csvfloats.format_block``
-    in one block buffer (and, with steps, one value buffer) per table: the
-    bytes of ``'%.17g' % x`` (17 significant digits: every float64 parses
-    back exactly; ``nan``, ``inf``, ``-0``), and a step as ``str(step)``.  A
-    JSON row is ``_strict_json`` of its list, joined as ``json.dumps`` joins
-    a list, so the file holds the bytes of
+    body, each rendered by ``csvfloats.format_block`` in one block buffer per
+    table: the bytes of ``'%.17g' % x`` (17 significant digits: every float64
+    parses back exactly; ``nan``, ``inf``, ``-0``), so a step number below
+    2^53 is its integer.  A JSON row is ``_strict_json`` of its list, a
+    leading ``step`` column as ``int``, joined as ``json.dumps`` joins a
+    list, so the file holds the bytes of
     ``_strict_json({"columns": columns, "rows": rows})``."""
-    body, first = table
-    numbered = first is not None
     if fmt == "json":
+        integer_step = columns[:1] == ["step"]
         with path.open("w") as fh:
             fh.write(f'{{"columns": {_strict_json(columns)}, "rows": [')
             separator = ""
-            for step, row in enumerate(body, first or 0):
-                values = [step, *row.tolist()] if numbered else row.tolist()
+            for row in body:
+                values = row.tolist()
+                if integer_step:
+                    values[0] = int(values[0])
                 fh.write(separator + _strict_json(values))
                 separator = ", "
             fh.write("]}\n")
         return
-    width = body.shape[1] + numbered
+    width = body.shape[1]
     flat = body.reshape(-1)
-    total = len(body) * width
-    size = min(_CSV_BLOCK, total)
-    block = bytearray(csvfloats.SLOT_BYTES * size)
-    numbered_values = np.empty(size) if numbered else None
+    block = bytearray(csvfloats.SLOT_BYTES * min(_CSV_BLOCK, len(flat)))
     with path.open("wb") as fh:
         fh.write((",".join(columns) + "\n").encode())
-        for start in range(0, total, _CSV_BLOCK):
-            stop = min(start + _CSV_BLOCK, total)
-            if numbered:
-                values = _numbered_values(numbered_values[:stop - start], body, first, start)
-            else:
-                values = flat[start:stop]
+        for start in range(0, len(flat), _CSV_BLOCK):
+            values = flat[start:start + _CSV_BLOCK]
             fh.write(csvfloats.format_block(values, start % width, width, block))
 
 
@@ -675,23 +652,17 @@ def _resolve(cfg: ExperimentConfig) -> _ResolvedRun:
 
 
 def _simulate_record(
-    cfg: ExperimentConfig, dense: bool = False, run: Optional[_ResolvedRun] = None
-) -> tuple:
-    """(run, record); ``run`` is ``_resolve(cfg)``, resolved here if not given."""
-    run = _resolve(cfg) if run is None else run
+    cfg: ExperimentConfig, run: _ResolvedRun, dense: bool = False
+) -> TrajectoryRecord:
     field = ScoreField(run.scores.values, run.coupling)
     kind = FieldKind(cfg.dynamics)
-    return run, integrate_path(
+    return integrate_path(
         field, kind, run.p0, run.schedule, cfg.horizon, run.controls, dense=dense
     )
 
 
-def _iterate_record(cfg: ExperimentConfig, run: Optional[_ResolvedRun] = None) -> tuple:
-    """(run, record); ``run`` is ``_resolve(cfg)``, resolved here if not given."""
-    run = _resolve(cfg) if run is None else run
-    if not isinstance(run.schedule, ConstantSchedule):
-        raise ConfigError("[temperature] prox-iterate needs a constant temperature")
-    record = iterate(
+def _iterate_record(cfg: ExperimentConfig, run: _ResolvedRun) -> TrajectoryRecord:
+    return iterate(
         MirrorStepKind(cfg.step_kind),
         run.p0,
         run.scores,
@@ -700,7 +671,6 @@ def _iterate_record(cfg: ExperimentConfig, run: Optional[_ResolvedRun] = None) -
         max_steps=cfg.max_steps,
         kl_tol=cfg.kl_tol,
     )
-    return run, record
 
 
 def _flow_metrics(record: TrajectoryRecord) -> dict:
@@ -747,13 +717,13 @@ def cmd_run(cfg: ExperimentConfig) -> int:
     record_fn, table_fn, metrics_fn, noun = _run_task(cfg.task)
     run = _resolve(cfg)
     resolved = time.perf_counter()
-    _, record = record_fn(cfg, run=run)
+    record = record_fn(cfg, run)
     recorded = time.perf_counter()
-    columns, table = table_fn(record, run.mask)
+    columns, body = table_fn(record, run.mask)
     tabled = time.perf_counter()
     out = Path(cfg.output)
     data_path = out.with_suffix(".json" if cfg.format == "json" else ".csv")
-    _write_table(data_path, columns, table, cfg.format)
+    _write_table(data_path, columns, body, cfg.format)
     timings = {
         "resolve_s": resolved - started,
         "record_s": recorded - resolved,
@@ -764,7 +734,7 @@ def cmd_run(cfg: ExperimentConfig) -> int:
     counts = record.block_counts or record.step_counts
     telemetry = dataclasses.asdict(counts) if counts is not None else None
     _finish_run(cfg, out, started, status, metrics_fn(record), telemetry, timings)
-    print(f"wrote {data_path} ({len(table[0])} {noun}, status {status})")
+    print(f"wrote {data_path} ({len(body)} {noun}, status {status})")
     if record.terminal_status in _FAILED:
         print(f"{status}: {record.diagnostics}", file=sys.stderr)
         return EXIT_DIVERGED
@@ -789,13 +759,13 @@ def _apply_cell(cfg: ExperimentConfig, cell: dict) -> ExperimentConfig:
 
 def _cell_outcome(cfg: ExperimentConfig) -> tuple:
     """(status, metrics) of one cell of a validated sweep."""
+    run = _resolve(cfg)
     if cfg.task == "reparameterization":
-        run = _resolve(cfg)
         deviation = _reparameterization_deviation(
             FieldKind.LITERAL,
             run.scores,
             run.p0,
-            as_schedule(run.schedule),
+            run.schedule,
             cfg.horizon,
             REPARAMETERIZATION_CONTROLS,
             n_checkpoints=cfg.n_samples,
@@ -805,9 +775,8 @@ def _cell_outcome(cfg: ExperimentConfig) -> tuple:
         # the loop scan reads every sample, and dense output interpolates
         # them from the steps the error control takes instead of landing a
         # step on each
-        _, record = _simulate_record(
-            dataclasses.replace(cfg, uniform_samples=True, convergence_kl=0.0), dense=True
-        )
+        controls = dataclasses.replace(run.controls, uniform_samples=True, convergence_kl=0.0)
+        record = _simulate_record(cfg, dataclasses.replace(run, controls=controls), dense=True)
         report = detect_recurrence(record)
         return record.terminal_status.value, {
             "recurrent": report.recurrent,
@@ -816,7 +785,7 @@ def _cell_outcome(cfg: ExperimentConfig) -> tuple:
             "drift_per_cycle": report.drift_per_cycle,
         }
     record_fn, _, metrics_fn, _ = _run_task(cfg.task)
-    _, record = record_fn(cfg)
+    record = record_fn(cfg, run)
     return record.terminal_status.value, metrics_fn(record)
 
 

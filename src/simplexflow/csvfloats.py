@@ -275,18 +275,20 @@ def format_block(values: np.ndarray, column: int, width: int, block: bytearray) 
     del digits, first, code, octets, index, word, spare
     chars = words.view(np.uint8)
     # fixed notation from 10 up puts its point after digit k + 1 of the 17:
-    # the digits after it move one byte on, over the unused "e"
+    # the digits after it move one byte on, over the unused "e", for each
+    # exponent in turn (np.unique would allocate a megabyte on its first call)
     if inner.size:
-        point = k[inner, None]
-        shift = np.arange(17)
-        moved = chars[inner[:, None], 8 + shift - (shift > point)]
-        moved[shift == point] = ord(".")
-        chars[inner, 8:25] = moved
+        exponents = k[inner]
+        for x in np.flatnonzero(np.bincount(exponents)).tolist():
+            rows = inner[exponents == x]
+            chars[rows, 9 + x:25] = chars[rows, 8 + x:24]
+            chars[rows, 8 + x] = ord(".")
+        del exponents, rows
     for i in np.flatnonzero(fallback).tolist():
         text = b"%.17g" % values[i]
         chars[i, :29] = 0
         chars[i, :len(text)] = np.frombuffer(text, np.uint8)
-    del k, fallback
+    del k, fallback, inner
     # slots past the last value, left from a longer block, are dropped
     np.frombuffer(block, np.uint8)[SLOT_BYTES * n:] = 0
     return block.translate(None, b"\0")

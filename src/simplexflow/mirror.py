@@ -222,7 +222,8 @@ def iterate(
     max_steps: int = DEFAULT_MAX_STEPS,
     kl_tol: float = DEFAULT_KL_TOL,
 ) -> TrajectoryRecord:
-    """Iterate a step map until the per-step KL move drops below ``kl_tol``.
+    """Iterate a step map until the per-step KL move drops below ``kl_tol``
+    (finite and nonnegative; 0 disables the stop).
 
     Iterate k is the fixed-score flow at time k h (see the module docstring),
     evaluated in closed form, a block of iterates at a time, rather than by
@@ -242,6 +243,8 @@ def iterate(
     eta = check_step_size(eta)
     if max_steps < 0:
         raise InvalidInputError(f"max_steps must be nonnegative, got {max_steps}")
+    if not 0.0 <= kl_tol < math.inf:
+        raise InvalidInputError(f"kl_tol must be finite and nonnegative, got {kl_tol!r}")
     flow, h = _sampled_flow(kind, p0, s, t, eta)
     ell_target = log_softmax(s, t)
     previous = []  # log-state of the last iterate measured so far

@@ -81,14 +81,11 @@ PROX_MAX_SWEEPS = 500
 
 
 def fd_gradient(f: Callable[[np.ndarray], float], x, step: float = DEFAULT_FD_STEP) -> np.ndarray:
-    """Central-difference gradient, componentwise; error O(step^2)."""
+    """Central differences along each coordinate, one row per coordinate:
+    the gradient of a scalar map, the transposed Jacobian of a vector map;
+    error O(step^2)."""
     x = np.asarray(x, dtype=np.float64)
-    grad = np.empty(x.size)
-    for i in range(x.size):
-        bump = np.zeros(x.size)
-        bump[i] = step
-        grad[i] = (f(x + bump) - f(x - bump)) / (2.0 * step)
-    return grad
+    return np.array([(f(x + bump) - f(x - bump)) / (2.0 * step) for bump in step * np.eye(x.size)])
 
 
 def fd_gradient_checked(
@@ -113,15 +110,8 @@ def fd_gradient_checked(
 
 
 def fd_jacobian(f: Callable[[np.ndarray], np.ndarray], x) -> np.ndarray:
-    """Central-difference Jacobian of a vector map at ``DEFAULT_FD_STEP``,
-    column by column."""
-    x = np.asarray(x, dtype=np.float64)
-    cols = []
-    for j in range(x.size):
-        bump = np.zeros(x.size)
-        bump[j] = DEFAULT_FD_STEP
-        cols.append((f(x + bump) - f(x - bump)) / (2.0 * DEFAULT_FD_STEP))
-    return np.column_stack(cols)
+    """Central-difference Jacobian of a vector map at ``DEFAULT_FD_STEP``."""
+    return fd_gradient(f, x).T
 
 
 def closed_form_literal(

@@ -331,7 +331,8 @@ class IntegratorControls:
 
     dt0: float = 1e-2
     step_tol: float = 1.01e-8
-    #: KL stop of fixed-score flows, checked at the stop times (0 disables)
+    #: KL stop of fixed-score flows, checked at the stop times: finite and
+    #: nonnegative, and 0 disables it
     convergence_kl: float = 1e-10
     n_samples: int = 200
     uniform_samples: bool = False
@@ -343,6 +344,10 @@ class IntegratorControls:
         if not 0.0 < self.step_tol < math.inf:
             raise InvalidInputError(
                 f"step_tol must be positive and finite, got {self.step_tol!r}"
+            )
+        if not 0.0 <= self.convergence_kl < math.inf:
+            raise InvalidInputError(
+                f"convergence_kl must be finite and nonnegative, got {self.convergence_kl!r}"
             )
 
 

@@ -497,6 +497,22 @@ class TestInputs:
             (["simulate", "--scores", "1,two"], {},
              "--scores '1,two' is neither numbers nor a file: "
              "could not convert string to float: 'two'"),
+            # inf ended these two as converged, at t = 0 and after one step
+            (["simulate", "--scores", "1,0,-2", "--tol", "inf"], {},
+             "[integrator] convergence_kl (--tol) must be finite and nonnegative, got inf"),
+            (["prox-iterate", "--scores", "1,0,-2", "--tol", "inf"], {},
+             "[mirror] kl_tol (--tol) must be finite and nonnegative, got inf"),
+            # these ran every step or sample
+            (["prox-iterate", "--scores", "1,0", "--tol", "nan"], {},
+             "[mirror] kl_tol (--tol) must be finite and nonnegative, got nan"),
+            (["prox-iterate", "--config", "exp.ini"],
+             {"exp.ini": "[scores]\nvalues = 1, 0\n[mirror]\nkl_tol = -inf\n"},
+             "[mirror] kl_tol (--tol) must be finite and nonnegative, got -inf"),
+            (["simulate", "--config", "exp.ini"],
+             {"exp.ini": "[scores]\nvalues = 1, 0\n[integrator]\nconvergence_kl = nan\n"},
+             "[integrator] convergence_kl (--tol) must be finite and nonnegative, got nan"),
+            (["simulate", "--scores", "1,0", "--tol=-1"], {},
+             "[integrator] convergence_kl (--tol) must be finite and nonnegative, got -1.0"),
         ],
         ids=[
             "unparseable-score-file-flag",
@@ -515,6 +531,12 @@ class TestInputs:
             "prox-iterate-schedule",
             "prox-iterate-sweep-schedule",
             "unparseable-scores-flag",
+            "simulate-tol-inf",
+            "prox-iterate-tol-inf",
+            "prox-iterate-tol-nan",
+            "kl-tol-minus-inf",
+            "convergence-kl-nan",
+            "simulate-tol-negative",
         ],
     )
     def test_input_errors_are_exit_2_before_any_file(
@@ -1228,10 +1250,20 @@ def _reference_csv(columns, rows):
     return "\n".join(lines) + "\n"
 
 
-def _list_rows(table):
-    body, first = table
+def _numbered(body, first):
+    """``body`` led by a float step column counting from ``first``; as it is
+    for None."""
+    if first is None:
+        return body
+    return np.column_stack([np.arange(first, first + len(body), dtype=np.float64), body])
+
+
+def _list_rows(columns, body):
+    """The rows of a table as lists: floats, and a leading ``step`` as an int."""
     rows = body.tolist()
-    return rows if first is None else [[step, *row] for step, row in enumerate(rows, first)]
+    if columns[:1] == ["step"]:
+        rows = [[int(row[0]), *row[1:]] for row in rows]
+    return rows
 
 
 class TestTables:
@@ -1243,14 +1275,13 @@ class TestTables:
     @pytest.mark.parametrize("first", [None, 1])
     def test_rows_render_as_the_per_value_reference(self, tmp_path, first):
         body = np.array(self.SPECIAL).reshape(4, 4)
-        body = np.vstack([body, -body[::-1]])
-        table = (body, first)
+        body = _numbered(np.vstack([body, -body[::-1]]), first)
         columns = ["a", "b", "c", "d"] if first is None else ["step", "b", "c", "d", "e"]
         path = tmp_path / "t.csv"
-        cli._write_table(path, columns, table, "csv")
-        rows = _list_rows(table)
+        cli._write_table(path, columns, body, "csv")
+        rows = _list_rows(columns, body)
         assert path.read_bytes() == _reference_csv(columns, rows).encode()
-        cli._write_table(tmp_path / "t.json", columns, table, "json")
+        cli._write_table(tmp_path / "t.json", columns, body, "json")
         strict = cli._strict_json({"columns": columns, "rows": rows}) + "\n"
         assert (tmp_path / "t.json").read_text() == strict
 
@@ -1266,13 +1297,13 @@ class TestTables:
         assert main([*argv, "--format", "json", "--output", "face"]) == EXIT_OK
         cfg = cli._config_from_args(build_parser().parse_args(argv))
         record_fn, table_fn, _, _ = cli._run_task(task)
-        run, record = record_fn(cfg)
-        columns, table = table_fn(record, run.mask)
-        body, first = table
-        assert first == (1 if task == "prox-iterate" else None)
-        p_offset = 1 if first is None else 0
-        assert np.all(body[:, p_offset + 2:p_offset + 4] == 0.0) and len(body) > 1
-        rows = _list_rows(table)
+        run = cli._resolve(cfg)
+        columns, body = table_fn(record_fn(cfg, run), run.mask)
+        assert columns[0] == ("step" if task == "prox-iterate" else "t")
+        if task == "prox-iterate":
+            assert body[:, 0].tolist() == list(range(1, len(body) + 1))
+        assert np.all(body[:, 3:5] == 0.0) and len(body) > 1
+        rows = _list_rows(columns, body)
         assert Path("face.csv").read_bytes() == _reference_csv(columns, rows).encode()
         strict = cli._strict_json({"columns": columns, "rows": rows}) + "\n"
         assert Path("face.json").read_text() == strict
@@ -1290,11 +1321,28 @@ class TestTables:
         csvfloats._tables.cache_clear()
         tracemalloc.start()
         try:
-            cli._write_table(path, columns, (body, None), "csv")
+            cli._write_table(path, columns, body, "csv")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < path.stat().st_size / 10
+
+    def test_large_values_peak_no_higher_than_probabilities(self, tmp_path):
+        # values from 10 up with a point inside their digits took a (m, 17)
+        # index to shift: 3.1x the peak of probabilities
+        rng = np.random.default_rng(0)
+        n, k = 40, 2504
+        columns = [f"c{i}" for i in range(k)]
+        peaks = []
+        for body in (rng.dirichlet(np.ones(k), n), rng.uniform(10.0, 1000.0, (n, k))):
+            csvfloats._tables.cache_clear()
+            tracemalloc.start()
+            try:
+                cli._write_table(tmp_path / "t.csv", columns, body, "csv")
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.25 * peaks[0]
 
     @pytest.mark.parametrize("first", [None, 1])
     def test_writing_a_wide_json_table_peaks_below_a_tenth_of_its_size(self, tmp_path, first):
@@ -1307,25 +1355,25 @@ class TestTables:
             [np.linspace(0.0, 10.0, n), rng.dirichlet(np.ones(v), n), rng.random((n, 3))]
         )
         body[1, -1], body[2, -2], body[3, -3] = math.nan, math.inf, -math.inf
+        body = _numbered(body, first)
         columns = ["t"] + [f"p_{i + 1}" for i in range(v)] + ["free_energy", "kl", "norm"]
+        columns = columns if first is None else ["step", *columns]
         path = tmp_path / "wide.json"
         tracemalloc.start()
         try:
-            cli._write_table(path, columns, (body, first), "json")
+            cli._write_table(path, columns, body, "json")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < path.stat().st_size / 10
-        rows = body.tolist()
-        if first is not None:
-            rows = [[step, *row] for step, row in enumerate(rows, first)]
+        rows = _list_rows(columns, body)
         strict = cli._strict_json({"columns": columns, "rows": rows}) + "\n"
         assert path.read_text() == strict
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_an_empty_table_has_its_header_alone(self, tmp_path, fmt):
         path = tmp_path / f"empty.{fmt}"
-        cli._write_table(path, ["step", "t"], (np.empty((0, 1)), 1), fmt)
+        cli._write_table(path, ["step", "t"], _numbered(np.empty((0, 1)), 1), fmt)
         want = "step,t\n" if fmt == "csv" else '{"columns": ["step", "t"], "rows": []}\n'
         assert path.read_text() == want
 
@@ -1353,15 +1401,17 @@ class TestTables:
         header, *lines, end = path.read_text().split("\n")
         assert header == ",".join(columns) and end == "" and len(lines) == len(body)
         for step, (row, line) in enumerate(zip(body.tolist(), lines), first or 0):
-            want = ["%.17g" % x for x in row]
-            assert line.split(",") == (want if first is None else [str(step), *want])
+            fields = line.split(",")
+            assert fields == ["%.17g" % x for x in row]
+            assert first is None or fields[0] == str(step)
 
     @pytest.mark.parametrize("first", [None, 1])
     def test_edge_values_render_as_the_per_value_reference(self, tmp_path, first):
         values = self._edge_values()
         body = np.concatenate([values, np.zeros(-len(values) % 7)]).reshape(-1, 7)
-        columns = [f"c{i}" for i in range(7 + (first is not None))]
-        cli._write_table(tmp_path / "edge.csv", columns, (body, first), "csv")
+        body = _numbered(body, first)
+        columns = [f"c{i}" for i in range(body.shape[1])]
+        cli._write_table(tmp_path / "edge.csv", columns, body, "csv")
         self._assert_fields_are_reference(tmp_path / "edge.csv", columns, body, first)
 
     def test_exact_ties_take_the_fallback(self):
@@ -1377,9 +1427,10 @@ class TestTables:
     def test_blocks_that_split_rows_render_as_the_reference(self, tmp_path, monkeypatch,
                                                              first, block):
         monkeypatch.setattr(cli, "_CSV_BLOCK", block)
-        body = np.array(self.SPECIAL + [1.0 / 7.0, -2.5e-7, 3e20, 42.0]).reshape(4, 5)
-        columns = [f"c{i}" for i in range(5 + (first is not None))]
-        cli._write_table(tmp_path / "split.csv", columns, (body, first), "csv")
+        body = _numbered(np.array(self.SPECIAL + [1.0 / 7.0, -2.5e-7, 3e20, 42.0]).reshape(4, 5),
+                         first)
+        columns = [f"c{i}" for i in range(body.shape[1])]
+        cli._write_table(tmp_path / "split.csv", columns, body, "csv")
         self._assert_fields_are_reference(tmp_path / "split.csv", columns, body, first)
 
     # any 64-bit pattern; NaN payloads and subnormals of either sign; and
@@ -1402,12 +1453,12 @@ class TestTables:
     def test_any_float64_bit_pattern_renders_as_the_per_value_reference(
             self, shape, bits, first, block):
         n, k = shape
-        body = np.array(bits[: n * k], np.uint64).view(np.float64).reshape(n, k)
-        columns = [f"c{i}" for i in range(k + (first is not None))]
+        body = _numbered(np.array(bits[: n * k], np.uint64).view(np.float64).reshape(n, k), first)
+        columns = [f"c{i}" for i in range(body.shape[1])]
         with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
             patch.setattr(cli, "_CSV_BLOCK", block)
             path = Path(tmp) / "bits.csv"
-            cli._write_table(path, columns, (body, first), "csv")
+            cli._write_table(path, columns, body, "csv")
             self._assert_fields_are_reference(path, columns, body, first)
 
 
@@ -1455,8 +1506,9 @@ def _extreme_runs(draw):
     an INI, with scores and couplings up to 1e300 in size, T from 1e-300 to
     1e300 and V from 2 to 16.  Fixed-score horizons reach 1e300; a linear
     field's stays at most 10, so the driver's steps stay few, and it sometimes
-    sets a step_tol of -1, nan, inf or 0 (exit 2).  Scores go as
-    --scores=..., since argparse reads "--scores -1,0" as a flag."""
+    sets a step_tol of -1, nan, inf or 0 (exit 2); a fixed-score run sometimes
+    sets a --tol of -1, nan or inf (exit 2).  Scores go as --scores=...,
+    since argparse reads "--scores -1,0" as a flag."""
     size = draw(st.integers(2, 16))
     scores = _extreme_numbers(draw, size)
     argv = [f"--scores={','.join(repr(x) for x in scores)}"]
@@ -1484,7 +1536,10 @@ def _extreme_runs(draw):
         if step_tol is not None:
             ini += f"step_tol = {step_tol}\n"
         return ["simulate", *argv], ini, step_tol is not None
-    return argv, None, False
+    tol = draw(st.none() | st.sampled_from(["-1", "nan", "inf"]))
+    if tol is not None:
+        argv.append(f"--tol={tol}")
+    return argv, None, tol is not None
 
 
 @settings(max_examples=300, derandomize=True)

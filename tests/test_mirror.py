@@ -191,6 +191,13 @@ class TestIterate:
         assert record.terminal_status is TerminalStatus.MAX_TIME
         assert record.accepted_steps == 3
 
+    @pytest.mark.parametrize("kl_tol", [-1.0, -math.inf, math.nan, math.inf])
+    def test_a_stop_tolerance_that_is_not_finite_and_nonnegative_raises(self, kl_tol):
+        # inf stopped after one step as converged; NaN and -inf ran every step
+        s = ScoreVector([1.0, 0.0, -2.0])
+        with pytest.raises(InvalidInputError, match="kl_tol"):
+            iterate(MirrorStepKind.EXACT_PROX, SimplexPoint.uniform(3), s, 1.0, kl_tol=kl_tol)
+
     def test_mw_survives_deep_concentration(self):
         # log-space state keeps iterating far past float underflow of p_2
         s = ScoreVector([1.0, 0.0])

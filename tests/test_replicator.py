@@ -1100,6 +1100,12 @@ class TestEmbeddedPair:
         with pytest.raises(InvalidInputError, match="step_tol"):
             IntegratorControls(step_tol=step_tol)
 
+    @pytest.mark.parametrize("convergence_kl", [-1.0, math.nan, math.inf])
+    def test_a_convergence_kl_that_is_not_finite_and_nonnegative_raises(self, convergence_kl):
+        # inf ended a run as converged at t = 0; NaN ran it to its horizon
+        with pytest.raises(InvalidInputError, match="convergence_kl"):
+            IntegratorControls(convergence_kl=convergence_kl)
+
     @pytest.mark.parametrize("gap", [1e-14, 2e-14, 3e-14, 5e-14, 8e-14])
     def test_a_stop_closer_than_the_shortest_step_is_reached(self, gap):
         # a step landing on the second of two stops this close is ~gap long,
