@@ -30,10 +30,11 @@ h = log(1 + eta T), since e^{-h} = 1/(1 + eta T).  ``iterate`` and
 form in ``replicator``, iterate k being the flow at time k h, in
 log-probabilities, so long concentrating runs survive far past the
 underflow point of the probabilities themselves.  Iterates come in (K, V)
-blocks from ``replicator._solve_blocks``; free energy, per-step KL move
-and KL to softmax are row-wise operations on a block, the run stops at the
-first row whose KL move is below the tolerance, and the ascent slack is one
-array operation on the run's free energy and KL moves.
+blocks from ``replicator._solve_blocks``, the row solver of the fixed-score
+flows called with one row; free energy, per-step KL move and KL to softmax
+are row-wise operations on a block, the run stops at the first row whose KL
+move is below the tolerance, and the ascent slack is one array operation on
+the run's free energy and KL moves.
 ``ascent_certificates`` takes the step of N independent instances, one
 (p, s, T, eta) per row of an (N, V) block, as the same map ``normalize(a
 log p + b (s - max s))`` at one time h per row, with the row helpers
@@ -56,6 +57,7 @@ from .simplex import (
     ScoreVector,
     SimplexPoint,
     _check_rows,
+    _instance_rows,
     _normalize_rows,
     _rows_checked,
     check_score_spread,
@@ -146,25 +148,10 @@ def ascent_certificates(kind: MirrorStepKind, P, S, temperatures, etas) -> tuple
     overflow (InvalidInputError, as the iterate's DIVERGED step) and the
     simplex checks of both measured rows.
     """
-    S = np.asarray(S, dtype=np.float64)
-    P = np.asarray(P, dtype=np.float64)
-    temperatures = np.asarray(temperatures, dtype=np.float64)
+    P, S, temperatures = _instance_rows(P, S, temperatures)
     etas = np.asarray(etas, dtype=np.float64)
-    if S.ndim != 2 or S.shape[1] < 2 or P.shape != S.shape:
-        raise InvalidInputError(
-            f"need (N, V) points and scores with V >= 2, got {P.shape} and {S.shape}"
-        )
-    if temperatures.shape != (len(S),) or etas.shape != (len(S),):
-        raise InvalidInputError(
-            f"need one temperature and one step size per row, got {temperatures.shape} "
-            f"and {etas.shape} for {len(S)} rows"
-        )
-    _check_rows(~np.isfinite(S).all(axis=1), lambda row: ScoreVector(S[row]))
-    P = _rows_checked(P)
-    _check_rows(
-        ~(np.isfinite(temperatures) & (temperatures > 0.0)),
-        lambda row: check_temperature(temperatures[row]),
-    )
+    if etas.shape != (len(S),):
+        raise InvalidInputError(f"need one step size per row, got {etas.shape} for {len(S)} rows")
     _check_rows(~(np.isfinite(etas) & (etas > 0.0)), lambda row: check_step_size(etas[row]))
     _check_rows(
         ~(P.min(axis=1) > 0.0),
@@ -249,7 +236,7 @@ def iterate(
     ell_target = log_softmax(s, t)
     previous = []  # log-state of the last iterate measured so far
 
-    def measure(temperatures, logs):
+    def measure(temperatures, logs, widths):
         q = np.exp(logs)
         first = not previous
         ell_before = logs[0] if first else previous.pop()
@@ -259,8 +246,7 @@ def iterate(
         previous.append(logs[-1])
         met = np.flatnonzero(kl_move < kl_tol)
         stop = int(met[0]) if met.size else None
-        status = TerminalStatus.MAX_TIME if stop is None else TerminalStatus.CONVERGED
-        return stop, status, "", {
+        return [None if stop is None else (stop, TerminalStatus.CONVERGED, "")], {
             "P": q,
             "free_energy": _free_energy_rows(q @ s.values, t, q, logs),
             "kl_to_target": np.maximum(_row_dot(q, logs - ell_target), 0.0),
@@ -268,11 +254,12 @@ def iterate(
         }
 
     shifted = s.values - s.values.max()
-    P, columns, status, diagnostics, counts = _solve_blocks(
+    ((P, columns, status, diagnostics, counts),) = _solve_blocks(
         flow,
-        np.log(p0.probs),
-        shifted,
+        np.log(p0.probs)[np.newaxis],
+        shifted[np.newaxis],
         ConstantSchedule(t),
+        np.ones(1),
         np.arange(max_steps + 1) * h,
         measure,
         lambda k, _: f"step weights overflow at step {k}",

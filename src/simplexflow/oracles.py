@@ -20,8 +20,8 @@ gives exactly the verdicts and witnesses of the full run at that seed.  The
 flow runs behind ``prop-lyapunov``, ``thm-manifold-3`` and ``cor-convergence``
 are one piece of evidence on a stream of its own, computed at most once per
 run and only when one of those claims is asked for; its entropic runs are
-solved as rows, one ``replicator.integrate_entropic_rows`` call per size,
-and judged per run on each row's record.  The reparameterization pairs of
+solved as rows, one ``replicator.integrate_rows`` call per size, and judged
+per run on each row's record.  The reparameterization pairs of
 ``cor-temp-rescale`` use dense output.  The expected matrix
 committed under ``data/`` was produced by this module and is re-derivable
 with ``--seed`` defaults.
@@ -63,6 +63,7 @@ from .simplex import (
     restrict_to_face,
     softmax,
 )
+from .trajectory import TerminalStatus
 
 DEFAULT_SEED = 20250808
 DEFAULT_FD_STEP = 1e-5
@@ -482,9 +483,10 @@ def _flow_evidence(rng: np.random.Generator) -> tuple:
     Run i draws its size, scores and start as ``random_scores`` and
     ``random_interior_point`` do, in that order, and takes the i-th of the
     temperatures in turn.  The runs of one size are solved as rows of one
-    ``integrate_entropic_rows`` call, each record equal to the bit to its
-    ``integrate`` run; the terminal KL and ``lyapunov_report`` are taken per
-    run on its record, as the check independent of the solver."""
+    ``integrate_rows`` call, each record equal to the bit to its
+    ``integrate`` run, and a run that ends DIVERGED raises; the terminal KL
+    and ``lyapunov_report`` are taken per run on its record, as the check
+    independent of the solver."""
     controls = IntegratorControls(n_samples=60)
     temperatures = (0.25, 1.0, 4.0)
     draws = {size: [] for size in _FLOW_SIZES}
@@ -495,7 +497,10 @@ def _flow_evidence(rng: np.random.Generator) -> tuple:
     worst_kl = worst_drop = 0.0
     for runs in filter(None, draws.values()):
         S, P0, T = (np.array(column) for column in zip(*runs))
-        for traj, (s, _, temp) in zip(rep.integrate_entropic_rows(P0, S, T, 1e3, controls), runs):
+        records = rep.integrate_rows(FieldKind.ENTROPIC, P0, S, T, 1e3, controls)
+        for row, (traj, (s, _, temp)) in enumerate(zip(records, runs)):
+            if traj.terminal_status is TerminalStatus.DIVERGED:
+                raise InvalidInputError(f"row {row}: {traj.diagnostics}")
             s = ScoreVector(s)
             worst_kl = max(worst_kl, kl_divergence(traj.terminal.p, softmax(s, temp)))
             worst_drop = min(worst_drop, float(rep.lyapunov_report(traj, s, temp).worst_drop))

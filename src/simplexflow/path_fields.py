@@ -35,11 +35,11 @@ from .replicator import (
     FieldKind,
     IntegratorControls,
     _check_cold_spread,
+    _integrate_starts,
     _row_dot,
     _run_flows,
     as_schedule,
     eval_field,
-    integrate,
 )
 from .simplex import ScoreVector, SimplexPoint, check_temperature, entropy
 from .trajectory import TerminalStatus, TrajectoryRecord
@@ -205,12 +205,15 @@ def integrate_paths(
     """``integrate_path`` from each start, one record per start.  A linear
     field's starts are checked once and stepped as one block that shares
     every step (``replicator._run_flows``, with ``dense`` passed through); a
-    field without state dependence is solved in closed form per start."""
+    field without state dependence is solved in closed form, its starts the
+    rows of one call of the fixed-score row solver, each record equal to the
+    bit to its ``integrate`` run."""
     if not starts:
         return []
     if field.constant_equivalent:
-        scores = ScoreVector(field.base)
-        return [integrate(fieldkind, p0, scores, schedule, horizon, controls) for p0 in starts]
+        return _integrate_starts(
+            fieldkind, starts, ScoreVector(field.base), schedule, horizon, controls
+        )
 
     for p0 in starts:
         if p0.size != field.size:
@@ -398,9 +401,10 @@ def lockin_probe(
     A linear field's starts are one block that shares every step
     (``integrate_paths``), and a start whose row ends DIVERGED is listed in
     ``diverged`` alone; a field without state dependence is solved in closed
-    form per start.  Terminal points (a linear field's at the horizon) are
-    clustered greedily by sup-norm distance ``CLUSTER_TOL``; each cluster
-    reports its size and mean terminal value of the recorded free energy.
+    form, its starts the rows of one call.  Terminal points (a linear
+    field's at the horizon) are clustered greedily by sup-norm distance
+    ``CLUSTER_TOL``; each cluster reports its size and mean terminal value of
+    the recorded free energy.
     """
     runs = integrate_paths(
         field, fieldkind, starts, temperature, horizon, IntegratorControls(n_samples=50)

@@ -9,18 +9,17 @@ Two vector fields are provided, both of the replicator form
 With fixed scores both flows have exact solutions,
 ``log p(t) = a(t) log p0 + b(t) s`` up to normalization with (a, b) equal to
 (1, integral of 1/T) for LITERAL and (e^{-t}, integral of e^{-(t-u)}/T(u)) for
-ENTROPIC.  ``integrate`` evaluates them at its stop times without stepping, a
-(K, V) block of stops per array operation (``_solve_blocks``, which the
-discrete iterations of ``mirror`` share).  A block costs a fixed few dozen
-numpy calls plus a cost per row, and FIRST_BLOCK is set above the size at
-which the two are equal at V <= 16, so most runs take one block; blocks
-double in rows from there, are capped at BLOCK_BYTES, and the run ends at the
-first row of a block that meets a stop rule.  A row's arithmetic does not
-depend on the block it lands in.  Free energy, KL, field norm and the simplex
-checks are row-wise operations on the block.  ``integrate_entropic_rows``
-solves N independent entropic instances with a constant T each, one per row,
-at the shared stop times in one (N, K, V) array, each row's record equal to
-its ``integrate`` run.
+ENTROPIC.  ``integrate_rows`` evaluates them for N instances (p0, s) at
+their stop times without stepping, an (N, K, V) block of K stops per array
+operation until every instance has stopped (``_solve_blocks``, which the
+discrete iterations of ``mirror`` share on one row); ``integrate`` is its
+one-row call.  A block costs a fixed few dozen numpy calls plus a cost per
+row, and FIRST_BLOCK is set above the size at which the two are equal at
+V <= 16, so most runs take one block; blocks double in rows from there and
+are capped at BLOCK_BYTES per instance.  An instance ends at its first row
+that meets a stop rule, its record's status telling which, and its rows are
+those of its one-row run, whatever instances are beside it.  Free energy,
+KL, field norm and the simplex checks are row-wise operations on the block.
 
 The ENTROPIC field is the natural gradient of the free energy under the
 inner product <u, v>_p = sum u_i v_i / p_i and vanishes exactly at
@@ -68,9 +67,9 @@ from .simplex import (
     ScoreVector,
     SimplexPoint,
     _check_rows,
+    _instance_rows,
     _normalize_logs,
     _normalize_rows,
-    _rows_checked,
     _simplex_rows,
     check_score_spread,
     check_temperature,
@@ -264,7 +263,7 @@ def parse_schedule(spec: str) -> TemperatureSchedule:
 
 def effective_time(schedule: TemperatureSchedule, t: float) -> float:
     """Closed-form effective time tau(t) = integral of 1/T(u) du over [0, t]."""
-    if t < 0:
+    if not t >= 0:  # NaN included
         raise InvalidInputError(f"time must be nonnegative, got {t}")
     with np.errstate(over="ignore"):
         return float(as_schedule(schedule).effective_time(np.array([float(t)]))[0])
@@ -367,7 +366,8 @@ def _stops(horizon: float, schedule: TemperatureSchedule, controls: IntegratorCo
     n = controls.n_samples
     if controls.sample_times is not None:
         grid = np.asarray(controls.sample_times, dtype=np.float64)
-        if grid.ndim != 1 or np.any(grid < 0) or np.any(np.diff(grid) <= 0):
+        # written so that NaN fails: it compares false with everything
+        if grid.ndim != 1 or not (grid >= 0).all() or not (np.diff(grid) > 0).all():
             raise InvalidInputError("sample times must be strictly increasing and nonnegative")
     elif n < 2:
         raise InvalidInputError(f"samples must be at least 2 (t = 0 and the horizon), got {n}")
@@ -730,97 +730,206 @@ FIRST_BLOCK = 128
 BLOCK_BYTES = 1 << 20
 
 
+def _first(mask: np.ndarray) -> list:
+    """The index of the first True in each row of an (N, K) mask, K where there is none."""
+    if not mask.any():
+        return [mask.shape[1]] * len(mask)
+    return [k if row[k] else len(row) for k, row in zip(mask.argmax(axis=1).tolist(), mask)]
+
+
 def _solve_blocks(
     kind: FieldKind,
     ell0: np.ndarray,
     shifted: np.ndarray,
     schedule: TemperatureSchedule,
+    scale: np.ndarray,
     times: np.ndarray,
     measure: Callable,
     overflow_note: Callable[[int, float], str],
-) -> tuple:
-    """The fixed-score flow from log-weights ``ell0`` with max-shifted scores
-    ``shifted`` at the increasing ``times``, up to the first row that
-    ``measure`` stops at.
+) -> list:
+    """The fixed-score flow from each row of the (N, V) log-weights ``ell0``
+    at the increasing ``times``, up to the first time ``measure`` stops the row.
 
-    Row k is ``normalize(a ell0 + b shifted)`` at t = times[k], with (a, b) =
-    (1, tau(t)) for LITERAL and (e^{-t}, w(t)) for ENTROPIC: b is one call of
-    the schedule's ``effective_time`` or ``entropic_weight`` on the block's
-    times, e^{-t} one ``_math_map``, and the overflow test one array mask.
-    Rows are evaluated as (K, V) blocks: K starts at FIRST_BLOCK, the size
-    that takes most runs in one block (see there), doubles from block to
-    block and is capped at BLOCK_BYTES; no row's value depends on the layout.
-    For each block ``measure(temperatures, logs)`` returns
-    (stop row or None, status, diagnostics, columns): "P", the rows of
-    exp(logs) its values were measured on, and one value per row for each
-    other column.  A temperature that overflows raises, and weights that
-    overflow end the run DIVERGED before that row with diagnostics
-    ``overflow_note(row, t)``, unless an earlier row stops the run.
+    Row i at t = times[k] has the temperature scale[i] T(t), T the
+    schedule's, and the log-weights ``normalize(a ell0[i] + b shifted[i])``,
+    with (a, b) = (1, tau(t) / scale[i]) for LITERAL and (e^{-t}, w(t) /
+    scale[i]) for ENTROPIC: one call of ``effective_time`` or
+    ``entropic_weight`` and one ``_math_map`` per block.  A block is every
+    row at K times, until no row runs: K starts at FIRST_BLOCK (see there),
+    doubles from block to block and is capped at BLOCK_BYTES per row, so a
+    row has the blocks of its one-row run.  ``measure(temperatures, logs,
+    widths)`` takes the temperatures and log-probabilities of a block, the
+    times of one row after the other, and each row's number of times before
+    its weights overflow, and returns per row None or (its stop's time index
+    in the block, status, diagnostics), and the columns: "P", the exp(logs)
+    it measured, and one value per time for each other.  A temperature that
+    overflows raises; weights that overflow end a row DIVERGED before that
+    time with diagnostics ``overflow_note(k, t)``, unless it stopped earlier.
 
-    Returns (P, columns, status, diagnostics, BlockCounts) over the rows up to
-    the stop, with P checked and renormalized by ``_simplex_rows``.
+    Returns per row (P, columns, status, diagnostics, BlockCounts) up to its
+    stop, P checked and renormalized by ``_simplex_rows``; the counts are
+    those of the blocks while it ran.
     """
     entropic = kind is FieldKind.ENTROPIC
     weight = schedule.entropic_weight if entropic else schedule.effective_time
-    spread = -float(shifted.min())
-    cap = max(1, BLOCK_BYTES // (8 * ell0.size))
-    blocks = []
-    status, diagnostics = TerminalStatus.MAX_TIME, ""
-    start, size, evaluated = 0, FIRST_BLOCK, 0
-    while start < len(times):
-        chunk = times[start : start + min(size, cap)]
+    scale, spread = scale[:, np.newaxis], -shifted.min(axis=1, keepdims=True)
+    kept = [[] for _ in ell0]  # the column blocks of each row
+    ends = [(TerminalStatus.MAX_TIME, "")] * len(ell0)
+    evaluated, blocks = [0] * len(ell0), [0] * len(ell0)
+    running = list(range(len(ell0)))
+    start, block, cap = 0, FIRST_BLOCK, max(1, BLOCK_BYTES // (8 * ell0.shape[1]))
+    while start < len(times) and running:
+        chunk = times[start : start + min(block, cap)]
         stamps = chunk.tolist()
-        temperatures, failure = [], None
-        try:  # extend keeps the temperatures of the rows before the one that raised
-            temperatures.extend(map(schedule.at, stamps))
-        except InvalidInputError as exc:  # raised once every earlier row is measured
+        at, failure = [], None
+        try:  # extend keeps the temperatures of the times before the one that raised
+            at.extend(map(schedule.at, stamps))
+        except InvalidInputError as exc:  # raised once every earlier time is measured
             failure = exc
-        temperatures = np.array(temperatures)
+        temperatures = scale * np.array(at)
         with np.errstate(all="ignore"):
-            b = weight(chunk[: len(temperatures)])
+            b = weight(chunk[: len(at)]) / scale
             finite = (temperatures > 0.0) & np.isfinite(b * spread + spread / temperatures)
-        if not finite.all():
-            row = int(finite.argmin())
-            failure = overflow_note(start + row, stamps[row])
-            temperatures, b = temperatures[:row], b[:row]
-        if len(b):
-            a = _math_map(math.exp, -chunk[: len(b)])[:, np.newaxis] if entropic else 1.0
-            logs = _normalize_rows(a * ell0 + b[:, np.newaxis] * shifted)
-            stop, status, diagnostics, columns = measure(temperatures, logs)
-            evaluated += len(b)
-            end = len(b) if stop is None else stop + 1
-            columns = {name: column[:end] for name, column in columns.items()}
-            columns["P"] = _simplex_rows(columns["P"])
-            blocks.append(columns)
-            if stop is not None:
-                break
-        if isinstance(failure, InvalidInputError):
-            raise failure
-        if failure is not None:
-            status, diagnostics = TerminalStatus.DIVERGED, failure
-            break
-        start += len(b)
-        size *= 2
-    columns = {name: np.concatenate([block[name] for block in blocks]) for name in blocks[0]}
-    P = columns.pop("P")
-    return P, columns, status, diagnostics, BlockCounts(evaluated, len(P), len(blocks))
+        overflow = _first(~finite)
+        width, stops = max(overflow), [None] * len(ell0)
+        if width:
+            temperatures, b, finite = temperatures[:, :width], b[:, :width], finite[:, :width]
+            if min(overflow) < width:  # the times of a row from its overflow on are never kept
+                temperatures, b = np.where(finite, temperatures, 1.0), np.where(finite, b, 0.0)
+            a = _math_map(math.exp, -chunk[:width])[:, np.newaxis] if entropic else 1.0
+            logs = a * ell0[:, np.newaxis] + b[..., np.newaxis] * shifted[:, np.newaxis]
+            logs = _normalize_rows(logs.reshape(-1, ell0.shape[1]))
+            stops, columns = measure(temperatures.reshape(-1), logs, overflow)
+            columns["P"] = _simplex_rows(columns["P"])  # row by row: a row keeps its values
+        for i in running:
+            if stops[i] is not None and stops[i][0] < overflow[i]:
+                count, ends[i] = stops[i][0] + 1, stops[i][1:]
+            elif overflow[i] < len(at):
+                count = overflow[i]
+                ends[i] = TerminalStatus.DIVERGED, overflow_note(start + count, stamps[count])
+            elif failure is not None:
+                raise failure
+            else:
+                count = width
+            if count:
+                cut = slice(i * width, i * width + count)
+                kept[i].append({name: column[cut] for name, column in columns.items()})
+            evaluated[i] += width
+            blocks[i] += width > 0
+        running = [i for i in running if ends[i][0] is TerminalStatus.MAX_TIME]
+        start += width
+        block *= 2
+    solved = []
+    for row_blocks, (status, diagnostics), count, number in zip(kept, ends, evaluated, blocks):
+        columns = {name: np.concatenate([c[name] for c in row_blocks]) for name in row_blocks[0]}
+        P = columns.pop("P")
+        solved.append((P, columns, status, diagnostics, BlockCounts(count, len(P), number)))
+    return solved
 
 
-def literal_target_logs(p0: SimplexPoint, s: ScoreVector) -> np.ndarray:
-    """Log-probabilities of the literal field's limit point from p0.
+def _literal_target(p0: np.ndarray, s: np.ndarray) -> tuple:
+    """(mask, p, sum of p log p) of the nonzero entries p of the literal
+    field's limit point from p0: the flow multiplies p0 by exp(s t / T), so
+    mass concentrates on the argmax of s within the support of p0, in the
+    ratios of p0."""
+    support = p0 > 0.0
+    selected = support & (s == float(s[support].max()))
+    ell = np.full(len(p0), -np.inf)
+    ell[selected] = np.log(p0[selected])
+    ell = _normalize_logs(ell)
+    p = np.exp(ell)
+    on = p > 0.0
+    return on, p[on], float(p[on] @ ell[on])
 
-    The flow multiplies p0 by exp(s t / T) and renormalizes, so mass
-    concentrates on the argmax of s within the support of p0, with
-    within-set ratios frozen at their initial values.
-    """
-    sup = p0.support
-    if not sup.any():
-        raise InvalidInputError("initial point has empty support")
-    smax = float(s.values[sup].max())
-    target_sel = sup & (s.values == smax)
-    ell = np.full(p0.size, -np.inf)
-    ell[target_sel] = np.log(p0.probs[target_sel])
-    return _normalize_logs(ell)
+
+def _fixed_score_rows(
+    kind: FieldKind,
+    P0: np.ndarray,
+    S: np.ndarray,
+    schedule: TemperatureSchedule,
+    scale: np.ndarray,
+    samples: set,
+    controls: IntegratorControls,
+) -> list:
+    """The records of ``integrate_rows`` from checked (N, V) starts P0 and
+    scores S, row i at the temperature scale[i] T(t), at t = 0 and the
+    ``samples`` (``_stops``): ``_solve_blocks`` with the measures of a flow."""
+    entropic = kind is FieldKind.ENTROPIC
+    shifted = S - S.max(axis=1, keepdims=True)
+    if not entropic:
+        targets = [_literal_target(p0, s) for p0, s in zip(P0, S)]
+
+    def measure(temperatures, logs, widths):
+        n, k = len(S), len(logs) // len(S)
+        clamps = [k] * n
+        if entropic:
+            clamps = _first((logs.min(axis=1) < LOG_CLAMP).reshape(n, k))
+            for row in (i * k + c for i, c in enumerate(clamps) if c < k):
+                logs[row] = _normalize_logs(np.maximum(logs[row], LOG_CLAMP))
+        P = np.exp(logs)
+        scaled = (shifted[:, np.newaxis] / temperatures.reshape(n, k, 1)).reshape(logs.shape)
+        if entropic:
+            kl, g = _row_dot(P, logs - _normalize_rows(scaled)), scaled - logs
+        else:
+            kl, g = np.zeros((n, k)), scaled
+        # the (K, V) @ (V,) products of each row's one-row run, over its
+        # times before an overflow: their last bit depends on K
+        inner = np.zeros((n, k))
+        for i, (w, q, ell) in enumerate(zip(widths, P.reshape(n, k, -1), logs.reshape(n, k, -1))):
+            inner[i, :w] = q[:w] @ S[i]
+            if not entropic:
+                on, p, plogp = targets[i]
+                kl[i, :w] = plogp - ell[:w, on] @ p
+        columns = {
+            "P": P,
+            "free_energy": _free_energy_rows(inner.reshape(-1), temperatures, P, logs),
+            "kl_to_target": np.maximum(kl.reshape(-1), 0.0),
+            "field_norm": _field_norm(P, g),
+        }
+        met = _first((columns["kl_to_target"] < controls.convergence_kl).reshape(n, k))
+        return [
+            (m, TerminalStatus.CONVERGED, "") if m < c
+            else (c, TerminalStatus.DIVERGED, "log-probability clamp hit near the boundary")
+            if c < k else None
+            for m, c in zip(met, clamps)
+        ], columns
+
+    with np.errstate(divide="ignore"):
+        ell0 = np.log(P0)
+    times = np.array([0.0] + sorted(samples))
+    solved = _solve_blocks(
+        kind, ell0, shifted, schedule, scale, times, measure,
+        lambda row, t: f"flow weights overflow at t={t:.6g}",
+    )
+    return [
+        TrajectoryRecord.from_columns(
+            P, {**columns, "t": times[: len(P)]}, status, diagnostics=diagnostics,
+            block_counts=counts,
+        )
+        for P, columns, status, diagnostics, counts in solved
+    ]
+
+
+def _integrate_starts(
+    kind: FieldKind,
+    starts: Sequence[SimplexPoint],
+    s: ScoreVector,
+    schedule,
+    horizon: float,
+    controls: IntegratorControls,
+) -> list:
+    """``integrate`` from each of the starts: its checks, with its messages,
+    then one ``_fixed_score_rows`` call for all of them."""
+    sched = as_schedule(schedule)
+    for p0 in starts:
+        if p0.size != s.size:
+            raise InvalidInputError(f"size mismatch: p0 has {p0.size} entries, s has {s.size}")
+    _, samples = _stops(horizon, sched, controls)
+    if kind is FieldKind.ENTROPIC and not all(p0.interior for p0 in starts):
+        raise InteriorityError("entropic field requires an interior start")
+    check_score_spread(s, sched.at(0.0))
+    P0, S = np.array([p0.probs for p0 in starts]), np.array([s.values] * len(starts))
+    return _fixed_score_rows(kind, P0, S, sched, np.ones(len(P0)), samples, controls)
 
 
 def integrate(
@@ -831,7 +940,9 @@ def integrate(
     horizon: float = DEFAULT_HORIZON,
     controls: IntegratorControls = IntegratorControls(),
 ) -> TrajectoryRecord:
-    """Solve the selected fixed-score flow from p0 under a temperature schedule.
+    """Solve the selected fixed-score flow from p0 under a temperature
+    schedule: the one-row ``integrate_rows``, with the checks of its typed
+    inputs, so that no error names a row.
 
     Nothing is stepped: the rows it records, at t = 0 and at each sample time
     in (0, horizon], are ``log p = a log p0 + b (s - max s)`` up to
@@ -844,181 +955,44 @@ def integrate(
     ``controls.convergence_kl``, else at the last sample; a log-probability
     below ``LOG_CLAMP`` or an overflowing weight ends it DIVERGED.
     """
-    sched = as_schedule(schedule)
-    if p0.size != s.size:
-        raise InvalidInputError(f"size mismatch: p0 has {p0.size} entries, s has {s.size}")
-    _, samples = _stops(horizon, sched, controls)
-    entropic = kind is FieldKind.ENTROPIC
-    if entropic and not p0.interior:
-        raise InteriorityError("entropic field requires an interior start")
-    check_score_spread(s, sched.at(0.0))
-    shifted = s.values - s.values.max()
-    fitness = _fitness(kind, lambda _: shifted)
-    if entropic:
-
-        def kl_rows(P, logs, temperatures):
-            return _row_dot(P, logs - _normalize_rows(shifted / temperatures))
-
-    else:
-        target_ell = literal_target_logs(p0, s)
-        target_p = np.exp(target_ell)
-        target_sel = target_p > 0.0
-        target_plogp = float(target_p[target_sel] @ target_ell[target_sel])
-
-        def kl_rows(P, logs, temperatures):
-            return target_plogp - logs[:, target_sel] @ target_p[target_sel]
-
-    def measure(temperatures, logs):
-        stop, status, diagnostics = None, TerminalStatus.MAX_TIME, ""
-        if entropic:
-            low = np.flatnonzero(logs.min(axis=1) < LOG_CLAMP)
-            if low.size:
-                stop = int(low[0])
-                logs[stop] = _normalize_logs(np.maximum(logs[stop], LOG_CLAMP))
-                status = TerminalStatus.DIVERGED
-                diagnostics = "log-probability clamp hit near the boundary"
-        P = np.exp(logs)
-        temperatures = temperatures[:, np.newaxis]
-        columns = {
-            "P": P,
-            "free_energy": _free_energy_rows(P @ s.values, temperatures[:, 0], P, logs),
-            "kl_to_target": np.maximum(kl_rows(P, logs, temperatures), 0.0),
-            "field_norm": _field_norm(P, fitness(P, logs, temperatures)),
-        }
-        met = np.flatnonzero(columns["kl_to_target"] < controls.convergence_kl)
-        if met.size and (stop is None or met[0] < stop):
-            stop, status, diagnostics = int(met[0]), TerminalStatus.CONVERGED, ""
-        return stop, status, diagnostics, columns
-
-    with np.errstate(divide="ignore"):
-        ell0 = np.log(p0.probs)
-    times = np.array([0.0] + sorted(samples))
-    P, columns, status, diagnostics, counts = _solve_blocks(
-        kind,
-        ell0,
-        shifted,
-        sched,
-        times,
-        measure,
-        lambda row, t: f"flow weights overflow at t={t:.6g}",
-    )
-    columns["t"] = times[: len(P)]
-    return TrajectoryRecord.from_columns(
-        P, columns, status, diagnostics=diagnostics, block_counts=counts
-    )
+    return _integrate_starts(kind, [p0], s, schedule, horizon, controls)[0]
 
 
-def integrate_entropic_rows(
+def integrate_rows(
+    kind: FieldKind,
     P0,
     S,
-    temperatures,
+    schedule,
     horizon: float = DEFAULT_HORIZON,
     controls: IntegratorControls = IntegratorControls(),
 ) -> list:
-    """``integrate(ENTROPIC, ...)`` of N independent instances, one (p0, s, T)
-    per row of the (N, V) starts P0 and scores S with a constant T per row:
-    one record per row, equal to the bit to that instance's ``integrate`` run
-    from ``SimplexPoint(P0[i])``.
-
-    Every instance is evaluated at the shared stop times in one (N, K, V)
-    array, with ``integrate``'s coefficients and row helpers, and each record
-    ends at its own first sample below ``controls.convergence_kl``, else at
-    the last sample.  The checks are ``integrate``'s and its inputs'
-    constructors', in their order, each error naming the first row that fails
-    it: finite scores, starts checked and renormalized as simplex points, T,
-    the horizon and samples, an interior start, the score spread over T, and
-    then the two ways ``integrate`` ends a run DIVERGED before it converges,
-    weights that overflow and a log-probability below ``LOG_CLAMP``
-    (InvalidInputError).
+    """``integrate`` of N independent instances, one (p0, s) per row of the
+    (N, V) starts P0 and scores S, under one ``schedule`` (or temperature)
+    or N temperatures, a constant one per row: one record per row, equal to
+    the bit to its ``integrate`` run from ``SimplexPoint(P0[i])`` and ending
+    as that run does.  The checks are ``integrate``'s and its inputs'
+    constructors', in their order, each error naming the first row that
+    fails it: finite scores, starts checked and renormalized as simplex
+    points, T, the horizon and samples, an interior entropic start, and the
+    score spread over T(0).
     """
-    S = np.asarray(S, dtype=np.float64)
-    P0 = np.asarray(P0, dtype=np.float64)
-    temperatures = np.asarray(temperatures, dtype=np.float64)
-    if S.ndim != 2 or S.shape[1] < 2 or P0.shape != S.shape:
-        raise InvalidInputError(
-            f"need (N, V) starts and scores with V >= 2, got {P0.shape} and {S.shape}"
-        )
-    if temperatures.shape != (len(S),):
-        raise InvalidInputError(
-            f"need one temperature per row, got {temperatures.shape} for {len(S)} rows"
-        )
-    _check_rows(~np.isfinite(S).all(axis=1), lambda row: ScoreVector(S[row]))
-    P0 = _rows_checked(P0)
-    _check_rows(
-        ~(np.isfinite(temperatures) & (temperatures > 0.0)),
-        lambda row: check_temperature(temperatures[row]),
-    )
-    _, samples = _stops(horizon, ConstantSchedule(1.0), controls)
+    per_row = np.ndim(schedule) == 1
+    P0, S, scale = _instance_rows(P0, S, schedule if per_row else np.ones(len(S)))
+    schedule = ConstantSchedule(1.0) if per_row else as_schedule(schedule)
+    _, samples = _stops(horizon, schedule, controls)
 
     def exterior(row: int):
         raise InteriorityError("entropic field requires an interior start")
 
-    _check_rows(~(P0.min(axis=1) > 0.0), exterior)
+    if kind is FieldKind.ENTROPIC:
+        _check_rows(~(P0.min(axis=1) > 0.0), exterior)
+    cold = scale * schedule.at(0.0)
     with np.errstate(over="ignore"):  # a spread that overflows fails its row
-        shifted = S - S.max(axis=1, keepdims=True)
-        spread = -shifted.min(axis=1)
         _check_rows(
-            ~np.isfinite(spread / temperatures),
-            lambda row: check_score_spread(ScoreVector(S[row]), float(temperatures[row])),
+            ~np.isfinite((S.max(axis=1) - S.min(axis=1)) / cold),
+            lambda row: check_score_spread(ScoreVector(S[row]), float(cold[row])),
         )
-    times = np.array([0.0] + sorted(samples))
-    n, k, size = len(S), len(times), S.shape[1]
-    scaled = shifted / temperatures[:, np.newaxis]
-    rows_t = np.repeat(temperatures, k)
-    # _solve_blocks' coefficients (a, b) of each time; dividing by T = 1 is
-    # exact.  An instance's rows from its first overflowing weight on are never kept.
-    a = _math_map(math.exp, -times)
-    with np.errstate(all="ignore"):
-        b = ConstantSchedule(1.0).entropic_weight(times) / temperatures[:, np.newaxis]
-        finite = np.isfinite(b * spread[:, np.newaxis] + (spread / temperatures)[:, np.newaxis])
-        ell0 = np.log(P0)[:, np.newaxis]
-        weighted = a[:, np.newaxis] * ell0 + b[..., np.newaxis] * shifted[:, np.newaxis]
-        logs = _normalize_rows(weighted.reshape(-1, size))
-        P = np.exp(logs)
-        # one (K, V) @ (V,) product per instance, the product integrate takes
-        # on its run: a row inner product does not match it to the bit
-        inner = np.matmul(P.reshape(n, k, size), S[..., np.newaxis]).reshape(-1)
-        target = np.repeat(_normalize_rows(scaled), k, axis=0)
-        columns = {
-            "free_energy": _free_energy_rows(inner, rows_t, P, logs),
-            "kl_to_target": np.maximum(_row_dot(P, logs - target), 0.0),
-            "field_norm": _field_norm(P, np.repeat(scaled, k, axis=0) - logs),
-        }
-        low = (logs.min(axis=1) < LOG_CLAMP).reshape(n, k)
-        met = (columns["kl_to_target"] < controls.convergence_kl).reshape(n, k)
-
-    def first(mask: np.ndarray) -> np.ndarray:
-        return np.where(mask.any(axis=1), mask.argmax(axis=1), k)
-
-    # integrate measures no row from the overflow on, and the clamp wins a tie
-    overflow = first(~finite)
-    ends, converged = np.minimum(first(low), overflow), first(met)
-
-    def diverged(row: int):
-        t = f"t={float(times[ends[row]]):.6g}"
-        if ends[row] == overflow[row]:
-            raise InvalidInputError(f"flow weights overflow at {t}")
-        raise InvalidInputError(f"log-probability clamp hit near the boundary at {t}")
-
-    _check_rows((ends < k) & (ends <= converged), diverged)
-    kept = np.minimum(converged, k - 1) + 1
-    rows = (np.arange(k) < kept[:, np.newaxis]).reshape(-1)
-    P = _simplex_rows(P[rows])
-    columns = {name: column[rows] for name, column in columns.items()}
-    columns["t"] = np.tile(times, n)[rows]
-    records, first_row = [], 0
-    for count, stop in zip(kept.tolist(), converged.tolist()):
-        cut = slice(first_row, first_row + count)
-        first_row = cut.stop
-        records.append(
-            TrajectoryRecord.from_columns(
-                P[cut],
-                {name: column[cut] for name, column in columns.items()},
-                TerminalStatus.CONVERGED if stop < k else TerminalStatus.MAX_TIME,
-                block_counts=BlockCounts(k, count, 1),
-            )
-        )
-    return records
+    return _fixed_score_rows(kind, P0, S, schedule, scale, samples, controls)
 
 
 # ---------------------------------------------------------------------------

@@ -211,6 +211,32 @@ def _rows_checked(rows: np.ndarray) -> np.ndarray:
         raise
 
 
+def _instance_rows(P, S, temperatures) -> tuple:
+    """(P, S, temperatures) of N instances as float arrays: (N, V) points and
+    scores with V >= 2 and one temperature per row, checked as the
+    constructors check one instance, each error naming the first row that
+    fails it: finite scores, P checked and renormalized as simplex points,
+    and temperatures positive and finite."""
+    S = np.asarray(S, dtype=np.float64)
+    P = np.asarray(P, dtype=np.float64)
+    temperatures = np.asarray(temperatures, dtype=np.float64)
+    if S.ndim != 2 or S.shape[1] < 2 or P.shape != S.shape:
+        raise InvalidInputError(
+            f"need (N, V) points and scores with V >= 2, got {P.shape} and {S.shape}"
+        )
+    if temperatures.shape != (len(S),):
+        raise InvalidInputError(
+            f"need one temperature per row, got {temperatures.shape} for {len(S)} rows"
+        )
+    _check_rows(~np.isfinite(S).all(axis=1), lambda row: ScoreVector(S[row]))
+    P = _rows_checked(P)
+    _check_rows(
+        ~(np.isfinite(temperatures) & (temperatures > 0.0)),
+        lambda row: check_temperature(temperatures[row]),
+    )
+    return P, S, temperatures
+
+
 @dataclass(frozen=True)
 class FaceMask:
     """Support subset defining a face of the simplex (top-k / nucleus truncation)."""

@@ -341,12 +341,12 @@ class TestAdjudication:
             solver = getattr(replicator, name)
             return lambda *a, **k: calls.update([name]) or solver(*a, **k)
 
-        for name in ("integrate", "integrate_entropic_rows"):
+        for name in ("integrate", "integrate_rows"):
             monkeypatch.setattr(replicator, name, counted(name))
         run_adjudication(include=["prop-lyapunov", "cor-convergence"])
         # one row call per size for the 60 entropic runs, and the literal run
         # from softmax
-        assert calls == {"integrate_entropic_rows": 3, "integrate": 1}
+        assert calls == {"integrate_rows": 3, "integrate": 1}
 
     @pytest.mark.parametrize(
         "include",

@@ -152,6 +152,30 @@ class TestReduction:
             assert np.array_equal(sa.p.probs, sb.p.probs)
             assert sa.free_energy == sb.free_energy
 
+    @pytest.mark.parametrize("kind", list(FieldKind))
+    @pytest.mark.parametrize(
+        "schedule", [1.0, PiecewiseConstantSchedule((1.0, 2.0), (4.0, 1.0, 0.5))],
+        ids=["constant", "piecewise"],
+    )
+    def test_constant_field_starts_are_their_integrate_runs(self, kind, schedule, rng):
+        # the starts are rows of one solve; each record is its start's run,
+        # a literal start on a face included
+        s0 = rng.uniform(-3, 3, 4)
+        starts = [SimplexPoint(rng.dirichlet(np.ones(4))) for _ in range(6)]
+        if kind is FieldKind.LITERAL:
+            starts.append(SimplexPoint([0.0, 0.5, 0.5, 0.0]))
+        controls = IntegratorControls()
+        records = integrate_paths(constant_field(s0), kind, starts, schedule, 100.0, controls)
+        assert len(records) == len(starts)
+        for record, p0 in zip(records, starts):
+            run = integrate(kind, p0, ScoreVector(s0), schedule, 100.0, controls)
+            assert record.terminal_status is run.terminal_status
+            assert record.diagnostics == run.diagnostics
+            assert record.block_counts.stops_kept == run.block_counts.stops_kept
+            for name in ("t", "P", "free_energy", "kl_to_target", "field_norm"):
+                assert np.array_equal(getattr(record, name), getattr(run, name)), name
+        assert len({len(record.t) for record in records}) > 1
+
     def test_zero_coupling_run_equals_replicator_run(self, rng):
         s0 = rng.uniform(-3, 3, 3)
         p0 = SimplexPoint(rng.dirichlet(np.ones(3)))

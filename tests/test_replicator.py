@@ -126,6 +126,17 @@ class TestSchedules:
                 assert reference.view(np.int64).tolist() == alone.view(np.int64).tolist()
                 assert reference.view(np.int64).tolist() == block.view(np.int64).tolist()
 
+    @pytest.mark.parametrize(
+        "schedule",
+        [ConstantSchedule(2.0), PiecewiseConstantSchedule((1.0,), (1.0, 2.0)),
+         ExponentialSchedule(1.0, 1.0)],
+        ids=["constant", "piecewise", "exponential"],
+    )
+    def test_effective_time_refuses_nan(self, schedule):
+        # NaN fails no comparison: `t < 0` let it through to a NaN tau
+        with pytest.raises(InvalidInputError, match="time must be nonnegative"):
+            effective_time(schedule, math.nan)
+
     def test_invalid_schedules_raise(self):
         with pytest.raises(InvalidInputError):
             PiecewiseConstantSchedule((2.0, 1.0), (1.0, 1.0, 1.0))
@@ -252,6 +263,15 @@ class TestIntegrateEntropic:
         )
         assert traj.terminal_status is TerminalStatus.DIVERGED
         assert "clamp" in traj.diagnostics
+
+    @pytest.mark.parametrize("times", [(0.0, math.nan, 1.0), (math.nan,), (0.0, 1.0, math.nan)])
+    def test_a_nan_sample_time_raises(self, times):
+        # NaN fails no comparison: `grid < 0` and `diff <= 0` let it through,
+        # and the run dropped it
+        controls = IntegratorControls(sample_times=times)
+        with pytest.raises(InvalidInputError, match="strictly increasing and nonnegative"):
+            integrate(FieldKind.ENTROPIC, SimplexPoint.uniform(2), ScoreVector([1.0, 0.0]),
+                      1.0, 2.0, controls)
 
     def test_boundary_start_raises(self):
         with pytest.raises(InteriorityError):
@@ -774,33 +794,56 @@ class TestBlockedClosedForm:
         assert rebuilt.block_counts is None and rebuilt.step_counts is None
 
 
-class TestEntropicRows:
-    """``integrate_entropic_rows``: each row is its instance's ``integrate``
-    run to the bit, and each check names the first row that fails it."""
+class TestIntegrateRows:
+    """``integrate_rows``: each row is its instance's ``integrate`` run to the
+    bit, for both kinds and every schedule kind, whether it converges, runs
+    to its last sample or ends DIVERGED, and each input check names the
+    first row that fails it."""
 
     GOOD_S, GOOD_P = [1.0, 0.0, -1.0], [0.2, 0.3, 0.5]
 
     @staticmethod
-    def assert_rows_are_their_runs(P0, S, T, horizon, controls):
-        rows = replicator.integrate_entropic_rows(P0, S, T, horizon, controls)
+    def assert_rows_are_their_runs(kind, P0, S, schedule, horizon, controls):
+        rows = replicator.integrate_rows(kind, P0, S, schedule, horizon, controls)
         assert len(rows) == len(S)
-        for row, p0, s, temp in zip(rows, P0, S, T):
-            run = integrate(FieldKind.ENTROPIC, SimplexPoint(p0), ScoreVector(s), temp,
-                            horizon, controls)
+        per_row = np.ndim(schedule) == 1
+        for i, (row, p0, s) in enumerate(zip(rows, P0, S)):
+            run = integrate(kind, SimplexPoint(p0), ScoreVector(s),
+                            schedule[i] if per_row else schedule, horizon, controls)
             assert row.terminal_status is run.terminal_status
+            assert row.diagnostics == run.diagnostics
             assert len(row.t) == len(run.t)
             for name in ("P", "t", "free_energy", "kl_to_target", "field_norm"):
                 assert np.array_equal(getattr(row, name), getattr(run, name)), name
         return rows
 
+    @pytest.mark.parametrize("kind", list(FieldKind))
     @pytest.mark.parametrize("size", [2, 3, 8])
     @pytest.mark.parametrize("controls", [IntegratorControls(n_samples=60), IntegratorControls()])
-    def test_each_row_is_its_integrate_run(self, size, controls):
-        # the default 200 samples take integrate past its first block
+    def test_each_row_is_its_integrate_run(self, kind, size, controls):
+        # a temperature per row; the default 200 samples take integrate past
+        # its first block
         rng = np.random.default_rng([size, 20])
         S, P0 = rng.uniform(-3, 3, (12, size)), rng.dirichlet(np.ones(size), 12)
-        rows = self.assert_rows_are_their_runs(P0, S, np.tile([0.25, 1.0, 4.0], 4), 1e3, controls)
-        assert all(row.terminal_status is TerminalStatus.CONVERGED for row in rows)
+        rows = self.assert_rows_are_their_runs(
+            kind, P0, S, np.tile([0.25, 1.0, 4.0], 4), 1e3, controls
+        )
+        assert len({len(row.t) for row in rows}) > 1
+        if kind is FieldKind.ENTROPIC:
+            assert all(row.terminal_status is TerminalStatus.CONVERGED for row in rows)
+
+    @pytest.mark.parametrize("kind", list(FieldKind))
+    @pytest.mark.parametrize(
+        "schedule",
+        [2.0, PiecewiseConstantSchedule((1.0, 2.0), (4.0, 1.0, 0.5)),
+         ExponentialSchedule(1.0, 1.0), ExponentialSchedule(0.5, -0.05)],
+        ids=["constant", "piecewise", "exponential", "annealing"],
+    )
+    def test_rows_share_a_schedule(self, kind, schedule):
+        rng = np.random.default_rng(22)
+        S, P0 = rng.uniform(-3, 3, (6, 4)), rng.dirichlet(np.ones(4), 6)
+        controls = IntegratorControls(n_samples=301, uniform_samples=True)
+        self.assert_rows_are_their_runs(kind, P0, S, schedule, 30.0, controls)
 
     @pytest.mark.parametrize("size", [2, 3, 8])
     def test_rows_stop_at_their_own_rows(self, size):
@@ -813,17 +856,84 @@ class TestEntropicRows:
         P0[0] = softmax(ScoreVector(S[0]), T[0]).probs
         P0[1] = [1e-200] + [1.0 / (size - 1)] * (size - 1)
         controls = IntegratorControls(uniform_samples=True)
-        rows = self.assert_rows_are_their_runs(P0, S, T, 12.0, controls)
+        rows = self.assert_rows_are_their_runs(FieldKind.ENTROPIC, P0, S, T, 12.0, controls)
         assert len(rows[0].t) == 1 and len(rows[1].t) == 200
         assert len({len(row.t) for row in rows[2:]}) == 4
         assert {row.terminal_status for row in rows} == {
             TerminalStatus.CONVERGED, TerminalStatus.MAX_TIME}
 
+    def test_literal_rows_on_faces_and_tied_scores(self):
+        # starts with zeros, and the top score tied on two of four tokens
+        S = np.array([[1.0, 0.0, -0.5, 2.0], [2.0, 0.0, 2.0, -1.0], [2.0, 0.0, 2.0, -1.0]])
+        P0 = np.array([[0.0, 0.5, 0.5, 0.0], [0.1, 0.2, 0.3, 0.4], [0.0, 0.3, 0.3, 0.4]])
+        rows = self.assert_rows_are_their_runs(
+            FieldKind.LITERAL, P0, S, [1.0, 0.5, 2.0], 60.0, IntegratorControls()
+        )
+        assert all(row.terminal_status is TerminalStatus.CONVERGED for row in rows)
+        assert rows[0].P[-1, 0] == rows[0].P[-1, 3] == 0.0
+
+    @pytest.mark.parametrize(
+        "kind, P0, S, T, ends",
+        [
+            # a row whose weights overflow at its first sample between a row
+            # that converges and one that runs to the horizon
+            (FieldKind.LITERAL, [GOOD_P] * 3, [GOOD_S, [0.0, 1.79e308, 0.0], [0.5, 0.0, -1.0]],
+             [1.0, 1.0, 1.0], ["converged", "overflow", "max-time"]),
+            # two rows that clamp while their two tied top tokens are still
+            # apart, and two that converge, one in the second block
+            (FieldKind.ENTROPIC, [GOOD_P, GOOD_P, GOOD_P, [1e-200, 0.5, 0.5]],
+             [[0.0, 0.0, -3.0], GOOD_S, [0.0, 0.0, -3.0], GOOD_S],
+             [0.004, 1.0, 3.0 / 691.0, 1.0], ["clamp", "converged", "clamp", "converged"]),
+        ],
+        ids=["literal", "entropic"],
+    )
+    def test_diverged_rows_among_converging_rows(self, kind, P0, S, T, ends):
+        controls = IntegratorControls(n_samples=301, uniform_samples=True)
+        rows = self.assert_rows_are_their_runs(kind, P0, S, T, 30.0, controls)
+        named = {"overflow": "flow weights overflow at t=0.1",
+                 "clamp": "log-probability clamp hit near the boundary"}
+        for row, end in zip(rows, ends):
+            if end in named:
+                assert row.terminal_status is TerminalStatus.DIVERGED
+                assert row.diagnostics == named[end]
+            else:
+                assert row.terminal_status.value == end
+        assert max(len(row.t) for row in rows) > FIRST_BLOCK
+
+    def test_a_clamp_row_below_the_kl_stop_ends_diverged(self):
+        # at t = 1 the first row is clamped, and its KL to softmax is then
+        # 9e-298: the clamp wins the tie, as in its integrate run
+        rows = self.assert_rows_are_their_runs(
+            FieldKind.ENTROPIC, [[0.5, 0.5], [0.3, 0.7]], [[0.0, 1600.0], [1.0, 0.0]], 1.0,
+            1.0, IntegratorControls(sample_times=(0.0, 1.0)),
+        )
+        assert rows[0].terminal_status is TerminalStatus.DIVERGED
+        assert rows[0].kl_to_target[-1] < 1e-10 < rows[0].kl_to_target[0]
+        assert rows[1].terminal_status is TerminalStatus.MAX_TIME
+
+    @pytest.mark.parametrize("kind", list(FieldKind))
+    def test_rows_keep_the_blocks_of_their_one_row_runs(self, kind, monkeypatch):
+        # a (K, V) @ (V,) product's last bit depends on K, so a row must see
+        # its one-row run's blocks: here 5 times a block at V = 16, whatever
+        # the number of rows, and a row whose weights overflow at its first
+        # sample, its block one time long, beside rows that run on
+        monkeypatch.setattr(replicator, "FIRST_BLOCK", 8)
+        monkeypatch.setattr(replicator, "BLOCK_BYTES", 5 * 8 * 16)
+        rng = np.random.default_rng(24)
+        S, P0 = rng.uniform(-3, 3, (8, 16)), rng.dirichlet(np.ones(16), 8)
+        S[:4] *= 8.7e307 / 3
+        S[:4, :2] = 8.75e307, -8.75e307
+        rows = self.assert_rows_are_their_runs(
+            kind, P0, S, 1.0, 2.0, IntegratorControls(n_samples=40, uniform_samples=True)
+        )
+        assert all(row.diagnostics.startswith("flow weights overflow") for row in rows[:4])
+        assert all(len(row.t) == 1 for row in rows[:4]) and all(len(row.t) > 5 for row in rows[4:])
+
     def test_a_weight_that_overflows_after_the_stop_is_no_warning(self):
         # equal scores at T = 5e-324: w(t) / T is inf from the second row on,
         # past the stop at t = 0
         rows = self.assert_rows_are_their_runs(
-            [[0.5, 0.5]], [[1.0, 1.0]], [5e-324], 1.0, IntegratorControls()
+            FieldKind.ENTROPIC, [[0.5, 0.5]], [[1.0, 1.0]], [5e-324], 1.0, IntegratorControls()
         )
         assert rows[0].terminal_status is TerminalStatus.CONVERGED and len(rows[0].t) == 1
 
@@ -837,10 +947,9 @@ class TestEntropicRows:
              "entropic field requires an interior start"),
             ([-1e308, 1e308, 0.0], GOOD_P, 1.0, InvalidInputError,
              "score spread over temperature overflows"),
-            # integrate ends these two DIVERGED with the same diagnostics
-            ([0.0, 1.79e308, 0.0], GOOD_P, 1.0, InvalidInputError,
-             "flow weights overflow at t=0.01"),
-            ([0.0, 0.0, -3.0], GOOD_P, 0.004, InvalidInputError,
+            # no error: these rows end DIVERGED, as their integrate runs do
+            ([0.0, 1.79e308, 0.0], GOOD_P, 1.0, None, "flow weights overflow at t=0.01"),
+            ([0.0, 0.0, -3.0], GOOD_P, 0.004, None,
              "log-probability clamp hit near the boundary"),
         ],
         ids=["scores", "start", "temperature", "interior", "spread", "overflow", "clamp"],
@@ -848,13 +957,16 @@ class TestEntropicRows:
     def test_each_check_names_the_first_row_that_fails(self, s, p, temp, error, named):
         S = np.array([self.GOOD_S, s, self.GOOD_S, s])
         P0 = np.array([self.GOOD_P, p, self.GOOD_P, p])
+        T = [1.0, temp, 1.0, temp]
         controls = IntegratorControls(n_samples=60)
+        if error is None:
+            rows = self.assert_rows_are_their_runs(FieldKind.ENTROPIC, P0, S, T, 1e3, controls)
+            assert [row.terminal_status for row in rows] == [
+                TerminalStatus.CONVERGED, TerminalStatus.DIVERGED] * 2
+            assert rows[1].diagnostics == named
+            return
         with pytest.raises(error, match=f"^row 1: {re.escape(named)}"):
-            replicator.integrate_entropic_rows(P0, S, [1.0, temp, 1.0, temp], 1e3, controls)
-        if named.startswith(("flow weights", "log-probability")):
-            run = integrate(FieldKind.ENTROPIC, SimplexPoint(p), ScoreVector(s), temp, 1e3, controls)
-            assert run.terminal_status is TerminalStatus.DIVERGED
-            assert named.startswith(run.diagnostics.split(" at t=")[0])
+            replicator.integrate_rows(FieldKind.ENTROPIC, P0, S, T, 1e3, controls)
 
 
 def _flow_case(kind, p0, s, schedule, horizon, event, convergence_kl=1e-10):
