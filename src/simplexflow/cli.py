@@ -277,7 +277,7 @@ _OPTIONS = (
     _Option("format", ("output.format",), "--format", ("simulate", "prox-iterate"),
             choices=("csv", "json"), plumbing=True, help="table format"),
     _Option("jobs", ("sweep.jobs",), "--jobs", ("sweep",), int, plumbing=True,
-            help="parallel sweep workers"),
+            help="parallel sweep workers, at most one per cell"),
 )
 _GRID = {opt.grid: opt for opt in _OPTIONS if opt.grid}
 #: flag -> the rows it sets, in table order
@@ -829,9 +829,11 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
     base = dataclasses.asdict(cfg)
     base["grid"] = {}
     payloads = [(i, base, cell) for i, cell in enumerate(cells)]
-    if cfg.jobs > 1:
+    # a pool starts all its workers at once, so it gets no more than the cells
+    workers = min(cfg.jobs, len(cells))
+    if workers > 1:
         outcomes = []
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             try:
                 outcomes.extend(pool.map(_run_cell, payloads))
             except BrokenProcessPool as exc:

@@ -52,7 +52,15 @@ from enum import Enum
 import numpy as np
 
 from .exceptions import InteriorityError, InvalidInputError
-from .replicator import ConstantSchedule, FieldKind, _free_energy_rows, _row_dot, _solve_blocks
+from .replicator import (
+    ConstantSchedule,
+    FieldKind,
+    _coefficients,
+    _free_energy_rows,
+    _math_map,
+    _row_dot,
+    _solve_blocks,
+)
 from .simplex import (
     ScoreVector,
     SimplexPoint,
@@ -87,13 +95,11 @@ def _require_interior(p: SimplexPoint) -> None:
         raise InteriorityError("step requires a strictly interior point")
 
 
-def _sampled_flow(kind: MirrorStepKind, p: SimplexPoint, s: ScoreVector, t: float, eta: float):
-    """(flow kind, time per step): the flow that ``kind`` samples, from p."""
-    _require_interior(p)
-    check_score_spread(s, t)
+def _sampled_flow(kind: MirrorStepKind, etas: np.ndarray, temperatures: np.ndarray) -> tuple:
+    """(flow kind, time per step of each row): the flow that ``kind`` samples."""
     if kind is MirrorStepKind.PRINTED_MW:
-        return FieldKind.LITERAL, eta
-    return FieldKind.ENTROPIC, math.log1p(eta * t)
+        return FieldKind.LITERAL, etas
+    return FieldKind.ENTROPIC, _math_map(math.log1p, etas * temperatures)
 
 
 def _log_slope(etas, values: np.ndarray, floor: float) -> float:
@@ -138,13 +144,13 @@ def ascent_certificates(kind: MirrorStepKind, P, S, temperatures, etas) -> tuple
     ``AscentCertificate`` of one step from each row of the (N, V) points P
     with the scores S, temperature and step size of that row.
 
-    Row i is the one-step ``iterate`` of its instance: log q is ``normalize(a
-    log p + b (s - max s))`` with (a, b) = (e^{-h}, -expm1(-h)/T) at h =
-    log1p(eta T) for the exact prox step and (1, eta/T) for printed MW.  The
-    checks are the one-step ``iterate``'s and its inputs' constructors', in
-    their order, each error naming the first row that fails: finite scores,
-    P checked and renormalized as simplex points, T and eta, a strictly
-    interior P, the score spread over T, weights b·spread + spread/T that
+    Row i is, to the bit, the one-step ``iterate`` of its instance: log q is
+    ``normalize(a log p + b (s - max s))`` with the (a, b) of
+    ``_solve_blocks`` at the h of ``_sampled_flow``.  The checks are the
+    one-step ``iterate``'s and its inputs' constructors', in their order,
+    each error naming the first row that fails: finite scores, P checked
+    and renormalized as simplex points, T and eta, a strictly interior P,
+    the score spread over T and T log V, weights b·spread + spread/T that
     overflow (InvalidInputError, as the iterate's DIVERGED step) and the
     simplex checks of both measured rows.
     """
@@ -167,18 +173,15 @@ def ascent_certificates(kind: MirrorStepKind, P, S, temperatures, etas) -> tuple
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value fails its row
         spread = high - S.min(axis=1)
         _check_rows(
-            ~np.isfinite(spread / temperatures),
+            ~np.isfinite(spread / temperatures + temperatures * math.log(S.shape[1])),
             lambda row: check_score_spread(ScoreVector(S[row]), float(temperatures[row])),
         )
-        if kind is MirrorStepKind.PRINTED_MW:
-            a, b = np.ones(len(S)), etas / temperatures
-        else:
-            h = np.log1p(etas * temperatures)
-            a, b = np.exp(-h), -np.expm1(-h) / temperatures
+        flow, h = _sampled_flow(kind, etas, temperatures)
+        a, b = _coefficients(flow, ConstantSchedule(1.0), h, temperatures)
         _check_rows(~np.isfinite(b * spread + spread / temperatures), overflow)
     ell = np.log(P)
     before = _normalize_rows(ell)
-    after = _normalize_rows(a[:, np.newaxis] * ell + b[:, np.newaxis] * (S - high[:, np.newaxis]))
+    after = _normalize_rows(a * ell + b[:, np.newaxis] * (S - high[:, np.newaxis]))
     q_before, q_after = np.exp(before), np.exp(after)
     _rows_checked(q_before)
     _rows_checked(q_after)
@@ -232,11 +235,13 @@ def iterate(
         raise InvalidInputError(f"max_steps must be nonnegative, got {max_steps}")
     if not 0.0 <= kl_tol < math.inf:
         raise InvalidInputError(f"kl_tol must be finite and nonnegative, got {kl_tol!r}")
-    flow, h = _sampled_flow(kind, p0, s, t, eta)
+    _require_interior(p0)
+    check_score_spread(s, t)
+    flow, (h,) = _sampled_flow(kind, np.array([eta]), np.array([t]))
     ell_target = log_softmax(s, t)
     previous = []  # log-state of the last iterate measured so far
 
-    def measure(temperatures, logs, widths):
+    def measure(temperatures, logs):
         q = np.exp(logs)
         first = not previous
         ell_before = logs[0] if first else previous.pop()
@@ -248,7 +253,7 @@ def iterate(
         stop = int(met[0]) if met.size else None
         return [None if stop is None else (stop, TerminalStatus.CONVERGED, "")], {
             "P": q,
-            "free_energy": _free_energy_rows(q @ s.values, t, q, logs),
+            "free_energy": _free_energy_rows(_row_dot(q, s.values), t, q, logs),
             "kl_to_target": np.maximum(_row_dot(q, logs - ell_target), 0.0),
             "kl_move": kl_move,
         }

@@ -36,7 +36,6 @@ from .replicator import (
     IntegratorControls,
     _check_cold_spread,
     _integrate_starts,
-    _row_dot,
     _run_flows,
     as_schedule,
     eval_field,
@@ -96,8 +95,10 @@ class ScoreField:
         its gradient is s(p) when B is symmetric."""
         value = p @ self.base
         if self.coupling is not None:
+            # einsum, not _row_dot: its last bit decides _grid_local_maxima's maxima
             value = value + 0.5 * (
-                p @ (self.coupling @ p) if p.ndim == 1 else _row_dot(p, p @ self.coupling.T)
+                p @ (self.coupling @ p) if p.ndim == 1
+                else np.einsum("kv,kv->k", p, p @ self.coupling.T)
             )
         return value
 
@@ -222,7 +223,7 @@ def integrate_paths(
             )
     schedule = as_schedule(schedule)
     largest = float(np.abs(field.base).max()) + float(np.abs(field.coupling).max())
-    _check_cold_spread("linear field scores", largest, schedule, horizon)
+    _check_cold_spread("linear field scores", largest, field.size, schedule, horizon)
     return _run_flows(
         fieldkind, starts, field.scores_at, field.potential, schedule, horizon, controls,
         dense=dense,
@@ -477,10 +478,10 @@ def _barycentric_lattice(resolution: int) -> tuple:
 def _grid_local_maxima(field: ScoreField, temperature: float):
     """Strict local maxima of G on the interior barycentric lattice of
     ``LATTICE_RESOLUTION``, as (point, value) pairs: G is evaluated on the
-    whole lattice at once, so a value may differ from
-    ``generalized_free_energy`` in its last bits."""
+    whole lattice at once, by einsum, whose last bits decide the maxima, so
+    a value may differ from ``generalized_free_energy`` in its last bits."""
     points, neighbours = _barycentric_lattice(LATTICE_RESOLUTION)
-    entropies = np.clip(-_row_dot(points, np.log(points)), 0.0, math.log(points.shape[1]))
+    entropies = np.clip(-np.einsum("kv,kv->k", points, np.log(points)), 0.0, math.log(3))
     values = field.potential(points) + check_temperature(temperature) * entropies
     padded = np.append(values, -np.inf)  # row -1: no neighbour
     around = padded[neighbours].max(axis=1)

@@ -66,6 +66,7 @@ from .simplex import (
     NORM_EPS,
     ScoreVector,
     SimplexPoint,
+    _check_entropy_scale,
     _check_rows,
     _instance_rows,
     _normalize_logs,
@@ -275,13 +276,9 @@ def effective_time(schedule: TemperatureSchedule, t: float) -> float:
 
 
 def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Inner product of each row of two (K, V) arrays."""
-    return np.einsum("kv,kv->k", a, b)
-
-
-def _row_inner(p: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """<p, g> of each row of two (B, V) blocks, as a column."""
-    return _row_dot(p, g)[:, np.newaxis]
+    """<a, b> per row, b broadcast against a's rows: stacked (1, V) products, so each
+    row is its point's product to the bit (einsum's and (K, V) @ (V,)'s vary with K)."""
+    return (a[..., np.newaxis, :] @ b[..., np.newaxis])[..., 0, 0]
 
 
 def _tangent_field(p: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -291,7 +288,7 @@ def _tangent_field(p: np.ndarray, g: np.ndarray) -> np.ndarray:
     Coordinates with p_i = 0 stay exactly zero; the fold keeps the float sum
     within one ulp of zero without touching them.
     """
-    x = p * (g - (p @ g if p.ndim == 1 else _row_inner(p, g)))
+    x = p * (g - _row_dot(p, g)[..., np.newaxis])
     rows = x.reshape(-1, x.shape[-1])
     rows[np.arange(len(rows)), np.argmax(np.abs(rows), axis=1)] -= rows.sum(axis=1)
     return x
@@ -440,13 +437,14 @@ _DP_D = np.array(
 )
 
 
-def _check_cold_spread(what: str, largest: float, schedule: TemperatureSchedule,
+def _check_cold_spread(what: str, largest: float, size: int, schedule: TemperatureSchedule,
                        horizon: float) -> None:
     """Raise InvalidInputError when scores up to ``largest`` overflow a DP run
     to ``horizon`` at its coldest temperature, the smallest of T at 0, at each
     breakpoint and at the horizon: |slope| <= 2 largest / T, a stage moves
     log p by up to _DP_REACH slopes times a step of at most the horizon, and
-    normalizing subtracts two moves."""
+    normalizing subtracts two moves.  The hottest of those temperatures is
+    checked for the free energy of ``size`` tokens (``_check_entropy_scale``)."""
     if not 0.0 < horizon < math.inf:  # _run_flows refuses any other horizon
         return
     edges = sorted({0.0, horizon, *(b for b in schedule.breakpoints() if 0.0 < b < horizon)})
@@ -458,6 +456,7 @@ def _check_cold_spread(what: str, largest: float, schedule: TemperatureSchedule,
             f"{what} up to {largest:.3g} overflow at T({t_cold:.6g}) = "
             f"{coldest:.3g}, the run's smallest temperature"
         )
+    _check_entropy_scale(max(map(schedule.at, edges)), size)
 
 
 def _stage_sum(coefficients: np.ndarray, slopes: np.ndarray) -> np.ndarray:
@@ -529,7 +528,10 @@ def _run_flows(
     if single:
         normalize, inner, stage_sum = _normalize_logs, np.matmul, np.matmul
     else:
-        normalize, inner, stage_sum = _normalize_rows, _row_inner, _stage_sum
+        normalize, stage_sum = _normalize_rows, _stage_sum
+        # einsum, not _row_dot: its last bit decides which steps are accepted,
+        # and no oracle yet gates a change of the step sequences
+        inner = lambda p, g: np.einsum("kv,kv->k", p, g)[:, np.newaxis]
 
     with np.errstate(divide="ignore"):
         ell = normalize(np.log(starts[0].probs if single else [p0.probs for p0 in starts]))
@@ -737,6 +739,13 @@ def _first(mask: np.ndarray) -> list:
     return [k if row[k] else len(row) for k, row in zip(mask.argmax(axis=1).tolist(), mask)]
 
 
+def _coefficients(kind: FieldKind, schedule: TemperatureSchedule, times: np.ndarray, scale):
+    """(a, b) of ``_solve_blocks`` at the 1-D ``times``, ``a`` a column or one entry."""
+    if kind is FieldKind.ENTROPIC:
+        return _math_map(math.exp, -times)[:, np.newaxis], schedule.entropic_weight(times) / scale
+    return np.ones((1, 1)), schedule.effective_time(times) / scale
+
+
 def _solve_blocks(
     kind: FieldKind,
     ell0: np.ndarray,
@@ -753,26 +762,24 @@ def _solve_blocks(
     Row i at t = times[k] has the temperature scale[i] T(t), T the
     schedule's, and the log-weights ``normalize(a ell0[i] + b shifted[i])``,
     with (a, b) = (1, tau(t) / scale[i]) for LITERAL and (e^{-t}, w(t) /
-    scale[i]) for ENTROPIC: one call of ``effective_time`` or
-    ``entropic_weight`` and one ``_math_map`` per block.  A block is every
-    row at K times, until no row runs: K starts at FIRST_BLOCK (see there),
-    doubles from block to block and is capped at BLOCK_BYTES per row, so a
-    row has the blocks of its one-row run.  ``measure(temperatures, logs,
-    widths)`` takes the temperatures and log-probabilities of a block, the
-    times of one row after the other, and each row's number of times before
-    its weights overflow, and returns per row None or (its stop's time index
-    in the block, status, diagnostics), and the columns: "P", the exp(logs)
-    it measured, and one value per time for each other.  A temperature that
-    overflows raises; weights that overflow end a row DIVERGED before that
-    time with diagnostics ``overflow_note(k, t)``, unless it stopped earlier.
+    scale[i]) for ENTROPIC: one ``_coefficients`` call per block.  A block
+    is every row at K times, until no row runs: K starts at FIRST_BLOCK (see
+    there), doubles from block to block and is capped at BLOCK_BYTES per
+    row, so a row has the blocks of its one-row run.  ``measure(temperatures,
+    logs)`` takes the temperatures and log-probabilities of a block, the
+    times of one row after the other, and returns per row None or (its
+    stop's time index in the block, status, diagnostics), and the columns:
+    "P", the exp(logs) it measured, and one value per time for each other.
+    A temperature that overflows raises; weights that overflow, or T(t) log V
+    (the bound of T H(p)), end a row DIVERGED before that time, unless it
+    stopped earlier, with diagnostics ``overflow_note(k, t)`` or its own.
 
     Returns per row (P, columns, status, diagnostics, BlockCounts) up to its
     stop, P checked and renormalized by ``_simplex_rows``; the counts are
     those of the blocks while it ran.
     """
-    entropic = kind is FieldKind.ENTROPIC
-    weight = schedule.entropic_weight if entropic else schedule.effective_time
     scale, spread = scale[:, np.newaxis], -shifted.min(axis=1, keepdims=True)
+    log_size = math.log(ell0.shape[1])
     kept = [[] for _ in ell0]  # the column blocks of each row
     ends = [(TerminalStatus.MAX_TIME, "")] * len(ell0)
     evaluated, blocks = [0] * len(ell0), [0] * len(ell0)
@@ -788,25 +795,26 @@ def _solve_blocks(
             failure = exc
         temperatures = scale * np.array(at)
         with np.errstate(all="ignore"):
-            b = weight(chunk[: len(at)]) / scale
-            finite = (temperatures > 0.0) & np.isfinite(b * spread + spread / temperatures)
+            a, b = _coefficients(kind, schedule, chunk[: len(at)], scale)
+            hot = ~np.isfinite(temperatures * log_size)  # T H(p) <= T log V
+            finite = (temperatures > 0.0) & np.isfinite(b * spread + spread / temperatures) & ~hot
         overflow = _first(~finite)
         width, stops = max(overflow), [None] * len(ell0)
         if width:
             temperatures, b, finite = temperatures[:, :width], b[:, :width], finite[:, :width]
             if min(overflow) < width:  # the times of a row from its overflow on are never kept
                 temperatures, b = np.where(finite, temperatures, 1.0), np.where(finite, b, 0.0)
-            a = _math_map(math.exp, -chunk[:width])[:, np.newaxis] if entropic else 1.0
-            logs = a * ell0[:, np.newaxis] + b[..., np.newaxis] * shifted[:, np.newaxis]
+            logs = a[:width] * ell0[:, np.newaxis] + b[..., np.newaxis] * shifted[:, np.newaxis]
             logs = _normalize_rows(logs.reshape(-1, ell0.shape[1]))
-            stops, columns = measure(temperatures.reshape(-1), logs, overflow)
+            stops, columns = measure(temperatures.reshape(-1), logs)
             columns["P"] = _simplex_rows(columns["P"])  # row by row: a row keeps its values
         for i in running:
             if stops[i] is not None and stops[i][0] < overflow[i]:
                 count, ends[i] = stops[i][0] + 1, stops[i][1:]
             elif overflow[i] < len(at):
-                count = overflow[i]
-                ends[i] = TerminalStatus.DIVERGED, overflow_note(start + count, stamps[count])
+                count, t = overflow[i], stamps[overflow[i]]
+                note = f"T log V overflows at t={t:.6g}" if hot[i, count] else None
+                ends[i] = TerminalStatus.DIVERGED, note or overflow_note(start + count, t)
             elif failure is not None:
                 raise failure
             else:
@@ -827,19 +835,14 @@ def _solve_blocks(
     return solved
 
 
-def _literal_target(p0: np.ndarray, s: np.ndarray) -> tuple:
-    """(mask, p, sum of p log p) of the nonzero entries p of the literal
-    field's limit point from p0: the flow multiplies p0 by exp(s t / T), so
-    mass concentrates on the argmax of s within the support of p0, in the
-    ratios of p0."""
-    support = p0 > 0.0
-    selected = support & (s == float(s[support].max()))
-    ell = np.full(len(p0), -np.inf)
-    ell[selected] = np.log(p0[selected])
-    ell = _normalize_logs(ell)
-    p = np.exp(ell)
-    on = p > 0.0
-    return on, p[on], float(p[on] @ ell[on])
+def _literal_limits(ell0: np.ndarray, S: np.ndarray) -> tuple:
+    """(limit points, their sums of p log p) of the literal flow from the rows
+    of log p0: it multiplies p0 by exp(s t / T), so mass concentrates on the
+    argmax of s within the support of p0, in the ratios of p0."""
+    top = np.where(ell0 > -np.inf, S, -np.inf).max(axis=1, keepdims=True)
+    ell = _normalize_rows(np.where(S == top, ell0, -np.inf))[:, np.newaxis]
+    limits = np.exp(ell)  # (N, 1, V), against an (N, K, V) block
+    return limits, _row_dot(limits, np.where(limits > 0.0, ell, 0.0))
 
 
 def _fixed_score_rows(
@@ -856,10 +859,12 @@ def _fixed_score_rows(
     ``samples`` (``_stops``): ``_solve_blocks`` with the measures of a flow."""
     entropic = kind is FieldKind.ENTROPIC
     shifted = S - S.max(axis=1, keepdims=True)
+    with np.errstate(divide="ignore"):
+        ell0 = np.log(P0)
     if not entropic:
-        targets = [_literal_target(p0, s) for p0, s in zip(P0, S)]
+        limits, plogp = _literal_limits(ell0, S)
 
-    def measure(temperatures, logs, widths):
+    def measure(temperatures, logs):
         n, k = len(S), len(logs) // len(S)
         clamps = [k] * n
         if entropic:
@@ -871,19 +876,13 @@ def _fixed_score_rows(
         if entropic:
             kl, g = _row_dot(P, logs - _normalize_rows(scaled)), scaled - logs
         else:
-            kl, g = np.zeros((n, k)), scaled
-        # the (K, V) @ (V,) products of each row's one-row run, over its
-        # times before an overflow: their last bit depends on K
-        inner = np.zeros((n, k))
-        for i, (w, q, ell) in enumerate(zip(widths, P.reshape(n, k, -1), logs.reshape(n, k, -1))):
-            inner[i, :w] = q[:w] @ S[i]
-            if not entropic:
-                on, p, plogp = targets[i]
-                kl[i, :w] = plogp - ell[:w, on] @ p
+            on_limit = np.where(limits > 0.0, logs.reshape(n, k, -1), 0.0)
+            kl, g = (plogp - _row_dot(on_limit, limits)).reshape(-1), scaled
+        inner = _row_dot(P.reshape(n, k, -1), S[:, np.newaxis]).reshape(-1)
         columns = {
             "P": P,
-            "free_energy": _free_energy_rows(inner.reshape(-1), temperatures, P, logs),
-            "kl_to_target": np.maximum(kl.reshape(-1), 0.0),
+            "free_energy": _free_energy_rows(inner, temperatures, P, logs),
+            "kl_to_target": np.maximum(kl, 0.0),
             "field_norm": _field_norm(P, g),
         }
         met = _first((columns["kl_to_target"] < controls.convergence_kl).reshape(n, k))
@@ -894,8 +893,6 @@ def _fixed_score_rows(
             for m, c in zip(met, clamps)
         ], columns
 
-    with np.errstate(divide="ignore"):
-        ell0 = np.log(P0)
     times = np.array([0.0] + sorted(samples))
     solved = _solve_blocks(
         kind, ell0, shifted, schedule, scale, times, measure,
@@ -987,9 +984,9 @@ def integrate_rows(
     if kind is FieldKind.ENTROPIC:
         _check_rows(~(P0.min(axis=1) > 0.0), exterior)
     cold = scale * schedule.at(0.0)
-    with np.errstate(over="ignore"):  # a spread that overflows fails its row
+    with np.errstate(over="ignore"):  # a spread or a T log V that overflows fails its row
         _check_rows(
-            ~np.isfinite((S.max(axis=1) - S.min(axis=1)) / cold),
+            ~np.isfinite((S.max(axis=1) - S.min(axis=1)) / cold + cold * math.log(S.shape[1])),
             lambda row: check_score_spread(ScoreVector(S[row]), float(cold[row])),
         )
     return _fixed_score_rows(kind, P0, S, schedule, scale, samples, controls)
@@ -1018,6 +1015,7 @@ def lyapunov_report(
     entries sums its entropy terms over its positive entries only.
     """
     t = check_temperature(temperature)
+    _check_entropy_scale(t, s.size)
     P = traj.P
     if len(P) and P.shape[1] != s.size:
         raise InvalidInputError(f"size mismatch: p has {P.shape[1]} entries, s has {s.size}")
@@ -1098,10 +1096,10 @@ def _reparameterization_deviation(
     if n_checkpoints < 1:
         raise InvalidInputError(f"need at least 1 checkpoint, got {n_checkpoints}")
     sched = as_schedule(schedule)
-    _check_cold_spread("scores", float(np.abs(s.values).max()), sched, horizon)
+    _check_cold_spread("scores", float(np.abs(s.values).max()), s.size, sched, horizon)
     grid = np.linspace(0.0, horizon, n_checkpoints + 1)
     base = replace(controls, sample_times=tuple(grid))
-    constant, inner = (lambda p: s.values), (lambda p: p @ s.values)
+    constant, inner = (lambda p: s.values), (lambda p: _row_dot(p, s.values))
     (run_sched,) = _run_flows(kind, [p0], constant, inner, sched, horizon, base, dense=True)
 
     with np.errstate(over="ignore"):  # an overflowing tau(horizon) fails the unit run

@@ -53,12 +53,23 @@ def check_temperature(value: float) -> float:
 
 
 def check_score_spread(s: ScoreVector, temperature: float) -> None:
-    """Validate that the score spread (max s - min s) / T is finite."""
+    """Validate that the score spread (max s - min s) / T is finite, and T log V
+    (``_check_entropy_scale``)."""
     low, high = float(s.values.min()), float(s.values.max())
     if not math.isfinite((high - low) / check_temperature(temperature)):
         raise InvalidInputError(
             f"score spread over temperature overflows: scores span [{low!r}, {high!r}] "
             f"at T={temperature!r}"
+        )
+    _check_entropy_scale(temperature, s.size)
+
+
+def _check_entropy_scale(temperature: float, size: int) -> None:
+    """Validate that T log V, the largest T H(p) on the simplex of ``size``
+    tokens, is finite, so that no free energy overflows."""
+    if not math.isfinite(float(temperature) * math.log(size)):
+        raise InvalidInputError(
+            f"free energy overflows: T log V is infinite at T={float(temperature)!r}, V={size}"
         )
 
 

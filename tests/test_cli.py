@@ -1068,6 +1068,44 @@ class TestSweep:
         parallel = json.loads(Path("par.json").read_text())["cells"]
         assert serial == parallel
 
+    @pytest.mark.parametrize("jobs, cells, workers", [(4, 3, [3]), (2, 3, [2]), (8, 1, []),
+                                                      (1, 3, [])])
+    def test_a_pool_starts_at_most_one_worker_per_cell(
+        self, jobs, cells, workers, tmp_path, monkeypatch
+    ):
+        """A pool forks all its workers at its first task, so ``--jobs`` above
+        the cell count must not size it; one worker is no pool.  The pool is
+        a stand-in that records its size and maps in this process."""
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, payloads):
+                return map(fn, payloads)
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        grid = ", ".join(str(0.5 * (i + 1)) for i in range(cells))
+        cfg = tmp_path / "sweep.ini"
+        cfg.write_text(
+            "[scores]\nvalues = 1.0, 0.0, -1.0\n"
+            f"[sweep]\ntask = simulate\ngrid.temperature = {grid}\n"
+            "[output]\npath = serial\n"
+        )
+        assert main(["sweep", "--config", str(cfg)]) == EXIT_OK
+        assert sizes == []
+        assert main(["sweep", "--config", str(cfg), "--jobs", str(jobs), "--output", "pool"]) == 0
+        assert sizes == workers
+        assert Path("pool.json").read_bytes() == Path("serial.json").read_bytes()
+
     def test_manifest_times_each_cell_and_the_file_holds_no_clock(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         cfg = tmp_path / "sweep.ini"
@@ -1490,6 +1528,9 @@ _LINEAR_OVERFLOWS = (
 )
 
 
+_SCORES_10 = "1,0,-0.5,0.3,0.2,0.1,0,0,0,0"
+
+
 def _extreme_numbers(draw, count):
     """``count`` numbers up to 1e300 in size; half the time drawn from at most
     three values, so equal entries far larger than T (a spread of 0 over an
@@ -1551,6 +1592,17 @@ def _extreme_runs(draw):
            "--schedule", "exponential:1e-300:-1", "--horizon", "50"], None, False))
 @example((["simulate", "--scores=1,0,-0.5", "--dynamics", "literal", "--tol", "0",
            "--schedule", "piecewise:0:1,1:1e-306", "--horizon", "1e3"], None, False))
+# T log V overflows at V = 10 although T = 1e308 does not: refused, exit 2
+@example((["prox-iterate", f"--scores={_SCORES_10}", "--temperature", "1e308",
+           "--step", "exact-prox"], None, True))
+@example((["simulate", f"--scores={_SCORES_10}", "--temperature", "1e308"], None, True))
+@example((["simulate", f"--scores={_SCORES_10}"],
+          "[temperature]\nvalue = 1e308\n[field]\nkind = linear\n"
+          f"coupling = {','.join(['0.5'] * 100)}\n", True))
+# T = e^{100 t}: T log 16 overflows from t = 7.0876, before T does at 7.0978,
+# so the run ends diverged, exit 3
+@example((["simulate", f"--scores={','.join(str(k) for k in range(16))}", "--tol", "0",
+           "--schedule", "exponential:1:100", "--horizon", "7.097"], None, False))
 def test_extreme_inputs_end_in_an_exit_code_and_finite_files(run):
     """Every run exits 0, 2 or 3, and one drawn to be rejected exits 2; one
     that writes its files writes a manifest that strict JSON parses and a

@@ -45,7 +45,7 @@ from simplexflow.oracles import (
     random_interior_point,
     random_scores,
 )
-from simplexflow.path_fields import linear_field, rotation_coupling
+from simplexflow.path_fields import integrate_path, linear_field, rotation_coupling
 from simplexflow.replicator import (
     BLOCK_BYTES,
     FIRST_BLOCK,
@@ -159,6 +159,25 @@ class TestSchedules:
             parse_schedule("linear:1.0")
         with pytest.raises(InvalidInputError):
             parse_schedule("piecewise:1:1.0")
+
+
+class TestRowDot:
+    """``replicator._row_dot``, the product behind every recorded per-row
+    value: each row equals its point's product to the bit, whatever the
+    number of rows."""
+
+    @pytest.mark.parametrize("rows", [1, 2, 17, 128, 300])
+    def test_each_row_is_its_point_product(self, rows, rng):
+        for size in range(2, 71):
+            a, b = rng.uniform(-3.0, 3.0, (2, rows, size))
+            v = rng.uniform(-3.0, 3.0, size)
+            assert np.array_equal(replicator._row_dot(a, b), [x @ y for x, y in zip(a, b)])
+            assert np.array_equal(replicator._row_dot(a, v), [x @ v for x in a])
+            # a batch of blocks, one vector per block, as the flows' measure uses it
+            blocks = a.reshape(1, rows, size).repeat(2, axis=0)
+            vectors = np.stack([v, b[0]])[:, np.newaxis]
+            want = [[x @ w[0] for x in block] for block, w in zip(blocks, vectors)]
+            assert np.array_equal(replicator._row_dot(blocks, vectors), want)
 
 
 class TestEvalField:
@@ -405,6 +424,59 @@ class TestLyapunovReport:
                          max_steps=80, kl_tol=0.0)
         assert (record.P == 0.0).any()
         check(record, s, 0.05)
+
+
+class TestFreeEnergyOverflow:
+    """T H(p) <= T log V: a run whose T(0) log V overflows is refused, naming T
+    and V, and a closed-form row ends DIVERGED at its first time where
+    T(t) log V overflows, as at an overflowing weight, so that no recorded
+    free energy is infinite."""
+
+    S10 = ScoreVector([1.0, 0.0, -0.5, 0.3, 0.2, 0.1, 0.0, 0.0, 0.0, 0.0])
+    REFUSED = r"^free energy overflows: T log V is infinite at T=1e\+308, V=10$"
+    #: T = e^{100 t}: T log 16 overflows from t = 7.0876, T itself from 7.0978
+    HEATING = ExponentialSchedule(1.0, 100.0)
+
+    @pytest.mark.parametrize("kind", list(FieldKind))
+    def test_a_start_whose_t_log_v_overflows_is_refused(self, kind):
+        with pytest.raises(InvalidInputError, match=self.REFUSED):
+            integrate(kind, SimplexPoint.uniform(10), self.S10, 1e308)
+        record = integrate(kind, SimplexPoint.uniform(10), self.S10, 7e307)
+        assert np.isfinite(record.free_energy).all()
+
+    def test_a_row_whose_t_log_v_overflows_is_named(self):
+        P0 = np.full((3, 10), 0.1)
+        S = np.tile(self.S10.values, (3, 1))
+        with pytest.raises(InvalidInputError, match="^row 1: " + self.REFUSED[1:]):
+            replicator.integrate_rows(FieldKind.ENTROPIC, P0, S, [1.0, 1e308, 1.0])
+
+    @pytest.mark.parametrize("kind", list(FieldKind))
+    def test_a_row_ends_diverged_where_t_log_v_overflows(self, kind):
+        s = ScoreVector(np.linspace(-3.0, 3.0, 16))
+        controls = IntegratorControls(
+            convergence_kl=0.0, sample_times=(0.0, 7.0, 7.08, 7.09, 7.095, 7.097)
+        )
+        record = integrate(kind, SimplexPoint.uniform(16), s, self.HEATING, 7.097, controls)
+        assert record.terminal_status is TerminalStatus.DIVERGED
+        assert record.diagnostics == "T log V overflows at t=7.09"
+        assert record.t.tolist() == [0.0, 7.0, 7.08]
+        assert np.isfinite(record.free_energy).all() and np.isfinite(record.field_norm).all()
+        # a run that stops before then runs as it did
+        assert integrate(kind, SimplexPoint.uniform(16), s, self.HEATING, 7.08,
+                         controls).terminal_status is TerminalStatus.MAX_TIME
+
+    @pytest.mark.parametrize("schedule, size", [(1e308, 10), (HEATING, 16)])
+    def test_a_linear_field_checks_its_hottest_temperature(self, schedule, size):
+        field = linear_field(np.zeros(size), np.eye(size))
+        with pytest.raises(InvalidInputError, match="^free energy overflows: T log V"):
+            integrate_path(field, FieldKind.ENTROPIC, SimplexPoint.uniform(size), schedule,
+                           7.097)
+
+    def test_lyapunov_report_refuses_the_same_temperature(self):
+        record = integrate(FieldKind.ENTROPIC, SimplexPoint.uniform(10), self.S10, 1.0)
+        with pytest.raises(InvalidInputError, match=self.REFUSED):
+            lyapunov_report(record, self.S10, 1e308)
+        assert math.isfinite(lyapunov_report(record, self.S10, 7e307).worst_drop)
 
 
 class TestEulerConsistency:
@@ -947,12 +1019,15 @@ class TestIntegrateRows:
              "entropic field requires an interior start"),
             ([-1e308, 1e308, 0.0], GOOD_P, 1.0, InvalidInputError,
              "score spread over temperature overflows"),
+            (GOOD_S, GOOD_P, 1.7e308, InvalidInputError,
+             "free energy overflows: T log V is infinite at T=1.7e+308, V=3"),
             # no error: these rows end DIVERGED, as their integrate runs do
             ([0.0, 1.79e308, 0.0], GOOD_P, 1.0, None, "flow weights overflow at t=0.01"),
             ([0.0, 0.0, -3.0], GOOD_P, 0.004, None,
              "log-probability clamp hit near the boundary"),
         ],
-        ids=["scores", "start", "temperature", "interior", "spread", "overflow", "clamp"],
+        ids=["scores", "start", "temperature", "interior", "spread", "entropy", "overflow",
+             "clamp"],
     )
     def test_each_check_names_the_first_row_that_fails(self, s, p, temp, error, named):
         S = np.array([self.GOOD_S, s, self.GOOD_S, s])
@@ -1056,6 +1131,30 @@ class TestBlockLayoutIsInvisible:
     ("inside") or after it ("past")."""
 
     LAYOUTS = [(1, None), (16, None), (16, 96), (FIRST_BLOCK, 96)]
+
+    @pytest.mark.parametrize("kind", list(FieldKind))
+    def test_random_instances_do_not_depend_on_the_layout(self, kind, monkeypatch):
+        """Scores up to 30 at T = 1, 200 samples to a horizon of 100 and no KL
+        stop: a free energy whose product sums in an order set by the block's
+        row count changes its last bit here with the first block's size."""
+        rng = np.random.default_rng(27)
+        controls = IntegratorControls(convergence_kl=0.0)
+        instances = []
+        for _ in range(30):
+            size = int(rng.integers(2, 20))
+            p0 = SimplexPoint(rng.dirichlet(np.ones(size)))
+            instances.append((p0, ScoreVector(rng.uniform(-30.0, 30.0, size))))
+        runs = {}
+        for first in (1, 16, FIRST_BLOCK):
+            monkeypatch.setattr(replicator, "FIRST_BLOCK", first)
+            runs[first] = [integrate(kind, p0, s, 1.0, 100.0, controls) for p0, s in instances]
+        for first in (1, 16):
+            for i, (record, reference) in enumerate(zip(runs[first], runs[FIRST_BLOCK])):
+                assert record.terminal_status is reference.terminal_status
+                for name in ("t", "P", "free_energy", "kl_to_target", "field_norm"):
+                    assert np.array_equal(
+                        getattr(record, name), getattr(reference, name)
+                    ), (first, i, name)
 
     @pytest.mark.parametrize("where", ["inside", "past"])
     @pytest.mark.parametrize("case", sorted(LAYOUT_CASES))
