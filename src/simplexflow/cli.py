@@ -47,6 +47,7 @@ from .replicator import (
     ConstantSchedule,
     FieldKind,
     IntegratorControls,
+    _integrate_starts,
     _reparameterization_deviation,
     parse_schedule,
 )
@@ -277,7 +278,7 @@ _OPTIONS = (
     _Option("format", ("output.format",), "--format", ("simulate", "prox-iterate"),
             choices=("csv", "json"), plumbing=True, help="table format"),
     _Option("jobs", ("sweep.jobs",), "--jobs", ("sweep",), int, plumbing=True,
-            help="parallel sweep workers, at most one per cell"),
+            help="sweep workers for the cells not solved as rows, at most one per cell"),
 )
 _GRID = {opt.grid: opt for opt in _OPTIONS if opt.grid}
 #: flag -> the rows it sets, in table order
@@ -412,8 +413,9 @@ class RunManifest:
     #: schedule, face and start), solving its record (``record_s``), building
     #: its table (``table_s``) and writing it (``write_s``), within
     #: ``wall_clock_s``; for a sweep, each cell's seconds (``cell_s``), the
-    #: slowest cell and the cells per status, which the sweep file leaves out
-    #: so that equal sweeps write equal files
+    #: slowest cell, the cells per status and per path (``paths``) and each
+    #: row call's cells and seconds (``row_calls``), which the sweep file
+    #: leaves out so that equal sweeps write equal files
     timings: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
@@ -807,10 +809,77 @@ def _run_cell(payload: tuple) -> tuple:
     return result, time.perf_counter() - started
 
 
-def _sweep_timings(outcomes: list) -> dict:
+#: rows per row call, a bound on its memory: a call holds each row's blocks,
+#: as large as its single run's (up to BLOCK_BYTES), and each row's record.
+#: On the perfbench ``sweep`` workload (V = 8), calls of 8 rows raised the
+#: peak memory by 1.9 % over a pool's, and one call of its 48 rows by 8.6 %
+_ROWS_PER_CALL = 8
+
+
+def _sort_cells(cfg: ExperimentConfig, payloads: list) -> tuple:
+    """(groups, failed, others): the row cells, the outcomes of cells whose
+    resolve raised, and the payloads of every other cell.
+
+    A row cell is a ``simulate`` cell whose resolved field ``integrate_path``
+    solves in closed form (``grid.beta = 0`` too).  ``groups`` maps what a
+    row call shares (dynamics, horizon, controls, schedule and scores after
+    the face) to the row cells' (payload, resolved run)."""
+    groups, failed, others = {}, [], []
+    if cfg.task != "simulate":
+        return groups, failed, payloads
+    for payload in payloads:
+        started = time.perf_counter()
+        index, _, cell = payload
+        try:
+            cell_cfg = _apply_cell(cfg, cell)
+            run = _resolve(cell_cfg)
+            closed = ScoreField(run.scores.values, run.coupling).constant_equivalent
+        except Exception as exc:  # the error entry of its run through _run_cell
+            failed.append((_failed_cell(index, cell, exc), time.perf_counter() - started))
+            continue
+        if not closed:
+            others.append(payload)
+            continue
+        key = (cell_cfg.dynamics, cell_cfg.horizon, run.controls, run.schedule,
+               tuple(run.scores.values))
+        groups.setdefault(key, []).append((payload, run))
+    return groups, failed, others
+
+
+def _solve_row_cells(groups: dict) -> tuple:
+    """(outcomes, calls, reruns): each group solved in calls of at most
+    ``_ROWS_PER_CALL`` rows, every row equal to the bit to its cell's single
+    run; the outcomes have no time of their own, and ``calls`` holds the
+    cells and seconds of each call.  The cells of a call that raises are
+    rerun one at a time by ``_run_cell`` into ``reruns``, so that each keeps
+    its own run's error entry."""
+    outcomes, calls, reruns = [], [], []
+    for (dynamics, horizon, controls, schedule, _), members in groups.items():
+        for first in range(0, len(members), _ROWS_PER_CALL):
+            chunk = members[first : first + _ROWS_PER_CALL]
+            started = time.perf_counter()
+            try:
+                records = _integrate_starts(
+                    FieldKind(dynamics), [run.p0 for _, run in chunk], chunk[0][1].scores,
+                    schedule, horizon, controls,
+                )
+            except Exception:
+                reruns += [_run_cell(payload) for payload, _ in chunk]
+                continue
+            outcomes += [
+                ({"index": index, "cell": cell, "status": record.terminal_status.value,
+                  "metrics": _flow_metrics(record)}, None)
+                for ((index, _, cell), _), record in zip(chunk, records)
+            ]
+            calls.append({"cells": len(chunk), "seconds": time.perf_counter() - started})
+    return outcomes, calls, reruns
+
+
+def _sweep_timings(outcomes: list, paths: dict, row_calls: list) -> dict:
     """The sweep manifest's ``timings``: the seconds of each cell in cell
-    order (None for a cell lost with its worker), the slowest cell and the
-    number of cells per status."""
+    order (None for a row cell and for a cell lost with its worker), the
+    slowest cell of those timed, the number of cells per status and per
+    path, and the cells and seconds of each row call."""
     timed = [outcome for outcome in outcomes if outcome[1] is not None]
     slowest = None
     if timed:
@@ -820,30 +889,39 @@ def _sweep_timings(outcomes: list) -> dict:
         "cell_s": [seconds for _, seconds in outcomes],
         "slowest_cell": slowest,
         "statuses": dict(Counter(result["status"] for result, _ in outcomes)),
+        "paths": paths,
+        "row_calls": row_calls,
     }
 
 
 def cmd_sweep(cfg: ExperimentConfig) -> int:
+    """Every cell of the grid into one JSON file.  Row cells (``_sort_cells``)
+    are solved as rows in this process; the others run in a pool of at most
+    ``--jobs`` workers, one per cell at most, or here when that is 1."""
     started = time.perf_counter()
     cells = _sweep_cells(cfg)
     base = dataclasses.asdict(cfg)
     base["grid"] = {}
     payloads = [(i, base, cell) for i, cell in enumerate(cells)]
+    groups, serial, others = _sort_cells(cfg, payloads)
+    rows, row_calls, reruns = _solve_row_cells(groups)
+    serial += reruns
+    pooled = []
     # a pool starts all its workers at once, so it gets no more than the cells
-    workers = min(cfg.jobs, len(cells))
+    workers = min(cfg.jobs, len(others))
     if workers > 1:
-        outcomes = []
         with ProcessPoolExecutor(max_workers=workers) as pool:
             try:
-                outcomes.extend(pool.map(_run_cell, payloads))
+                pooled.extend(pool.map(_run_cell, others))
             except BrokenProcessPool as exc:
                 # a dead worker fails the cells still without a result, not the sweep
-                outcomes += [
-                    (_failed_cell(i, cell, exc), None) for i, _, cell in payloads[len(outcomes):]
+                pooled += [
+                    (_failed_cell(i, cell, exc), None) for i, _, cell in others[len(pooled):]
                 ]
     else:
-        outcomes = [_run_cell(p) for p in payloads]
-    outcomes.sort(key=lambda outcome: outcome[0]["index"])
+        serial += [_run_cell(p) for p in others]
+    paths = {"rows": len(rows), "pool": len(pooled), "serial": len(serial)}
+    outcomes = sorted(rows + pooled + serial, key=lambda outcome: outcome[0]["index"])
     results = [result for result, _ in outcomes]
 
     out = Path(cfg.output)
@@ -854,7 +932,8 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
     failed = [r for r in results if r["status"] in ("error", *(s.value for s in _FAILED))]
     status = "ok" if not failed else "failed-cells"
     metrics = {"cells": len(results), "failed": len(failed)}
-    _finish_run(cfg, out, started, status, metrics, timings=_sweep_timings(outcomes))
+    timings = _sweep_timings(outcomes, paths, row_calls)
+    _finish_run(cfg, out, started, status, metrics, timings=timings)
     print(f"wrote {data_path} ({len(results)} cells, {len(failed)} failed)")
     return EXIT_OK if not failed else EXIT_DIVERGED
 

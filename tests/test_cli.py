@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: configs, file formats, exit codes, determinism."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -28,6 +29,7 @@ from simplexflow.cli import (
     load_config_file,
     main,
 )
+from simplexflow.simplex import SimplexPoint
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 _RUN_CELL = cli._run_cell
@@ -1047,7 +1049,12 @@ class TestSweep:
 
         monkeypatch.chdir(tmp_path)
         monkeypatch.setattr(cli, "_cell_outcome", boom)
-        code = main(["sweep", "--scores", "1,0", "--temperature", "1", "--output", "boom"])
+        # a prox-iterate cell runs through _cell_outcome; a fixed-score
+        # simulate cell is a row cell and does not
+        Path("boom.ini").write_text("[scores]\nvalues = 1, 0\n[sweep]\ntask = prox-iterate\n")
+        code = main(
+            ["sweep", "--config", "boom.ini", "--temperature", "1", "--output", "boom"]
+        )
         assert code == EXIT_DIVERGED
         cells = json.loads(Path("boom.json").read_text())["cells"]
         assert [c["error"] for c in cells] == ["ZeroDivisionError: cell went wrong"]
@@ -1075,7 +1082,8 @@ class TestSweep:
     ):
         """A pool forks all its workers at its first task, so ``--jobs`` above
         the cell count must not size it; one worker is no pool.  The pool is
-        a stand-in that records its size and maps in this process."""
+        a stand-in that records its size and maps in this process; the cells
+        are prox-iterate cells, since row cells use no pool."""
         sizes = []
 
         class RecordingPool:
@@ -1097,7 +1105,7 @@ class TestSweep:
         cfg = tmp_path / "sweep.ini"
         cfg.write_text(
             "[scores]\nvalues = 1.0, 0.0, -1.0\n"
-            f"[sweep]\ntask = simulate\ngrid.temperature = {grid}\n"
+            f"[sweep]\ntask = prox-iterate\ngrid.temperature = {grid}\n"
             "[output]\npath = serial\n"
         )
         assert main(["sweep", "--config", str(cfg)]) == EXIT_OK
@@ -1120,13 +1128,18 @@ class TestSweep:
         assert Path("timed.json").read_bytes() == data
         cells = json.loads(data)["cells"]
         timings = read_manifest("timed").timings
+        # the error cell failed to resolve and has its own time; the other
+        # two are rows, one call per temperature, and the calls have theirs
         seconds = timings["cell_s"]
-        assert len(seconds) == 3 and all(0.0 < x < 60.0 for x in seconds)
-        k = seconds.index(max(seconds))
-        slowest = {"index": k, "cell": cells[k]["cell"], "seconds": seconds[k]}
-        assert timings["slowest_cell"] == slowest
+        assert len(seconds) == 3 and 0.0 < seconds[0] < 60.0 and seconds[1:] == [None, None]
+        assert timings["slowest_cell"] == {"index": 0, "cell": cells[0]["cell"],
+                                           "seconds": seconds[0]}
         assert timings["statuses"] == dict(Counter(c["status"] for c in cells))
         assert timings["statuses"]["error"] == 1
+        assert timings["paths"] == {"rows": 2, "pool": 0, "serial": 1}
+        calls = timings["row_calls"]
+        assert [call["cells"] for call in calls] == [1, 1]
+        assert all(0.0 < call["seconds"] < 60.0 for call in calls)
 
     def test_dead_worker_fails_its_cells_not_the_sweep(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -1134,7 +1147,7 @@ class TestSweep:
         cfg = tmp_path / "sweep.ini"
         cfg.write_text(
             "[scores]\nvalues = 1.0, 0.0\n"
-            "[sweep]\ntask = simulate\ngrid.temperature = 0.5, 1, 2\n"
+            "[sweep]\ntask = prox-iterate\ngrid.temperature = 0.5, 1, 2\n"
             "[output]\npath = dead\n"
         )
         assert main(["sweep", "--config", str(cfg), "--jobs", "2"]) == EXIT_DIVERGED
@@ -1152,6 +1165,106 @@ class TestSweep:
         timed = [x for x in seconds if x is not None]
         slowest = manifest.timings["slowest_cell"]
         assert (slowest["seconds"] if slowest else None) == max(timed, default=None)
+
+    def test_row_cells_equal_their_single_runs_to_the_bit(self, tmp_path, monkeypatch):
+        """Row cells get their checked starts as they are: checking seed 12's
+        random start again moves it, and the free energy gain with it."""
+        monkeypatch.chdir(tmp_path)
+        scores = "-0.5, -3, 3, -2, 2, -1, 1, 0.5"
+        start = cli._start_point(ExperimentConfig(start="random", seed=12), 8)
+        assert not np.array_equal(SimplexPoint(start.probs).probs, start.probs)
+        Path("rows.ini").write_text(
+            f"[run]\ndynamics = entropic\nstart = random\n[scores]\nvalues = {scores}\n"
+            "[sweep]\ntask = simulate\ngrid.seed = 1, 12\ngrid.temperature = 0.25, 1, 4\n"
+        )
+        assert main(["sweep", "--config", "rows.ini", "--jobs", "2", "--output", "grid"]) == 0
+        assert read_manifest("grid").timings["paths"] == {"rows": 6, "pool": 0, "serial": 0}
+        for cell in read_strict_json("grid.json")["cells"]:
+            seed, temperature = cell["cell"]["seed"], cell["cell"]["temperature"]
+            assert main(["simulate", "--config", "rows.ini", "--seed", str(int(seed)),
+                         "--temperature", repr(temperature), "--output", "one"]) == EXIT_OK
+            single = read_manifest("one")
+            assert cell["status"] == single.terminal_status
+            assert cell["metrics"] == single.metrics
+
+    def test_row_cells_of_any_size_are_solved_in_calls_of_at_most_eight_rows(
+            self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        scores = ", ".join(map(repr, np.linspace(-2.0, 2.0, 40).tolist()))
+        Path("wide.ini").write_text(
+            f"[run]\nstart = random\n[scores]\nvalues = {scores}\n"
+            f"[sweep]\ntask = simulate\ngrid.seed = {', '.join(map(str, range(10)))}\n"
+        )
+        assert cli._ROWS_PER_CALL == 8
+        assert main(["sweep", "--config", "wide.ini", "--jobs", "2", "--output", "wide"]) == 0
+        timings = read_manifest("wide").timings
+        assert timings["paths"] == {"rows": 10, "pool": 0, "serial": 0}
+        assert [call["cells"] for call in timings["row_calls"]] == [8, 2]
+        cell = read_strict_json("wide.json")["cells"][9]
+        assert main(["simulate", "--config", "wide.ini", "--seed", "9", "--output", "one"]) == 0
+        assert cell["metrics"] == read_manifest("one").metrics
+
+    def test_a_mixed_sweep_pools_only_its_state_dependent_cells(self, tmp_path, monkeypatch):
+        """beta = 0 cells are rows, beta != 0 cells go to the pool, and a
+        T = -1 cell fails to resolve in this process, at any --jobs."""
+        monkeypatch.chdir(tmp_path)
+        Path("mixed.ini").write_text(
+            "[run]\nstart = 0.5, 0.3, 0.2\n[scores]\nvalues = 1.0, 0.0, -0.5\n"
+            "[field]\nkind = linear\ncoupling = 0,1,-1,-1,0,1,1,-1,0\n"
+            "[integrator]\nhorizon = 5\n"
+            "[sweep]\ntask = simulate\ngrid.beta = 0, 0.5\ngrid.temperature = -1, 0.5, 1\n"
+        )
+        assert main(["sweep", "--config", "mixed.ini", "--output", "serial"]) == EXIT_DIVERGED
+        assert main(["sweep", "--config", "mixed.ini", "--jobs", "2", "--output", "pooled"]) == 3
+        data = Path("serial.json").read_bytes()
+        assert Path("pooled.json").read_bytes() == data
+        cells = json.loads(data)["cells"]
+        assert [c["status"] == "error" for c in cells] == [True, False, False] * 2
+        assert read_manifest("serial").timings["paths"] == {"rows": 2, "pool": 0, "serial": 4}
+        assert read_manifest("pooled").timings["paths"] == {"rows": 2, "pool": 2, "serial": 2}
+        seen = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, payloads):
+                seen.extend(cell for _, _, cell in payloads)
+                return map(fn, payloads)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        assert main(["sweep", "--config", "mixed.ini", "--jobs", "2", "--output", "seen"]) == 3
+        assert Path("seen.json").read_bytes() == data
+        assert seen == [{"beta": 0.5, "temperature": 0.5}, {"beta": 0.5, "temperature": 1.0}]
+
+    def test_a_row_call_that_raises_reruns_its_cells_one_at_a_time(
+            self, tmp_path, monkeypatch):
+        """1 / 1e-320 overflows, so the call of the two seeds at that
+        temperature raises; each of its cells is then its own run, with its
+        own error entry, while the call at T = 1 solves its two rows."""
+        monkeypatch.chdir(tmp_path)
+        Path("tiny.ini").write_text(
+            "[run]\nstart = random\n[scores]\nvalues = 1, 0\n"
+            "[sweep]\ntask = simulate\ngrid.seed = 1, 2\ngrid.temperature = 1e-320, 1\n"
+        )
+        assert main(["sweep", "--config", "tiny.ini", "--output", "tiny"]) == EXIT_DIVERGED
+        cells = read_strict_json("tiny.json")["cells"]
+        base = dataclasses.asdict(ExperimentConfig(scores=(1.0, 0.0), start="random"))
+        for k in (0, 2):
+            assert cells[k]["error"].startswith(
+                "InvalidInputError: score spread over temperature overflows")
+            assert cells[k] == _RUN_CELL((k, base, cells[k]["cell"]))[0]
+        assert [cells[k]["status"] for k in (1, 3)] == ["converged"] * 2
+        timings = read_manifest("tiny").timings
+        assert timings["paths"] == {"rows": 2, "pool": 0, "serial": 2}
+        assert [call["cells"] for call in timings["row_calls"]] == [2]
+        assert [seconds is None for seconds in timings["cell_s"]] == [False, True] * 2
 
 
 class TestVerify:
@@ -1274,7 +1387,8 @@ class TestManifest:
         # either; the sweep manifest times the cells, not a run's layers
         Path("grid.ini").write_text("[scores]\nvalues = 1, 0\n[sweep]\ngrid.seed = 1, 2\n")
         assert main(["sweep", "--config", "grid.ini", "--output", "grid"]) == EXIT_OK
-        assert set(read_manifest("grid").timings) == {"cell_s", "slowest_cell", "statuses"}
+        assert set(read_manifest("grid").timings) == {
+            "cell_s", "slowest_cell", "statuses", "paths", "row_calls"}
         for cell in read_strict_json("grid.json")["cells"]:
             assert not layers & set(cell["metrics"])
 
