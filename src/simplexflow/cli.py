@@ -23,21 +23,20 @@ import argparse
 import configparser
 import dataclasses
 import hashlib
+import importlib
 import itertools
 import json
 import math
 import sys
 import time
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional
 
 import numpy as np
 
-from . import __version__, csvfloats, oracles
+from . import __version__, csvfloats
 from .exceptions import ConfigError, InvalidInputError, OracleFailureError, SimplexFlowError
 from .mirror import DEFAULT_KL_TOL, DEFAULT_MAX_STEPS, DEFAULT_STEP_SIZE, MirrorStepKind, iterate
 from .path_fields import ScoreField, detect_recurrence, integrate_path
@@ -72,6 +71,25 @@ TASKS = ("simulate", "prox-iterate", "reparameterization", "recurrence")
 _KINDS = ("constant", "linear")
 #: statuses that exit EXIT_DIVERGED and count as failed sweep cells
 _FAILED = (TerminalStatus.DIVERGED, TerminalStatus.STALLED)
+
+
+def __getattr__(name: str):
+    """The oracles and the process pool, loaded on first use (PEP 562): only
+    ``verify`` and a sweep that starts a pool need them.  Once loaded, each
+    is a module attribute that a caller may replace."""
+    if name == "oracles":
+        value = importlib.import_module(".oracles", __package__)
+    elif name in ("ProcessPoolExecutor", "BrokenProcessPool"):
+        value = getattr(importlib.import_module("concurrent.futures.process"), name)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def _deferred(name: str):
+    """The module attribute ``name``, as replaced or else loaded by ``__getattr__``."""
+    return globals()[name] if name in globals() else __getattr__(name)
 
 
 # ---------------------------------------------------------------------------
@@ -910,10 +928,10 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
     # a pool starts all its workers at once, so it gets no more than the cells
     workers = min(cfg.jobs, len(others))
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with _deferred("ProcessPoolExecutor")(max_workers=workers) as pool:
             try:
                 pooled.extend(pool.map(_run_cell, others))
-            except BrokenProcessPool as exc:
+            except _deferred("BrokenProcessPool") as exc:
                 # a dead worker fails the cells still without a result, not the sweep
                 pooled += [
                     (_failed_cell(i, cell, exc), None) for i, _, cell in others[len(pooled):]
@@ -940,8 +958,10 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     _check_output_directory("--output", args.output)
-    if args.seed < 0:
-        raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
+    oracles = _deferred("oracles")
+    seed = oracles.DEFAULT_SEED if args.seed is None else args.seed
+    if seed < 0:
+        raise ConfigError(f"--seed must be nonnegative, got {seed}")
     include = None
     if args.claims:
         include = [tok.strip() for tok in args.claims.split(",") if tok.strip()]
@@ -949,7 +969,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             raise ConfigError(f"--claims {args.claims!r} names no claim")
     timings: dict = {}
     try:
-        verdicts = oracles.run_adjudication(seed=args.seed, include=include, timings=timings)
+        verdicts = oracles.run_adjudication(seed=seed, include=include, timings=timings)
     except InvalidInputError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -963,7 +983,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         print(f"{v.claim_id:<{width}}{v.dynamics:<14}{str(v.holds):<8}{want}")
 
     payload = {
-        "seed": args.seed,
+        "seed": seed,
         "matrix": oracles.matrix_from_verdicts(verdicts),
         "verdicts": [v.to_jsonable() for v in verdicts],
         "mismatches": problems,
@@ -1003,7 +1023,7 @@ def build_parser() -> argparse.ArgumentParser:
                 sub.add_argument(flag, type=typed, choices=first.choices or None, help=first.help)
     verify = subs.add_parser("verify", help="re-derive and check the claim matrix")
     verify.add_argument("--claims", help="comma-separated claim ids to run (default: all)")
-    verify.add_argument("--seed", type=int, default=oracles.DEFAULT_SEED)
+    verify.add_argument("--seed", type=int, help="claim seed (default: oracles.DEFAULT_SEED)")
     verify.add_argument("--output", default="claims.json")
     return parser
 

@@ -55,6 +55,7 @@ from .exceptions import InteriorityError, InvalidInputError
 from .replicator import (
     ConstantSchedule,
     FieldKind,
+    _certified_rows,
     _coefficients,
     _free_energy_rows,
     _math_map,
@@ -258,16 +259,12 @@ def iterate(
             "kl_move": kl_move,
         }
 
-    shifted = s.values - s.values.max()
+    ell0, shifted = np.log(p0.probs)[np.newaxis], (s.values - s.values.max())[np.newaxis]
+    schedule, scale, times = ConstantSchedule(t), np.ones(1), np.arange(max_steps + 1) * h
     ((P, columns, status, diagnostics, counts),) = _solve_blocks(
-        flow,
-        np.log(p0.probs)[np.newaxis],
-        shifted[np.newaxis],
-        ConstantSchedule(t),
-        np.ones(1),
-        np.arange(max_steps + 1) * h,
-        measure,
+        flow, ell0, shifted, schedule, scale, times, measure,
         lambda k, _: f"step weights overflow at step {k}",
+        _certified_rows(flow, ell0, shifted, schedule, scale, times, kl_tol, step=h),
     )
     steps = len(P) - 1
     kl_end = float(columns["kl_to_target"][-1])

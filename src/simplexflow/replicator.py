@@ -14,12 +14,16 @@ their stop times without stepping, an (N, K, V) block of K stops per array
 operation until every instance has stopped (``_solve_blocks``, which the
 discrete iterations of ``mirror`` share on one row); ``integrate`` is its
 one-row call.  A block costs a fixed few dozen numpy calls plus a cost per
-row, and FIRST_BLOCK is set above the size at which the two are equal at
-V <= 16, so most runs take one block; blocks double in rows from there and
-are capped at BLOCK_BYTES per instance.  An instance ends at its first row
-that meets a stop rule, its record's status telling which, and its rows are
-those of its one-row run, whatever instances are beside it.  Free energy,
-KL, field norm and the simplex checks are row-wise operations on the block.
+row.  At a constant temperature the stop values fall at rates known in
+advance, so the first block ends at the row by which every instance must
+stop (``_certified_rows``, from Hoeffding's lemma for the entropic kind) and
+most runs take one block of about the rows they keep; otherwise blocks start
+at FIRST_BLOCK rows and double.  Blocks are capped at BLOCK_BYTES per
+instance.  An instance ends at its first row that meets a stop rule, its
+record's status telling which, and its rows are those of its one-row run,
+whatever instances are beside it; its block counts are the call's.  Free
+energy, KL, field norm and the simplex checks are row-wise operations on the
+block.
 
 The ENTROPIC field is the natural gradient of the free energy under the
 inner product <u, v>_p = sum u_i v_i / p_i and vanishes exactly at
@@ -110,8 +114,10 @@ class FieldKind(Enum):
 
 # ---------------------------------------------------------------------------
 # temperature schedules
-# ``effective_time`` and ``entropic_weight`` map a 1-D array of times to tau(t)
-# and w(t) (see ``_solve_blocks``); an overflow is inf, warned as numpy warns.
+# ``temperatures``, ``effective_time`` and ``entropic_weight`` map a 1-D array
+# of times to T(t), tau(t) and w(t) (see ``_solve_blocks``); an overflow is inf,
+# warned as numpy warns.  ``temperatures`` has the bits of ``at``, and inf
+# where ``at`` raises.
 # ---------------------------------------------------------------------------
 
 
@@ -124,6 +130,9 @@ class ConstantSchedule:
 
     def at(self, t: float) -> float:
         return self.temperature
+
+    def temperatures(self, t: np.ndarray) -> np.ndarray:
+        return np.full(len(t), self.temperature)
 
     def effective_time(self, t: np.ndarray) -> np.ndarray:
         return t / self.temperature
@@ -161,6 +170,9 @@ class PiecewiseConstantSchedule:
 
     def at(self, t: float) -> float:
         return self.values[bisect_right(self.times, t)]
+
+    def temperatures(self, t: np.ndarray) -> np.ndarray:
+        return np.array(self.values)[np.searchsorted(self.times, t, side="right")]
 
     def effective_time(self, t: np.ndarray) -> np.ndarray:
         tau = np.zeros(len(t))
@@ -200,6 +212,9 @@ class ExponentialSchedule:
         if math.isinf(temperature):
             raise InvalidInputError(f"temperature schedule overflows at t={t:.6g}")
         return temperature
+
+    def temperatures(self, t: np.ndarray) -> np.ndarray:
+        return self.initial * _math_map(math.exp, self.rate * t)
 
     def effective_time(self, t: np.ndarray) -> np.ndarray:
         if self.rate == 0.0:
@@ -720,8 +735,10 @@ def _run_flows(
     return records
 
 
-#: rows in the first closed-form block; each later block has twice as many.
-#: A block costs a fixed 60-90 us (the numpy calls of ``measure``,
+#: rows in the first closed-form block of plain doubling, each later block
+#: twice as many: the layout of a run that ``_certified_rows`` does not bound
+#: (a schedule that is not constant, a zero tolerance, one at the rounding
+#: floor).  A block costs a fixed 60-90 us (the numpy calls of ``measure``,
 #: ``_normalize_rows`` and ``_simplex_rows``) and 0.7-1.6 us per row at
 #: V <= 16 (2-core host), so the two are equal at 53-95 rows.  128 rows hold
 #: most runs whole: an entropic flow at the default 200 samples converges
@@ -737,6 +754,78 @@ def _first(mask: np.ndarray) -> list:
     if not mask.any():
         return [mask.shape[1]] * len(mask)
     return [k if row[k] else len(row) for k, row in zip(mask.argmax(axis=1).tolist(), mask)]
+
+
+def _certified_rows(
+    kind: FieldKind,
+    ell0: np.ndarray,
+    shifted: np.ndarray,
+    schedule: TemperatureSchedule,
+    scale: np.ndarray,
+    times: np.ndarray,
+    tol: float,
+    step: Optional[float] = None,
+) -> Optional[int]:
+    """Rows of a first block of ``_solve_blocks`` by whose end every row of
+    the call meets its stop rule at the tolerance ``tol``: a flow's
+    ``kl_to_target``, or with ``step`` = h (times h apart) an iteration's
+    ``kl_move``, the KL move from the row before.  None unless the schedule
+    is constant, so that row i has one temperature T_i = scale[i] T, and the
+    tolerance clears the rounding below.  O(V) per row and a binary search
+    in ``times``.
+
+    From the start's log-weights the stop values fall at rates known in
+    advance.  ENTROPIC: log p_t - log pi = e^{-t} (log p0 - log pi) up to a
+    constant, pi = softmax(s, T_i), so by Hoeffding's lemma (KL(p || q) <=
+    osc(log p - log q)^2 / 8) D(p_t || pi) <= (e^{-t} R)^2 / 8 and the move
+    from t - h is at most ((e^{-(t-h)} - e^{-t}) R)^2 / 8, R = osc(log p0 -
+    log pi).  LITERAL: with M the start's mass on its top scores and gap the
+    distance to its next score on the support, D(limit || p_t) and the move
+    from t - h are at most (1 - M) / M e^{-gap tau}, tau = t / T_i and t - h
+    for the move.
+
+    Rounding: a stop value computed from V log-probabilities is off by up to
+    about delta = eps log V.  A flow's KL levels off at that size, so its
+    bound is taken at tol - 2 delta; a move falls to exactly 0 once the
+    iterates stop changing, so an ENTROPIC move's tolerance need only exceed
+    delta, and every move takes one row more for the rounding at the row
+    where its bound crosses the tolerance.
+    """
+    moves = step is not None
+    delta = math.ulp(1.0) * math.log(ell0.shape[1])
+    if not moves:
+        tol -= 2.0 * delta
+    elif kind is FieldKind.ENTROPIC and tol <= delta:
+        return None
+    if not (tol > 0.0 and isinstance(schedule, ConstantSchedule)):
+        return None
+    # row by row in Python floats: at V <= 16 a numpy call costs more than a
+    # row's whole bound, and no overflow here warns
+    factor = -math.expm1(-step) if moves else 1.0
+    needed = -math.inf  # the time after which every row's bound is below tol
+    temperatures = (scale * schedule.temperature).tolist()
+    for logs, scores, temperature in zip(ell0.tolist(), shifted.tolist(), temperatures):
+        if kind is FieldKind.ENTROPIC:
+            gaps = [ell - score / temperature for ell, score in zip(logs, scores)]
+            spread = (max(gaps) - min(gaps)) * factor
+            amplitude, rate = spread * spread / 8.0, 2.0
+        else:  # M, 1 - M and the next score below the top on the support
+            top = max(score for ell, score in zip(logs, scores) if ell > -math.inf)
+            on_top = off_top = 0.0
+            below = -math.inf
+            for ell, score in zip(logs, scores):
+                if score == top:
+                    on_top += math.exp(ell)
+                elif ell > -math.inf:
+                    off_top += math.exp(ell)
+                    below = max(below, score)
+            amplitude, rate = off_top / on_top, (top - below) / temperature
+        if amplitude > 0.0:  # else the row starts at its limit
+            # a rate that underflows to 0 bounds no time
+            after = (math.log(amplitude) - math.log(tol)) / rate if rate > 0.0 else math.inf
+            needed = max(needed, after)
+    # a move's bound holds from the row after
+    return int(np.searchsorted(times, needed, side="right")) + 1 + 2 * moves
 
 
 def _coefficients(kind: FieldKind, schedule: TemperatureSchedule, times: np.ndarray, scale):
@@ -755,6 +844,7 @@ def _solve_blocks(
     times: np.ndarray,
     measure: Callable,
     overflow_note: Callable[[int, float], str],
+    first_block: Optional[int] = None,
 ) -> list:
     """The fixed-score flow from each row of the (N, V) log-weights ``ell0``
     at the increasing ``times``, up to the first time ``measure`` stops the row.
@@ -763,20 +853,26 @@ def _solve_blocks(
     schedule's, and the log-weights ``normalize(a ell0[i] + b shifted[i])``,
     with (a, b) = (1, tau(t) / scale[i]) for LITERAL and (e^{-t}, w(t) /
     scale[i]) for ENTROPIC: one ``_coefficients`` call per block.  A block
-    is every row at K times, until no row runs: K starts at FIRST_BLOCK (see
-    there), doubles from block to block and is capped at BLOCK_BYTES per
-    row, so a row has the blocks of its one-row run.  ``measure(temperatures,
-    logs)`` takes the temperatures and log-probabilities of a block, the
-    times of one row after the other, and returns per row None or (its
-    stop's time index in the block, status, diagnostics), and the columns:
-    "P", the exp(logs) it measured, and one value per time for each other.
-    A temperature that overflows raises; weights that overflow, or T(t) log V
-    (the bound of T H(p)), end a row DIVERGED before that time, unless it
-    stopped earlier, with diagnostics ``overflow_note(k, t)`` or its own.
+    is every row at K times, until no row runs, at most BLOCK_BYTES per row.
+    The first block holds ``first_block`` times, the caller's
+    ``_certified_rows``, by whose end every row stops; without it, K starts
+    at FIRST_BLOCK and doubles from block to block (plain doubling).  A row
+    that outlives its first block goes on to the next end of plain
+    doubling's blocks, so it evaluates no more times than under plain
+    doubling and takes at most one block more.  A row's values do not depend
+    on the layout.  ``measure(temperatures, logs)`` takes the temperatures
+    and log-probabilities of a block, the times of one row after the other,
+    and returns per row None or (its stop's time index in the block, status,
+    diagnostics), and the columns: "P", the exp(logs) it measured, and one
+    value per time for each other.  Weights that overflow, or T(t) log V (the
+    bound of T H(p); inf also where the temperature itself overflows, as
+    ``schedule.temperatures`` gives it) end a row DIVERGED before that time,
+    unless it stopped earlier, with diagnostics ``overflow_note(k, t)`` or,
+    for T(t) log V, its own.
 
     Returns per row (P, columns, status, diagnostics, BlockCounts) up to its
     stop, P checked and renormalized by ``_simplex_rows``; the counts are
-    those of the blocks while it ran.
+    those of the call's blocks while the row ran.
     """
     scale, spread = scale[:, np.newaxis], -shifted.min(axis=1, keepdims=True)
     log_size = math.log(ell0.shape[1])
@@ -784,18 +880,18 @@ def _solve_blocks(
     ends = [(TerminalStatus.MAX_TIME, "")] * len(ell0)
     evaluated, blocks = [0] * len(ell0), [0] * len(ell0)
     running = list(range(len(ell0)))
-    start, block, cap = 0, FIRST_BLOCK, max(1, BLOCK_BYTES // (8 * ell0.shape[1]))
+    cap = max(1, BLOCK_BYTES // (8 * ell0.shape[1]))
+    # plain doubling's current block ends at edge; a given first block ends
+    # at first_block, and every later block at the next edge past its start
+    size = FIRST_BLOCK
+    start, edge = 0, min(size, cap)
+    end = edge if first_block is None else min(first_block, cap)
     while start < len(times) and running:
-        chunk = times[start : start + min(block, cap)]
+        chunk = times[start:end]
         stamps = chunk.tolist()
-        at, failure = [], None
-        try:  # extend keeps the temperatures of the times before the one that raised
-            at.extend(map(schedule.at, stamps))
-        except InvalidInputError as exc:  # raised once every earlier time is measured
-            failure = exc
-        temperatures = scale * np.array(at)
         with np.errstate(all="ignore"):
-            a, b = _coefficients(kind, schedule, chunk[: len(at)], scale)
+            temperatures = scale * schedule.temperatures(chunk)
+            a, b = _coefficients(kind, schedule, chunk, scale)
             hot = ~np.isfinite(temperatures * log_size)  # T H(p) <= T log V
             finite = (temperatures > 0.0) & np.isfinite(b * spread + spread / temperatures) & ~hot
         overflow = _first(~finite)
@@ -811,12 +907,10 @@ def _solve_blocks(
         for i in running:
             if stops[i] is not None and stops[i][0] < overflow[i]:
                 count, ends[i] = stops[i][0] + 1, stops[i][1:]
-            elif overflow[i] < len(at):
+            elif overflow[i] < len(stamps):
                 count, t = overflow[i], stamps[overflow[i]]
                 note = f"T log V overflows at t={t:.6g}" if hot[i, count] else None
                 ends[i] = TerminalStatus.DIVERGED, note or overflow_note(start + count, t)
-            elif failure is not None:
-                raise failure
             else:
                 count = width
             if count:
@@ -826,7 +920,10 @@ def _solve_blocks(
             blocks[i] += width > 0
         running = [i for i in running if ends[i][0] is TerminalStatus.MAX_TIME]
         start += width
-        block *= 2
+        while edge <= start:
+            size *= 2
+            edge += min(size, cap)
+        end = edge
     solved = []
     for row_blocks, (status, diagnostics), count, number in zip(kept, ends, evaluated, blocks):
         columns = {name: np.concatenate([c[name] for c in row_blocks]) for name in row_blocks[0]}
@@ -897,6 +994,7 @@ def _fixed_score_rows(
     solved = _solve_blocks(
         kind, ell0, shifted, schedule, scale, times, measure,
         lambda row, t: f"flow weights overflow at t={t:.6g}",
+        _certified_rows(kind, ell0, shifted, schedule, scale, times, controls.convergence_kl),
     )
     return [
         TrajectoryRecord.from_columns(
@@ -950,7 +1048,8 @@ def integrate(
     to softmax(s, T(t)) (ENTROPIC) or, from the closed-form limit point,
     D(limit || p) (LITERAL).  The run ends at the first sample below
     ``controls.convergence_kl``, else at the last sample; a log-probability
-    below ``LOG_CLAMP`` or an overflowing weight ends it DIVERGED.
+    below ``LOG_CLAMP``, an overflowing weight or an overflowing T(t) log V
+    ends it DIVERGED.
     """
     return _integrate_starts(kind, [p0], s, schedule, horizon, controls)[0]
 

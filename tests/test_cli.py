@@ -7,6 +7,8 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 import warnings
@@ -728,13 +730,18 @@ class TestSimulate:
         assert "overflow at T(0.5) = 1e-300" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cold.ini"]
 
-    def test_temperature_overflow_is_exit_2(self, tmp_path, monkeypatch, capsys):
+    def test_temperature_overflow_is_exit_3(self, tmp_path, monkeypatch, capsys):
+        # T = e^{1000 t} is inf from t = 0.7098 on: the run ends DIVERGED at
+        # its first sample there, keeping the samples before it
         monkeypatch.chdir(tmp_path)
         code = main(
             ["simulate", "--scores", "1,0", "--schedule", "exponential:1:1000", "--output", "hot"]
         )
-        assert code == EXIT_CONFIG
-        assert "temperature schedule overflows" in capsys.readouterr().err
+        assert code == EXIT_DIVERGED
+        assert "diverged: T log V overflows at t=0.739072" in capsys.readouterr().err
+        manifest = json.loads(Path("hot.manifest.json").read_text())
+        assert manifest["terminal_status"] == "diverged"
+        assert manifest["metrics"]["samples"] == 75
 
     def test_linear_field_clamp_is_exit_3_with_finite_rows(self, tmp_path, monkeypatch, capsys):
         # a self-reinforcing coupling at T = 1e-3 drives two coordinates below
@@ -1004,7 +1011,7 @@ class TestSweep:
         assert len(cells) == 2
         assert any(c["status"] != "error" for c in cells)
 
-    def test_temperature_overflow_is_an_error_cell(self, tmp_path, monkeypatch):
+    def test_temperature_overflow_is_a_diverged_cell(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         cfg = tmp_path / "sweep.ini"
         cfg.write_text(
@@ -1016,8 +1023,7 @@ class TestSweep:
         assert main(["sweep", "--config", str(cfg)]) == EXIT_DIVERGED
         cells = json.loads(Path("hot.json").read_text())["cells"]
         assert cells[0]["status"] != "error"
-        assert cells[1]["status"] == "error"
-        assert cells[1]["error"].startswith("InvalidInputError: temperature schedule overflows")
+        assert cells[1]["status"] == "diverged"
 
     def test_a_reparameterization_cell_that_freezes_names_its_temperature(
             self, tmp_path, monkeypatch):
@@ -1283,6 +1289,7 @@ class TestVerify:
         assert code == EXIT_OK
         payload = json.loads(Path("subset.json").read_text())
         assert set(payload["matrix"]) == {"cor-faces"}
+        assert payload["seed"] == cli.oracles.DEFAULT_SEED
 
     def test_the_report_times_each_claim_outside_the_verdicts(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -1327,6 +1334,19 @@ class TestVerify:
         assert code == EXIT_ORACLE
         payload = json.loads(Path("bad.json").read_text())
         assert payload["mismatches"]
+
+
+def test_importing_the_cli_loads_neither_the_oracles_nor_the_process_pool():
+    # a fresh interpreter, so that no other test has loaded them
+    probe = (
+        "import sys, simplexflow.cli; "
+        "print(sorted({'simplexflow.oracles', 'concurrent.futures.process'} & set(sys.modules)))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
 
 
 class TestManifest:

@@ -36,7 +36,7 @@ from simplexflow import (
     restrict_to_face,
     softmax,
 )
-from simplexflow import replicator
+from simplexflow import mirror, replicator
 from simplexflow.oracles import (
     DEFAULT_SEED,
     _claim_stream,
@@ -125,6 +125,34 @@ class TestSchedules:
                 assert not np.isnan(reference).any()
                 assert reference.view(np.int64).tolist() == alone.view(np.int64).tolist()
                 assert reference.view(np.int64).tolist() == block.view(np.int64).tolist()
+
+    def test_array_temperatures_are_at_to_the_bit_and_inf_where_it_raises(self):
+        schedules = (
+            ConstantSchedule(0.3),
+            parse_schedule("piecewise:0:0.3,0.7:1.9,2.2:0.7"),
+            ExponentialSchedule(0.5, 1.0),
+            ExponentialSchedule(1.0, 100.0),  # overflows from t = 7.0978 on
+            ExponentialSchedule(1e-300, -1.0),
+        )
+        rng = np.random.default_rng(41)
+        raised = 0
+        for schedule in schedules:
+            edges = np.array(schedule.breakpoints())
+            times = np.concatenate([
+                [0.0, 5e-324, 7.09, 7.2, 1e300], edges, np.nextafter(edges, 0.0),
+                np.arange(700.0, 751.0), rng.uniform(0.0, 10.0, 100),
+            ])
+            reference = []
+            for t in times.tolist():
+                try:
+                    reference.append(schedule.at(t))
+                except InvalidInputError:
+                    reference.append(math.inf)
+                    raised += 1
+            with np.errstate(over="ignore"):  # as in ``_solve_blocks``
+                values = schedule.temperatures(times)
+            assert np.array(reference).view(np.int64).tolist() == values.view(np.int64).tolist()
+        assert raised > 50  # e^{100 t} from t = 7.0978 on
 
     @pytest.mark.parametrize(
         "schedule",
@@ -464,6 +492,21 @@ class TestFreeEnergyOverflow:
         # a run that stops before then runs as it did
         assert integrate(kind, SimplexPoint.uniform(16), s, self.HEATING, 7.08,
                          controls).terminal_status is TerminalStatus.MAX_TIME
+
+    @pytest.mark.parametrize("kind", list(FieldKind))
+    @pytest.mark.parametrize("size", [16, 2])
+    @pytest.mark.parametrize("samples", [(0.0, 7.0, 7.09, 7.2), (0.0, 7.0, 7.2)])
+    def test_a_temperature_that_overflows_ends_the_row_diverged(self, kind, size, samples):
+        # wherever the samples fall: at V = 2 (log 2 < 1) T itself overflows
+        # first, at t = 7.0978, and no sample ends the run by raising
+        s = ScoreVector(np.linspace(-3.0, 3.0, size))
+        controls = IntegratorControls(convergence_kl=0.0, sample_times=samples)
+        record = integrate(kind, SimplexPoint.uniform(size), s, self.HEATING, 7.2, controls)
+        end = 7.09 if size == 16 and 7.09 in samples else 7.2
+        assert record.terminal_status is TerminalStatus.DIVERGED
+        assert record.diagnostics == f"T log V overflows at t={end:g}"
+        assert record.t.tolist() == [t for t in samples if t < end]
+        assert np.isfinite(record.free_energy).all()
 
     @pytest.mark.parametrize("schedule, size", [(1e308, 10), (HEATING, 16)])
     def test_a_linear_field_checks_its_hottest_temperature(self, schedule, size):
@@ -1066,8 +1109,8 @@ def _iterate_case(kind, p0, s, temp, etas, event, kl_tol=1e-12):
 
 _P0, _S = TestBlockedClosedForm.P0, TestBlockedClosedForm.S
 _PIECEWISE = PiecewiseConstantSchedule((1.0, 2.0), (4.0, 1.0, 0.5))
-#: T = e^{100 t} overflows for t above 7.09
-_SCHEDULE_ERROR = ExponentialSchedule(1.0, 100.0)
+#: T = e^{100 t} overflows for t above 7.09, and T log 4 from 7.0946
+_SCHEDULE_OVERFLOW = ExponentialSchedule(1.0, 100.0)
 _TINY_T = 1e-306
 
 LAYOUT_CASES = {
@@ -1093,14 +1136,14 @@ LAYOUT_CASES = {
         "overflow", convergence_kl=0.0,
     ),
     "entropic-schedule-error": _flow_case(
-        FieldKind.ENTROPIC, _P0, _S, _SCHEDULE_ERROR, 10.0, "raises", convergence_kl=0.0
+        FieldKind.ENTROPIC, _P0, _S, _SCHEDULE_OVERFLOW, 10.0, "overflow", convergence_kl=0.0
     ),
     "literal-schedule-error": _flow_case(
-        FieldKind.LITERAL, _P0, _S, _SCHEDULE_ERROR, 10.0, "raises", convergence_kl=0.0
+        FieldKind.LITERAL, _P0, _S, _SCHEDULE_OVERFLOW, 10.0, "overflow", convergence_kl=0.0
     ),
-    # the run stops before the row whose temperature overflows, so nothing raises
+    # the run stops before the row whose temperature overflows
     "entropic-stop-before-schedule-error": _flow_case(
-        FieldKind.ENTROPIC, _P0, _S, _SCHEDULE_ERROR, 10.0, "converged", convergence_kl=1e-5
+        FieldKind.ENTROPIC, _P0, _S, _SCHEDULE_OVERFLOW, 10.0, "converged", convergence_kl=1e-5
     ),
     "exact-prox": _iterate_case(
         MirrorStepKind.EXACT_PROX, _P0, _S, 1.0, (0.5, 0.05), "converged"
@@ -1115,22 +1158,31 @@ LAYOUT_CASES = {
 }
 
 
-def _outcome(run):
-    """The record of ``run()``, or the message of the InvalidInputError it raised."""
-    try:
-        return run()
-    except InvalidInputError as exc:
-        return str(exc)
+def _use_layout(monkeypatch, first, cap_bytes, bound):
+    """Blocks of ``first`` rows doubling, at most ``cap_bytes`` per row, and
+    a first block of ``bound`` rows ("certified": what ``_certified_rows``
+    gives; None: plain doubling)."""
+    monkeypatch.setattr(replicator, "FIRST_BLOCK", first)
+    if cap_bytes is not None:
+        monkeypatch.setattr(replicator, "BLOCK_BYTES", cap_bytes)
+    if bound != "certified":
+        for module in (replicator, mirror):
+            monkeypatch.setattr(module, "_certified_rows", lambda *args, **kwargs: bound)
 
 
 class TestBlockLayoutIsInvisible:
     """Every record of the closed-form solver is the same to the bit, whatever
-    the block layout: the first block of 1, 16 or FIRST_BLOCK rows, with and
-    without a byte cap of a few rows.  Each case's event (a stop row, a clamp
-    row, an overflow row or a schedule error) lies before row FIRST_BLOCK
-    ("inside") or after it ("past")."""
+    the block layout: plain doubling from a first block of 1, 16 or
+    FIRST_BLOCK rows, with and without a byte cap of a few rows, and the
+    first block that ``_certified_rows`` sizes or one of 5 rows that most
+    runs outlive.  Each case's event (a stop row, a clamp row or an overflow
+    row) lies before row FIRST_BLOCK ("inside") or after it ("past")."""
 
-    LAYOUTS = [(1, None), (16, None), (16, 96), (FIRST_BLOCK, 96)]
+    PLAIN = (FIRST_BLOCK, None, None)
+    LAYOUTS = [
+        (1, None, None), (16, None, None), (16, 96, None), (FIRST_BLOCK, 96, None),
+        (FIRST_BLOCK, None, "certified"), (FIRST_BLOCK, 96, "certified"), (FIRST_BLOCK, None, 5),
+    ]
 
     @pytest.mark.parametrize("kind", list(FieldKind))
     def test_random_instances_do_not_depend_on_the_layout(self, kind, monkeypatch):
@@ -1161,39 +1213,167 @@ class TestBlockLayoutIsInvisible:
     def test_records_do_not_depend_on_the_layout(self, case, where, monkeypatch):
         make, event = LAYOUT_CASES[case]
         run = make(where)
-        reference = _outcome(run)
-        if event == "raises":
-            assert isinstance(reference, str) and "overflows" in reference
-            step = 10.0 / {"inside": 60, "past": 300}[where]
-            row = round(float(reference.rpartition("t=")[2]) / step)
-        else:
-            assert reference.terminal_status.value == ("diverged" if event == "overflow" else event)
-            if event == "overflow":
-                assert "overflow" in reference.diagnostics
-            row = len(reference.P) - (0 if event == "overflow" else 1)
+        _use_layout(monkeypatch, *self.PLAIN)
+        reference = run()
+        monkeypatch.undo()
+        assert reference.terminal_status.value == ("diverged" if event == "overflow" else event)
+        if event == "overflow":
+            assert "overflow" in reference.diagnostics
+        row = len(reference.P) - (0 if event == "overflow" else 1)
         assert (row < FIRST_BLOCK) if where == "inside" else (row > FIRST_BLOCK)
-        for first, cap_bytes in self.LAYOUTS:
-            monkeypatch.setattr(replicator, "FIRST_BLOCK", first)
-            if cap_bytes is not None:
-                monkeypatch.setattr(replicator, "BLOCK_BYTES", cap_bytes)
-            record = _outcome(run)
+        for first, cap_bytes, bound in self.LAYOUTS:
+            _use_layout(monkeypatch, first, cap_bytes, bound)
+            record = run()
             monkeypatch.undo()
-            if isinstance(reference, str):
-                assert record == reference
-                continue
+            layout = (first, cap_bytes, bound)
             for name in ("t", "P", "free_energy", "kl_to_target", "field_norm", "kl_move",
                          "slack"):
                 assert np.array_equal(
                     getattr(record, name), getattr(reference, name), equal_nan=True
-                ), (first, cap_bytes, name)
+                ), (layout, name)
             assert record.terminal_status is reference.terminal_status
             assert record.diagnostics == reference.diagnostics
             assert record.accepted_steps == reference.accepted_steps
             assert list(record.certificates) == list(reference.certificates)
             counts = record.block_counts
             assert counts.stops_kept == reference.block_counts.stops_kept
+            # a run that outlives a first block of 5 goes on at plain
+            # doubling's block ends: no more rows, at most one block more
+            if bound == 5:
+                plain = reference.block_counts
+                assert counts.stops_evaluated <= plain.stops_evaluated
+                assert counts.blocks <= plain.blocks + 1
             if cap_bytes is not None:  # at most 96 // (8 V) rows per block
                 assert counts.blocks >= counts.stops_evaluated / (96 // (8 * record.P.shape[1]))
+
+
+class TestCertifiedRows:
+    """``_certified_rows``, the first block of a constant-temperature run: no
+    run outlives it, so a run whose bound is inside its times takes one
+    block, and a run it does not bound keeps plain doubling's blocks."""
+
+    @staticmethod
+    def spy(monkeypatch) -> list:
+        """The bounds that the calls of ``_certified_rows`` return, in order."""
+        bounds, certified = [], replicator._certified_rows
+
+        def record(*args, **kwargs):
+            bounds.append(certified(*args, **kwargs))
+            return bounds[-1]
+
+        for module in (replicator, mirror):
+            monkeypatch.setattr(module, "_certified_rows", record)
+        return bounds
+
+    @staticmethod
+    def assert_within(record, bound, times):
+        """The run stops by the bound's row, in one block when its times reach it."""
+        assert bound is not None
+        assert len(record.P) <= bound
+        if bound <= times:
+            assert record.terminal_status in (TerminalStatus.CONVERGED, TerminalStatus.STALLED)
+            assert record.block_counts.blocks == 1
+
+    def test_random_constant_temperature_runs_stop_by_the_bound(self, monkeypatch):
+        bounds = self.spy(monkeypatch)
+        rng = np.random.default_rng(29)
+        for _ in range(100):
+            size = int(rng.integers(2, 21))
+            temp, eta = rng.uniform(0.25, 4.0), rng.uniform(0.05, 2.0)
+            # above the rounding floor of every bound (see ``_certified_rows``)
+            tol = 10.0 ** rng.uniform(-14.0, -6.0)
+            s = ScoreVector(rng.uniform(-3.0, 3.0, size))
+            p0 = SimplexPoint(rng.dirichlet(np.ones(size)))
+            controls = IntegratorControls(convergence_kl=tol)
+            for kind in FieldKind:
+                record = integrate(kind, p0, s, temp, 1e3, controls)
+                self.assert_within(record, bounds.pop(), controls.n_samples)
+            for kind in MirrorStepKind:
+                record = iterate(kind, p0, s, temp, eta, max_steps=10_000, kl_tol=tol)
+                self.assert_within(record, bounds.pop(), 10_001)
+
+    def test_random_tolerances_down_to_1e_16_never_outlive_a_bound(self, monkeypatch):
+        bounds = self.spy(monkeypatch)
+        rng = np.random.default_rng(31)
+        bounded = 0
+        for _ in range(100):
+            size = int(rng.integers(2, 21))
+            temp, eta = rng.uniform(0.25, 4.0), rng.uniform(0.05, 2.0)
+            tol = 10.0 ** rng.uniform(-16.0, -6.0)
+            s = ScoreVector(rng.uniform(-3.0, 3.0, size))
+            p0 = SimplexPoint(rng.dirichlet(np.ones(size)))
+            records = [
+                *(integrate(kind, p0, s, temp, 1e3, IntegratorControls(convergence_kl=tol))
+                  for kind in FieldKind),
+                *(iterate(kind, p0, s, temp, eta, max_steps=10_000, kl_tol=tol)
+                  for kind in MirrorStepKind),
+            ]
+            for record, bound in zip(records, bounds[-4:]):
+                if bound is not None:  # a tolerance at the rounding floor has none
+                    bounded += 1
+                    assert len(record.P) <= bound
+        assert bounded > 300
+
+    @pytest.mark.parametrize("kind", list(FieldKind))
+    def test_rows_at_their_own_temperatures_stop_by_the_bound(self, kind, monkeypatch):
+        bounds = self.spy(monkeypatch)
+        rng = np.random.default_rng([33, kind is FieldKind.ENTROPIC])
+        size = 7
+        S, P0 = rng.uniform(-3.0, 3.0, (12, size)), rng.dirichlet(np.ones(size), 12)
+        temps = rng.uniform(0.25, 4.0, 12)
+        controls = IntegratorControls(convergence_kl=1e-12)
+        records = replicator.integrate_rows(kind, P0, S, temps, 1e3, controls)
+        (bound,) = bounds
+        for record in records:
+            self.assert_within(record, bound, controls.n_samples)
+        assert max(len(record.P) for record in records) <= bound
+
+    def test_runs_shaped_like_the_ensemble_benchmark_take_one_block(self):
+        # V, T and eta as the benchmark draws them, 60 samples a flow,
+        # exact prox to a move of 1e-15 and printed MW to 1e-16
+        rng = np.random.default_rng(37)
+        records = []
+        for size in (2, 3, 8, 16):
+            for temp in (0.25, 1.0, 4.0):
+                s = ScoreVector(rng.uniform(-3.0, 3.0, size))
+                p0 = SimplexPoint(rng.dirichlet(np.ones(size)))
+                for kind in FieldKind:
+                    records.append(integrate(kind, p0, s, temp, 1e3,
+                                             IntegratorControls(n_samples=60)))
+                for eta in (0.1, 1.0):
+                    records.append(iterate(MirrorStepKind.EXACT_PROX, p0, s, temp, eta,
+                                           max_steps=10_000, kl_tol=1e-15))
+            values = np.sort(rng.uniform(-3.0, 3.0, size))
+            values[-1] = values[-2] + max(0.2, values[-1] - values[-2])
+            records.append(iterate(MirrorStepKind.PRINTED_MW, SimplexPoint.uniform(size),
+                                   ScoreVector(rng.permutation(values)), 1.0, 0.5,
+                                   max_steps=10_000, kl_tol=1e-16))
+        # a literal flow whose top two scores lie close may run to its horizon
+        assert {record.terminal_status for record in records} <= {
+            TerminalStatus.CONVERGED, TerminalStatus.MAX_TIME
+        }
+        counts = [record.block_counts for record in records]
+        assert [c.blocks for c in counts] == [1] * len(records)
+        evaluated, kept = (sum(getattr(c, name) for c in counts)
+                           for name in ("stops_evaluated", "stops_kept"))
+        assert evaluated <= 1.15 * kept
+
+    @pytest.mark.parametrize("run", [
+        # tolerances below the rounding floor, about 2.2e-16 log V
+        lambda: integrate(FieldKind.ENTROPIC, _P0, _S, 1.0, 1e3,
+                          IntegratorControls(convergence_kl=1e-17)),
+        lambda: iterate(MirrorStepKind.EXACT_PROX, _P0, _S, 1.0, 0.05, kl_tol=1e-17),
+        # no tolerance, and a temperature that is not constant
+        lambda: iterate(MirrorStepKind.PRINTED_MW, _P0, _S, 1.0, 0.5, kl_tol=0.0),
+        lambda: integrate(FieldKind.LITERAL, _P0, _S, _PIECEWISE, 1e3),
+    ], ids=["entropic-floor", "exact-prox-floor", "printed-mw-zero", "literal-piecewise"])
+    def test_a_run_without_a_bound_keeps_plain_doubling(self, run, monkeypatch):
+        bounds = self.spy(monkeypatch)
+        record = run()
+        assert bounds == [None]
+        monkeypatch.undo()
+        _use_layout(monkeypatch, FIRST_BLOCK, None, None)
+        assert record.block_counts == run().block_counts
 
 
 def closed_form(kind, p0, s, schedule, t):
