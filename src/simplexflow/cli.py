@@ -529,25 +529,30 @@ def _iterate_table(record: TrajectoryRecord, mask: Optional[FaceMask]) -> tuple:
     return columns, body
 
 
-#: values per CSV block, a slice of the flat body: ``csvfloats.format_block``
-#: peaks near 65 bytes a value, whatever the values (its 32-byte slots, then
-#: ``bytearray.translate``'s result as long as them), and costs about 115
-#: numpy calls a block
+#: values per CSV block: 1/64 of the table's, at least this and at most
+#: ``_CSV_BLOCK_CAP``.  ``csvfloats.format_block`` peaks near 65 bytes a value,
+#: whatever the values (its 32-byte slots, then ``bytearray.translate``'s
+#: result as long as them), so a write peaks near one byte a value of its
+#: table; it costs about 115 numpy calls a block
 _CSV_BLOCK = 2560
+#: a peak of about 1 MiB at any length, the budget of ``replicator.BLOCK_BYTES``;
+#: larger blocks were no faster (65,536 values, 2-core host)
+_CSV_BLOCK_CAP = 16384
 
 
 def _write_table(path: Path, columns: list, body: np.ndarray, fmt: str) -> None:
     """Write the (n, k) float ``body`` under ``columns``.
 
     Both formats are streamed, so no Python list of the whole table is ever
-    built.  A CSV goes out in blocks of ``_CSV_BLOCK`` values of the flat
-    body, each rendered by ``csvfloats.format_block`` in one block buffer per
-    table: the bytes of ``'%.17g' % x`` (17 significant digits: every float64
-    parses back exactly; ``nan``, ``inf``, ``-0``), so a step number below
-    2^53 is its integer.  A JSON row is ``_strict_json`` of its list, a
-    leading ``step`` column as ``int``, joined as ``json.dumps`` joins a
-    list, so the file holds the bytes of
-    ``_strict_json({"columns": columns, "rows": rows})``."""
+    built.  A CSV goes out in blocks of ``len(flat) // 64`` values of the
+    flat body, clamped to [``_CSV_BLOCK``, ``_CSV_BLOCK_CAP``] (2,560 values
+    up to a table of 163,840, 16,384 from one of 1,048,576), each rendered by
+    ``csvfloats.format_block`` in one block buffer per table: the bytes of
+    ``'%.17g' % x`` (17 significant digits: every float64 parses back
+    exactly; ``nan``, ``inf``, ``-0``), so a step number below 2^53 is its
+    integer.  A JSON row is ``_strict_json`` of its list, a leading ``step``
+    column as ``int``, joined as ``json.dumps`` joins a list, so the file
+    holds the bytes of ``_strict_json({"columns": columns, "rows": rows})``."""
     if fmt == "json":
         integer_step = columns[:1] == ["step"]
         with path.open("w") as fh:
@@ -563,11 +568,12 @@ def _write_table(path: Path, columns: list, body: np.ndarray, fmt: str) -> None:
         return
     width = body.shape[1]
     flat = body.reshape(-1)
-    block = bytearray(csvfloats.SLOT_BYTES * min(_CSV_BLOCK, len(flat)))
+    size = min(max(len(flat) // 64, _CSV_BLOCK), _CSV_BLOCK_CAP)
+    block = bytearray(csvfloats.SLOT_BYTES * min(size, len(flat)))
     with path.open("wb") as fh:
         fh.write((",".join(columns) + "\n").encode())
-        for start in range(0, len(flat), _CSV_BLOCK):
-            values = flat[start:start + _CSV_BLOCK]
+        for start in range(0, len(flat), size):
+            values = flat[start:start + size]
             fh.write(csvfloats.format_block(values, start % width, width, block))
 
 

@@ -369,10 +369,9 @@ DEFAULT_HORIZON = 1e3
 REPARAMETERIZATION_CONTROLS = IntegratorControls(step_tol=1.01e-10)
 
 
-def _stops(horizon: float, schedule: TemperatureSchedule, controls: IntegratorControls) -> tuple:
-    """(stops, samples): the set of sample times in (0, horizon], and those
-    with every breakpoint in (0, horizon) and the horizon added, sorted.
-    Without ``sample_times``, ``n_samples`` counts t = 0 and must be >= 2."""
+def _sample_times(horizon: float, controls: IntegratorControls) -> list:
+    """The sample times in (0, horizon], sorted.  Without ``sample_times``,
+    ``n_samples`` counts t = 0 and must be >= 2."""
     if horizon <= 0 or not math.isfinite(horizon):
         raise InvalidInputError(f"horizon must be positive and finite, got {horizon}")
     n = controls.n_samples
@@ -391,11 +390,7 @@ def _stops(horizon: float, schedule: TemperatureSchedule, controls: IntegratorCo
         grid = np.concatenate(([0.0], interior))
     # a set, not np.unique: the first np.unique in a freshly forked sweep
     # worker took ~1600 copy-on-write page faults (25-50 ms per worker)
-    samples = {t for t in grid.tolist() if 0.0 < t <= horizon}
-    stops = sorted(
-        samples | {b for b in schedule.breakpoints() if 0.0 < b < horizon} | {horizon}
-    )
-    return stops, samples
+    return sorted({t for t in grid.tolist() if 0.0 < t <= horizon})
 
 
 def _fitness(kind: FieldKind, scores_at: Callable[[np.ndarray], np.ndarray]) -> Callable:
@@ -523,20 +518,22 @@ def _run_flows(
     rows) chunks, with the state it left with if it left after its last
     sample; the chunks are stacked in start order and measured by one call
     each of ``scores_at`` and ``potential``."""
-    stops, sample_set = _stops(horizon, schedule, controls)
+    samples = _sample_times(horizon, controls)
     if not starts or len({p0.size for p0 in starts}) > 1:
         raise InvalidInputError("the flow needs one or more starts of one size")
     if kind is FieldKind.ENTROPIC and not all(p0.interior for p0 in starts):
         raise InteriorityError("entropic field requires an interior start")
     fitness = _fitness(kind, scores_at)
     breaks = set(schedule.breakpoints())
-    if dense:
-        stops = [t for t in stops if t in breaks or t == horizon]
+    # a step lands on every breakpoint in (0, horizon), on the horizon and,
+    # without dense output, on every sample
+    stops = {b for b in breaks if 0.0 < b < horizon} | {horizon}
+    stops = sorted(stops if dense else stops.union(samples))
     # the sample times not yet recorded are pending[k:]; a sample before the
     # end of an accepted step is interpolated, one at or before a stop takes
     # the state there.  Without dense output every sample is a stop, so no
     # step passes one and nothing is interpolated
-    pending, k = sorted(sample_set) + [math.inf], 0
+    pending, k = samples + [math.inf], 0
     tol = controls.step_tol
     single = len(starts) == 1
     # one start keeps the per-point arithmetic, the faster form on one row
@@ -948,12 +945,13 @@ def _fixed_score_rows(
     S: np.ndarray,
     schedule: TemperatureSchedule,
     scale: np.ndarray,
-    samples: set,
+    samples: list,
     controls: IntegratorControls,
 ) -> list:
     """The records of ``integrate_rows`` from checked (N, V) starts P0 and
-    scores S, row i at the temperature scale[i] T(t), at t = 0 and the
-    ``samples`` (``_stops``): ``_solve_blocks`` with the measures of a flow."""
+    scores S, row i at the temperature scale[i] T(t), at t = 0 and the sorted
+    ``samples`` (``_sample_times``): ``_solve_blocks`` with the measures of a
+    flow."""
     entropic = kind is FieldKind.ENTROPIC
     shifted = S - S.max(axis=1, keepdims=True)
     with np.errstate(divide="ignore"):
@@ -990,7 +988,7 @@ def _fixed_score_rows(
             for m, c in zip(met, clamps)
         ], columns
 
-    times = np.array([0.0] + sorted(samples))
+    times = np.array([0.0] + samples)
     solved = _solve_blocks(
         kind, ell0, shifted, schedule, scale, times, measure,
         lambda row, t: f"flow weights overflow at t={t:.6g}",
@@ -1019,7 +1017,7 @@ def _integrate_starts(
     for p0 in starts:
         if p0.size != s.size:
             raise InvalidInputError(f"size mismatch: p0 has {p0.size} entries, s has {s.size}")
-    _, samples = _stops(horizon, sched, controls)
+    samples = _sample_times(horizon, controls)
     if kind is FieldKind.ENTROPIC and not all(p0.interior for p0 in starts):
         raise InteriorityError("entropic field requires an interior start")
     check_score_spread(s, sched.at(0.0))
@@ -1075,7 +1073,7 @@ def integrate_rows(
     per_row = np.ndim(schedule) == 1
     P0, S, scale = _instance_rows(P0, S, schedule if per_row else np.ones(len(S)))
     schedule = ConstantSchedule(1.0) if per_row else as_schedule(schedule)
-    _, samples = _stops(horizon, schedule, controls)
+    samples = _sample_times(horizon, controls)
 
     def exterior(row: int):
         raise InteriorityError("entropic field requires an interior start")

@@ -1480,6 +1480,18 @@ class TestTables:
         strict = cli._strict_json({"columns": columns, "rows": rows}) + "\n"
         assert Path("face.json").read_text() == strict
 
+    @staticmethod
+    def _cold_peak(path, columns, body):
+        """The tracemalloc peak of writing ``body`` as a CSV from a cold
+        start: the formatter's tables are built inside the peak."""
+        csvfloats._tables.cache_clear()
+        tracemalloc.start()
+        try:
+            cli._write_table(path, columns, body, "csv")
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
     def test_writing_a_wide_table_peaks_below_a_tenth_of_its_size(self, tmp_path):
         # the table is streamed: the peak is a few rows, not the whole file
         rng = np.random.default_rng(0)
@@ -1489,32 +1501,59 @@ class TestTables:
         )
         columns = ["t"] + [f"p_{i + 1}" for i in range(v)] + ["free_energy", "kl", "norm"]
         path = tmp_path / "wide.csv"
-        # from a cold start: the formatter's tables are built inside the peak
-        csvfloats._tables.cache_clear()
-        tracemalloc.start()
-        try:
-            cli._write_table(path, columns, body, "csv")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < path.stat().st_size / 10
+        assert self._cold_peak(path, columns, body) < path.stat().st_size / 10
 
     def test_large_values_peak_no_higher_than_probabilities(self, tmp_path):
         # values from 10 up with a point inside their digits took a (m, 17)
-        # index to shift: 3.1x the peak of probabilities
+        # index to shift: 3.1x the peak of probabilities.  The first table
+        # takes the floor block, the second the cap
         rng = np.random.default_rng(0)
-        n, k = 40, 2504
-        columns = [f"c{i}" for i in range(k)]
+        for n, k in ((40, 2504), (105, 10_000)):
+            columns = [f"c{i}" for i in range(k)]
+            peaks = [
+                self._cold_peak(tmp_path / "t.csv", columns, body)
+                for body in (rng.dirichlet(np.ones(k), n), rng.uniform(10.0, 1000.0, (n, k)))
+            ]
+            assert peaks[1] <= 1.25 * peaks[0], (n, k)
+        assert 40 * 2504 // 64 < cli._CSV_BLOCK < cli._CSV_BLOCK_CAP < 105 * 10_000 // 64
+
+    def test_a_table_past_the_cap_peaks_alike_at_any_length(self, tmp_path):
+        # a block is 1/64 of the table up to the cap, so past it the peak is
+        # one cap-sized block however long the table
+        rng = np.random.default_rng(0)
+        v = 10_000
+        columns = ["t"] + [f"p_{i + 1}" for i in range(v)] + ["free_energy", "kl", "norm"]
         peaks = []
-        for body in (rng.dirichlet(np.ones(k), n), rng.uniform(10.0, 1000.0, (n, k))):
-            csvfloats._tables.cache_clear()
-            tracemalloc.start()
-            try:
-                cli._write_table(tmp_path / "t.csv", columns, body, "csv")
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-        assert peaks[1] <= 1.25 * peaks[0]
+        for n in (105, 210):
+            body = np.column_stack(
+                [np.linspace(0.0, 10.0, n), rng.dirichlet(np.ones(v), n), rng.random((n, 3))]
+            )
+            assert body.size // 64 > cli._CSV_BLOCK_CAP
+            path = tmp_path / f"wide{n}.csv"
+            peaks.append(self._cold_peak(path, columns, body))
+            assert peaks[-1] < path.stat().st_size / 10
+        assert peaks[1] == pytest.approx(peaks[0], rel=0.01)
+
+    def test_a_table_past_the_cap_renders_as_at_the_floor(self, tmp_path, monkeypatch):
+        # 105 numbered rows of 10,007 values: a cap-sized block splits rows
+        rng = np.random.default_rng(0)
+        n = 105
+        body = np.column_stack([rng.dirichlet(np.ones(10_005), n), np.resize(self.SPECIAL, n)])
+        body = _numbered(body, 1)
+        columns = ["step"] + [f"c{i}" for i in range(body.shape[1] - 1)]
+        sizes, format_block = [], csvfloats.format_block
+
+        def counted(values, *args):
+            sizes.append(len(values))
+            return format_block(values, *args)
+
+        monkeypatch.setattr(csvfloats, "format_block", counted)
+        for name, cap in (("cap", cli._CSV_BLOCK_CAP), ("floor", cli._CSV_BLOCK)):
+            monkeypatch.setattr(cli, "_CSV_BLOCK_CAP", cap)
+            sizes.clear()
+            cli._write_table(tmp_path / f"{name}.csv", columns, body, "csv")
+            assert max(sizes) == cap and cap % body.shape[1] != 0
+        assert (tmp_path / "cap.csv").read_bytes() == (tmp_path / "floor.csv").read_bytes()
 
     @pytest.mark.parametrize("first", [None, 1])
     def test_writing_a_wide_json_table_peaks_below_a_tenth_of_its_size(self, tmp_path, first):
