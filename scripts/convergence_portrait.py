@@ -12,8 +12,9 @@ from pathlib import Path
 
 import numpy as np
 
-from simplexflow import FieldKind, IntegratorControls, ScoreVector, SimplexPoint, integrate
+from simplexflow import FieldKind, IntegratorControls, ScoreVector, SimplexPoint
 from simplexflow.cli import _trajectory_table, _write_table
+from simplexflow.replicator import integrate_rows
 
 
 def main() -> None:
@@ -33,10 +34,11 @@ def main() -> None:
 
     print(f"{'kind':<10}{'start':<7}{'status':<12}{'terminal KL':<14}{'F gain':<12}samples")
     for kind in FieldKind:
-        for i in range(args.starts):
-            p0 = SimplexPoint(rng.dirichlet(np.ones(s.size)))
-            traj = integrate(kind, p0, s, args.temperature, args.horizon,
-                             IntegratorControls(n_samples=120))
+        # one row call per kind: each row is its start's own integrate run
+        starts = [SimplexPoint(rng.dirichlet(np.ones(s.size))) for _ in range(args.starts)]
+        trajs = integrate_rows(kind, starts, [s] * len(starts), args.temperature, args.horizon,
+                               IntegratorControls(n_samples=120))
+        for i, traj in enumerate(trajs):
             columns, body = _trajectory_table(traj, None)
             _write_table(outdir / f"{kind.value}_{i}.csv", columns, body, "csv")
             gain = traj.terminal.free_energy - traj.samples[0].free_energy

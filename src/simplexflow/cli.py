@@ -46,8 +46,8 @@ from .replicator import (
     ConstantSchedule,
     FieldKind,
     IntegratorControls,
-    _integrate_starts,
     _reparameterization_deviation,
+    integrate_rows,
     parse_schedule,
 )
 from .simplex import (
@@ -883,9 +883,9 @@ def _solve_row_cells(groups: dict) -> tuple:
             chunk = members[first : first + _ROWS_PER_CALL]
             started = time.perf_counter()
             try:
-                records = _integrate_starts(
-                    FieldKind(dynamics), [run.p0 for _, run in chunk], chunk[0][1].scores,
-                    schedule, horizon, controls,
+                records = integrate_rows(
+                    FieldKind(dynamics), [run.p0 for _, run in chunk],
+                    [chunk[0][1].scores] * len(chunk), schedule, horizon, controls,
                 )
             except Exception:
                 reruns += [_run_cell(payload) for payload, _ in chunk]

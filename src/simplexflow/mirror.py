@@ -31,16 +31,17 @@ form in ``replicator``, iterate k being the flow at time k h, in
 log-probabilities, so long concentrating runs survive far past the
 underflow point of the probabilities themselves.  Iterates come in (K, V)
 blocks from ``replicator._solve_blocks``, the row solver of the fixed-score
-flows called with one row; free energy, per-step KL move and KL to softmax
-are row-wise operations on a block, the run stops at the first row whose KL
+flows called with one row, which sizes its first block from the step and
+the KL-move tolerance; free energy, per-step KL move and KL to softmax are
+row-wise operations on a block, the run stops at the first row whose KL
 move is below the tolerance, and the ascent slack is one array operation on
 the run's free energy and KL moves.
 ``ascent_certificates`` takes the step of N independent instances, one
 (p, s, T, eta) per row of an (N, V) block, as the same map ``normalize(a
-log p + b (s - max s))`` at one time h per row, with the row helpers
-``_solve_blocks`` uses and every check of the one-step ``iterate``, each
-failure naming its row; ``ascent_certificate`` is its one-row call and
-``iterate`` its reference.  The two printed maps stay as written, as the
+log p + b (s - max s))`` at one time h per row, b divided by the row's T,
+with the row helpers ``_solve_blocks`` uses and every check of the one-step
+``iterate``, each failure naming its row; ``ascent_certificate`` is its
+one-row call and ``iterate`` its reference.  The two printed maps stay as written, as the
 reference the iterates are checked against.
 """
 
@@ -55,7 +56,6 @@ from .exceptions import InteriorityError, InvalidInputError
 from .replicator import (
     ConstantSchedule,
     FieldKind,
-    _certified_rows,
     _coefficients,
     _free_energy_rows,
     _math_map,
@@ -178,7 +178,8 @@ def ascent_certificates(kind: MirrorStepKind, P, S, temperatures, etas) -> tuple
             lambda row: check_score_spread(ScoreVector(S[row]), float(temperatures[row])),
         )
         flow, h = _sampled_flow(kind, etas, temperatures)
-        a, b = _coefficients(flow, ConstantSchedule(1.0), h, temperatures)
+        a, b = _coefficients(flow, ConstantSchedule(1.0), h)
+        b = b / temperatures
         _check_rows(~np.isfinite(b * spread + spread / temperatures), overflow)
     ell = np.log(P)
     before = _normalize_rows(ell)
@@ -260,11 +261,9 @@ def iterate(
         }
 
     ell0, shifted = np.log(p0.probs)[np.newaxis], (s.values - s.values.max())[np.newaxis]
-    schedule, scale, times = ConstantSchedule(t), np.ones(1), np.arange(max_steps + 1) * h
     ((P, columns, status, diagnostics, counts),) = _solve_blocks(
-        flow, ell0, shifted, schedule, scale, times, measure,
-        lambda k, _: f"step weights overflow at step {k}",
-        _certified_rows(flow, ell0, shifted, schedule, scale, times, kl_tol, step=h),
+        flow, ell0, shifted, ConstantSchedule(t), np.arange(max_steps + 1) * h, measure,
+        lambda k, _: f"step weights overflow at step {k}", kl_tol, step=h,
     )
     steps = len(P) - 1
     kl_end = float(columns["kl_to_target"][-1])

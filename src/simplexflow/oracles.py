@@ -20,11 +20,11 @@ gives exactly the verdicts and witnesses of the full run at that seed.  The
 flow runs behind ``prop-lyapunov``, ``thm-manifold-3`` and ``cor-convergence``
 are one piece of evidence on a stream of its own, computed at most once per
 run and only when one of those claims is asked for; its entropic runs are
-solved as rows, one ``replicator.integrate_rows`` call per size, and judged
-per run on each row's record.  The reparameterization pairs of
-``cor-temp-rescale`` use dense output.  The expected matrix
-committed under ``data/`` was produced by this module and is re-derivable
-with ``--seed`` defaults.
+solved as rows, one ``replicator.integrate_rows`` call per size and
+temperature, and judged per run on each row's record.  The
+reparameterization pairs of ``cor-temp-rescale`` use dense output.  The
+expected matrix committed under ``data/`` was produced by this module and is
+re-derivable with ``--seed`` defaults.
 """
 
 from __future__ import annotations
@@ -482,26 +482,26 @@ def _flow_evidence(rng: np.random.Generator) -> tuple:
 
     Run i draws its size, scores and start as ``random_scores`` and
     ``random_interior_point`` do, in that order, and takes the i-th of the
-    temperatures in turn.  The runs of one size are solved as rows of one
-    ``integrate_rows`` call, each record equal to the bit to its
-    ``integrate`` run, and a run that ends DIVERGED raises; the terminal KL
-    and ``lyapunov_report`` are taken per run on its record, as the check
+    temperatures in turn.  The runs of one size and temperature are solved
+    as rows of one ``integrate_rows`` call, each record equal to the bit to
+    its ``integrate`` run, and a run that ends DIVERGED raises; the terminal
+    KL and ``lyapunov_report`` are taken per run on its record, as the check
     independent of the solver."""
     controls = IntegratorControls(n_samples=60)
     temperatures = (0.25, 1.0, 4.0)
-    draws = {size: [] for size in _FLOW_SIZES}
+    draws = {}  # (size, T) -> its runs' (scores, start)
     for i in range(_FLOW_RUNS):
         size = int(rng.choice(_FLOW_SIZES))
-        s = rng.uniform(-3.0, 3.0, size)
-        draws[size].append((s, rng.dirichlet(np.ones(size)), temperatures[i % len(temperatures)]))
+        s = ScoreVector(rng.uniform(-3.0, 3.0, size))
+        p0 = SimplexPoint(rng.dirichlet(np.ones(size)))
+        draws.setdefault((size, temperatures[i % len(temperatures)]), []).append((s, p0))
     worst_kl = worst_drop = 0.0
-    for runs in filter(None, draws.values()):
-        S, P0, T = (np.array(column) for column in zip(*runs))
-        records = rep.integrate_rows(FieldKind.ENTROPIC, P0, S, T, 1e3, controls)
-        for row, (traj, (s, _, temp)) in enumerate(zip(records, runs)):
+    for (size, temp), runs in draws.items():
+        scores, starts = zip(*runs)
+        records = rep.integrate_rows(FieldKind.ENTROPIC, starts, scores, temp, 1e3, controls)
+        for traj, s in zip(records, scores):
             if traj.terminal_status is TerminalStatus.DIVERGED:
-                raise InvalidInputError(f"row {row}: {traj.diagnostics}")
-            s = ScoreVector(s)
+                raise InvalidInputError(f"V={size}, T={temp}: {traj.diagnostics}")
             worst_kl = max(worst_kl, kl_divergence(traj.terminal.p, softmax(s, temp)))
             worst_drop = min(worst_drop, float(rep.lyapunov_report(traj, s, temp).worst_drop))
 

@@ -35,10 +35,10 @@ from .replicator import (
     FieldKind,
     IntegratorControls,
     _check_cold_spread,
-    _integrate_starts,
     _run_flows,
     as_schedule,
     eval_field,
+    integrate_rows,
 )
 from .simplex import ScoreVector, SimplexPoint, check_temperature, entropy
 from .trajectory import TerminalStatus, TrajectoryRecord
@@ -207,14 +207,13 @@ def integrate_paths(
     field's starts are checked once and stepped as one block that shares
     every step (``replicator._run_flows``, with ``dense`` passed through); a
     field without state dependence is solved in closed form, its starts the
-    rows of one call of the fixed-score row solver, each record equal to the
-    bit to its ``integrate`` run."""
+    rows of one ``integrate_rows`` call, each record equal to the bit to its
+    ``integrate`` run."""
     if not starts:
         return []
     if field.constant_equivalent:
-        return _integrate_starts(
-            fieldkind, starts, ScoreVector(field.base), schedule, horizon, controls
-        )
+        scores = [ScoreVector(field.base)] * len(starts)
+        return integrate_rows(fieldkind, starts, scores, schedule, horizon, controls)
 
     for p0 in starts:
         if p0.size != field.size:

@@ -9,14 +9,15 @@ Two vector fields are provided, both of the replicator form
 With fixed scores both flows have exact solutions,
 ``log p(t) = a(t) log p0 + b(t) s`` up to normalization with (a, b) equal to
 (1, integral of 1/T) for LITERAL and (e^{-t}, integral of e^{-(t-u)}/T(u)) for
-ENTROPIC.  ``integrate_rows`` evaluates them for N instances (p0, s) at
-their stop times without stepping, an (N, K, V) block of K stops per array
-operation until every instance has stopped (``_solve_blocks``, which the
-discrete iterations of ``mirror`` share on one row); ``integrate`` is its
-one-row call.  A block costs a fixed few dozen numpy calls plus a cost per
-row.  At a constant temperature the stop values fall at rates known in
-advance, so the first block ends at the row by which every instance must
-stop (``_certified_rows``, from Hoeffding's lemma for the entropic kind) and
+ENTROPIC.  ``integrate_rows`` evaluates them for N typed instances (p0, s)
+under one temperature schedule at their stop times without stepping, an
+(N, K, V) block of K stops per array operation until every instance has
+stopped (``_solve_blocks``, which the discrete iterations of ``mirror``
+share on one row); ``integrate`` is its one-row call.  A block costs a fixed
+few dozen numpy calls plus a cost per row.  At a constant temperature the
+stop values fall at rates known in advance, so ``_solve_blocks`` ends its
+first block at the row by which every instance must stop
+(``_certified_rows``, from Hoeffding's lemma for the entropic kind) and
 most runs take one block of about the rows they keep; otherwise blocks start
 at FIRST_BLOCK rows and double.  Blocks are capped at BLOCK_BYTES per
 instance.  An instance ends at its first row that meets a stop rule, its
@@ -71,8 +72,6 @@ from .simplex import (
     ScoreVector,
     SimplexPoint,
     _check_entropy_scale,
-    _check_rows,
-    _instance_rows,
     _normalize_logs,
     _normalize_rows,
     _simplex_rows,
@@ -698,10 +697,10 @@ def _run_flows(
     chunks = [chunk for rows in history for chunk in rows]
     L = np.vstack([rows for _, rows in chunks])
     raw = np.exp(L)
-    stamps = [t for times, _ in chunks for t in times]
-    temperatures = np.array([schedule.at(t) for t in stamps])
+    stamps = np.array([t for times, _ in chunks for t in times])
+    temperatures = schedule.temperatures(stamps)
     columns = {
-        "t": np.array(stamps),
+        "t": stamps,
         "free_energy": _free_energy_rows(potential(raw), temperatures, raw, L),
         "kl_to_target": np.full(len(stamps), math.nan),
         "field_norm": _field_norm(raw, fitness(raw, L, temperatures[:, np.newaxis])),
@@ -758,7 +757,6 @@ def _certified_rows(
     ell0: np.ndarray,
     shifted: np.ndarray,
     schedule: TemperatureSchedule,
-    scale: np.ndarray,
     times: np.ndarray,
     tol: float,
     step: Optional[float] = None,
@@ -767,18 +765,17 @@ def _certified_rows(
     the call meets its stop rule at the tolerance ``tol``: a flow's
     ``kl_to_target``, or with ``step`` = h (times h apart) an iteration's
     ``kl_move``, the KL move from the row before.  None unless the schedule
-    is constant, so that row i has one temperature T_i = scale[i] T, and the
-    tolerance clears the rounding below.  O(V) per row and a binary search
-    in ``times``.
+    is constant, at T, and the tolerance clears the rounding below.  O(V)
+    per row and a binary search in ``times``.
 
     From the start's log-weights the stop values fall at rates known in
     advance.  ENTROPIC: log p_t - log pi = e^{-t} (log p0 - log pi) up to a
-    constant, pi = softmax(s, T_i), so by Hoeffding's lemma (KL(p || q) <=
+    constant, pi = softmax(s, T), so by Hoeffding's lemma (KL(p || q) <=
     osc(log p - log q)^2 / 8) D(p_t || pi) <= (e^{-t} R)^2 / 8 and the move
     from t - h is at most ((e^{-(t-h)} - e^{-t}) R)^2 / 8, R = osc(log p0 -
     log pi).  LITERAL: with M the start's mass on its top scores and gap the
     distance to its next score on the support, D(limit || p_t) and the move
-    from t - h are at most (1 - M) / M e^{-gap tau}, tau = t / T_i and t - h
+    from t - h are at most (1 - M) / M e^{-gap tau}, tau = t / T and t - h
     for the move.
 
     Rounding: a stop value computed from V log-probabilities is off by up to
@@ -800,8 +797,8 @@ def _certified_rows(
     # row's whole bound, and no overflow here warns
     factor = -math.expm1(-step) if moves else 1.0
     needed = -math.inf  # the time after which every row's bound is below tol
-    temperatures = (scale * schedule.temperature).tolist()
-    for logs, scores, temperature in zip(ell0.tolist(), shifted.tolist(), temperatures):
+    temperature = schedule.temperature
+    for logs, scores in zip(ell0.tolist(), shifted.tolist()):
         if kind is FieldKind.ENTROPIC:
             gaps = [ell - score / temperature for ell, score in zip(logs, scores)]
             spread = (max(gaps) - min(gaps)) * factor
@@ -825,11 +822,12 @@ def _certified_rows(
     return int(np.searchsorted(times, needed, side="right")) + 1 + 2 * moves
 
 
-def _coefficients(kind: FieldKind, schedule: TemperatureSchedule, times: np.ndarray, scale):
-    """(a, b) of ``_solve_blocks`` at the 1-D ``times``, ``a`` a column or one entry."""
+def _coefficients(kind: FieldKind, schedule: TemperatureSchedule, times: np.ndarray):
+    """(a, b) of ``_solve_blocks`` at the 1-D ``times``: ``a`` a column or one
+    entry, ``b`` one entry per time."""
     if kind is FieldKind.ENTROPIC:
-        return _math_map(math.exp, -times)[:, np.newaxis], schedule.entropic_weight(times) / scale
-    return np.ones((1, 1)), schedule.effective_time(times) / scale
+        return _math_map(math.exp, -times)[:, np.newaxis], schedule.entropic_weight(times)
+    return np.ones((1, 1)), schedule.effective_time(times)
 
 
 def _solve_blocks(
@@ -837,29 +835,30 @@ def _solve_blocks(
     ell0: np.ndarray,
     shifted: np.ndarray,
     schedule: TemperatureSchedule,
-    scale: np.ndarray,
     times: np.ndarray,
     measure: Callable,
     overflow_note: Callable[[int, float], str],
-    first_block: Optional[int] = None,
+    tol: float,
+    step: Optional[float] = None,
 ) -> list:
     """The fixed-score flow from each row of the (N, V) log-weights ``ell0``
     at the increasing ``times``, up to the first time ``measure`` stops the row.
 
-    Row i at t = times[k] has the temperature scale[i] T(t), T the
-    schedule's, and the log-weights ``normalize(a ell0[i] + b shifted[i])``,
-    with (a, b) = (1, tau(t) / scale[i]) for LITERAL and (e^{-t}, w(t) /
-    scale[i]) for ENTROPIC: one ``_coefficients`` call per block.  A block
-    is every row at K times, until no row runs, at most BLOCK_BYTES per row.
-    The first block holds ``first_block`` times, the caller's
-    ``_certified_rows``, by whose end every row stops; without it, K starts
-    at FIRST_BLOCK and doubles from block to block (plain doubling).  A row
-    that outlives its first block goes on to the next end of plain
+    At t = times[k] every row has the schedule's T(t) and row i the
+    log-weights ``normalize(a ell0[i] + b shifted[i])``, with (a, b) = (1,
+    tau(t)) for LITERAL and (e^{-t}, w(t)) for ENTROPIC: one
+    ``_coefficients`` call per block.  A block is every row at K times,
+    until no row runs, at most BLOCK_BYTES per row.  The first block ends at
+    the ``_certified_rows`` of the stop tolerance ``tol`` (and an
+    iteration's ``step``), by which every row stops; without that bound, K
+    starts at FIRST_BLOCK and doubles from block to block (plain doubling).
+    A row that outlives its first block goes on to the next end of plain
     doubling's blocks, so it evaluates no more times than under plain
     doubling and takes at most one block more.  A row's values do not depend
-    on the layout.  ``measure(temperatures, logs)`` takes the temperatures
-    and log-probabilities of a block, the times of one row after the other,
-    and returns per row None or (its stop's time index in the block, status,
+    on the layout.  ``measure(temperatures, logs)`` takes a block's (K,)
+    temperatures, or (N, K) once an overflow masks some rows' times, and its
+    (N K, V) log-probabilities, the times of one row after the other, and
+    returns per row None or (its stop's time index in the block, status,
     diagnostics), and the columns: "P", the exp(logs) it measured, and one
     value per time for each other.  Weights that overflow, or T(t) log V (the
     bound of T H(p); inf also where the temperature itself overflows, as
@@ -871,42 +870,43 @@ def _solve_blocks(
     stop, P checked and renormalized by ``_simplex_rows``; the counts are
     those of the call's blocks while the row ran.
     """
-    scale, spread = scale[:, np.newaxis], -shifted.min(axis=1, keepdims=True)
+    spread = -shifted.min(axis=1, keepdims=True)
     log_size = math.log(ell0.shape[1])
     kept = [[] for _ in ell0]  # the column blocks of each row
     ends = [(TerminalStatus.MAX_TIME, "")] * len(ell0)
     evaluated, blocks = [0] * len(ell0), [0] * len(ell0)
     running = list(range(len(ell0)))
     cap = max(1, BLOCK_BYTES // (8 * ell0.shape[1]))
-    # plain doubling's current block ends at edge; a given first block ends
-    # at first_block, and every later block at the next edge past its start
+    # plain doubling's current block ends at edge; a certified first block
+    # ends at its bound, and every later block at the next edge past its start
     size = FIRST_BLOCK
     start, edge = 0, min(size, cap)
-    end = edge if first_block is None else min(first_block, cap)
+    bound = _certified_rows(kind, ell0, shifted, schedule, times, tol, step)
+    end = edge if bound is None else min(bound, cap)
     while start < len(times) and running:
         chunk = times[start:end]
         stamps = chunk.tolist()
         with np.errstate(all="ignore"):
-            temperatures = scale * schedule.temperatures(chunk)
-            a, b = _coefficients(kind, schedule, chunk, scale)
+            temperatures = schedule.temperatures(chunk)
+            a, b = _coefficients(kind, schedule, chunk)
             hot = ~np.isfinite(temperatures * log_size)  # T H(p) <= T log V
             finite = (temperatures > 0.0) & np.isfinite(b * spread + spread / temperatures) & ~hot
         overflow = _first(~finite)
         width, stops = max(overflow), [None] * len(ell0)
         if width:
-            temperatures, b, finite = temperatures[:, :width], b[:, :width], finite[:, :width]
+            temperatures, b, finite = temperatures[:width], b[:width], finite[:, :width]
             if min(overflow) < width:  # the times of a row from its overflow on are never kept
                 temperatures, b = np.where(finite, temperatures, 1.0), np.where(finite, b, 0.0)
             logs = a[:width] * ell0[:, np.newaxis] + b[..., np.newaxis] * shifted[:, np.newaxis]
             logs = _normalize_rows(logs.reshape(-1, ell0.shape[1]))
-            stops, columns = measure(temperatures.reshape(-1), logs)
+            stops, columns = measure(temperatures, logs)
             columns["P"] = _simplex_rows(columns["P"])  # row by row: a row keeps its values
         for i in running:
             if stops[i] is not None and stops[i][0] < overflow[i]:
                 count, ends[i] = stops[i][0] + 1, stops[i][1:]
             elif overflow[i] < len(stamps):
                 count, t = overflow[i], stamps[overflow[i]]
-                note = f"T log V overflows at t={t:.6g}" if hot[i, count] else None
+                note = f"T log V overflows at t={t:.6g}" if hot[count] else None
                 ends[i] = TerminalStatus.DIVERGED, note or overflow_note(start + count, t)
             else:
                 count = width
@@ -939,92 +939,6 @@ def _literal_limits(ell0: np.ndarray, S: np.ndarray) -> tuple:
     return limits, _row_dot(limits, np.where(limits > 0.0, ell, 0.0))
 
 
-def _fixed_score_rows(
-    kind: FieldKind,
-    P0: np.ndarray,
-    S: np.ndarray,
-    schedule: TemperatureSchedule,
-    scale: np.ndarray,
-    samples: list,
-    controls: IntegratorControls,
-) -> list:
-    """The records of ``integrate_rows`` from checked (N, V) starts P0 and
-    scores S, row i at the temperature scale[i] T(t), at t = 0 and the sorted
-    ``samples`` (``_sample_times``): ``_solve_blocks`` with the measures of a
-    flow."""
-    entropic = kind is FieldKind.ENTROPIC
-    shifted = S - S.max(axis=1, keepdims=True)
-    with np.errstate(divide="ignore"):
-        ell0 = np.log(P0)
-    if not entropic:
-        limits, plogp = _literal_limits(ell0, S)
-
-    def measure(temperatures, logs):
-        n, k = len(S), len(logs) // len(S)
-        clamps = [k] * n
-        if entropic:
-            clamps = _first((logs.min(axis=1) < LOG_CLAMP).reshape(n, k))
-            for row in (i * k + c for i, c in enumerate(clamps) if c < k):
-                logs[row] = _normalize_logs(np.maximum(logs[row], LOG_CLAMP))
-        P = np.exp(logs)
-        scaled = (shifted[:, np.newaxis] / temperatures.reshape(n, k, 1)).reshape(logs.shape)
-        if entropic:
-            kl, g = _row_dot(P, logs - _normalize_rows(scaled)), scaled - logs
-        else:
-            on_limit = np.where(limits > 0.0, logs.reshape(n, k, -1), 0.0)
-            kl, g = (plogp - _row_dot(on_limit, limits)).reshape(-1), scaled
-        inner = _row_dot(P.reshape(n, k, -1), S[:, np.newaxis]).reshape(-1)
-        columns = {
-            "P": P,
-            "free_energy": _free_energy_rows(inner, temperatures, P, logs),
-            "kl_to_target": np.maximum(kl, 0.0),
-            "field_norm": _field_norm(P, g),
-        }
-        met = _first((columns["kl_to_target"] < controls.convergence_kl).reshape(n, k))
-        return [
-            (m, TerminalStatus.CONVERGED, "") if m < c
-            else (c, TerminalStatus.DIVERGED, "log-probability clamp hit near the boundary")
-            if c < k else None
-            for m, c in zip(met, clamps)
-        ], columns
-
-    times = np.array([0.0] + samples)
-    solved = _solve_blocks(
-        kind, ell0, shifted, schedule, scale, times, measure,
-        lambda row, t: f"flow weights overflow at t={t:.6g}",
-        _certified_rows(kind, ell0, shifted, schedule, scale, times, controls.convergence_kl),
-    )
-    return [
-        TrajectoryRecord.from_columns(
-            P, {**columns, "t": times[: len(P)]}, status, diagnostics=diagnostics,
-            block_counts=counts,
-        )
-        for P, columns, status, diagnostics, counts in solved
-    ]
-
-
-def _integrate_starts(
-    kind: FieldKind,
-    starts: Sequence[SimplexPoint],
-    s: ScoreVector,
-    schedule,
-    horizon: float,
-    controls: IntegratorControls,
-) -> list:
-    """``integrate`` from each of the starts: its checks, with its messages,
-    then one ``_fixed_score_rows`` call for all of them."""
-    sched = as_schedule(schedule)
-    for p0 in starts:
-        if p0.size != s.size:
-            raise InvalidInputError(f"size mismatch: p0 has {p0.size} entries, s has {s.size}")
-    samples = _sample_times(horizon, controls)
-    if kind is FieldKind.ENTROPIC and not all(p0.interior for p0 in starts):
-        raise InteriorityError("entropic field requires an interior start")
-    check_score_spread(s, sched.at(0.0))
-    P0, S = np.array([p0.probs for p0 in starts]), np.array([s.values] * len(starts))
-    return _fixed_score_rows(kind, P0, S, sched, np.ones(len(P0)), samples, controls)
-
-
 def integrate(
     kind: FieldKind,
     p0: SimplexPoint,
@@ -1034,8 +948,7 @@ def integrate(
     controls: IntegratorControls = IntegratorControls(),
 ) -> TrajectoryRecord:
     """Solve the selected fixed-score flow from p0 under a temperature
-    schedule: the one-row ``integrate_rows``, with the checks of its typed
-    inputs, so that no error names a row.
+    schedule: the one-row ``integrate_rows``.
 
     Nothing is stepped: the rows it records, at t = 0 and at each sample time
     in (0, horizon], are ``log p = a log p0 + b (s - max s)`` up to
@@ -1049,44 +962,94 @@ def integrate(
     below ``LOG_CLAMP``, an overflowing weight or an overflowing T(t) log V
     ends it DIVERGED.
     """
-    return _integrate_starts(kind, [p0], s, schedule, horizon, controls)[0]
+    return integrate_rows(kind, [p0], [s], schedule, horizon, controls)[0]
 
 
 def integrate_rows(
     kind: FieldKind,
-    P0,
-    S,
+    starts: Sequence[SimplexPoint],
+    scores: Sequence[ScoreVector],
     schedule,
     horizon: float = DEFAULT_HORIZON,
     controls: IntegratorControls = IntegratorControls(),
 ) -> list:
-    """``integrate`` of N independent instances, one (p0, s) per row of the
-    (N, V) starts P0 and scores S, under one ``schedule`` (or temperature)
-    or N temperatures, a constant one per row: one record per row, equal to
-    the bit to its ``integrate`` run from ``SimplexPoint(P0[i])`` and ending
-    as that run does.  The checks are ``integrate``'s and its inputs'
-    constructors', in their order, each error naming the first row that
-    fails it: finite scores, starts checked and renormalized as simplex
-    points, T, the horizon and samples, an interior entropic start, and the
-    score spread over T(0).
-    """
-    per_row = np.ndim(schedule) == 1
-    P0, S, scale = _instance_rows(P0, S, schedule if per_row else np.ones(len(S)))
-    schedule = ConstantSchedule(1.0) if per_row else as_schedule(schedule)
-    samples = _sample_times(horizon, controls)
-
-    def exterior(row: int):
-        raise InteriorityError("entropic field requires an interior start")
-
-    if kind is FieldKind.ENTROPIC:
-        _check_rows(~(P0.min(axis=1) > 0.0), exterior)
-    cold = scale * schedule.at(0.0)
-    with np.errstate(over="ignore"):  # a spread or a T log V that overflows fails its row
-        _check_rows(
-            ~np.isfinite((S.max(axis=1) - S.min(axis=1)) / cold + cold * math.log(S.shape[1])),
-            lambda row: check_score_spread(ScoreVector(S[row]), float(cold[row])),
+    """``integrate`` from each start with its own scores, all under one
+    ``schedule`` (or temperature): one record per start, equal to the bit to
+    its ``integrate`` run, since a row does not depend on the rows beside
+    it.  After one or more starts, one score vector per start and starts of
+    one size, the checks name no row: T, sizes, horizon and samples, an
+    interior entropic start, and the score spread over T(0)."""
+    if not starts:
+        raise InvalidInputError("need one or more starts")
+    if len(scores) != len(starts):
+        raise InvalidInputError(
+            f"need one score vector per start, got {len(scores)} for {len(starts)} starts"
         )
-    return _fixed_score_rows(kind, P0, S, schedule, scale, samples, controls)
+    sizes = {p0.size for p0 in starts}
+    if len(sizes) > 1:
+        raise InvalidInputError(f"starts must be of one size, got sizes {sorted(sizes)}")
+    sched = as_schedule(schedule)
+    unique = dict.fromkeys(scores)  # a score vector that rows share is checked once
+    for s in unique:
+        if s.size not in sizes:
+            raise InvalidInputError(f"size mismatch: p0 has {min(sizes)} entries, s has {s.size}")
+    samples = _sample_times(horizon, controls)
+    entropic = kind is FieldKind.ENTROPIC
+    if entropic and not all(p0.interior for p0 in starts):
+        raise InteriorityError("entropic field requires an interior start")
+    for s in unique:
+        check_score_spread(s, sched.at(0.0))
+
+    S = np.array([s.values for s in scores])
+    shifted = S - S.max(axis=1, keepdims=True)
+    with np.errstate(divide="ignore"):
+        ell0 = np.log([p0.probs for p0 in starts])
+    if not entropic:
+        limits, plogp = _literal_limits(ell0, S)
+
+    def measure(temperatures, logs):
+        n, k = len(S), len(logs) // len(S)
+        clamps = [k] * n
+        if entropic:
+            clamps = _first((logs.min(axis=1) < LOG_CLAMP).reshape(n, k))
+            for row in (i * k + c for i, c in enumerate(clamps) if c < k):
+                logs[row] = _normalize_logs(np.maximum(logs[row], LOG_CLAMP))
+        P = np.exp(logs)
+        # (n, k, V) views: the temperatures are per time, (k,), or per row and time
+        rows, row_logs = P.reshape(n, k, -1), logs.reshape(n, k, -1)
+        scaled = (shifted[:, np.newaxis] / temperatures[..., np.newaxis]).reshape(logs.shape)
+        if entropic:
+            kl, g = _row_dot(P, logs - _normalize_rows(scaled)), scaled - logs
+        else:
+            on_limit = np.where(limits > 0.0, row_logs, 0.0)
+            kl, g = (plogp - _row_dot(on_limit, limits)).reshape(-1), scaled
+        inner = _row_dot(rows, S[:, np.newaxis])
+        columns = {
+            "P": P,
+            "free_energy": _free_energy_rows(inner, temperatures, rows, row_logs).reshape(-1),
+            "kl_to_target": np.maximum(kl, 0.0),
+            "field_norm": _field_norm(P, g),
+        }
+        met = _first((columns["kl_to_target"] < controls.convergence_kl).reshape(n, k))
+        return [
+            (m, TerminalStatus.CONVERGED, "") if m < c
+            else (c, TerminalStatus.DIVERGED, "log-probability clamp hit near the boundary")
+            if c < k else None
+            for m, c in zip(met, clamps)
+        ], columns
+
+    times = np.array([0.0] + samples)
+    solved = _solve_blocks(
+        kind, ell0, shifted, sched, times, measure,
+        lambda row, t: f"flow weights overflow at t={t:.6g}", controls.convergence_kl,
+    )
+    return [
+        TrajectoryRecord.from_columns(
+            P, {**columns, "t": times[: len(P)]}, status, diagnostics=diagnostics,
+            block_counts=counts,
+        )
+        for P, columns, status, diagnostics, counts in solved
+    ]
 
 
 # ---------------------------------------------------------------------------

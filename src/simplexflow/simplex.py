@@ -44,12 +44,24 @@ def _as_vector(values, name: str) -> np.ndarray:
     return arr
 
 
+def _positive_real(value, name: str) -> float:
+    """``value`` as a float, positive and finite: a real number or a string of
+    one, not a sequence or an array of any length (InvalidInputError naming it)."""
+    if not isinstance(value, np.ndarray) or value.ndim == 0:
+        try:
+            number = float(value)
+        except (TypeError, ValueError):
+            pass
+        else:
+            if not math.isfinite(number) or number <= 0.0:
+                raise InvalidInputError(f"{name} must be positive and finite, got {number!r}")
+            return number
+    raise InvalidInputError(f"{name} must be a real number, got {value!r}")
+
+
 def check_temperature(value: float) -> float:
-    """Validate a temperature: positive, finite. Returns it as a float."""
-    value = float(value)
-    if not math.isfinite(value) or value <= 0.0:
-        raise InvalidInputError(f"temperature must be positive and finite, got {value!r}")
-    return value
+    """Validate a temperature: a real number, positive, finite. Returns it as a float."""
+    return _positive_real(value, "temperature")
 
 
 def check_score_spread(s: ScoreVector, temperature: float) -> None:
@@ -74,11 +86,8 @@ def _check_entropy_scale(temperature: float, size: int) -> None:
 
 
 def check_step_size(eta: float) -> float:
-    """Validate a step size: positive, finite. Returns it as a float."""
-    eta = float(eta)
-    if not math.isfinite(eta) or eta <= 0.0:
-        raise InvalidInputError(f"step size must be positive and finite, got {eta!r}")
-    return eta
+    """Validate a step size: a real number, positive, finite. Returns it as a float."""
+    return _positive_real(eta, "step size")
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:

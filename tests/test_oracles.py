@@ -21,6 +21,7 @@ from simplexflow import (
     exact_prox_step,
     linear_field,
     fd_gradient,
+    kl_divergence,
     log_partition,
     prox_objective_maximizer,
     rk4_flow,
@@ -33,6 +34,9 @@ from simplexflow.replicator import FieldKind, IntegratorControls, _run_flows
 from simplexflow.oracles import (
     CLAIMS,
     DEFAULT_SEED,
+    _FLOW_EVIDENCE,
+    _claim_stream,
+    _flow_evidence,
     compare_to_expected,
     expected_claim_matrix,
     fd_gradient_checked,
@@ -344,9 +348,30 @@ class TestAdjudication:
         for name in ("integrate", "integrate_rows"):
             monkeypatch.setattr(replicator, name, counted(name))
         run_adjudication(include=["prop-lyapunov", "cor-convergence"])
-        # one row call per size for the 60 entropic runs, and the literal run
-        # from softmax
-        assert calls == {"integrate_rows": 3, "integrate": 1}
+        # one row call per size and temperature for the 60 entropic runs (3 x
+        # 3), and the literal run from softmax, itself a one-row call
+        assert calls == {"integrate_rows": 9 + 1, "integrate": 1}
+
+    @pytest.mark.parametrize("seed", [DEFAULT_SEED, 0, 1, 2])
+    def test_the_flow_evidence_is_that_of_its_runs_solved_alone(self, seed):
+        worst_kl, worst_drop, literal = _flow_evidence(_claim_stream(seed, _FLOW_EVIDENCE))
+        # run i drawn as documented, at the i-th temperature in turn, and
+        # solved by integrate alone
+        rng, kl, drop = _claim_stream(seed, _FLOW_EVIDENCE), 0.0, 0.0
+        for i in range(60):
+            size = int(rng.choice((2, 3, 8)))
+            s = ScoreVector(rng.uniform(-3.0, 3.0, size))
+            p0 = SimplexPoint(rng.dirichlet(np.ones(size)))
+            temp = (0.25, 1.0, 4.0)[i % 3]
+            run = replicator.integrate(FieldKind.ENTROPIC, p0, s, temp, 1e3,
+                                       IntegratorControls(n_samples=60))
+            kl = max(kl, kl_divergence(run.terminal.p, softmax(s, temp)))
+            drop = min(drop, float(replicator.lyapunov_report(run, s, temp).worst_drop))
+        assert (worst_kl.hex(), worst_drop.hex()) == (kl.hex(), drop.hex())
+        s = ScoreVector([1.0, 0.0])
+        run = replicator.integrate(FieldKind.LITERAL, softmax(s, 1.0), s, 1.0, 50.0,
+                                   IntegratorControls(n_samples=80))
+        assert literal["terminal_point"] == run.terminal.p.probs.tolist()
 
     @pytest.mark.parametrize(
         "include",

@@ -36,7 +36,7 @@ from simplexflow import (
     restrict_to_face,
     softmax,
 )
-from simplexflow import mirror, replicator
+from simplexflow import replicator
 from simplexflow.oracles import (
     DEFAULT_SEED,
     _claim_stream,
@@ -472,12 +472,6 @@ class TestFreeEnergyOverflow:
         record = integrate(kind, SimplexPoint.uniform(10), self.S10, 7e307)
         assert np.isfinite(record.free_energy).all()
 
-    def test_a_row_whose_t_log_v_overflows_is_named(self):
-        P0 = np.full((3, 10), 0.1)
-        S = np.tile(self.S10.values, (3, 1))
-        with pytest.raises(InvalidInputError, match="^row 1: " + self.REFUSED[1:]):
-            replicator.integrate_rows(FieldKind.ENTROPIC, P0, S, [1.0, 1e308, 1.0])
-
     @pytest.mark.parametrize("kind", list(FieldKind))
     def test_a_row_ends_diverged_where_t_log_v_overflows(self, kind):
         s = ScoreVector(np.linspace(-3.0, 3.0, 16))
@@ -910,21 +904,21 @@ class TestBlockedClosedForm:
 
 
 class TestIntegrateRows:
-    """``integrate_rows``: each row is its instance's ``integrate`` run to the
+    """``integrate_rows``: each start's row is its ``integrate`` run to the
     bit, for both kinds and every schedule kind, whether it converges, runs
-    to its last sample or ends DIVERGED, and each input check names the
-    first row that fails it."""
+    to its last sample or ends DIVERGED; its checks are ``integrate``'s,
+    with its messages, after those of the call's shape."""
 
     GOOD_S, GOOD_P = [1.0, 0.0, -1.0], [0.2, 0.3, 0.5]
 
     @staticmethod
     def assert_rows_are_their_runs(kind, P0, S, schedule, horizon, controls):
-        rows = replicator.integrate_rows(kind, P0, S, schedule, horizon, controls)
-        assert len(rows) == len(S)
-        per_row = np.ndim(schedule) == 1
-        for i, (row, p0, s) in enumerate(zip(rows, P0, S)):
-            run = integrate(kind, SimplexPoint(p0), ScoreVector(s),
-                            schedule[i] if per_row else schedule, horizon, controls)
+        starts = [SimplexPoint(p0) for p0 in P0]
+        scores = [ScoreVector(s) for s in S]
+        rows = replicator.integrate_rows(kind, starts, scores, schedule, horizon, controls)
+        assert len(rows) == len(starts)
+        for row, p0, s in zip(rows, starts, scores):
+            run = integrate(kind, p0, s, schedule, horizon, controls)
             assert row.terminal_status is run.terminal_status
             assert row.diagnostics == run.diagnostics
             assert len(row.t) == len(run.t)
@@ -936,16 +930,16 @@ class TestIntegrateRows:
     @pytest.mark.parametrize("size", [2, 3, 8])
     @pytest.mark.parametrize("controls", [IntegratorControls(n_samples=60), IntegratorControls()])
     def test_each_row_is_its_integrate_run(self, kind, size, controls):
-        # a temperature per row; the default 200 samples take integrate past
-        # its first block
+        # the default 200 samples take integrate past its first block
         rng = np.random.default_rng([size, 20])
         S, P0 = rng.uniform(-3, 3, (12, size)), rng.dirichlet(np.ones(size), 12)
-        rows = self.assert_rows_are_their_runs(
-            kind, P0, S, np.tile([0.25, 1.0, 4.0], 4), 1e3, controls
-        )
-        assert len({len(row.t) for row in rows}) > 1
-        if kind is FieldKind.ENTROPIC:
-            assert all(row.terminal_status is TerminalStatus.CONVERGED for row in rows)
+        lengths = set()
+        for temperature in (0.25, 1.0, 4.0):
+            rows = self.assert_rows_are_their_runs(kind, P0, S, temperature, 1e3, controls)
+            lengths |= {len(row.t) for row in rows}
+            if kind is FieldKind.ENTROPIC:
+                assert all(row.terminal_status is TerminalStatus.CONVERGED for row in rows)
+        assert len(lengths) > 1
 
     @pytest.mark.parametrize("kind", list(FieldKind))
     @pytest.mark.parametrize(
@@ -964,14 +958,14 @@ class TestIntegrateRows:
     def test_rows_stop_at_their_own_rows(self, size):
         # a start at softmax stops at t = 0, one with a coordinate at 1e-200
         # is still far from softmax at the horizon, and the others converge
-        # at different samples (measured: 132 to 198 of 200)
+        # at different samples (measured: 171 to 199 of 200) or, one at
+        # V = 8, run to the horizon
         rng = np.random.default_rng([size, 21])
         S, P0 = rng.uniform(-3, 3, (6, size)), rng.dirichlet(np.ones(size), 6)
-        T = np.tile([0.25, 1.0, 4.0], 2)
-        P0[0] = softmax(ScoreVector(S[0]), T[0]).probs
+        P0[0] = softmax(ScoreVector(S[0]), 1.0).probs
         P0[1] = [1e-200] + [1.0 / (size - 1)] * (size - 1)
         controls = IntegratorControls(uniform_samples=True)
-        rows = self.assert_rows_are_their_runs(FieldKind.ENTROPIC, P0, S, T, 12.0, controls)
+        rows = self.assert_rows_are_their_runs(FieldKind.ENTROPIC, P0, S, 1.0, 12.0, controls)
         assert len(rows[0].t) == 1 and len(rows[1].t) == 200
         assert len({len(row.t) for row in rows[2:]}) == 4
         assert {row.terminal_status for row in rows} == {
@@ -982,29 +976,29 @@ class TestIntegrateRows:
         S = np.array([[1.0, 0.0, -0.5, 2.0], [2.0, 0.0, 2.0, -1.0], [2.0, 0.0, 2.0, -1.0]])
         P0 = np.array([[0.0, 0.5, 0.5, 0.0], [0.1, 0.2, 0.3, 0.4], [0.0, 0.3, 0.3, 0.4]])
         rows = self.assert_rows_are_their_runs(
-            FieldKind.LITERAL, P0, S, [1.0, 0.5, 2.0], 60.0, IntegratorControls()
+            FieldKind.LITERAL, P0, S, 1.0, 60.0, IntegratorControls()
         )
         assert all(row.terminal_status is TerminalStatus.CONVERGED for row in rows)
         assert rows[0].P[-1, 0] == rows[0].P[-1, 3] == 0.0
 
     @pytest.mark.parametrize(
-        "kind, P0, S, T, ends",
+        "kind, P0, S, ends",
         [
             # a row whose weights overflow at its first sample between a row
             # that converges and one that runs to the horizon
             (FieldKind.LITERAL, [GOOD_P] * 3, [GOOD_S, [0.0, 1.79e308, 0.0], [0.5, 0.0, -1.0]],
-             [1.0, 1.0, 1.0], ["converged", "overflow", "max-time"]),
+             ["converged", "overflow", "max-time"]),
             # two rows that clamp while their two tied top tokens are still
             # apart, and two that converge, one in the second block
             (FieldKind.ENTROPIC, [GOOD_P, GOOD_P, GOOD_P, [1e-200, 0.5, 0.5]],
-             [[0.0, 0.0, -3.0], GOOD_S, [0.0, 0.0, -3.0], GOOD_S],
-             [0.004, 1.0, 3.0 / 691.0, 1.0], ["clamp", "converged", "clamp", "converged"]),
+             [[0.0, 0.0, -700.0], GOOD_S, [0.0, 0.0, -691.0], GOOD_S],
+             ["clamp", "converged", "clamp", "converged"]),
         ],
         ids=["literal", "entropic"],
     )
-    def test_diverged_rows_among_converging_rows(self, kind, P0, S, T, ends):
+    def test_diverged_rows_among_converging_rows(self, kind, P0, S, ends):
         controls = IntegratorControls(n_samples=301, uniform_samples=True)
-        rows = self.assert_rows_are_their_runs(kind, P0, S, T, 30.0, controls)
+        rows = self.assert_rows_are_their_runs(kind, P0, S, 1.0, 30.0, controls)
         named = {"overflow": "flow weights overflow at t=0.1",
                  "clamp": "log-probability clamp hit near the boundary"}
         for row, end in zip(rows, ends):
@@ -1043,48 +1037,73 @@ class TestIntegrateRows:
         )
         assert all(row.diagnostics.startswith("flow weights overflow") for row in rows[:4])
         assert all(len(row.t) == 1 for row in rows[:4]) and all(len(row.t) > 5 for row in rows[4:])
+        # 40 samples at 5 a block; a row that overflows is in the call's first block only
+        assert [row.block_counts for row in rows] == (
+            [BlockCounts(5, 1, 1)] * 4 + [BlockCounts(len(row.t), len(row.t), 8) for row in rows[4:]]
+        )
 
     def test_a_weight_that_overflows_after_the_stop_is_no_warning(self):
         # equal scores at T = 5e-324: w(t) / T is inf from the second row on,
         # past the stop at t = 0
         rows = self.assert_rows_are_their_runs(
-            FieldKind.ENTROPIC, [[0.5, 0.5]], [[1.0, 1.0]], [5e-324], 1.0, IntegratorControls()
+            FieldKind.ENTROPIC, [[0.5, 0.5]], [[1.0, 1.0]], 5e-324, 1.0, IntegratorControls()
         )
         assert rows[0].terminal_status is TerminalStatus.CONVERGED and len(rows[0].t) == 1
 
     @pytest.mark.parametrize(
-        "s, p, temp, error, named",
+        "s, p, temp, error",
         [
-            ([1.0, np.nan, 0.0], GOOD_P, 1.0, InvalidInputError, "scores must be finite"),
-            (GOOD_S, [0.5, 0.6, 0.2], 1.0, InvalidInputError, "probabilities sum to 1.3"),
-            (GOOD_S, GOOD_P, 0.0, InvalidInputError, "temperature must be positive"),
-            (GOOD_S, [0.0, 0.5, 0.5], 1.0, InteriorityError,
-             "entropic field requires an interior start"),
-            ([-1e308, 1e308, 0.0], GOOD_P, 1.0, InvalidInputError,
-             "score spread over temperature overflows"),
-            (GOOD_S, GOOD_P, 1.7e308, InvalidInputError,
-             "free energy overflows: T log V is infinite at T=1.7e+308, V=3"),
-            # no error: these rows end DIVERGED, as their integrate runs do
-            ([0.0, 1.79e308, 0.0], GOOD_P, 1.0, None, "flow weights overflow at t=0.01"),
-            ([0.0, 0.0, -3.0], GOOD_P, 0.004, None,
-             "log-probability clamp hit near the boundary"),
+            (GOOD_S, GOOD_P, 0.0, InvalidInputError),
+            (GOOD_S, [0.0, 0.5, 0.5], 1.0, InteriorityError),
+            ([-1e308, 1e308, 0.0], GOOD_P, 1.0, InvalidInputError),
+            (GOOD_S, GOOD_P, 1.7e308, InvalidInputError),
+            ([1.0, 0.0], GOOD_P, 1.0, InvalidInputError),
         ],
-        ids=["scores", "start", "temperature", "interior", "spread", "entropy", "overflow",
-             "clamp"],
+        ids=["temperature", "interior", "spread", "entropy", "size"],
     )
-    def test_each_check_names_the_first_row_that_fails(self, s, p, temp, error, named):
-        S = np.array([self.GOOD_S, s, self.GOOD_S, s])
-        P0 = np.array([self.GOOD_P, p, self.GOOD_P, p])
-        T = [1.0, temp, 1.0, temp]
+    def test_each_check_is_that_of_integrate(self, s, p, temp, error):
+        # a failing instance after a good one: the call raises the error and
+        # message of the failing instance's integrate run
+        starts, scores = [SimplexPoint(self.GOOD_P), SimplexPoint(p)], [
+            ScoreVector(self.GOOD_S), ScoreVector(s)]
         controls = IntegratorControls(n_samples=60)
-        if error is None:
-            rows = self.assert_rows_are_their_runs(FieldKind.ENTROPIC, P0, S, T, 1e3, controls)
-            assert [row.terminal_status for row in rows] == [
-                TerminalStatus.CONVERGED, TerminalStatus.DIVERGED] * 2
-            assert rows[1].diagnostics == named
-            return
-        with pytest.raises(error, match=f"^row 1: {re.escape(named)}"):
-            replicator.integrate_rows(FieldKind.ENTROPIC, P0, S, T, 1e3, controls)
+        with pytest.raises(error) as run:
+            integrate(FieldKind.ENTROPIC, starts[1], scores[1], temp, 1e3, controls)
+        with pytest.raises(error) as call:
+            replicator.integrate_rows(FieldKind.ENTROPIC, starts, scores, temp, 1e3, controls)
+        assert str(call.value) == str(run.value)
+        assert not str(call.value).startswith("row")
+
+    @pytest.mark.parametrize(
+        "temperatures", [[1.0, 2.0], np.array([1.0, 2.0]), np.array([1.0])],
+        ids=["list", "array", "one-entry-array"],
+    )
+    def test_a_temperature_per_row_is_refused(self, temperatures):
+        p0, s = SimplexPoint(self.GOOD_P), ScoreVector(self.GOOD_S)
+        message = f"^temperature must be a real number, got {re.escape(repr(temperatures))}$"
+        with pytest.raises(InvalidInputError, match=message):
+            replicator.integrate_rows(FieldKind.ENTROPIC, [p0, p0], [s, s], temperatures)
+        with pytest.raises(InvalidInputError, match=message):
+            integrate(FieldKind.ENTROPIC, p0, s, temperatures)
+
+    P2, P3, S2, S3 = (SimplexPoint([0.5, 0.5]), SimplexPoint(GOOD_P), ScoreVector([1.0, 0.0]),
+                      ScoreVector(GOOD_S))
+
+    @pytest.mark.parametrize(
+        "starts, scores, message",
+        [
+            ([], [], "need one or more starts"),
+            ([P3, P3], [S3], "need one score vector per start, got 1 for 2 starts"),
+            ([P3], [S3, S3], "need one score vector per start, got 2 for 1 starts"),
+            ([P3, P2, P3], [S3, S2, S3], "starts must be of one size, got sizes [2, 3]"),
+        ],
+        ids=["no-starts", "fewer-scores", "more-scores", "sizes"],
+    )
+    def test_the_call_is_checked_before_any_work(self, starts, scores, message, monkeypatch):
+        # before the schedule, the horizon and the solver: all three would fail
+        monkeypatch.setattr(replicator, "_solve_blocks", None)
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+            replicator.integrate_rows(FieldKind.LITERAL, starts, scores, 0.0, -1.0)
 
 
 def _flow_case(kind, p0, s, schedule, horizon, event, convergence_kl=1e-10):
@@ -1166,8 +1185,7 @@ def _use_layout(monkeypatch, first, cap_bytes, bound):
     if cap_bytes is not None:
         monkeypatch.setattr(replicator, "BLOCK_BYTES", cap_bytes)
     if bound != "certified":
-        for module in (replicator, mirror):
-            monkeypatch.setattr(module, "_certified_rows", lambda *args, **kwargs: bound)
+        monkeypatch.setattr(replicator, "_certified_rows", lambda *args, **kwargs: bound)
 
 
 class TestBlockLayoutIsInvisible:
@@ -1261,8 +1279,7 @@ class TestCertifiedRows:
             bounds.append(certified(*args, **kwargs))
             return bounds[-1]
 
-        for module in (replicator, mirror):
-            monkeypatch.setattr(module, "_certified_rows", record)
+        monkeypatch.setattr(replicator, "_certified_rows", record)
         return bounds
 
     @staticmethod
@@ -1315,14 +1332,15 @@ class TestCertifiedRows:
         assert bounded > 300
 
     @pytest.mark.parametrize("kind", list(FieldKind))
-    def test_rows_at_their_own_temperatures_stop_by_the_bound(self, kind, monkeypatch):
+    def test_the_rows_of_a_call_stop_by_its_bound(self, kind, monkeypatch):
         bounds = self.spy(monkeypatch)
         rng = np.random.default_rng([33, kind is FieldKind.ENTROPIC])
         size = 7
-        S, P0 = rng.uniform(-3.0, 3.0, (12, size)), rng.dirichlet(np.ones(size), 12)
-        temps = rng.uniform(0.25, 4.0, 12)
+        starts = [SimplexPoint(p0) for p0 in rng.dirichlet(np.ones(size), 12)]
+        scores = [ScoreVector(s) for s in rng.uniform(-3.0, 3.0, (12, size))]
         controls = IntegratorControls(convergence_kl=1e-12)
-        records = replicator.integrate_rows(kind, P0, S, temps, 1e3, controls)
+        records = replicator.integrate_rows(kind, starts, scores, rng.uniform(0.25, 4.0), 1e3,
+                                            controls)
         (bound,) = bounds
         for record in records:
             self.assert_within(record, bound, controls.n_samples)

@@ -5,6 +5,7 @@ arithmetic (math.exp / math.log), never from the functions under test.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -30,13 +31,38 @@ from simplexflow import (
     softmax_jacobian,
 )
 from simplexflow.oracles import fd_gradient, fd_jacobian
-from simplexflow.simplex import PROB_FLOOR
+from simplexflow.simplex import PROB_FLOOR, check_step_size, check_temperature
 
 from conftest import score_lists, weight_lists
 
 # direct evaluation: e/(1+e) and e^2/(1+e^2)
 P_EXP_1 = math.exp(1.0) / (1.0 + math.exp(1.0))        # 0.7310585786300049
 P_EXP_2 = math.exp(2.0) / (1.0 + math.exp(2.0))        # 0.8807970779778823
+
+
+class TestRealNumberChecks:
+    """``check_temperature`` and ``check_step_size`` take a real number, or a
+    string of one, and refuse anything else with a typed error naming it."""
+
+    CHECKS = [(check_temperature, "temperature"), (check_step_size, "step size")]
+
+    @pytest.mark.parametrize("check, name", CHECKS)
+    @pytest.mark.parametrize(
+        "value", [[1.0, 2.0], (1.0,), np.array([1.0]), None, "abc"],
+        ids=["list", "tuple", "array", "none", "string"],
+    )
+    def test_a_value_that_is_no_real_number_is_named(self, check, name, value):
+        message = f"^{name} must be a real number, got {re.escape(repr(value))}$"
+        with pytest.raises(InvalidInputError, match=message):
+            check(value)
+
+    @pytest.mark.parametrize("check", [check for check, _ in CHECKS])
+    @pytest.mark.parametrize(
+        "value", ["1.0", np.float64(1.0), np.array(1.0), 1],
+        ids=["string", "numpy-scalar", "0-d-array", "int"],
+    )
+    def test_a_real_number_is_accepted(self, check, value):
+        assert check(value) == 1.0 and type(check(value)) is float
 
 
 class TestScoreVector:
